@@ -25,7 +25,6 @@ fn run(interval_us: u64) -> Vec<(u64, usize)> {
     for i in 0..spec.storage_nodes as u32 {
         let mut cfg = spec.storage_config();
         cfg.anti_entropy_interval_us = interval_us;
-        cfg.anti_entropy_batch = 128;
         sim.add_node(Node::new(NodeId(i), cfg), NodeConfig { concurrency: 4 });
     }
     sim.start();

@@ -12,17 +12,14 @@ use mystore_net::{FaultPlan, NetConfig, SimConfig, SimTime};
 /// Time until every storage node's ring contains all members.
 fn convergence_us(nodes: usize, interval_us: u64, extra_fanout: usize, seed: u64) -> Option<u64> {
     let mut spec = ClusterSpec::small(nodes);
-    spec.gossip_interval_us = interval_us;
-    let mut gossip = spec.gossip_config();
-    gossip.extra_fanout = extra_fanout;
-    // Build manually so the fan-out override takes effect.
+    spec.storage.gossip.interval_us = interval_us;
+    spec.storage.gossip.extra_fanout = extra_fanout;
     let mut sim = mystore_net::Sim::new(SimConfig {
         net: NetConfig::gigabit_lan(),
         faults: FaultPlan::none(),
         seed,
     });
-    let mut cfg = spec.storage_config();
-    cfg.gossip = gossip;
+    let cfg = spec.storage_config();
     for i in 0..nodes as u32 {
         sim.add_node(
             StorageNode::new(mystore_net::NodeId(i), cfg.clone()),

@@ -29,10 +29,10 @@ fn main() {
 
     for handoff in [true, false] {
         let mut spec = ClusterSpec::small(5);
-        spec.hinted_handoff = handoff;
+        spec.storage.hinted_handoff = handoff;
         // Generous coordinator deadline so the soft-timeout handoff path has
         // time to gather fallback acks before the request expires.
-        spec.request_deadline_us = 600_000;
+        spec.storage.request_deadline_us = 600_000;
         let faults = FaultPlan {
             p_network: 0.25,
             p_disk: 0.0,

@@ -103,7 +103,7 @@ fn main() {
         ("(3,1,1) high availability", Nwr::HIGH_AVAILABILITY),
     ] {
         let mut spec = ClusterSpec::small(5);
-        spec.nwr = nwr;
+        spec.storage.nwr = nwr;
         let faults = FaultPlan {
             p_network: 0.15,
             p_disk: 0.0,

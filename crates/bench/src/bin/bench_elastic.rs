@@ -20,7 +20,8 @@
 //! cargo run --release -p mystore-bench --bin bench_elastic [seed]
 //! ```
 //!
-//! `--smoke` runs a smaller corpus at a higher budget for CI (writes
+//! Both modes run at the default `StorageConfig` migration budgets.
+//! `--smoke` runs a smaller corpus for CI (writes
 //! `BENCH_PR10_SMOKE.json`; same assertions).
 
 use std::sync::Arc;
@@ -37,8 +38,6 @@ const SEC: u64 = 1_000_000;
 struct Params {
     id: &'static str,
     corpus: usize,
-    /// Migration budget (records per 50 ms tick).
-    budget: u32,
     /// Steady-state traffic before the join (µs).
     baseline_us: u64,
     /// Traffic kept running after the join (µs).
@@ -68,21 +67,9 @@ fn main() {
         .map(|s| s.parse().expect("seed must be a u64"))
         .unwrap_or(42);
     let p = if smoke {
-        Params {
-            id: "BENCH_PR10_SMOKE",
-            corpus: 500,
-            budget: 64,
-            baseline_us: 8 * SEC,
-            tail_us: 12 * SEC,
-        }
+        Params { id: "BENCH_PR10_SMOKE", corpus: 500, baseline_us: 8 * SEC, tail_us: 12 * SEC }
     } else {
-        Params {
-            id: "BENCH_PR10",
-            corpus: 4000,
-            budget: 32,
-            baseline_us: 15 * SEC,
-            tail_us: 25 * SEC,
-        }
+        Params { id: "BENCH_PR10", corpus: 4000, baseline_us: 15 * SEC, tail_us: 25 * SEC }
     };
 
     // 8 storage slots: nodes 0–3 form the initial ring, nodes 4–7 are down
@@ -92,10 +79,9 @@ fn main() {
     let weights: Vec<u32> = vec![1, 1, 1, 1, 2, 1, 2, 1];
     let mut spec = ClusterSpec::small(weights.len());
     spec.weights = weights.clone();
-    spec.migrate_max_records_per_tick = p.budget;
     // Every cross-node record transfer in this run must be the migration
     // engine's, so the counters below measure exactly the elasticity path.
-    spec.anti_entropy_interval_us = 0;
+    spec.storage.anti_entropy_interval_us = 0;
 
     let (mut sim, registry) = spec.build_sim_with_metrics(SimConfig {
         net: NetConfig::gigabit_lan(),
@@ -136,7 +122,8 @@ fn main() {
     let items: Arc<Vec<Item>> = Arc::new(
         (0..p.corpus).map(|i| Item { key: format!("eb-{i:05}"), size: 1024, class: 0 }).collect(),
     );
-    let replicas = preload_mystore(&mut sim, &old_ids, spec.vnodes, spec.nwr.n, &items);
+    let replicas =
+        preload_mystore(&mut sim, &old_ids, spec.storage.vnodes, spec.storage.nwr.n, &items);
 
     sim.schedule_restart(SimTime(t_join), all_ids[old_count]);
     for &id in &all_ids[old_count + 1..] {
@@ -172,12 +159,12 @@ fn main() {
     let mut new_ring = HashRing::new();
     for (i, &id) in all_ids.iter().enumerate() {
         new_ring
-            .add_node(id, format!("node{}", id.0), spec.vnodes * weights[i])
+            .add_node(id, format!("node{}", id.0), spec.storage.vnodes * weights[i])
             .expect("unique ids");
     }
     let mut under_replicated = 0usize;
     for item in items.iter() {
-        for node in new_ring.preference_list(item.key.as_bytes(), spec.nwr.n) {
+        for node in new_ring.preference_list(item.key.as_bytes(), spec.storage.nwr.n) {
             let holder = sim.process::<StorageNode>(node).expect("storage node");
             if !matches!(holder.db().get_record("data", &item.key), Ok(Some(_))) {
                 under_replicated += 1;
@@ -224,9 +211,11 @@ fn main() {
         replicas
     ));
     fig.note(format!(
-        "budget {} records / 50 ms tick; migration drained in {:.2}s \
+        "default budgets ({} records, {} KiB / {} ms tick); migration drained in {:.2}s \
          ({} record copies shipped, {} arcs cut over)",
-        p.budget,
+        spec.storage.migrate_max_records_per_tick,
+        spec.storage.migrate_max_bytes_per_tick >> 10,
+        spec.storage.migrate_tick_us / 1000,
         (mig_end - t_join) as f64 / 1e6,
         counter("migrate.records_sent"),
         counter("migrate.arcs_cutover"),

@@ -104,12 +104,11 @@ fn cluster_run(coalesced: bool, duration_us: u64) -> serde_json::Value {
     run.duration_us = duration_us;
     run.seed = 31_337;
     if coalesced {
-        run.spec = Some(ClusterSpec {
-            group_commit_ops: 32,
-            group_commit_max_delay_us: 2_000,
-            coalesce_window_us: 500,
-            ..ClusterSpec::paper_topology()
-        });
+        let mut spec = ClusterSpec::paper_topology();
+        spec.storage.group_commit_ops = 32;
+        spec.storage.group_commit_max_delay_us = 2_000;
+        spec.storage.coalesce_window_us = 500;
+        run.spec = Some(spec);
     }
     let r = run_rest_comparison(&run);
     let snap = r.metrics.as_ref().expect("MyStore runs carry a metrics snapshot");

@@ -142,21 +142,12 @@ fn main() {
         run_one(&mut fig, &spec);
     }
 
-    // Merkle anti-entropy under chaos (DESIGN.md §14): same invariants
-    // with the tree exchange replacing flat digests.
-    let mut merkle =
-        CellSpec::new(50, Nwr::PAPER, FaultProfile::Mixed, KeyDist::Zipf, 6 * HOUR, 19);
-    merkle.merkle_sync = true;
-    merkle.name.push_str("-merkle");
-    run_one(&mut fig, &merkle);
-
     // Online elasticity under chaos (DESIGN.md §16): heterogeneous
-    // capacity weights with the incremental migration engine draining
-    // every kill-induced ring leave/re-join under its per-tick budget.
+    // capacity weights, so the migration engine drains every kill-induced
+    // ring leave/re-join across unequal ring shares.
     let mut elastic =
         CellSpec::new(50, Nwr::PAPER, FaultProfile::Kill, KeyDist::Zipf, 6 * HOUR, 23);
     elastic.weights = (0..50).map(|i| 1 + (i % 3) as u32).collect();
-    elastic.migrate_records_per_tick = 8;
     elastic.name.push_str("-elastic");
     run_one(&mut fig, &elastic);
 

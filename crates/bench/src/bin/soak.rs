@@ -52,7 +52,7 @@ fn main() {
     }
     sim.start();
     sim.run_for(spec.warmup_us());
-    preload_mystore(&mut sim, &spec.storage_ids(), spec.vnodes, spec.nwr.n, &items);
+    preload_mystore(&mut sim, &spec.storage_ids(), spec.storage.vnodes, spec.storage.nwr.n, &items);
 
     let t0 = sim.now();
     let duration = 300_000_000u64; // five virtual minutes

@@ -174,7 +174,13 @@ pub fn run_rest_comparison(run: &RestRun) -> RestRunResult {
     match run.system {
         SystemKind::MyStore => {
             let spec = spec_opt.as_ref().expect("spec for mystore");
-            preload_mystore(&mut sim, &spec.storage_ids(), spec.vnodes, spec.nwr.n, &run.items);
+            preload_mystore(
+                &mut sim,
+                &spec.storage_ids(),
+                spec.storage.vnodes,
+                spec.storage.nwr.n,
+                &run.items,
+            );
         }
         SystemKind::Ext3Fs => {
             preload_single::<FsStoreNode, _>(&mut sim, target, &run.items, |node, key, val| {
@@ -245,7 +251,7 @@ pub fn sweep_point(processes: usize, items: &Arc<Vec<Item>>, seed: u64) -> RestR
     // The app node runs interpreted logical processes (paper: Python via
     // spawn-fcgi): per-request CPU dominates, and the process pool bounds
     // concurrent requests.
-    spec.cost.frontend_base_us = 3_500;
+    spec.storage.cost.frontend_base_us = 3_500;
     spec.frontend_concurrency = 16;
     spec.frontend_max_inflight = 400;
     let mut run = RestRun::new(SystemKind::MyStore, Arc::clone(items));

@@ -12,35 +12,23 @@ use mystore_net::{NodeConfig, NodeId, Sim, SimConfig};
 use mystore_obs::Registry;
 
 use crate::cache_node::CacheNode;
-use crate::config::{CostModel, FrontendConfig, Nwr, StorageConfig};
+use crate::config::{FrontendConfig, StorageConfig};
 use crate::frontend::Frontend;
 use crate::message::Msg;
 use crate::storage_node::StorageNode;
 
-/// Description of a MyStore deployment.
+/// Description of a MyStore deployment: the topology, plus the
+/// [`StorageConfig`] every storage node is built from.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Number of storage (DB) nodes.
     pub storage_nodes: usize,
     /// How many of the first storage nodes are gossip seeds.
     pub seed_count: usize,
-    /// Virtual nodes per storage node (capacity-proportional; uniform here,
-    /// heterogeneous clusters can be built manually).
-    pub vnodes: u32,
     /// Per-node capacity weights, indexed like [`ClusterSpec::storage_ids`];
     /// nodes beyond the vector's length get weight 1. A weight-`w` node
-    /// contributes `w × vnodes` virtual nodes. Empty = homogeneous.
+    /// contributes `w × storage.vnodes` virtual nodes. Empty = homogeneous.
     pub weights: Vec<u32>,
-    /// Migration-engine record budget per tick (`0` with a zero byte budget
-    /// keeps the legacy one-shot rebalance sweep). See
-    /// [`StorageConfig::migrate_max_records_per_tick`].
-    pub migrate_max_records_per_tick: u32,
-    /// Migration-engine byte budget per tick.
-    pub migrate_max_bytes_per_tick: u64,
-    /// Migration tick period (µs).
-    pub migrate_tick_us: u64,
-    /// Quorum parameters.
-    pub nwr: Nwr,
     /// Number of cache servers (0 disables the cache tier).
     pub cache_nodes: usize,
     /// Bytes of memory per cache server.
@@ -53,54 +41,12 @@ pub struct ClusterSpec {
     pub frontend_max_inflight: usize,
     /// Concurrent workers per storage node (cores serving requests).
     pub storage_concurrency: usize,
-    /// Gossip round interval (µs).
-    pub gossip_interval_us: u64,
-    /// Heartbeat silence before a node is considered down (µs).
-    pub fail_after_us: u64,
-    /// Heartbeat silence before a seed declares long failure (µs).
-    pub remove_after_us: u64,
-    /// Service-time cost model shared by all nodes.
-    pub cost: CostModel,
-    /// Coordinator replica-ack soft timeout (µs).
-    pub replica_timeout_us: u64,
-    /// Coordinator request deadline (µs).
-    pub request_deadline_us: u64,
-    /// Straggler retries before hinted handoff (see
-    /// [`StorageConfig::replica_retry_max`]).
-    pub replica_retry_max: u32,
-    /// Exponential-backoff base between retries (µs).
-    pub retry_backoff_base_us: u64,
-    /// Exponential-backoff cap between retries (µs).
-    pub retry_backoff_cap_us: u64,
-    /// Hint replay interval (µs).
-    pub hint_replay_interval_us: u64,
-    /// Hinted handoff on/off (ablation A4).
-    pub hinted_handoff: bool,
-    /// WAL group commit batch size (see [`StorageConfig::group_commit_ops`]);
-    /// `1` keeps per-op syncs.
-    pub group_commit_ops: usize,
-    /// Flush-timer bound on staged frames (µs); see
-    /// [`StorageConfig::group_commit_max_delay_us`].
-    pub group_commit_max_delay_us: u64,
-    /// Coordinator fan-out coalescing window (µs); `0` disables batching
-    /// (see [`StorageConfig::coalesce_window_us`]).
-    pub coalesce_window_us: u64,
-    /// Gossip idle backoff cap (see `GossipConfig::idle_backoff_max`);
-    /// `1` keeps the fixed cadence.
-    pub gossip_idle_backoff_max: u64,
-    /// Anti-entropy idle backoff cap (see
-    /// [`StorageConfig::anti_entropy_idle_backoff_max`]); `1` keeps the
-    /// fixed cadence.
-    pub anti_entropy_idle_backoff_max: u64,
-    /// Merkle-tree anti-entropy (see
-    /// [`StorageConfig::anti_entropy_merkle`]); default off.
-    pub anti_entropy_merkle: bool,
-    /// Tombstone-reaper period (µs); `0` disables reaping (see
-    /// [`StorageConfig::compaction_interval_us`]).
-    pub compaction_interval_us: u64,
-    /// Anti-entropy period (µs); `0` disables (see
-    /// [`StorageConfig::anti_entropy_interval_us`]).
-    pub anti_entropy_interval_us: u64,
+    /// Template for every storage node's configuration (quorum, timeouts,
+    /// gossip cadence, cost model, ...). [`ClusterSpec::storage_config`]
+    /// fills in the gossip seeds; the builders fill in each node's weight
+    /// and the shared metrics registry. Its cost model and request
+    /// deadline also shape the cache servers and front ends.
+    pub storage: StorageConfig,
 }
 
 impl ClusterSpec {
@@ -111,50 +57,36 @@ impl ClusterSpec {
         ClusterSpec {
             storage_nodes: 5,
             seed_count: 1,
-            vnodes: 128,
             weights: Vec::new(),
-            migrate_max_records_per_tick: 0,
-            migrate_max_bytes_per_tick: 0,
-            migrate_tick_us: 50_000,
-            nwr: Nwr::PAPER,
             cache_nodes: 4,
             cache_bytes: 1 << 30,
             frontends: 1,
             frontend_concurrency: 64,
             frontend_max_inflight: 1024,
             storage_concurrency: 8, // two quad-core Xeons per node (§6.1)
-            gossip_interval_us: 500_000,
-            fail_after_us: 2_500_000,
-            remove_after_us: 20_000_000,
-            cost: CostModel::default(),
-            replica_timeout_us: 60_000,
-            request_deadline_us: 1_000_000,
-            replica_retry_max: 2,
-            retry_backoff_base_us: 20_000,
-            retry_backoff_cap_us: 500_000,
-            hint_replay_interval_us: 2_000_000,
-            hinted_handoff: true,
-            group_commit_ops: 1,
-            group_commit_max_delay_us: 2_000,
-            coalesce_window_us: 0,
-            gossip_idle_backoff_max: 1,
-            anti_entropy_idle_backoff_max: 1,
-            anti_entropy_merkle: false,
-            compaction_interval_us: 60_000_000,
-            anti_entropy_interval_us: 30_000_000,
+            storage: StorageConfig {
+                gossip: GossipConfig {
+                    interval_us: 500_000,
+                    fail_after_us: 2_500_000,
+                    remove_after_us: 20_000_000,
+                    ..GossipConfig::default()
+                },
+                ..StorageConfig::default()
+            },
         }
     }
 
     /// A small fast-converging cluster for tests.
     pub fn small(storage_nodes: usize) -> Self {
-        ClusterSpec {
+        let mut spec = ClusterSpec {
             storage_nodes,
             seed_count: 1,
-            vnodes: 32,
             cache_nodes: 0,
             frontends: 0,
             ..Self::paper_topology()
-        }
+        };
+        spec.storage.vnodes = 32;
+        spec
     }
 
     /// Storage-node ids under the standard layout (`0..S`).
@@ -180,50 +112,16 @@ impl ClusterSpec {
         (self.storage_nodes + self.cache_nodes + self.frontends) as u32
     }
 
-    /// The gossip configuration every node runs.
-    pub fn gossip_config(&self) -> GossipConfig {
-        GossipConfig {
-            interval_us: self.gossip_interval_us,
-            fail_after_us: self.fail_after_us,
-            remove_after_us: self.remove_after_us,
-            seeds: (0..self.seed_count.min(self.storage_nodes) as u32).map(NodeId).collect(),
-            extra_fanout: 1,
-            idle_backoff_max: self.gossip_idle_backoff_max,
-        }
-    }
-
-    /// The storage configuration for node construction.
+    /// The storage configuration for node construction: the template with
+    /// the first `seed_count` storage nodes as gossip seeds and a private
+    /// metrics registry (a `Registry` clone is a shared handle, so handing
+    /// out the template's would silently merge every node's counters).
     pub fn storage_config(&self) -> StorageConfig {
-        StorageConfig {
-            nwr: self.nwr,
-            vnodes: self.vnodes,
-            weight: 1,
-            migrate_max_records_per_tick: self.migrate_max_records_per_tick,
-            migrate_max_bytes_per_tick: self.migrate_max_bytes_per_tick,
-            migrate_tick_us: self.migrate_tick_us,
-            gossip: self.gossip_config(),
-            cost: self.cost.clone(),
-            replica_timeout_us: self.replica_timeout_us,
-            request_deadline_us: self.request_deadline_us,
-            replica_retry_max: self.replica_retry_max,
-            retry_backoff_base_us: self.retry_backoff_base_us,
-            retry_backoff_cap_us: self.retry_backoff_cap_us,
-            hint_replay_interval_us: self.hint_replay_interval_us,
-            collection: "data".into(),
-            hinted_handoff: self.hinted_handoff,
-            data_dir: None,
-            group_commit_ops: self.group_commit_ops,
-            group_commit_max_delay_us: self.group_commit_max_delay_us,
-            coalesce_window_us: self.coalesce_window_us,
-            compaction_interval_us: self.compaction_interval_us,
-            tombstone_grace_us: 300_000_000,
-            anti_entropy_interval_us: self.anti_entropy_interval_us,
-            anti_entropy_batch: 256,
-            anti_entropy_idle_backoff_max: self.anti_entropy_idle_backoff_max,
-            anti_entropy_merkle: self.anti_entropy_merkle,
-            merkle_leaf_splits: 16,
-            metrics: Registry::new(),
-        }
+        let mut cfg = self.storage.clone();
+        cfg.gossip.seeds =
+            (0..self.seed_count.min(self.storage_nodes) as u32).map(NodeId).collect();
+        cfg.metrics = Registry::new();
+        cfg
     }
 
     /// The front-end configuration.
@@ -232,8 +130,8 @@ impl ClusterSpec {
             storage_nodes: self.storage_ids(),
             cache_nodes: self.cache_ids(),
             max_inflight: self.frontend_max_inflight,
-            cost: self.cost.clone(),
-            request_deadline_us: self.request_deadline_us * 5,
+            cost: self.storage.cost.clone(),
+            request_deadline_us: self.storage.request_deadline_us * 5,
             redispatch_max: 1,
             max_key_bytes: 1024,
             auth: None,
@@ -266,7 +164,7 @@ impl ClusterSpec {
         }
         for _ in 0..self.cache_nodes {
             sim.add_node(
-                CacheNode::with_metrics(self.cache_bytes, self.cost.clone(), &registry),
+                CacheNode::with_metrics(self.cache_bytes, self.storage.cost.clone(), &registry),
                 NodeConfig { concurrency: 4 },
             );
         }
@@ -282,7 +180,7 @@ impl ClusterSpec {
     /// discovers every member and the rings agree.
     pub fn warmup_us(&self) -> u64 {
         // A few gossip rounds; convergence is O(log n) rounds.
-        self.gossip_interval_us * 8
+        self.storage.gossip.interval_us * 8
     }
 }
 

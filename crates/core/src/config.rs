@@ -182,42 +182,32 @@ pub struct StorageConfig {
     /// batched replica message with per-op acks. `0` disables coalescing
     /// (every replica write is its own message).
     pub coalesce_window_us: u64,
-    /// Anti-entropy period (µs); `0` disables. Each round, the node sends a
-    /// `(key, version)` digest of a sample of its records to one replica
-    /// peer, which answers with any newer copies — bounding replica
-    /// divergence even for keys that are never read.
+    /// Anti-entropy period (µs); `0` disables. Each round, the node offers
+    /// one replica peer the Merkle root over the key ranges they share and
+    /// the pair walks only mismatched subtrees down to per-key digests
+    /// (DESIGN.md §14) — bounding replica divergence even for keys that are
+    /// never read.
     pub anti_entropy_interval_us: u64,
-    /// Maximum records digested per anti-entropy round (bounds message
-    /// size; successive rounds rotate through the key space).
-    pub anti_entropy_batch: usize,
     /// Idle backoff for anti-entropy: while `Db::last_seq` is unchanged
     /// between rounds, the period doubles up to `interval × max`; any local
     /// write snaps it back to the base interval. `1` disables backoff
     /// (fixed cadence), which is the default. Long-horizon simulations set
-    /// this so a quiescent ring fast-forwards instead of grinding digests.
+    /// this so a quiescent ring fast-forwards instead of grinding rounds.
     pub anti_entropy_idle_backoff_max: u64,
-    /// Rate limit of the incremental migration engine: at most this many
-    /// records leave a node per migration tick. `0` (with a zero byte
-    /// budget) disables the engine entirely — membership changes fall back
-    /// to the legacy one-shot `rebalance_sweep`, keeping existing traces
-    /// byte-identical. See DESIGN.md §16.
+    /// Rate limit of the migration engine (DESIGN.md §16): at most this
+    /// many record copies leave a node per migration tick; `0` means no
+    /// record cap. The default is the budget BENCH_PR10 measured (a 4→8
+    /// node doubling drained in 13 s with the client p50 moving 1.12 →
+    /// 1.34 ms).
     pub migrate_max_records_per_tick: u32,
     /// Byte budget per migration tick (sum of record value sizes); `0`
-    /// means no byte cap. Either budget being non-zero enables the
-    /// incremental engine.
+    /// means no byte cap. The default of 1 MiB per 50 ms tick is 20 MiB/s
+    /// — a quarter of the cost model's log-write bandwidth and a sixth of
+    /// a gigabit link — and equals 32 records × 32 KiB, so the record cap
+    /// governs small values and this one takes over for large ones.
     pub migrate_max_bytes_per_tick: u64,
     /// Period of the migration tick (µs) while a migration plan is active.
     pub migrate_tick_us: u64,
-    /// Merkle-tree anti-entropy (DESIGN.md §14): rounds open with a tree
-    /// root over the key ranges shared with the chosen peer and walk only
-    /// mismatched subtrees down to per-key digests, instead of shipping a
-    /// flat `(key, version)` digest batch. Default off — the legacy flat
-    /// digest — so existing traces stay byte-identical.
-    pub anti_entropy_merkle: bool,
-    /// Leaves per ring arc for the Merkle tree: each arc's key range is
-    /// cut into this many equal sub-ranges. More splits localize
-    /// divergence to fewer keys per leaf at the cost of a deeper walk.
-    pub merkle_leaf_splits: u32,
     /// Metrics registry this node publishes into. Registries are cheap
     /// shared handles: give every node in a cluster a clone of the same
     /// registry and `/_stats` aggregates them all. The default is a private
@@ -248,13 +238,10 @@ impl Default for StorageConfig {
             group_commit_max_delay_us: 2_000,
             coalesce_window_us: 0,
             anti_entropy_interval_us: 30_000_000,
-            anti_entropy_batch: 256,
             anti_entropy_idle_backoff_max: 1,
-            migrate_max_records_per_tick: 0,
-            migrate_max_bytes_per_tick: 0,
+            migrate_max_records_per_tick: 32,
+            migrate_max_bytes_per_tick: 1 << 20,
             migrate_tick_us: 50_000,
-            anti_entropy_merkle: false,
-            merkle_leaf_splits: 16,
             metrics: Registry::new(),
         }
     }
@@ -265,13 +252,6 @@ impl StorageConfig {
     /// `vnodes × weight`, saturating.
     pub fn effective_vnodes(&self) -> u32 {
         self.vnodes.saturating_mul(self.weight.max(1))
-    }
-
-    /// Whether membership changes run through the incremental,
-    /// rate-limited migration engine (either per-tick budget set) instead
-    /// of the legacy one-shot sweep.
-    pub fn migration_rate_limited(&self) -> bool {
-        self.migrate_max_records_per_tick > 0 || self.migrate_max_bytes_per_tick > 0
     }
 }
 

@@ -309,7 +309,10 @@ pub enum Msg {
     },
 
     // ---- migration / re-replication (§5.2.4) ----------------------------
-    /// Bulk record transfer during rebalance; applied LWW, no ack.
+    /// Bulk record transfer, applied LWW, no ack. Receive-only: the
+    /// one-shot rebalance sweep that sent it is gone (the migration engine
+    /// ships on the acknowledged `StoreReplica` path), but the wire tag is
+    /// frozen and a peer still running the sweep is answered correctly.
     TransferRecords {
         /// The records changing owner.
         records: Vec<Arc<Record>>,

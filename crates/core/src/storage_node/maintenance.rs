@@ -2,11 +2,11 @@
 //! rebalance (Fig. 9), hint replay (Fig. 8), anti-entropy exchange,
 //! coordinator outbox coalescing, and the WAL-flush / gossip ticks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mystore_bson::ObjectId;
-use mystore_engine::{Collection, Db, Record};
+use mystore_engine::Record;
 use mystore_gossip::{keys as gossip_keys, MembershipEvent};
 use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
@@ -44,7 +44,8 @@ impl StorageNode {
         sig
     }
 
-    /// Rebuilds the ring if membership changed; sweeps data when it did.
+    /// Rebuilds the ring if membership changed, and plans the migration of
+    /// the records the change re-homed (§5.2.4).
     pub(crate) fn refresh_ring(&mut self, ctx: &mut Context<'_, Msg>) {
         let sig = self.membership_signature();
         if sig == self.ring_sig {
@@ -58,75 +59,23 @@ impl StorageNode {
         }
         let old_ring = std::mem::replace(&mut self.ring, ring);
         self.ring_sig = sig;
+        self.replica_arcs = crate::sync::replica_arcs(&self.ring, self.cfg.nwr.n, self.id());
         // Arc boundaries moved: every cached Merkle leaf hash is stale.
         self.sync_tree.on_ring_change();
-        if self.cfg.migration_rate_limited() {
-            // DESIGN.md §16: drain the change incrementally under the
-            // per-tick budgets instead of sweeping everything at once.
-            self.start_migration(ctx, old_ring);
-        } else {
-            self.rebalance_sweep(ctx, &old_ring);
-        }
-    }
-
-    /// §5.2.4: after membership change, move records whose preference list
-    /// no longer includes us, and supplement replicas on the nodes that
-    /// should now hold them. LWW application makes re-sends idempotent.
-    ///
-    /// Fan-out is bounded by the old-vs-new ring diff: a peer only receives
-    /// a copy when it *newly entered* the record's preference list (it
-    /// either already holds the record or is owed it by an earlier sweep
-    /// otherwise) — except when we are dropping our own copy, where every
-    /// remaining replica gets one because we may be its last holder.
-    fn rebalance_sweep(&mut self, ctx: &mut Context<'_, Msg>, old_ring: &HashRing<NodeId>) {
-        let me = self.id();
-        let n = self.cfg.nwr.n;
-        let Ok(coll) = self.db.collection(&self.cfg.collection) else { return };
-        // Ordered map: the send order below feeds the sim schedule.
-        let mut outgoing: BTreeMap<NodeId, Vec<Arc<Record>>> = BTreeMap::new();
-        let mut to_drop: Vec<ObjectId> = Vec::new();
-        for (id, docu) in coll.iter() {
-            let Ok(record) = Record::from_document(docu) else { continue };
-            let record = Arc::new(record);
-            let prefs = self.ring.preference_list(record.self_key.as_bytes(), n);
-            if prefs.is_empty() {
-                continue;
-            }
-            let keep = prefs.contains(&me);
-            let old_prefs = old_ring.preference_list(record.self_key.as_bytes(), n);
-            for &target in prefs.iter().filter(|&&p| p != me) {
-                if keep && old_prefs.contains(&target) {
-                    continue;
-                }
-                outgoing.entry(target).or_default().push(Arc::clone(&record));
-            }
-            if !keep {
-                to_drop.push(*id);
-            }
-        }
-        for id in to_drop {
-            let _ = self.db.remove(&self.cfg.collection, id);
-            self.stats.records_migrated_out += 1;
-        }
-        // Batch transfers to bound message counts.
-        const BATCH: usize = 64;
-        for (target, records) in outgoing {
-            self.stats.rebalance_records_sent += records.len() as u64;
-            for chunk in records.chunks(BATCH) {
-                ctx.send(target, Msg::TransferRecords { records: chunk.to_vec() });
-            }
-        }
+        // DESIGN.md §16: drain the change incrementally under the per-tick
+        // budgets.
+        self.start_migration(ctx, old_ring);
     }
 
     pub(crate) fn process_membership(&mut self, ctx: &mut Context<'_, Msg>) {
         let events = self.gossiper.drain_events();
-        // With the migration engine on, refresh even without an up/down
-        // event: a peer re-advertising a new vnode count (capacity
-        // reweight) moves placement with no membership transition.
-        // `refresh_ring` early-returns when the signature is unchanged, so
-        // the quiet-path cost is one comparison. The legacy one-shot mode
-        // keeps the event-gated refresh (and its exact message schedule).
-        if events.is_empty() && !self.cfg.migration_rate_limited() {
+        // The ring is built from the member set and each member's vnode
+        // count: besides up/down events, a peer re-advertising a new count
+        // (capacity reweight) moves placement with no membership
+        // transition. Re-deriving the signature on every gossip message
+        // instead costs as much as the rest of a 100-node cell (§16).
+        let vnodes_changed = self.gossiper.take_vnodes_changed();
+        if events.is_empty() && !vnodes_changed {
             return;
         }
         for ev in &events {
@@ -178,8 +127,8 @@ impl StorageNode {
                 replays.push((*id, intended, record));
             } else if self.gossiper.is_removed(intended) {
                 // Long failure: the intended node will never return. The
-                // rebalance sweep re-replicates from live copies, so the
-                // hint is dropped.
+                // migration its removal triggers re-replicates from live
+                // copies, so the hint is dropped.
                 replays.push((*id, intended, record.clone()));
             }
         }
@@ -198,100 +147,10 @@ impl StorageNode {
 
     // ---- anti-entropy (extension) ---------------------------------------
 
-    /// One anti-entropy round: take the next batch of locally-held records
-    /// (rotating through key space), pick one alive replica peer per record
-    /// group, and send it our `(key, version)` digest. The peer answers with
-    /// any strictly newer copies (§7 future work: "solving problems on
-    /// data's consistency" — this bounds divergence even for keys that are
-    /// never read). With [`crate::config::StorageConfig::anti_entropy_merkle`]
-    /// on, the flat digest is replaced by the tree exchange in
-    /// `storage_node/sync.rs`.
-    pub(crate) fn anti_entropy_round(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.cfg.anti_entropy_merkle {
-            self.merkle_round(ctx);
-            return;
-        }
-        let me = self.id();
-        let n = self.cfg.nwr.n;
-        let batch = Self::next_key_batch(
-            &self.db,
-            &self.cfg.collection,
-            self.sync_cursor.as_deref(),
-            self.cfg.anti_entropy_batch,
-        );
-        let Some(last) = batch.last() else { return };
-        self.sync_cursor = Some(last.self_key.clone());
-        self.sync_metrics.rounds.inc();
-        // Group digests by one alive peer from each record's preference
-        // list, rotating the choice every round so each replica pair
-        // eventually exchanges.
-        self.sync_round += 1;
-        let round = self.sync_round as usize;
-        // Ordered map: the digest send order below feeds the sim schedule.
-        let mut per_peer: BTreeMap<NodeId, Vec<(String, u64)>> = BTreeMap::new();
-        for rec in &batch {
-            let prefs = self.ring.preference_list(rec.self_key.as_bytes(), n);
-            let eligible: Vec<NodeId> =
-                prefs.iter().copied().filter(|&p| p != me && self.gossiper.is_alive(p)).collect();
-            if let Some(&peer) = eligible.get(round % eligible.len().max(1)) {
-                per_peer.entry(peer).or_default().push((rec.self_key.clone(), rec.version));
-            }
-        }
-        for (peer, entries) in per_peer {
-            self.sync_metrics.digest_entries.add(entries.len() as u64);
-            ctx.send(peer, Msg::SyncDigest { entries });
-        }
-    }
-
-    /// The `limit` records with the smallest self-keys strictly after
-    /// `cursor`, wrapping to the smallest keys of all once the cursor
-    /// passes the end. Selecting in *key order* is what makes the rotation
-    /// sound: the pre-fix scan compared the key cursor against an
-    /// id-ordered iteration, so any key sorting before the cursor but
-    /// after it in id order was skipped (and high keys re-digested) every
-    /// round.
-    pub(crate) fn next_key_batch(
-        db: &Db,
-        coll: &str,
-        cursor: Option<&str>,
-        limit: usize,
-    ) -> Vec<Record> {
-        let Ok(c) = db.collection(coll) else { return Vec::new() };
-        if limit == 0 {
-            return Vec::new();
-        }
-        let mut keys = Self::smallest_keys_after(c, cursor, limit);
-        if keys.is_empty() && cursor.is_some() {
-            // Wrapped: restart from the beginning of the key space.
-            keys = Self::smallest_keys_after(c, None, limit);
-        }
-        keys.into_iter().filter_map(|k| db.get_record(coll, &k).ok().flatten()).collect()
-    }
-
-    /// The `limit` smallest self-keys strictly greater than `cursor`, via
-    /// one capped-selection pass over the (id-ordered) collection.
-    fn smallest_keys_after(c: &Collection, cursor: Option<&str>, limit: usize) -> BTreeSet<String> {
-        let mut sel: BTreeSet<String> = BTreeSet::new();
-        for (_, doc) in c.iter() {
-            let Some(key) = doc.get_str("self-key") else { continue };
-            if cursor.is_some_and(|cur| key <= cur) {
-                continue;
-            }
-            if sel.len() >= limit {
-                // Full: only a key below the current maximum can displace.
-                if sel.iter().next_back().is_some_and(|top| key >= top.as_str()) {
-                    continue;
-                }
-                sel.pop_last();
-            }
-            sel.insert(key.to_string());
-        }
-        sel
-    }
-
-    /// Peer side of a sync round: reply with every record we hold strictly
-    /// newer than the sender's digest, and counter-digest the keys where we
-    /// are behind (missing or older) so the sender pushes those back. The
+    /// Per-key reconciliation, where the Merkle walk (`storage_node/sync.rs`)
+    /// bottoms out: reply with every record we hold strictly newer than the
+    /// sender's digest, and counter-digest the keys where we are behind
+    /// (missing or older) so the sender pushes those back. The
     /// counter-digest cannot loop: the sender is strictly newer for every
     /// key in it, so its handler only produces a `SyncRecords`.
     pub(crate) fn on_sync_digest(
@@ -414,11 +273,12 @@ impl StorageNode {
     // ---- gossip ----------------------------------------------------------
 
     pub(crate) fn gossip_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        // Publish capacity and load. The vnode count carries the capacity
-        // weight already applied; at the default weight of 1 the published
-        // value (and thus the wire trace) is unchanged.
-        self.gossiper.set_app_state(gossip_keys::VNODES, self.cfg.effective_vnodes().to_string());
-        self.gossiper.set_app_state(gossip_keys::LOAD, self.record_count().to_string());
+        // Publish capacity and load (the vnode count carries the capacity
+        // weight already applied). Unchanged values are not re-published, so
+        // a steady-state gossip delta is a bare heartbeat.
+        self.gossiper
+            .set_app_state_if_changed(gossip_keys::VNODES, self.cfg.effective_vnodes().to_string());
+        self.gossiper.set_app_state_if_changed(gossip_keys::LOAD, self.record_count().to_string());
         if self.cfg.weight != 1 {
             self.gossiper
                 .set_app_state_if_changed(gossip_keys::WEIGHT, self.cfg.weight.to_string());
@@ -429,14 +289,26 @@ impl StorageNode {
         }
         // Dual-ownership hygiene: drop inbound arcs whose source was
         // declared long-failed (its records re-replicate via the ring
-        // change that removal triggers), and fail proxied fetches whose
-        // source never replied (`ok: false`) so the quorum driver treats
-        // the silence as a replica failure — retrying or settling from
-        // the other replicas — instead of taking the entrant's
+        // change that removal triggers) or has been advertising no
+        // migration for a failure-detection period (its cutover was lost,
+        // or its plan was re-based away from us), and fail proxied fetches
+        // whose source never replied (`ok: false`) so the quorum driver
+        // treats the silence as a replica failure — retrying or settling
+        // from the other replicas — instead of taking the entrant's
         // not-yet-authoritative miss as a definitive answer.
         if !self.pending_in.is_empty() {
             let gossiper = &self.gossiper;
-            self.pending_in.retain(|e| !gossiper.is_removed(e.source));
+            // The failure detector's own staleness horizon, which widens
+            // with the idle backoff like the source's publication cadence.
+            let horizon =
+                self.cfg.gossip.fail_after_us.max(gossiper.current_interval_us().saturating_mul(6));
+            let opened_before = ctx.now().as_micros().saturating_sub(horizon);
+            self.pending_in.retain(|e| {
+                let migrating = gossiper
+                    .app_state(e.source, gossip_keys::MIGRATION)
+                    .is_some_and(|m| m != "idle");
+                !gossiper.is_removed(e.source) && (migrating || e.opened_at_us > opened_before)
+            });
         }
         if !self.read_proxies.is_empty() {
             let now_us = ctx.now().as_micros();
@@ -470,59 +342,5 @@ impl StorageNode {
         // timeouts to match); any membership churn snaps back to the base
         // interval on the next tick.
         ctx.set_timer(self.gossiper.current_interval_us(), tk(TK_GOSSIP, 0));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mystore_engine::pack_version;
-
-    /// Ids deliberately sort in REVERSE key order: the pre-fix rotation
-    /// compared the key cursor against an id-ordered scan, which re-visited
-    /// high keys every round and starved low ones whenever the two orders
-    /// disagreed. Key-ordered selection must digest each key exactly once
-    /// per sweep, in key order, then wrap.
-    #[test]
-    fn key_rotation_digests_every_key_exactly_once_per_sweep() {
-        let mut db = Db::memory();
-        db.create_index("data", "self-key").unwrap();
-        let total = 10u32;
-        for i in 0..total {
-            let rec = Record::new(
-                ObjectId::from_parts(1, 1, total - i),
-                format!("key-{i:02}"),
-                vec![0],
-                pack_version(1, 0),
-            );
-            db.put_record("data", &rec).unwrap();
-        }
-        let mut cursor: Option<String> = None;
-        let mut seen: Vec<String> = Vec::new();
-        for _ in 0..5 {
-            let batch = StorageNode::next_key_batch(&db, "data", cursor.as_deref(), 3);
-            assert!(!batch.is_empty());
-            cursor = batch.last().map(|r| r.self_key.clone());
-            seen.extend(batch.into_iter().map(|r| r.self_key));
-        }
-        // Batches of 3 over 10 keys: one full sweep (the last batch runs
-        // short at the end of the key space), then the wrap starts the next
-        // sweep from the smallest key again.
-        let expect: Vec<String> = (0..total).chain(0..3).map(|i| format!("key-{i:02}")).collect();
-        assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn next_key_batch_handles_empty_and_zero_limit() {
-        let mut db = Db::memory();
-        assert!(StorageNode::next_key_batch(&db, "data", None, 8).is_empty());
-        db.create_index("data", "self-key").unwrap();
-        let rec = Record::new(ObjectId::from_parts(1, 1, 1), "k", vec![0], pack_version(1, 0));
-        db.put_record("data", &rec).unwrap();
-        assert!(StorageNode::next_key_batch(&db, "data", None, 0).is_empty());
-        // A cursor at the very end wraps to the start.
-        let wrapped = StorageNode::next_key_batch(&db, "data", Some("zzz"), 4);
-        assert_eq!(wrapped.len(), 1);
-        assert_eq!(wrapped.first().map(|r| r.self_key.as_str()), Some("k"));
     }
 }

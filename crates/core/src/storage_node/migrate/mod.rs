@@ -1,16 +1,17 @@
 //! The incremental, rate-limited migration engine (DESIGN.md §16).
 //!
-//! Replaces the one-shot [`StorageNode::rebalance_sweep`] when either
-//! per-tick budget in [`crate::config::StorageConfig`] is set
-//! (`migrate_max_records_per_tick` / `migrate_max_bytes_per_tick`). A
-//! membership change then builds a [`MigrationPlan`]: the old-vs-new ring
-//! preference diff, cut into arcs, with one work item per locally-held
-//! record whose replica set changed. A `TK_MIGRATE` tick drains the work
-//! list in key order under the budgets, shipping records on the
-//! acknowledged `StoreReplica`/`StoreReplicaBatch` path; an arc whose
-//! items are all acked is *cut over* — entrants are told they are now
-//! authoritative ([`crate::message::Msg::MigrateCutover`]) and, when this
-//! node left the arc's replica set, its local copies are dropped.
+//! The only rebalance path (§5.2.4: range migration on node addition,
+//! re-replication on long failure). A membership change builds a
+//! [`MigrationPlan`]: the old-vs-new ring preference diff, cut into arcs,
+//! with one work item per locally-held record whose replica set changed. A
+//! `TK_MIGRATE` tick drains the work list in key order under the per-tick
+//! budgets in [`crate::config::StorageConfig`]
+//! (`migrate_max_records_per_tick` / `migrate_max_bytes_per_tick`),
+//! shipping records on the acknowledged `StoreReplica`/`StoreReplicaBatch`
+//! path; an arc whose items are all acked is *cut over* — entrants are
+//! told they are now authoritative
+//! ([`crate::message::Msg::MigrateCutover`]) and, when this node left the
+//! arc's replica set, its local copies are dropped.
 //!
 //! Until cutover the cluster is in **dual ownership** for the arc: an
 //! entrant that misses a key proxies the fetch to the arc's old primary
@@ -26,7 +27,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc as StdArc;
 
-use mystore_bson::doc;
 use mystore_engine::Record;
 use mystore_net::{Context, NodeId};
 use mystore_ring::{Arc_, HashRing};
@@ -34,9 +34,7 @@ use mystore_ring::{Arc_, HashRing};
 use crate::message::{BatchPut, Msg};
 use crate::storage_node::{tk, StorageNode, TK_MIGRATE};
 
-/// Collection holding the persisted migration cursor (≤ 1 document).
-pub(crate) const MIGRATE_STATE: &str = "migrate_state";
-
+mod cursor;
 mod plan;
 
 use plan::covers;
@@ -129,27 +127,26 @@ impl StorageNode {
 
     /// An arc's old primary announced a transfer into this node: open the
     /// dual-ownership window (see [`Msg::MigrateBegin`]).
-    pub(crate) fn on_migrate_begin(&mut self, from: NodeId, start: u64, end: u64) {
+    pub(crate) fn on_migrate_begin(&mut self, now_us: u64, from: NodeId, start: u64, end: u64) {
         if from == self.id() {
             return;
         }
-        self.register_inbound(Arc_ { start, end }, from);
+        self.register_inbound(Arc_ { start, end }, from, now_us);
     }
 
     /// Records an inbound arc, deduping on the arc bounds: locally-derived
     /// entries (from this node's own ring diff) and announced ones
     /// ([`Msg::MigrateBegin`]) both land here and may describe the same
     /// transfer.
-    fn register_inbound(&mut self, arc: Arc_, source: NodeId) {
+    fn register_inbound(&mut self, arc: Arc_, source: NodeId, now_us: u64) {
         if self.pending_in.iter().any(|e| e.arc.start == arc.start && e.arc.end == arc.end) {
             return;
         }
-        self.pending_in.push(InboundArc { arc, source });
+        self.pending_in.push(InboundArc { arc, source, opened_at_us: now_us });
     }
 
     /// Builds (or re-bases) the migration plan after a ring change. Called
-    /// from `refresh_ring` instead of the legacy sweep when the engine is
-    /// enabled; `old_ring` is the ring that was just replaced.
+    /// from `refresh_ring`; `old_ring` is the ring that was just replaced.
     pub(crate) fn start_migration(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -192,7 +189,7 @@ impl StorageNode {
             if entering {
                 if let Some(&source) = old_p.first() {
                     if source != me {
-                        self.register_inbound(arc, source);
+                        self.register_inbound(arc, source, ctx.now().as_micros());
                     }
                 }
                 continue;
@@ -355,7 +352,8 @@ impl StorageNode {
         ctx.set_timer(self.cfg.migrate_tick_us, tk(TK_MIGRATE, 0));
     }
 
-    /// Cuts over every arc whose work is fully acked, in arc order.
+    /// Cuts over every arc whose work is fully acked, in arc order, and
+    /// traces how many arcs this tick cut over.
     fn cutover_ready_arcs(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -363,6 +361,7 @@ impl StorageNode {
         now: u64,
     ) {
         let mut prev_end = 0usize;
+        let mut cut = 0usize;
         for i in 0..plan.arcs.len() {
             let start_idx = prev_end;
             let Some(arc) = plan.arcs.get_mut(i) else { break };
@@ -374,6 +373,7 @@ impl StorageNode {
             for &entrant in &arc.entrants {
                 ctx.send(entrant, Msg::MigrateCutover { start: arc.arc.start, end: arc.arc.end });
             }
+            cut += 1;
             let (keep, end_idx, began) = (arc.keep, arc.end_idx, arc.started_at_us);
             if !keep {
                 let keys: Vec<String> = plan
@@ -393,7 +393,9 @@ impl StorageNode {
             self.metrics.migrate_arcs_cutover.inc();
             let began = if began > 0 { began } else { now };
             self.metrics.migrate_arc_duration_us.record(now.saturating_sub(began));
-            ctx.record("migrate_arc_cutover", 1.0);
+        }
+        if cut > 0 {
+            ctx.record("migrate_arc_cutover", cut as f64);
         }
     }
 
@@ -539,79 +541,5 @@ impl StorageNode {
             // another target's behalf.
             plan.retry.insert(ack.idx);
         }
-    }
-
-    // ---- persistence & resume -------------------------------------------
-
-    /// Writes the acked low-water mark as an `(arc, key)` cursor (plus the
-    /// base-ring signature) to the `migrate_state` collection.
-    fn persist_migrate_cursor(&mut self) {
-        let (arc, key, sig, low) = {
-            let Some(plan) = &self.migration else { return };
-            let (arc, key) = match plan.low_water.checked_sub(1).and_then(|i| plan.work.get(i)) {
-                Some((a, k)) => (*a as i64, k.clone()),
-                None => (-1, String::new()),
-            };
-            let sig = plan
-                .from_sig
-                .iter()
-                .map(|(n, v)| format!("{}:{}", n.0, v))
-                .collect::<Vec<_>>()
-                .join(",");
-            (arc, key, sig, plan.low_water)
-        };
-        self.clear_migrate_state();
-        let _ = self.db.insert_doc(MIGRATE_STATE, doc! { "from_sig": sig, "arc": arc, "key": key });
-        if let Some(plan) = &mut self.migration {
-            plan.persisted = low;
-        }
-    }
-
-    /// Drops the persisted cursor (plan finished or abandoned).
-    pub(crate) fn clear_migrate_state(&mut self) {
-        let ids: Vec<_> = self
-            .db
-            .collection(MIGRATE_STATE)
-            .map(|c| c.iter().map(|(id, _)| *id).collect())
-            .unwrap_or_default();
-        for id in ids {
-            let _ = self.db.remove(MIGRATE_STATE, id);
-        }
-    }
-
-    /// Crash recovery: load the persisted cursor and park it as a pending
-    /// resume. The plan itself is rebuilt by `start_migration` once gossip
-    /// re-converges the ring (right after a restart the local ring is the
-    /// collapsed single-node one and would produce an empty — or wrong —
-    /// diff); at most the unacked in-flight window is re-sent.
-    pub(crate) fn resume_migration(&mut self) {
-        let Some((sig_str, arc, key)) = self.db.collection(MIGRATE_STATE).ok().and_then(|c| {
-            c.iter().next().and_then(|(_, d)| {
-                Some((
-                    d.get_str("from_sig")?.to_string(),
-                    d.get_i64("arc")?,
-                    d.get_str("key")?.to_string(),
-                ))
-            })
-        }) else {
-            return;
-        };
-        if !self.cfg.migration_rate_limited() {
-            self.clear_migrate_state();
-            return;
-        }
-        let sig: Vec<(NodeId, u32)> = sig_str
-            .split(',')
-            .filter(|p| !p.is_empty())
-            .filter_map(|part| {
-                let (id, vn) = part.split_once(':')?;
-                Some((NodeId(id.parse().ok()?), vn.parse().ok()?))
-            })
-            .collect();
-        if sig.is_empty() {
-            self.clear_migrate_state();
-            return;
-        }
-        self.resume_cursor = Some(ResumeCursor { sig, arc, key });
     }
 }

@@ -101,6 +101,8 @@ pub(crate) struct InboundArc {
     pub(crate) arc: Arc_,
     /// The arc's old primary (first of the old preference list).
     pub(crate) source: NodeId,
+    /// When the window opened, for the lost-cutover sweep.
+    pub(crate) opened_at_us: u64,
 }
 
 /// A persisted migration cursor loaded at restart, waiting for gossip to

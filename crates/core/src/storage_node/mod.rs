@@ -84,6 +84,10 @@ pub struct StorageNode {
     pub(crate) ring: HashRing<NodeId>,
     /// Membership signature the current ring was built from.
     pub(crate) ring_sig: Vec<(NodeId, u32)>,
+    /// [`crate::sync::replica_arcs`] of this node on `ring`, re-derived with
+    /// it: every anti-entropy round and walk step reads them, and one ring
+    /// scan per step is what a 100-node ring cannot afford (DESIGN.md §14).
+    pub(crate) replica_arcs: Vec<(mystore_ring::Arc_, Vec<NodeId>)>,
     /// The generic quorum engine: every coordinated operation (PUT, GET,
     /// CAS, batched replica writes) lives in its pending table.
     pub(crate) quorum: quorum::Driver,
@@ -93,8 +97,6 @@ pub struct StorageNode {
     pub(crate) stats: NodeStats,
     /// Bumped every restart; the gossip boot generation.
     pub(crate) generation: u64,
-    /// Rotation cursor through the key space for anti-entropy batches.
-    pub(crate) sync_cursor: Option<String>,
     /// Anti-entropy round counter (rotates the peer choice).
     pub(crate) sync_round: u64,
     /// `Db::last_seq` observed at the previous anti-entropy round; the idle
@@ -103,8 +105,7 @@ pub struct StorageNode {
     /// Consecutive anti-entropy rounds with no local writes.
     pub(crate) ae_quiet_rounds: u32,
     /// Merkle sync state: per-range leaf hashes over the local keyspace,
-    /// kept current from the engine's dirty-key feed (only used when
-    /// `anti_entropy_merkle` is on).
+    /// kept current from the engine's dirty-key feed.
     pub(crate) sync_tree: crate::sync::SyncTree,
     /// Highest tombstone-reap cutoff applied locally. Sync digests below
     /// this floor must not resurrect keys we reaped: a missing key whose
@@ -129,8 +130,7 @@ pub struct StorageNode {
     /// must mean "durable here", so these are released only after the sync.
     pub(crate) deferred_acks: Vec<(NodeId, u64, bool)>,
     /// The active migration plan, when a ring change is being drained
-    /// through the rate-limited engine (DESIGN.md §16); `None` otherwise
-    /// (and always, with the engine disabled).
+    /// through the rate-limited engine (DESIGN.md §16); `None` otherwise.
     pub(crate) migration: Option<MigrationPlan>,
     /// Migration replica-writes awaiting their `StoreAck`.
     pub(crate) migrate_acks: BTreeMap<u64, MigAck>,
@@ -185,15 +185,10 @@ impl StorageNode {
                 max_delay_us: cfg.group_commit_max_delay_us,
             }));
         }
-        if cfg.anti_entropy_merkle {
-            // The sync tree mirrors the data collection incrementally; the
-            // engine reports every mutated self-key so leaves dirty in O(1).
-            db.track_dirty_keys(&cfg.collection);
-        }
         let mut gossiper = Gossiper::new(me, 1, cfg.gossip.clone());
         gossiper.set_metrics(GossipMetrics::from_registry(&cfg.metrics));
         let metrics = StorageMetrics::from_registry(&cfg.metrics);
-        let sync_tree = crate::sync::SyncTree::new(cfg.merkle_leaf_splits);
+        let sync_tree = crate::sync::SyncTree::new(crate::sync::LEAF_SPLITS);
         let sync_metrics = crate::sync::SyncMetrics::from_registry(&cfg.metrics);
         StorageNode {
             cfg,
@@ -201,12 +196,12 @@ impl StorageNode {
             gossiper,
             ring: HashRing::new(),
             ring_sig: Vec::new(),
+            replica_arcs: Vec::new(),
             quorum: quorum::Driver::new(),
             hint_acks: BTreeMap::new(),
             next_req: 1,
             stats: NodeStats::default(),
             generation: 1,
-            sync_cursor: None,
             sync_round: 0,
             ae_last_seq: 0,
             ae_quiet_rounds: 0,
@@ -346,11 +341,9 @@ impl Process<Msg> for StorageNode {
                 fresh
             }
         };
-        if self.cfg.anti_entropy_merkle {
-            self.db.track_dirty_keys(&self.cfg.collection);
-        }
         // The tree mirrors pre-crash state; rebuild lazily from the
-        // recovered store on the next merkle round. The reap floor is
+        // recovered store on the next anti-entropy round (which also turns
+        // the recovered store's dirty-key feed back on). The reap floor is
         // volatile on purpose: an empty recovered store must accept
         // anti-entropy refills.
         self.sync_tree.reset();
@@ -362,6 +355,13 @@ impl Process<Msg> for StorageNode {
         self.generation = self.generation.max(self.gossiper.generation()) + 1;
         self.gossiper = Gossiper::new(self.id(), self.generation, self.cfg.gossip.clone());
         self.gossiper.set_metrics(GossipMetrics::from_registry(&self.cfg.metrics));
+        // The ring view is volatile too: a restarted process relearns it
+        // from gossip. Keeping the pre-crash ring would make the collapse
+        // to a single-node view look like a membership change this node
+        // has to migrate (and open dual-ownership windows) for.
+        self.ring = HashRing::new();
+        self.ring_sig.clear();
+        self.replica_arcs.clear();
         self.quorum.ops.clear();
         self.hint_acks.clear();
         self.outbox.clear();
@@ -468,7 +468,11 @@ impl Process<Msg> for StorageNode {
                 self.on_sync_leaf_digest(ctx, from, ring_hash, leaves, entries)
             }
             Msg::MigrateCutover { start, end } => self.on_migrate_cutover(from, start, end),
-            Msg::MigrateBegin { start, end } => self.on_migrate_begin(from, start, end),
+            Msg::MigrateBegin { start, end } => {
+                self.on_migrate_begin(ctx.now().as_micros(), from, start, end)
+            }
+            // Receive-only: the pre-engine rebalance sweep sent these, and a
+            // peer still running it may; nothing in this tree does.
             Msg::TransferRecords { records } => {
                 for record in records {
                     ctx.consume(self.cfg.cost.put_us(record.val.len()));
@@ -523,7 +527,7 @@ impl Process<Msg> for StorageNode {
                 ctx.set_timer(self.cfg.compaction_interval_us, tk(TK_REAP, 0));
             }
             TK_ANTI_ENTROPY => {
-                self.anti_entropy_round(ctx);
+                self.merkle_round(ctx);
                 ctx.set_timer(self.next_anti_entropy_delay_us(), tk(TK_ANTI_ENTROPY, 0));
             }
             // All four retry/deadline kinds resolve through the unified

@@ -5,8 +5,8 @@
 //! roots end the exchange in two messages; unequal roots start a stateless
 //! ping-pong walk ([`Msg::SyncTreeLevel`]) that descends only mismatched
 //! subtrees, bottoming out in per-key digests ([`Msg::SyncLeafDigest`])
-//! for just the divergent leaves. The per-key reconciliation then reuses
-//! the legacy `SyncRecords`/`SyncDigest` machinery, so repair application
+//! for just the divergent leaves. The per-key reconciliation then runs on
+//! `SyncRecords`/`SyncDigest` (`on_sync_digest`), so repair application
 //! (LWW, reap-floor guard, WAL flush arming) has exactly one code path.
 //!
 //! Every handler re-derives the shared-arc layout from its own ring view
@@ -22,16 +22,18 @@ use mystore_ring::Arc_;
 
 use crate::message::Msg;
 use crate::storage_node::StorageNode;
-use crate::sync::{ring_hash, shared_arcs, TreeHeap};
+use crate::sync::{ring_hash, TreeHeap};
 
 /// Wire bytes a root-match exchange costs (one `SyncTreeRequest`); what a
-/// flat digest would have cost beyond this is counted as saved.
+/// flat digest of every shared key would have cost beyond this is counted
+/// as saved.
 const ROOT_EXCHANGE_BYTES: u64 = 16;
 
 impl StorageNode {
     /// Brings the sync tree up to date with the local store: a full
     /// collection scan on the first round after boot/restart, the engine's
-    /// dirty-key feed afterwards.
+    /// dirty-key feed afterwards. The feed is switched on by that first
+    /// scan — before it, a dirty set would only grow to be thrown away.
     pub(crate) fn sync_tree_refresh(&mut self) {
         if !self.sync_tree.is_built() {
             let records: Vec<(String, u64, bool)> = self
@@ -39,14 +41,13 @@ impl StorageNode {
                 .collection(&self.cfg.collection)
                 .map(|c| {
                     c.iter()
-                        .filter_map(|(_, doc)| Record::from_document(doc).ok())
-                        .map(|r| (r.self_key, r.version, r.is_del))
+                        .filter_map(|(_, doc)| Record::sync_state(doc))
+                        .map(|(key, version, is_del)| (key.to_string(), version, is_del))
                         .collect()
                 })
                 .unwrap_or_default();
-            // The scan supersedes any dirt accumulated before it.
-            let _ = self.db.take_dirty_keys();
             self.sync_tree.rebuild(records);
+            self.db.track_dirty_keys(&self.cfg.collection);
             return;
         }
         for key in self.db.take_dirty_keys() {
@@ -60,30 +61,43 @@ impl StorageNode {
         }
     }
 
+    /// While a migration is still shipping arcs into this node, a tree
+    /// exchange would find exactly the records still in flight and pull
+    /// them as "repairs" — around the migration's rate limit, and digest by
+    /// digest. The node neither opens nor answers one until its
+    /// dual-ownership windows have closed; the next round retries.
+    fn receiving_migration(&self) -> bool {
+        !self.pending_in.is_empty()
+    }
+
     /// The arcs this node shares with `peer` plus the exchange guard hash.
     fn shared_view(&self, peer: NodeId) -> (Vec<Arc_>, u64) {
-        let arcs = shared_arcs(&self.ring, self.cfg.nwr.n, self.id(), peer);
+        let arcs: Vec<Arc_> = self
+            .replica_arcs
+            .iter()
+            .filter(|(_, replicas)| replicas.contains(&peer))
+            .map(|(arc, _)| *arc)
+            .collect();
         let hash = ring_hash(self.id(), peer, self.sync_tree.splits(), &arcs);
         (arcs, hash)
     }
 
-    /// One Merkle anti-entropy round: pick the next alive replica peer in
-    /// rotation and offer it our root hash over the arcs we share.
+    /// One anti-entropy round (`TK_ANTI_ENTROPY`): pick the next alive
+    /// replica peer in rotation and offer it our root hash over the arcs we
+    /// share (§7 future work: "solving problems on data's consistency" —
+    /// this bounds divergence even for keys that are never read).
     pub(crate) fn merkle_round(&mut self, ctx: &mut Context<'_, Msg>) {
+        if self.receiving_migration() {
+            return;
+        }
         self.sync_tree_refresh();
         let me = self.id();
-        let n = self.cfg.nwr.n;
         // Replica peers: every node co-listed with us in some arc's
-        // preference list. One partition scan, deduped in ring-id order.
-        let mut candidates: BTreeSet<NodeId> = BTreeSet::new();
-        for (arc, _) in self.ring.partition() {
-            let replicas = self.ring.successors_of_point(arc.end, n);
-            if replicas.contains(&me) {
-                candidates.extend(replicas.into_iter().filter(|&p| p != me));
-            }
-        }
+        // preference list, deduped in node-id order.
+        let candidates: BTreeSet<NodeId> =
+            self.replica_arcs.iter().flat_map(|(_, replicas)| replicas.iter().copied()).collect();
         let peers: Vec<NodeId> =
-            candidates.into_iter().filter(|&p| self.gossiper.is_alive(p)).collect();
+            candidates.into_iter().filter(|&p| p != me && self.gossiper.is_alive(p)).collect();
         self.sync_round += 1;
         let Some(&peer) = peers.get(self.sync_round as usize % peers.len().max(1)) else {
             return;
@@ -106,7 +120,7 @@ impl StorageNode {
         their_hash: u64,
         their_root: u64,
     ) {
-        if !self.cfg.anti_entropy_merkle {
+        if self.receiving_migration() {
             return;
         }
         ctx.consume(self.cfg.cost.gossip_us);
@@ -135,9 +149,6 @@ impl StorageNode {
         their_hash: u64,
         their_nodes: Vec<(u32, u64)>,
     ) {
-        if !self.cfg.anti_entropy_merkle {
-            return;
-        }
         ctx.consume(self.cfg.cost.gossip_us + their_nodes.len() as u64 / 4);
         self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
@@ -198,7 +209,7 @@ impl StorageNode {
     }
 
     /// Terminal step: per-key reconciliation over the divergent leaves
-    /// only. Same LWW rules as the legacy digest exchange, plus a push of
+    /// only. Same LWW rules as `on_sync_digest`, plus a push of
     /// every key we hold in those leaves that the sender lacks entirely
     /// (the sender's own reap floor decides whether a pushed record
     /// applies).
@@ -210,9 +221,6 @@ impl StorageNode {
         leaves: Vec<u32>,
         entries: Vec<(String, u64)>,
     ) {
-        if !self.cfg.anti_entropy_merkle {
-            return;
-        }
         ctx.consume(self.cfg.cost.gossip_us + entries.len() as u64 / 4);
         self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
@@ -245,8 +253,8 @@ impl StorageNode {
                 }
                 Ok(Some(_)) => {} // equal versions: the same write
                 _ => {
-                    // Missing key: same resurrection guard as the legacy
-                    // digest path (see `on_sync_digest`).
+                    // Missing key: same resurrection guard as
+                    // `on_sync_digest`.
                     if their_version > self.reap_floor {
                         behind.push((key, 0));
                     } else {

@@ -24,6 +24,12 @@ use mystore_net::NodeId;
 use mystore_obs::{Counter, Registry};
 use mystore_ring::{Arc_, HashRing};
 
+/// Leaves per ring arc in a storage node's tree: each arc's key range is
+/// cut into this many equal sub-ranges. More splits localize divergence to
+/// fewer keys per leaf at the cost of a deeper walk; both peers of an
+/// exchange must agree on it (it is folded into [`ring_hash`]).
+pub const LEAF_SPLITS: u32 = 16;
+
 /// FNV-1a 64-bit offset basis — the seed of every fold in this module.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -43,12 +49,12 @@ fn fnv1a(hash: u64, data: &[u8]) -> u64 {
 /// Registry-backed counters for the sync subsystem (`sync.*`).
 #[derive(Debug, Clone, Default)]
 pub struct SyncMetrics {
-    /// Anti-entropy rounds initiated (legacy and Merkle).
+    /// Anti-entropy rounds initiated.
     pub rounds: Counter,
     /// `SyncTreeLevel` messages processed while walking mismatched trees.
     pub tree_levels: Counter,
-    /// Per-key digest entries sent — flat digests, divergent-leaf digests,
-    /// and counter-digests alike. The quantity the Merkle walk shrinks.
+    /// Per-key digest entries sent — divergent-leaf digests and
+    /// counter-digests alike. The quantity the Merkle walk keeps small.
     pub digest_entries: Counter,
     /// Divergent-leaf digest messages sent after a walk bottomed out.
     pub leaf_digests: Counter,
@@ -80,17 +86,23 @@ impl SyncMetrics {
     }
 }
 
-/// The ring arcs whose replica set contains both `a` and `b` — the
-/// keyspace the two nodes jointly replicate, in clockwise ring order.
-/// Every key in an arc `(start, end]` has the same preference list as the
-/// arc's own end point, so membership is decided once per arc.
-pub fn shared_arcs(ring: &HashRing<NodeId>, n: usize, a: NodeId, b: NodeId) -> Vec<Arc_> {
+/// The ring arcs `me` replicates, each with its replica set, in clockwise
+/// ring order. Every key in an arc `(start, end]` has the same preference
+/// list as the arc's own end point, so membership is decided once per arc.
+pub fn replica_arcs(ring: &HashRing<NodeId>, n: usize, me: NodeId) -> Vec<(Arc_, Vec<NodeId>)> {
     ring.partition()
         .into_iter()
-        .filter(|(arc, _)| {
-            let replicas = ring.successors_of_point(arc.end, n);
-            replicas.contains(&a) && replicas.contains(&b)
-        })
+        .map(|(arc, _)| (arc, ring.successors_of_point(arc.end, n)))
+        .filter(|(_, replicas)| replicas.contains(&me))
+        .collect()
+}
+
+/// The ring arcs whose replica set contains both `a` and `b` — the
+/// keyspace the two nodes jointly replicate, in clockwise ring order.
+pub fn shared_arcs(ring: &HashRing<NodeId>, n: usize, a: NodeId, b: NodeId) -> Vec<Arc_> {
+    replica_arcs(ring, n, a)
+        .into_iter()
+        .filter(|(_, replicas)| replicas.contains(&b))
         .map(|(arc, _)| arc)
         .collect()
 }
@@ -295,8 +307,7 @@ impl SyncTree {
     }
 
     /// What a flat digest of every mirrored key in `arcs` would cost, as
-    /// `(entries, wire bytes)` using the legacy per-entry estimate
-    /// (`key_len + 8`).
+    /// `(entries, wire bytes)` at `key_len + 8` bytes per entry.
     pub fn flat_cost(&self, arcs: &[Arc_]) -> (u64, u64) {
         let (mut entries, mut bytes) = (0u64, 0u64);
         for &arc in arcs {

@@ -14,7 +14,6 @@ fn build(interval_us: u64) -> (Sim<Msg>, ClusterSpec) {
     for i in 0..spec.storage_nodes as u32 {
         let mut cfg = spec.storage_config();
         cfg.anti_entropy_interval_us = interval_us;
-        cfg.anti_entropy_batch = 64;
         sim.add_node(Node::new(NodeId(i), cfg), NodeConfig { concurrency: 4 });
     }
     sim.start();

@@ -207,12 +207,10 @@ fn group_commit_crash_loses_only_unacked_writes() {
             get(100 + i, &format!("gc{i}")),
         ));
     }
-    let spec = ClusterSpec {
-        group_commit_ops: 8,
-        group_commit_max_delay_us: 2_000,
-        coalesce_window_us: 500,
-        ..ClusterSpec::small(3)
-    };
+    let mut spec = ClusterSpec::small(3);
+    spec.storage.group_commit_ops = 8;
+    spec.storage.group_commit_max_delay_us = 2_000;
+    spec.storage.coalesce_window_us = 500;
     let (mut sim, registry) = spec.build_sim_with_metrics(sim_config(4311));
     let probe = sim.add_node(Probe::new(script), mystore_net::NodeConfig::default());
     // Node 2 dies mid-workload — inside the group-commit window of the

@@ -182,8 +182,9 @@ fn long_failure_triggers_removal_and_rereplication() {
 
     // Node 4 breaks down for good.
     sim.schedule_crash(sim.now() + 1, NodeId(4), None);
-    // Run long enough for seed detection (remove_after) + sweeps.
-    sim.run_for(spec.remove_after_us + 20_000_000);
+    // Run long enough for seed detection (remove_after) + the
+    // re-replication the removal triggers.
+    sim.run_for(spec.storage.gossip.remove_after_us + 20_000_000);
 
     // The survivors' rings must have dropped node 4.
     for id in 0..4u32 {
@@ -313,8 +314,9 @@ fn hints_for_a_removed_node_are_dropped_and_rereplication_covers() {
         .sum();
     assert!(hints >= 1, "hint must be parked while the victim is down");
 
-    // Long-failure declaration + sweeps: hint dropped, record fully covered.
-    sim.run_for(spec.remove_after_us + 30_000_000);
+    // Long-failure declaration + re-replication: hint dropped, record fully
+    // covered.
+    sim.run_for(spec.storage.gossip.remove_after_us + 30_000_000);
     let hints_after: usize = spec
         .storage_ids()
         .iter()

@@ -19,7 +19,6 @@ fn build(seed: u64, interval_us: u64) -> (Sim<Msg>, ClusterSpec, Registry) {
     for i in 0..spec.storage_nodes as u32 {
         let mut cfg = spec.storage_config();
         cfg.anti_entropy_interval_us = interval_us;
-        cfg.anti_entropy_merkle = true;
         cfg.metrics = registry.clone();
         sim.add_node(Node::new(NodeId(i), cfg), NodeConfig { concurrency: 4 });
     }
@@ -106,8 +105,8 @@ fn merkle_sync_converges_with_digests_proportional_to_divergence() {
     }
 
     // The point of the tree: per-key digests cover only divergent leaves.
-    // A single legacy sweep would digest all `corpus` keys; the walk must
-    // stay far below even one sweep's worth despite running ~30 rounds.
+    // One flat `(key, version)` pass would digest all `corpus` keys; the
+    // walk must stay far below even one pass's worth despite ~30 rounds.
     let digest_entries = registry.counter("sync.digest_entries").get();
     assert!(digest_entries > 0, "leaf digests must flow");
     assert!(
@@ -163,4 +162,31 @@ fn merkle_sync_replays_deterministically() {
     let b = run(424_242);
     assert_eq!(a, b, "same seed must replay the merkle exchange identically");
     assert_eq!(a.0, 0, "and it must converge");
+}
+
+/// The engine's dirty-key feed exists to keep the sync tree current, so it
+/// must not run before the tree's first build: that build scans the whole
+/// collection anyway, and until it happens a dirty set would only grow (a
+/// node whose first round is 30 s away, or that never reaches one).
+#[test]
+fn no_dirty_keys_accumulate_before_the_first_tree_build() {
+    let (mut sim, spec, _registry) = build(104, 8_000_000);
+    sim.run_for(spec.warmup_us()); // 4 s: before any node's first round
+    preload(&mut sim, 300, 1);
+    for i in 0..NODES as u32 {
+        let node = sim.process::<Node>(NodeId(i)).unwrap();
+        assert!(node.record_count() > 0);
+        assert_eq!(node.db().dirty_key_count(), 0, "node {i} tracks dirt with no tree to feed");
+    }
+    // After the first rounds the feed is live: a write is noted until the
+    // next refresh drains it.
+    sim.run_for(12_000_000);
+    let fresh = Record::new(
+        ObjectId::from_parts(1, 11, 1),
+        "late-key".to_string(),
+        b"late".to_vec(),
+        pack_version(9_000, 0),
+    );
+    sim.process_mut::<Node>(NodeId(0)).unwrap().preload_record(&fresh);
+    assert_eq!(sim.process::<Node>(NodeId(0)).unwrap().db().dirty_key_count(), 1);
 }

@@ -1,8 +1,9 @@
 //! Rebalance fan-out: a membership change must ship records only to peers
 //! that *newly entered* a record's preference list, not to every replica
-//! of every record. The pre-fix sweep re-sent each record to all of its
-//! other replicas on any ring change — O(records × N) messages for a
-//! change that affected a fraction of the keyspace.
+//! of every record. The original one-shot sweep re-sent each record to all
+//! of its other replicas on any ring change — O(records × N) messages for a
+//! change that affected a fraction of the keyspace. The bound now holds the
+//! migration engine (DESIGN.md §16) to the same targeting rule.
 
 use mystore_bson::ObjectId;
 use mystore_core::prelude::*;
@@ -40,7 +41,7 @@ fn node_addition_ships_records_only_to_new_preference_members() {
         }
     }
 
-    // The newcomer boots; every live node re-rings and sweeps.
+    // The newcomer boots; every live node re-rings and plans its migration.
     sim.schedule_restart(sim.now() + 1, NodeId(5));
     sim.run_for(20_000_000);
 
@@ -57,9 +58,9 @@ fn node_addition_ships_records_only_to_new_preference_members() {
         }
     }
 
-    // Fan-out bound: the pre-fix sweep sent every record to both of its
-    // other replicas — 60 keys × 3 holders × 2 peers = 360 sends minimum.
-    // The diff-bounded sweep sends only for keys whose preference list the
+    // Fan-out bound: re-sending every record to both of its other replicas
+    // would be 60 keys × 3 holders × 2 peers = 360 sends minimum. The
+    // diff-bounded plan ships only for keys whose preference list the
     // newcomer actually entered (plus full re-sends where a holder dropped
     // its own copy), a fraction of that.
     let sent: u64 = (0..spec.storage_nodes as u32)

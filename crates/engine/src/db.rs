@@ -127,7 +127,10 @@ impl Db {
             defer_sync: false,
             oid_gen,
             oid_secs: self.oid_secs,
-            dirty_coll: self.dirty_coll,
+            // Tracking restarts off: whoever mirrors the store has to
+            // re-scan the recovered state anyway, and replaying the log
+            // into a tracked collection would mark every key dirty first.
+            dirty_coll: None,
             dirty_keys: BTreeSet::new(),
         };
         db.replay_frames(frames)?;

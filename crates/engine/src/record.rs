@@ -103,17 +103,23 @@ impl Record {
         let id = doc
             .get_object_id(F_ID)
             .ok_or_else(|| EngineError::BadQuery(format!("record missing {F_ID}")))?;
-        let self_key = doc
-            .get_str(F_SELF_KEY)
-            .ok_or_else(|| EngineError::BadQuery(format!("record missing {F_SELF_KEY}")))?
-            .to_string();
+        let (self_key, version, is_del) = Self::sync_state(doc)
+            .ok_or_else(|| EngineError::BadQuery(format!("record missing {F_SELF_KEY}")))?;
         let val = doc.get_binary(F_VAL).unwrap_or(&[]).to_vec();
-        let flag = |field: &str| -> bool { doc.get_str(field) == Some("1") };
+        let is_data = doc.get_str(F_IS_DATA) == Some("1");
+        Ok(Record { id, self_key: self_key.to_string(), val, is_data, is_del, version })
+    }
+
+    /// The `(self-key, version, is_del)` of a record document — all that
+    /// anti-entropy hashes and digests — read in place, without the copy
+    /// of `val` that [`Record::from_document`] makes. `None` when the
+    /// document has no `self-key`.
+    pub fn sync_state(doc: &Document) -> Option<(&str, u64, bool)> {
         let version = match doc.get(F_VERSION) {
             Some(Value::Timestamp(v)) => *v,
             _ => 0,
         };
-        Ok(Record { id, self_key, val, is_data: flag(F_IS_DATA), is_del: flag(F_IS_DEL), version })
+        Some((doc.get_str(F_SELF_KEY)?, version, doc.get_str(F_IS_DEL) == Some("1")))
     }
 
     /// Payload size in bytes.

@@ -166,6 +166,10 @@ pub struct Gossiper {
     events_at_last_tick: u64,
     /// Consecutive ticks that observed no membership events.
     quiet_rounds: u32,
+    /// Whether any endpoint's advertised [`keys::VNODES`] value changed, or
+    /// an endpoint rebooted (which resets what it advertises), since
+    /// [`Gossiper::take_vnodes_changed`] last ran.
+    vnodes_changed: bool,
 }
 
 /// Quiet rounds tolerated before the idle backoff starts widening the
@@ -189,6 +193,7 @@ impl Gossiper {
             events_total: 0,
             events_at_last_tick: 0,
             quiet_rounds: 0,
+            vnodes_changed: false,
         }
     }
 
@@ -251,7 +256,10 @@ impl Gossiper {
 
     /// Sets one of this node's application states (load, vnodes, ...).
     pub fn set_app_state(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.states.get_mut(&self.me).expect("own state").set_app(key, value);
+        let (key, value) = (key.into(), value.into());
+        let state = self.states.get_mut(&self.me).expect("own state");
+        self.vnodes_changed |= key == keys::VNODES && state.app(&key) != Some(value.as_str());
+        state.set_app(key, value);
     }
 
     /// Sets one of this node's application states only when the value
@@ -261,12 +269,20 @@ impl Gossiper {
     /// an unchanged value. Returns `true` when the state was updated.
     pub fn set_app_state_if_changed(&mut self, key: &str, value: impl Into<String>) -> bool {
         let value = value.into();
-        let state = self.states.get_mut(&self.me).expect("own state");
-        if state.app(key) == Some(value.as_str()) {
+        if self.app_state(self.me, key) == Some(value.as_str()) {
             return false;
         }
-        state.set_app(key.to_string(), value);
+        self.set_app_state(key, value);
         true
+    }
+
+    /// Whether the vnode counts a ring is built from may have changed —
+    /// here (via [`Gossiper::set_app_state`]), in a merged delta, or by a
+    /// peer's reboot — since the last call; clears the flag. Re-publishing
+    /// an unchanged count bumps versions but not this, so a caller can skip
+    /// re-deriving the ring on the gossip messages that carry no news.
+    pub fn take_vnodes_changed(&mut self) -> bool {
+        std::mem::take(&mut self.vnodes_changed)
     }
 
     /// Reads an endpoint's application state.
@@ -474,6 +490,11 @@ impl Gossiper {
             let state = entry.or_insert_with(|| EndpointState::new(delta.generation));
             let before_hb = (state.generation, state.heartbeat);
             let rebooted = delta.generation > state.generation;
+            self.vnodes_changed |= rebooted
+                || delta
+                    .app_states
+                    .iter()
+                    .any(|(k, v)| k == keys::VNODES && state.app(k) != Some(v.value.as_str()));
             state.merge(delta);
             let after_hb = (state.generation, state.heartbeat);
             if is_new {

@@ -145,6 +145,7 @@ pub fn workspace_policy(workspace_root: &std::path::Path) -> Vec<CratePolicy> {
         "src/storage_node/coordinator/cas.rs".into(),
         "src/storage_node/replica.rs".into(),
         "src/storage_node/maintenance.rs".into(),
+        "src/storage_node/migrate/cursor.rs".into(),
         "src/storage_node/migrate/mod.rs".into(),
         "src/storage_node/migrate/plan.rs".into(),
         "src/storage_node/sync.rs".into(),

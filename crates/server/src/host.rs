@@ -161,11 +161,25 @@ impl Host {
         // races with other processes grabbing the port in between; the
         // window is tiny and loopback-only, acceptable for bench/tests.)
         for node in &mut spec.nodes {
-            let probe = TcpListener::bind(&*node.listen)?;
-            node.listen = probe.local_addr()?.to_string();
-            drop(probe);
+            if resolve(&node.listen)?.port() == 0 {
+                node.listen = TcpListener::bind(&*node.listen)?.local_addr()?.to_string();
+            }
         }
-        spec.nodes.iter().map(|n| Host::boot(&spec, Some(n.id), Transport::Tcp)).collect()
+        let mut hosts = Vec::with_capacity(spec.nodes.len());
+        for node in &spec.nodes {
+            match Host::boot(&spec, Some(node.id), Transport::Tcp) {
+                Ok(host) => hosts.push(host),
+                Err(e) => {
+                    // Half a mesh must not outlive the error: its node and
+                    // gateway threads would keep running and hold the ports.
+                    for host in hosts {
+                        host.shutdown(Duration::ZERO);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(hosts)
     }
 
     /// The wire address clients (and peer hosts) connect to.

@@ -61,19 +61,10 @@ pub struct CellSpec {
     /// WAL group-commit batch size (`1` = per-op sync); slow-fsync cells
     /// set this above 1 so the latency fault hits the group-commit path.
     pub group_commit_ops: usize,
-    /// Run anti-entropy with the Merkle tree exchange (DESIGN.md §14)
-    /// instead of flat digests.
-    pub merkle_sync: bool,
     /// Per-node capacity weights (heterogeneous rings, DESIGN.md §16);
     /// empty = homogeneous. Indexed like the storage ids, nodes past the
     /// end get weight 1.
     pub weights: Vec<u32>,
-    /// Migration-engine record budget per tick; `0` keeps the legacy
-    /// one-shot rebalance sweep. With the Kill profile's 30–120 s outages
-    /// against the matrix's 50 s failure detector, every long outage is a
-    /// genuine ring leave/re-join, so a non-zero budget drives the
-    /// incremental migration engine through real membership churn.
-    pub migrate_records_per_tick: u32,
 }
 
 impl CellSpec {
@@ -98,9 +89,7 @@ impl CellSpec {
             bursts: (horizon_us / (6 * 3600 * SEC)).clamp(4, 32),
             ops_per_burst: 100,
             group_commit_ops: if profile == FaultProfile::SlowFsync { 8 } else { 1 },
-            merkle_sync: false,
             weights: Vec::new(),
-            migrate_records_per_tick: 0,
         }
     }
 }
@@ -159,26 +148,27 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
 
     let mut cluster = ClusterSpec::small(spec.nodes);
     cluster.seed_count = spec.nodes.min(3);
-    cluster.nwr = spec.nwr;
-    cluster.vnodes = 32;
+    cluster.weights = spec.weights.clone();
+    let cfg = &mut cluster.storage;
+    cfg.nwr = spec.nwr;
     // Long-horizon cadences: slow base periods plus idle backoff, so the
     // quiescent ring fast-forwards. Failure detection scales with the
     // backed-off gossip interval (see `Gossiper::effective_timeouts`).
-    cluster.gossip_interval_us = 10 * SEC;
-    cluster.fail_after_us = 50 * SEC;
-    cluster.remove_after_us = spec.horizon_us.saturating_mul(4).max(3600 * SEC);
-    cluster.gossip_idle_backoff_max = 64;
-    cluster.anti_entropy_interval_us = 600 * SEC;
-    cluster.anti_entropy_idle_backoff_max = 64;
-    cluster.compaction_interval_us = 3600 * SEC;
-    cluster.hint_replay_interval_us = 120 * SEC;
-    cluster.group_commit_ops = spec.group_commit_ops;
-    cluster.anti_entropy_merkle = spec.merkle_sync;
-    cluster.weights = spec.weights.clone();
-    cluster.migrate_max_records_per_tick = spec.migrate_records_per_tick;
+    cfg.gossip.interval_us = 10 * SEC;
+    cfg.gossip.fail_after_us = 50 * SEC;
+    cfg.gossip.remove_after_us = spec.horizon_us.saturating_mul(4).max(3600 * SEC);
+    cfg.gossip.idle_backoff_max = 64;
+    cfg.anti_entropy_interval_us = 600 * SEC;
+    cfg.anti_entropy_idle_backoff_max = 64;
+    cfg.compaction_interval_us = 3600 * SEC;
+    cfg.hint_replay_interval_us = 120 * SEC;
+    cfg.group_commit_ops = spec.group_commit_ops;
     // A coarser tick suits the long-horizon cells: each active plan wakes
     // 4×/s instead of 20×/s, keeping mostly-idle weeks fast-forwardable.
-    cluster.migrate_tick_us = SEC / 4;
+    // With the Kill profile's 30–120 s outages against the 50 s failure
+    // detector, every long outage is a genuine ring leave/re-join the
+    // migration engine drains under its default budgets.
+    cfg.migrate_tick_us = SEC / 4;
 
     let (mut sim, registry) = cluster.build_sim_with_metrics(SimConfig {
         net: NetConfig::gigabit_lan(),

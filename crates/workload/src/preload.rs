@@ -100,7 +100,8 @@ mod tests {
                 .map(|i| Item { key: format!("blob-{i:06}"), size: 1000, class: 0 })
                 .collect::<Vec<_>>(),
         );
-        let replicas = preload_mystore(&mut sim, &spec.storage_ids(), spec.vnodes, 3, &items);
+        let replicas =
+            preload_mystore(&mut sim, &spec.storage_ids(), spec.storage.vnodes, 3, &items);
         assert_eq!(replicas, 60);
 
         sim.run_for(2_000_000);
@@ -119,7 +120,7 @@ mod tests {
         });
         sim.start();
         sim.run_for(spec.warmup_us());
-        let offline = offline_ring(&spec.storage_ids(), spec.vnodes);
+        let offline = offline_ring(&spec.storage_ids(), spec.storage.vnodes);
         let node = sim.process::<StorageNode>(NodeId(0)).unwrap();
         for i in 0..50 {
             let key = format!("check-{i}");

@@ -52,38 +52,19 @@ fn kill_cell_meets_global_invariants() {
     assert!(r.counters.get("fault.crashes").copied().unwrap_or(0) > 0);
 }
 
-/// A chaos cell with Merkle anti-entropy on: the tree exchange must
-/// replay bit-identically under faults and uphold the global invariants —
-/// the feature cannot trade durability for bandwidth.
-#[test]
-fn merkle_sync_cell_replays_bit_identically_without_loss() {
-    let mut spec = CellSpec::new(25, Nwr::PAPER, FaultProfile::Kill, KeyDist::Zipf, 1800 * SEC, 19);
-    spec.merkle_sync = true;
-    spec.name.push_str("-merkle");
-    let a = run_cell(&spec);
-    let b = run_cell(&spec);
-    assert_eq!(a, b, "merkle cell must replay to an identical CellResult");
-    assert_eq!(a.client_errors, 0, "client errors in {}", a.name);
-    assert_eq!(a.lost_writes, 0, "acked writes lost in {}", a.name);
-    assert!(a.puts_ok > 0);
-    assert!(
-        a.counters.get("sync.rounds").copied().unwrap_or(0) > 0,
-        "merkle rounds never ran — the knob is inert"
-    );
-}
-
-/// The elasticity cell (DESIGN.md §16): heterogeneous capacity weights and
-/// the incremental migration engine enabled, under the Kill profile whose
-/// 30–120 s outages exceed the matrix's 50 s failure detector — so every
-/// long outage is a genuine ring leave/re-join that the engine must drain
-/// under its per-tick budget. The global invariants must hold (no client
-/// errors, no acked-write loss), the cell must replay bit-identically, and
-/// the engine must demonstrably have moved records and cut arcs over.
+/// The elasticity cell (DESIGN.md §16): heterogeneous capacity weights
+/// under the Kill profile, whose 30–120 s outages exceed the matrix's 50 s
+/// failure detector — so every long outage is a genuine ring leave/re-join
+/// that the migration engine must drain under its per-tick budget while
+/// the Merkle anti-entropy rounds (DESIGN.md §14) keep running beside it.
+/// The global invariants must hold (no client errors, no acked-write
+/// loss), the cell must replay bit-identically, the engine must
+/// demonstrably have moved records and cut arcs over, and anti-entropy
+/// must demonstrably have run.
 #[test]
 fn elastic_weighted_cell_migrates_without_loss() {
     let mut spec = CellSpec::new(25, Nwr::PAPER, FaultProfile::Kill, KeyDist::Zipf, 3600 * SEC, 23);
     spec.weights = (0..25).map(|i| 1 + (i % 3) as u32).collect();
-    spec.migrate_records_per_tick = 8;
     spec.name.push_str("-elastic");
     let a = run_cell(&spec);
     let b = run_cell(&spec);
@@ -95,7 +76,11 @@ fn elastic_weighted_cell_migrates_without_loss() {
     assert!(a.counters.get("fault.crashes").copied().unwrap_or(0) > 0);
     assert!(
         a.counters.get("migrate.records_sent").copied().unwrap_or(0) > 0,
-        "the migration engine never shipped a record — the knob is inert"
+        "the migration engine never shipped a record"
+    );
+    assert!(
+        a.counters.get("sync.rounds").copied().unwrap_or(0) > 0,
+        "anti-entropy rounds never ran"
     );
     assert!(
         a.counters.get("migrate.arcs_cutover").copied().unwrap_or(0) > 0,

@@ -88,7 +88,7 @@ fn main() {
     let victim_long = NodeId(5);
     println!("phase 3: {victim_long} breaks down permanently...");
     sim.schedule_crash(sim.now() + 1, victim_long, None);
-    sim.run_for(spec.remove_after_us + 25_000_000);
+    sim.run_for(spec.storage.gossip.remove_after_us + 25_000_000);
     let survivors: Vec<NodeId> = live.iter().copied().filter(|&n| n != victim_long).collect();
     for &id in &survivors {
         assert_eq!(

@@ -72,23 +72,19 @@ test -s results/BENCH_PR7_SMOKE.json || { echo "matrix smoke wrote no JSON"; exi
 rm -f results/BENCH_PR7_SMOKE.json
 
 echo "==> anti-entropy sync suite (Merkle exchange + regression tests)"
-# The PR-8 sync work: Merkle convergence/determinism tests, the
-# resurrection-after-reap and rebalance fan-out regressions, and the
-# digest-traffic smoke bench (legacy vs tree walk, ratio bar asserted
-# inside the binary; full figure: --bin bench_sync without --smoke).
+# The PR-8 sync work: Merkle convergence/determinism tests (digest
+# traffic bounded by the divergence, not the corpus), the
+# resurrection-after-reap regression and the rebalance fan-out bound.
 cargo test -p mystore-core --test anti_entropy --test merkle_sync --test rebalance -q
-rm -f results/BENCH_PR8_SMOKE.json
-cargo run --release -p mystore-bench --bin bench_sync -- --smoke
-test -s results/BENCH_PR8_SMOKE.json || { echo "sync smoke wrote no JSON"; exit 1; }
-rm -f results/BENCH_PR8_SMOKE.json
 
 echo "==> online elasticity (migration engine + weighted placement)"
 # The PR-10 elasticity work: the incremental, rate-limited migration
 # engine's test suite (per-tick budget bound, crash-resume from the
-# persisted cursor, dual-ownership reads, weighted placement), then the
-# cluster-doubling smoke bench — 0 client errors, 0 acked-write loss,
-# corpus fully replicated on the new weighted ring (full figure:
-# --bin bench_elastic without --smoke).
+# persisted cursor, dual-ownership reads, weighted placement, a join
+# under write load with anti-entropy running beside it), then the
+# cluster-doubling smoke bench at the default budgets — 0 client errors,
+# 0 acked-write loss, corpus fully replicated on the new weighted ring
+# (full figure: --bin bench_elastic without --smoke).
 cargo test -p mystore-core --test elastic -q
 rm -f results/BENCH_PR10_SMOKE.json
 cargo run --release -p mystore-bench --bin bench_elastic -- --smoke
@@ -100,5 +96,15 @@ rm -f results/BENCH_PR3_SMOKE.json
 cargo run --release -p mystore-bench --bin bench_pr3 -- --smoke
 test -s results/BENCH_PR3_SMOKE.json || { echo "bench smoke wrote no JSON"; exit 1; }
 rm -f results/BENCH_PR3_SMOKE.json
+
+echo "==> real-runtime benchmark harness (own tests + quick pass of every workload)"
+# The PR-11 benchmark is a standalone package (own workspace and lock, so
+# `cargo test --workspace` above does not reach it). Its unit tests cover
+# the generator, recorder and manifest; the quick pass boots the default
+# node on the real TCP runtime under all four workloads and exits non-zero
+# on a failed operation or an open loop that fell behind its schedule — so
+# a default flip that breaks or badly slows the harness fails here.
+cargo test --manifest-path benchmark/Cargo.toml -q
+bash benchmark/run.sh run all --quick
 
 echo "CI OK"

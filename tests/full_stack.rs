@@ -42,7 +42,7 @@ fn full_topology_serves_a_closed_loop_workload() {
     }
     sim.start();
     sim.run_for(spec.warmup_us());
-    preload_mystore(&mut sim, &spec.storage_ids(), spec.vnodes, spec.nwr.n, &items);
+    preload_mystore(&mut sim, &spec.storage_ids(), spec.storage.vnodes, spec.storage.nwr.n, &items);
     sim.run_for(30_000_000);
 
     let mut completed = 0;
