@@ -155,6 +155,16 @@ pub mod channel {
             }
         }
 
+        /// Number of messages currently queued.
+        pub fn len(&self) -> usize {
+            self.shared.queue.lock().unwrap().items.len()
+        }
+
+        /// True when no message is queued.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut q = self.shared.queue.lock().unwrap();
@@ -195,6 +205,17 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Disconnected));
+    }
+
+    #[test]
+    fn len_counts_queued_messages() {
+        let (tx, rx) = unbounded::<u32>();
+        assert!(rx.is_empty());
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.len(), 2);
+        rx.try_recv().unwrap();
+        assert_eq!(rx.len(), 1);
     }
 
     #[test]

@@ -168,20 +168,6 @@ pub struct StorageConfig {
     /// the database in memory (simulations). With a path set, a restarted
     /// node recovers its records, indexes, and parked hints from the log.
     pub data_dir: Option<std::path::PathBuf>,
-    /// WAL group commit: stage up to this many log frames before issuing
-    /// one real fsync that covers them all (Spinnaker-style batched commit).
-    /// `1` keeps the per-op-sync behaviour (every append fsyncs).
-    pub group_commit_ops: usize,
-    /// Upper bound on how long a staged frame waits for its covering sync
-    /// (µs). A recurring flush timer at this period syncs any partial batch,
-    /// bounding ack latency under light load. Ignored when
-    /// `group_commit_ops == 1`.
-    pub group_commit_max_delay_us: u64,
-    /// Coordinator-side fan-out coalescing: replica writes bound for the
-    /// same peer are buffered for up to this long (µs) and sent as one
-    /// batched replica message with per-op acks. `0` disables coalescing
-    /// (every replica write is its own message).
-    pub coalesce_window_us: u64,
     /// Anti-entropy period (µs); `0` disables. Each round, the node offers
     /// one replica peer the Merkle root over the key ranges they share and
     /// the pair walks only mismatched subtrees down to per-key digests
@@ -234,9 +220,6 @@ impl Default for StorageConfig {
             compaction_interval_us: 60_000_000,
             tombstone_grace_us: 300_000_000, // 5 min >> hint replay windows
             data_dir: None,
-            group_commit_ops: 1,
-            group_commit_max_delay_us: 2_000,
-            coalesce_window_us: 0,
             anti_entropy_interval_us: 30_000_000,
             anti_entropy_idle_backoff_max: 1,
             migrate_max_records_per_tick: 32,

@@ -267,17 +267,17 @@ pub enum Msg {
         /// Whether the replica applied the write.
         ok: bool,
     },
-    /// Coordinator → replica: store all these records (LWW), covered by one
-    /// group-commit sync at the replica. Each op keeps its own correlation
-    /// id so retry/backoff and hinted handoff still operate per op.
+    /// Migration source → new owner: store all these records (LWW). Each
+    /// op keeps its own correlation id and is acked individually.
     StoreReplicaBatch {
-        /// The coalesced writes, in coordinator send order.
+        /// The writes, in send order.
         ops: Vec<BatchPut>,
     },
-    /// Replica → coordinator: per-op outcomes for a
-    /// [`Msg::StoreReplicaBatch`], in the same order.
+    /// Replica → sender: the outcomes of every write from that sender
+    /// (`StoreReplica`, `StoreHint`, `StoreReplicaBatch` ops) that one
+    /// end-of-batch WAL commit covered.
     StoreAckBatch {
-        /// `(req, ok)` per batched op.
+        /// `(req, ok)` per write.
         acks: Vec<(u64, bool)>,
     },
     /// Coordinator → replica: fetch your copy of `key`.

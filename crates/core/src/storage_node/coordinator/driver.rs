@@ -1,9 +1,8 @@
 //! The generic quorum engine.
 //!
-//! Every coordinated operation — PUT, GET, CAS, and the coalesced replica
-//! batches (whose per-op acks funnel back through the same table) — is a
-//! [`Pending`] entry: op-agnostic bookkeeping in [`Common`], op behaviour
-//! behind the [`QuorumOp`] trait. The driver owns the lifecycle that the
+//! Every coordinated operation — PUT, GET, CAS — is a [`Pending`] entry:
+//! op-agnostic bookkeeping in [`Common`], op behaviour behind the
+//! [`QuorumOp`] trait. The driver owns the lifecycle that the
 //! pre-refactor `PendingPut`/`PendingGet` state machines each duplicated:
 //!
 //! 1. **start** — the op fans out to its replica targets, then
@@ -56,9 +55,10 @@ pub(crate) enum Reply {
 pub(crate) enum Exhausted {
     /// Keep the entry as-is; only replies or the hard deadline resolve it.
     Park,
-    /// The op changed its own accounting (e.g. diverted writes to hinted
-    /// handoff); re-check quorum/completion now.
-    Resolve,
+    /// The op diverted writes to hinted handoff: re-check
+    /// quorum/completion now, and call `on_exhausted` again after another
+    /// replica timeout if the entry is still pending.
+    Diverted,
 }
 
 /// Op-agnostic state of a coordinated operation.
@@ -322,15 +322,20 @@ impl StorageNode {
             self.quorum.ops.insert(req, pending);
             return;
         }
-        self.metrics.retries_exhausted.inc();
+        // Later calls are re-checks of a diverted write, not new exhaustions.
+        if pending.common.retry_round == self.cfg.replica_retry_max {
+            pending.common.retry_round += 1;
+            self.metrics.retries_exhausted.inc();
+        }
         let Pending { mut common, mut op } = pending;
         match op.on_exhausted(self, ctx, req, &mut common) {
             Exhausted::Park => {
                 self.quorum.ops.insert(req, Pending { common, op });
             }
-            Exhausted::Resolve => {
+            Exhausted::Diverted => {
                 let done = self.drv_resolve(ctx, &mut common, &mut op);
                 if !done {
+                    ctx.set_timer(self.cfg.replica_timeout_us, tk(op.retry_kind(), req));
                     self.quorum.ops.insert(req, Pending { common, op });
                 }
             }

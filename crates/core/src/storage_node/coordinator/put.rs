@@ -8,8 +8,8 @@ use mystore_engine::{pack_version, Record};
 use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
-use crate::message::{BatchPut, Body, Msg, StoreError};
-use crate::storage_node::{tk, StorageNode, HINTS, TK_COALESCE, TK_PUT_HARD, TK_PUT_RETRY};
+use crate::message::{Body, Msg, StoreError};
+use crate::storage_node::{StorageNode, HINTS, TK_PUT_HARD, TK_PUT_RETRY};
 
 use super::driver::{Common, Exhausted, OpState, QuorumOp, Reply};
 
@@ -36,8 +36,8 @@ pub(crate) struct WriteOp {
     pub(crate) outstanding: Vec<NodeId>,
     /// Remote nodes whose ack already counted (duplicate-ack dedup).
     pub(crate) acked: Vec<NodeId>,
-    /// Fallback nodes already hinted (never reused).
-    pub(crate) fallbacks_used: Vec<NodeId>,
+    /// Hints sent, `(fallback, intended)`; a fallback is never reused.
+    pub(crate) hints: Vec<(NodeId, NodeId)>,
     /// How the caller is answered.
     pub(crate) reply: WriteReply,
 }
@@ -49,7 +49,7 @@ impl QuorumOp for WriteOp {
     }
 
     fn resend(&self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, req: u64, to: NodeId) {
-        ctx.send(to, Msg::StoreReplica { req, record: self.record.clone() });
+        node.send_replica(ctx, to, req, &self.record);
         node.metrics.put_retries.inc();
         ctx.record("put_retry", 1.0);
     }
@@ -58,11 +58,13 @@ impl QuorumOp for WriteOp {
         let Reply::Ack { ok } = reply else { return };
         // Retries and chaotic links can duplicate acks: count each node once.
         // A failed ack leaves the replica in `outstanding`; the retry path
-        // re-sends and eventually diverts it to a fallback node.
+        // re-sends and eventually diverts it to a fallback node. A
+        // fallback's ack settles the replica its hint stands in for.
         if ok && !self.acked.contains(&from) {
             self.acked.push(from);
             self.acks += 1;
-            self.outstanding.retain(|&r| r != from);
+            let intended = self.hints.iter().find(|&&(f, _)| f == from).map(|&(_, i)| i);
+            self.outstanding.retain(|&r| r != from && Some(r) != intended);
         }
     }
 
@@ -92,8 +94,12 @@ impl QuorumOp for WriteOp {
     }
 
     /// Divert-to-handoff (Fig. 8): every straggler gets its write parked on
-    /// a fallback node whose ack still counts towards `W`. With handoff
-    /// disabled the write just parks until the hard deadline decides.
+    /// a fallback node whose ack still counts towards `W`. Gossip relays
+    /// liveness, so a fallback may be alive yet unreachable from here: a
+    /// straggler whose hint is still unacked when the driver calls back is
+    /// diverted to the next fallback, at worst the coordinator itself.
+    /// With handoff off or no fallback left, the write parks until the
+    /// hard deadline decides.
     fn on_exhausted(
         &mut self,
         node: &mut StorageNode,
@@ -105,22 +111,21 @@ impl QuorumOp for WriteOp {
             return Exhausted::Park;
         }
         let me = node.id();
-        let stragglers: Vec<NodeId> = self.outstanding.clone();
-        for intended in stragglers {
+        let hinted = self.hints.len();
+        for intended in self.outstanding.clone() {
             if intended == me {
                 continue;
             }
             if let Some(fallback) = node.pick_fallback(self) {
-                self.fallbacks_used.push(fallback);
+                self.hints.push((fallback, intended));
                 node.stats.handoffs_sent += 1;
                 node.metrics.handoffs.inc();
                 ctx.record("handoff", 1.0);
                 if fallback == me {
                     // The coordinator may be the only node left standing —
-                    // it holds the hint itself, and its ack is immediate.
-                    ctx.consume(
-                        node.cfg.cost.put_us(self.record.val.len()) + ctx.disk_penalty_us(),
-                    );
+                    // it holds the hint itself, staged like any local
+                    // write: at the batch commit it counts for `intended`.
+                    ctx.consume(node.cfg.cost.put_us(self.record.val.len()));
                     let hint_doc = doc! {
                         "intended": intended.0 as i64,
                         "rec": self.record.to_document(),
@@ -128,14 +133,7 @@ impl QuorumOp for WriteOp {
                     if node.db.insert_doc(HINTS, hint_doc).is_ok() {
                         node.metrics.hints_stored.inc();
                         node.metrics.hint_queue_depth.add(1);
-                        if node.db.wal_pending_ops() > 0 {
-                            // Staged like any local write: counts at sync.
-                            node.deferred_acks.push((me, req, true));
-                            node.metrics.acks_deferred.inc();
-                            node.ensure_wal_flush_armed(ctx);
-                        } else {
-                            self.acks += 1;
-                        }
+                        node.parked_own.push((req, intended));
                     }
                 } else {
                     ctx.send(
@@ -145,7 +143,11 @@ impl QuorumOp for WriteOp {
                 }
             }
         }
-        Exhausted::Resolve
+        if self.hints.len() > hinted {
+            Exhausted::Diverted
+        } else {
+            Exhausted::Park
+        }
     }
 
     fn on_deadline(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
@@ -249,47 +251,45 @@ impl StorageNode {
             replied: false,
             started_us: ctx.now().as_micros(),
         };
-        let mut op = WriteOp {
+        let op = WriteOp {
             record: Arc::clone(&record),
             acks: 0,
             outstanding: prefs.clone(),
             acked: Vec::new(),
-            fallbacks_used: Vec::new(),
+            hints: Vec::new(),
             reply,
         };
         let me = self.id();
-        for &replica in &prefs {
-            if replica == me {
-                // "The node firstly stores the data records locally" (§5.2.2).
-                ctx.consume(self.cfg.cost.put_us(record.val.len()) + ctx.disk_penalty_us());
-                self.stats.replica_puts += 1;
-                if self.db.put_record(&self.cfg.collection, &record).is_ok() {
-                    if self.db.wal_pending_ops() > 0 {
-                        // Group commit: the frame is staged, not yet synced.
-                        // The local write counts towards `W` only once its
-                        // covering sync lands — the flush sends a self-ack.
-                        self.deferred_acks.push((me, my_req, true));
-                        self.metrics.acks_deferred.inc();
-                        self.ensure_wal_flush_armed(ctx);
-                    } else {
-                        op.acks += 1;
-                        op.outstanding.retain(|&r| r != me);
-                    }
-                }
-            } else if self.cfg.coalesce_window_us > 0 {
-                self.outbox
-                    .entry(replica)
-                    .or_default()
-                    .push(BatchPut { req: my_req, record: Arc::clone(&record) });
-                if !self.outbox_armed {
-                    self.outbox_armed = true;
-                    ctx.set_timer(self.cfg.coalesce_window_us, tk(TK_COALESCE, 0));
-                }
-            } else {
-                ctx.send(replica, Msg::StoreReplica { req: my_req, record: Arc::clone(&record) });
+        if prefs.contains(&me) {
+            // "The node firstly stores the data records locally" (§5.2.2).
+            ctx.consume(self.cfg.cost.put_us(record.val.len()));
+            self.stats.replica_puts += 1;
+            if self.db.put_record(&self.cfg.collection, &record).is_ok() {
+                self.parked_own.push((my_req, me));
             }
         }
         self.drv_finish_start(ctx, my_req, common, OpState::Write(op));
+        // Commit now (the op is registered for the self-ack), then send: on
+        // a shared disk, overlapping this fsync with the replicas' would
+        // serialise them in its journal and stall every node (DESIGN.md §9).
+        self.commit(ctx);
+        for &replica in prefs.iter().filter(|&&r| r != me) {
+            self.send_replica(ctx, replica, my_req, &record);
+        }
+    }
+
+    /// Sends one replica write of a client write (first send or resend),
+    /// counted in `batch.replica_msgs` / `batch.replica_ops`.
+    fn send_replica(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        to: NodeId,
+        req: u64,
+        rec: &Arc<Record>,
+    ) {
+        self.metrics.batch_msgs.inc();
+        self.metrics.batch_ops.inc();
+        ctx.send(to, Msg::StoreReplica { req, record: Arc::clone(rec) });
     }
 
     /// First alive node clockwise after the preference list that has not
@@ -299,15 +299,14 @@ impl StorageNode {
         let point = HashRing::<NodeId>::key_point(op.record.self_key.as_bytes());
         let walk = self.ring.successors_of_point(point, self.ring.len());
         let prefs = self.ring.preference_list(op.record.self_key.as_bytes(), self.cfg.nwr.n);
+        let used = |n: &NodeId| op.hints.iter().any(|(f, _)| f == n);
         walk.into_iter()
-            .find(|n| {
-                !prefs.contains(n) && !op.fallbacks_used.contains(n) && self.gossiper.is_alive(*n)
-            })
+            .find(|n| !prefs.contains(n) && !used(n) && self.gossiper.is_alive(*n))
             .or_else(|| {
-                // Cluster size == N: there is no node beyond the preference
-                // list to divert to, so the coordinator parks the hint itself.
+                // Cluster size == N, or every node beyond the preference
+                // list already tried: the coordinator parks the hint itself.
                 let me = self.id();
-                (!op.fallbacks_used.contains(&me)).then_some(me)
+                (!used(&me)).then_some(me)
             })
     }
 }

@@ -1,6 +1,6 @@
 //! Background maintenance of the storage node: membership/ring upkeep and
-//! rebalance (Fig. 9), hint replay (Fig. 8), anti-entropy exchange,
-//! coordinator outbox coalescing, and the WAL-flush / gossip ticks.
+//! rebalance (Fig. 9), hint replay (Fig. 8), anti-entropy exchange, and the
+//! gossip tick.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
 use crate::message::Msg;
-use crate::storage_node::{tk, StorageNode, HINTS, TK_GOSSIP, TK_WAL_FLUSH};
+use crate::storage_node::{tk, StorageNode, HINTS, TK_GOSSIP};
 
 /// A hint replay awaiting its `StoreAck`: which hint document it is for and
 /// when it was sent, so stale entries can be swept instead of leaking.
@@ -194,54 +194,6 @@ impl StorageNode {
         if !behind.is_empty() {
             self.sync_metrics.digest_entries.add(behind.len() as u64);
             ctx.send(from, Msg::SyncDigest { entries: behind });
-        }
-    }
-
-    // ---- group commit & coalescing --------------------------------------
-
-    /// `TK_COALESCE`: drain the outbox, one batched message per peer. A
-    /// lone op goes out as a plain `StoreReplica` (no batch framing to pay
-    /// for); two or more ride one `StoreReplicaBatch`.
-    pub(crate) fn flush_outbox(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.outbox_armed = false;
-        for (peer, mut ops) in std::mem::take(&mut self.outbox) {
-            if ops.is_empty() {
-                continue;
-            }
-            self.metrics.batch_ops.add(ops.len() as u64);
-            self.metrics.batch_msgs.inc();
-            if ops.len() == 1 {
-                if let Some(op) = ops.pop() {
-                    ctx.send(peer, Msg::StoreReplica { req: op.req, record: op.record });
-                }
-            } else {
-                ctx.send(peer, Msg::StoreReplicaBatch { ops });
-            }
-        }
-    }
-
-    /// `TK_WAL_FLUSH`: bound how long a staged frame (and its parked ack)
-    /// can wait for the batch to fill — sync whatever is pending and
-    /// release the acks it covered. The timer is demand-driven: it is
-    /// armed by [`StorageNode::ensure_wal_flush_armed`] when a write
-    /// stages a frame, and stays unarmed afterwards unless a sync failure
-    /// left frames behind — so a quiescent node schedules no flush ticks.
-    pub(crate) fn wal_flush_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.wal_flush_armed = false;
-        if self.db.wal_pending_ops() > 0 {
-            let _ = self.db.sync_wal();
-        }
-        self.maybe_flush_deferred_acks(ctx);
-        self.ensure_wal_flush_armed(ctx);
-    }
-
-    /// Arms the WAL flush timer if group commit is on, a frame is staged,
-    /// and no timer is already pending. Call after any local write that may
-    /// have staged a group-commit frame; a no-op in every other state.
-    pub(crate) fn ensure_wal_flush_armed(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.cfg.group_commit_ops > 1 && !self.wal_flush_armed && self.db.wal_pending_ops() > 0 {
-            self.wal_flush_armed = true;
-            ctx.set_timer(self.cfg.group_commit_max_delay_us, tk(TK_WAL_FLUSH, 0));
         }
     }
 

@@ -24,10 +24,10 @@
 //!
 //! * [`coordinator`] — the generic quorum engine ([`coordinator::quorum::Driver`],
 //!   the `QuorumOp` trait) and the thin PUT/GET/CAS op definitions,
-//! * [`replica`] — the replica-level server side (store/fetch/hint, ack
-//!   deferral under group commit),
+//! * [`replica`] — the replica-level server side (store/fetch/hint) and
+//!   the end-of-batch commit that syncs the WAL and releases parked acks,
 //! * [`maintenance`] — membership/ring/rebalance, hint replay,
-//!   anti-entropy, outbox coalescing, WAL-flush and gossip ticks.
+//!   anti-entropy and gossip ticks.
 
 pub(crate) mod coordinator;
 pub(crate) mod maintenance;
@@ -38,13 +38,13 @@ pub(crate) mod sync;
 
 use std::collections::BTreeMap;
 
-use mystore_engine::{Db, GroupCommitConfig, WalMetrics};
+use mystore_engine::{Db, WalMetrics};
 use mystore_gossip::{GossipMetrics, Gossiper};
 use mystore_net::{Context, NodeId, OpFault, Process, TimerToken};
 use mystore_ring::HashRing;
 
 use crate::config::StorageConfig;
-use crate::message::{BatchPut, Msg};
+use crate::message::Msg;
 
 use self::coordinator::quorum;
 use self::maintenance::HintInFlight;
@@ -61,8 +61,6 @@ pub(crate) const TK_GET_HARD: u64 = 5;
 pub(crate) const TK_REAP: u64 = 6;
 pub(crate) const TK_ANTI_ENTROPY: u64 = 7;
 pub(crate) const TK_GET_RETRY: u64 = 8;
-pub(crate) const TK_WAL_FLUSH: u64 = 9;
-pub(crate) const TK_COALESCE: u64 = 10;
 pub(crate) const TK_MIGRATE: u64 = 11;
 
 pub(crate) fn tk(kind: u64, req: u64) -> TimerToken {
@@ -115,20 +113,13 @@ pub struct StorageNode {
     pub(crate) reap_floor: u64,
     /// Anti-entropy observability (shared registry, `sync.*` series).
     pub(crate) sync_metrics: crate::sync::SyncMetrics,
-    /// Whether a `TK_WAL_FLUSH` timer is armed. The flush timer is
-    /// demand-driven: armed when a write stages a group-commit frame, left
-    /// unarmed while the WAL has nothing pending — so an idle node
-    /// schedules no flush ticks at all.
-    pub(crate) wal_flush_armed: bool,
-    /// Coalescing buffer: replica writes waiting to be flushed to each peer
-    /// as one [`Msg::StoreReplicaBatch`] (empty when coalescing is off).
-    pub(crate) outbox: BTreeMap<NodeId, Vec<BatchPut>>,
-    /// Whether a `TK_COALESCE` flush timer is already armed.
-    pub(crate) outbox_armed: bool,
-    /// Acks for locally-applied replica writes whose WAL frames are still
-    /// waiting on their covering group-commit sync: `(to, req, ok)`. An ack
-    /// must mean "durable here", so these are released only after the sync.
-    pub(crate) deferred_acks: Vec<(NodeId, u64, bool)>,
+    /// Acks for writes this batch staged, `(to, req)`: an ack must mean
+    /// "durable here", so they wait for the end-of-batch commit.
+    pub(crate) parked_acks: Vec<(NodeId, u64)>,
+    /// This node's own staged copies of writes it coordinates, `(req,
+    /// slot)`: they count toward `W` at the commit, for the replica `slot`
+    /// (itself, or the unreachable replica a self-held hint stands in for).
+    pub(crate) parked_own: Vec<(u64, NodeId)>,
     /// The active migration plan, when a ring change is being drained
     /// through the rate-limited engine (DESIGN.md §16); `None` otherwise.
     pub(crate) migration: Option<MigrationPlan>,
@@ -179,12 +170,8 @@ impl StorageNode {
             db.create_index(&cfg.collection, "self-key").expect("fresh db");
         }
         db.set_wal_metrics(WalMetrics::from_registry(&cfg.metrics));
-        if cfg.group_commit_ops > 1 {
-            db.set_group_commit(Some(GroupCommitConfig {
-                ops: cfg.group_commit_ops,
-                max_delay_us: cfg.group_commit_max_delay_us,
-            }));
-        }
+        // From here on writes stage; `on_batch_end` makes them durable.
+        db.set_staged(true);
         let mut gossiper = Gossiper::new(me, 1, cfg.gossip.clone());
         gossiper.set_metrics(GossipMetrics::from_registry(&cfg.metrics));
         let metrics = StorageMetrics::from_registry(&cfg.metrics);
@@ -208,10 +195,8 @@ impl StorageNode {
             sync_tree,
             reap_floor: 0,
             sync_metrics,
-            wal_flush_armed: false,
-            outbox: BTreeMap::new(),
-            outbox_armed: false,
-            deferred_acks: Vec::new(),
+            parked_acks: Vec::new(),
+            parked_own: Vec::new(),
             migration: None,
             migrate_acks: BTreeMap::new(),
             pending_in: Vec::new(),
@@ -254,6 +239,7 @@ impl StorageNode {
     /// `mystore-workload`'s preload helpers).
     pub fn preload_record(&mut self, record: &mystore_engine::Record) {
         let _ = self.db.put_record(&self.cfg.collection, record);
+        let _ = self.db.sync_wal();
     }
 
     /// The node's current ring view.
@@ -311,9 +297,6 @@ impl Process<Msg> for StorageNode {
             let jitter = ctx.rng().range_u64(0, self.cfg.anti_entropy_interval_us / 2 + 1);
             ctx.set_timer(self.cfg.anti_entropy_interval_us / 2 + jitter, tk(TK_ANTI_ENTROPY, 0));
         }
-        // TK_WAL_FLUSH is demand-driven (armed by the first staged
-        // group-commit frame, see `ensure_wal_flush_armed`), so an idle
-        // node runs no flush ticks.
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
@@ -332,12 +315,7 @@ impl Process<Msg> for StorageNode {
                 let _ = fresh.create_index(&self.cfg.collection, "self-key");
                 fresh.set_wal_metrics(WalMetrics::from_registry(&self.cfg.metrics));
                 fresh.set_oid_machine(u64::from(self.id().0));
-                if self.cfg.group_commit_ops > 1 {
-                    fresh.set_group_commit(Some(GroupCommitConfig {
-                        ops: self.cfg.group_commit_ops,
-                        max_delay_us: self.cfg.group_commit_max_delay_us,
-                    }));
-                }
+                fresh.set_staged(true);
                 fresh
             }
         };
@@ -364,12 +342,10 @@ impl Process<Msg> for StorageNode {
         self.replica_arcs.clear();
         self.quorum.ops.clear();
         self.hint_acks.clear();
-        self.outbox.clear();
-        self.outbox_armed = false;
-        self.wal_flush_armed = false;
         self.ae_last_seq = 0;
         self.ae_quiet_rounds = 0;
-        self.deferred_acks.clear();
+        self.parked_acks.clear();
+        self.parked_own.clear();
         // Volatile migration state dies with the process; the persisted
         // cursor in `migrate_state` is what survives, and `resume_migration`
         // rebuilds the plan from it below.
@@ -456,7 +432,6 @@ impl Process<Msg> for StorageNode {
                         ctx.record("anti_entropy_repair", 1.0);
                     }
                 }
-                self.ensure_wal_flush_armed(ctx);
             }
             Msg::SyncTreeRequest { ring_hash, root } => {
                 self.on_sync_tree_request(ctx, from, ring_hash, root)
@@ -478,7 +453,6 @@ impl Process<Msg> for StorageNode {
                     ctx.consume(self.cfg.cost.put_us(record.val.len()));
                     let _ = self.db.put_record(&self.cfg.collection, &record);
                 }
-                self.ensure_wal_flush_armed(ctx);
             }
             Msg::Gossip(g) => {
                 ctx.consume(self.cfg.cost.gossip_us);
@@ -535,31 +509,23 @@ impl Process<Msg> for StorageNode {
             // kind is recovered from the table, not the token.
             TK_PUT_RETRY | TK_GET_RETRY => self.drv_on_retry_timeout(ctx, req),
             TK_PUT_HARD | TK_GET_HARD => self.drv_on_hard_timeout(ctx, req),
-            TK_WAL_FLUSH => self.wal_flush_tick(ctx),
-            TK_COALESCE => self.flush_outbox(ctx),
             TK_MIGRATE => self.migrate_tick(ctx),
             _ => {}
         }
     }
 
+    fn on_batch_end(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.commit(ctx);
+    }
+
     fn quiescent(&self) -> bool {
-        // In-flight quorum coordination, parked group-commit acks, and
-        // queued replica batches all represent work a graceful drain must
-        // let finish; background maintenance (gossip, anti-entropy, hint
-        // replay) can be cut at any point.
+        // A drain waits for coordinated ops (parked acks never outlive their
+        // batch); maintenance (gossip, anti-entropy, hints) can be cut.
         self.quorum.ops.is_empty()
-            && self.deferred_acks.is_empty()
-            && self.outbox.values().all(Vec::is_empty)
     }
 
     fn on_shutdown(&mut self, ctx: &mut Context<'_, Msg>) {
-        // Push out anything still coalescing, make the WAL durable, and
-        // release the acks that durability was gating — the shutdown
-        // counterpart of `wal_flush_tick`, without re-arming the timer.
-        self.flush_outbox(ctx);
-        if self.db.wal_pending_ops() > 0 {
-            let _ = self.db.sync_wal();
-        }
-        self.maybe_flush_deferred_acks(ctx);
+        // A stop can cut a batch short: commit what it staged.
+        self.commit(ctx);
     }
 }

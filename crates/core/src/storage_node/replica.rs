@@ -1,7 +1,8 @@
 //! The replica-level server side of the storage node: applying
-//! coordinator-issued stores/fetches/hints, and the ack-deferral rule that
-//! keeps "ack" meaning "durable here" under group commit.
+//! coordinator-issued stores/fetches/hints, and the end-of-batch commit
+//! that keeps "ack" meaning "durable here" (DESIGN.md §9).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mystore_bson::doc;
@@ -9,33 +10,46 @@ use mystore_engine::Record;
 use mystore_net::{Context, NodeId, OpFault};
 
 use crate::message::{BatchPut, Msg};
+use crate::storage_node::coordinator::quorum::Reply;
 use crate::storage_node::{StorageNode, HINTS};
 
 impl StorageNode {
-    /// Sends a replica ack, or parks it while the write's WAL frame is still
-    /// waiting on its covering group-commit sync — an ack must mean the
-    /// write is durable *here*, so it is released only once the sync lands
-    /// (threshold reached or `TK_WAL_FLUSH` fires).
-    pub(crate) fn queue_ack(&mut self, ctx: &mut Context<'_, Msg>, to: NodeId, req: u64, ok: bool) {
-        if ok && self.db.wal_pending_ops() > 0 {
-            self.deferred_acks.push((to, req, ok));
-            self.metrics.acks_deferred.inc();
-            self.ensure_wal_flush_armed(ctx);
+    /// Acks a write this handler staged: a success waits for the batch
+    /// commit (an ack must mean "durable here"); a failure needs no
+    /// durability and is answered at once.
+    pub(crate) fn park_ack(&mut self, ctx: &mut Context<'_, Msg>, to: NodeId, req: u64, ok: bool) {
+        if ok {
+            self.parked_acks.push((to, req));
         } else {
             ctx.send(to, Msg::StoreAck { req, ok });
-            // This write may itself have triggered the threshold sync that
-            // made earlier staged frames durable — release their acks too.
-            self.maybe_flush_deferred_acks(ctx);
         }
     }
 
-    /// Releases parked acks once nothing is staged in the WAL any more.
-    pub(crate) fn maybe_flush_deferred_acks(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.deferred_acks.is_empty() || self.db.wal_pending_ops() > 0 {
-            return;
+    /// The end-of-batch commit ([`mystore_net::Process::on_batch_end`]):
+    /// one WAL sync covers every frame the batch staged, and a degraded
+    /// disk's penalty is charged once for it. Then the parked acks go out —
+    /// this node's own copies count toward `W`, remote acks leave as one
+    /// `StoreAck` or `StoreAckBatch` per destination — all answered
+    /// `ok: false` if the sync failed. A coordinator starting a client
+    /// write also runs it early, before its fan-out (`start_write`).
+    pub(crate) fn commit(&mut self, ctx: &mut Context<'_, Msg>) {
+        let mut ok = true;
+        if self.db.wal_pending_ops() > 0 {
+            ctx.consume(ctx.disk_penalty_us());
+            ok = self.db.sync_wal().is_ok();
         }
-        for (to, req, ok) in std::mem::take(&mut self.deferred_acks) {
-            ctx.send(to, Msg::StoreAck { req, ok });
+        for (req, slot) in std::mem::take(&mut self.parked_own) {
+            self.drv_on_reply(ctx, req, slot, Reply::Ack { ok });
+        }
+        let mut by_dest: BTreeMap<NodeId, Vec<(u64, bool)>> = BTreeMap::new();
+        for (to, req) in std::mem::take(&mut self.parked_acks) {
+            by_dest.entry(to).or_default().push((req, ok));
+        }
+        for (to, acks) in by_dest {
+            match acks.as_slice() {
+                &[(req, ok)] => ctx.send(to, Msg::StoreAck { req, ok }),
+                _ => ctx.send(to, Msg::StoreAckBatch { acks }),
+            }
         }
     }
 
@@ -57,8 +71,7 @@ impl StorageNode {
             }
             _ => {}
         }
-        // A degraded disk (slow-fsync fault) taxes every durable write.
-        ctx.consume(self.cfg.cost.put_us(record.val.len()) + ctx.disk_penalty_us());
+        ctx.consume(self.cfg.cost.put_us(record.val.len()));
         self.stats.replica_puts += 1;
         let ok = self.db.put_record(&self.cfg.collection, &record).is_ok();
         if ok {
@@ -67,16 +80,13 @@ impl StorageNode {
             self.maybe_forward_inbound(ctx, from, &record);
         }
         if req != 0 {
-            self.queue_ack(ctx, from, req, ok);
-        } else {
-            self.maybe_flush_deferred_acks(ctx);
-            self.ensure_wal_flush_armed(ctx);
+            self.park_ack(ctx, from, req, ok);
         }
     }
 
-    /// A coalesced fan-out: apply every op, cover them all with one WAL
-    /// sync, then ack each op individually so the coordinator's per-op
-    /// retry/handoff machinery is none the wiser.
+    /// A migration batch: each op is a replica write, acked individually
+    /// (its message's fault hits every op), so the sender's per-op
+    /// bookkeeping is none the wiser.
     pub(crate) fn on_store_replica_batch(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -84,34 +94,9 @@ impl StorageNode {
         ops: Vec<BatchPut>,
         fault: Option<OpFault>,
     ) {
-        match fault {
-            Some(OpFault::NetworkException) => return, // whole message lost
-            Some(OpFault::DiskIoError) => {
-                let acks = ops.iter().map(|op| (op.req, false)).collect();
-                ctx.send(from, Msg::StoreAckBatch { acks });
-                return;
-            }
-            _ => {}
+        for op in ops {
+            self.on_store_replica(ctx, from, op.req, op.record, fault);
         }
-        let mut acks = Vec::with_capacity(ops.len());
-        for op in &ops {
-            ctx.consume(self.cfg.cost.put_us(op.record.val.len()));
-            self.stats.replica_puts += 1;
-            let ok = self.db.put_record(&self.cfg.collection, &op.record).is_ok();
-            if ok {
-                self.maybe_forward_inbound(ctx, from, &op.record);
-            }
-            acks.push((op.req, ok));
-        }
-        // One sync covers the whole batch — and pays the disk penalty once.
-        ctx.consume(ctx.disk_penalty_us());
-        if self.db.sync_wal().is_err() {
-            for ack in &mut acks {
-                ack.1 = false;
-            }
-        }
-        ctx.send(from, Msg::StoreAckBatch { acks });
-        self.maybe_flush_deferred_acks(ctx);
     }
 
     pub(crate) fn on_fetch_replica(
@@ -182,7 +167,7 @@ impl StorageNode {
             }
             _ => {}
         }
-        ctx.consume(self.cfg.cost.put_us(record.val.len()) + ctx.disk_penalty_us());
+        ctx.consume(self.cfg.cost.put_us(record.val.len()));
         // "When C receives the request, it creates an index for the
         // replication" — we persist the hint durably.
         let hint_doc = doc! {
@@ -194,6 +179,6 @@ impl StorageNode {
             self.metrics.hints_stored.inc();
             self.metrics.hint_queue_depth.add(1);
         }
-        self.queue_ack(ctx, from, req, ok);
+        self.park_ack(ctx, from, req, ok);
     }
 }

@@ -97,12 +97,11 @@ pub struct StorageMetrics {
     pub hint_replay_expired: Counter,
     /// Storage-node process restarts (WAL replays).
     pub restarts: Counter,
-    /// Batched replica messages sent by the coalescing coordinator.
+    /// Replica-write messages a coordinator sent for client writes, first
+    /// sends and resends (`batch.replica_msgs`).
     pub batch_msgs: Counter,
-    /// Replica ops carried inside those batched messages.
+    /// Replica ops carried by those messages (`batch.replica_ops`).
     pub batch_ops: Counter,
-    /// Replica acks held back until the covering WAL sync completed.
-    pub acks_deferred: Counter,
     /// Restarts whose WAL replay failed; the node came back empty and
     /// relies on read repair / anti-entropy to re-fill.
     pub recover_failures: Counter,
@@ -149,7 +148,6 @@ impl StorageMetrics {
             restarts: registry.counter("node.restarts"),
             batch_msgs: registry.counter("batch.replica_msgs"),
             batch_ops: registry.counter("batch.replica_ops"),
-            acks_deferred: registry.counter("coord.acks_deferred"),
             recover_failures: registry.counter("node.recover_failures"),
             migrate_in_flight: registry.gauge("migrate.in_flight"),
             migrate_records_sent: registry.counter("migrate.records_sent"),

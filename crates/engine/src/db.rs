@@ -12,7 +12,7 @@ use crate::oplog::{OplogRing, WalOp};
 use crate::query::filter::Filter;
 use crate::query::update::Update;
 use crate::record::{Record, F_IS_DEL, F_SELF_KEY};
-use crate::wal::{GroupCommitConfig, Wal};
+use crate::wal::Wal;
 
 /// Engine version string, returned by [`Db::version`]. The paper's wrapped
 /// `Connect` tests liveness by querying the server version (§5.1 step 3);
@@ -44,13 +44,9 @@ pub struct Db {
     collections: BTreeMap<String, Collection>,
     wal: Wal,
     oplog: OplogRing,
-    /// When set, mutations stage WAL frames and sync once per batch window
-    /// instead of once per op (see [`GroupCommitConfig`]).
-    group_commit: Option<GroupCommitConfig>,
-    /// Forces staging regardless of the batch threshold while a batch
-    /// helper ([`Db::apply_batch`], [`Db::put_records`]) runs; the helper
-    /// issues the single covering sync itself.
-    defer_sync: bool,
+    /// Mutations append WAL frames without syncing (see [`Db::set_staged`];
+    /// also set inside [`Db::with_batch`], which syncs once at its end).
+    staged: bool,
     /// Deterministic id source for simulated nodes (see
     /// [`Db::set_oid_machine`]). `None` falls back to [`ObjectId::new`],
     /// the wall-clock real-deployment path.
@@ -74,8 +70,7 @@ impl Db {
             collections: BTreeMap::new(),
             wal: Wal::memory(),
             oplog: OplogRing::new(OPLOG_CAPACITY),
-            group_commit: None,
-            defer_sync: false,
+            staged: false,
             oid_gen: None,
             oid_secs: 0,
             dirty_coll: None,
@@ -91,8 +86,7 @@ impl Db {
             collections: BTreeMap::new(),
             wal,
             oplog: OplogRing::new(OPLOG_CAPACITY),
-            group_commit: None,
-            defer_sync: false,
+            staged: false,
             oid_gen: None,
             oid_secs: 0,
             dirty_coll: None,
@@ -105,7 +99,7 @@ impl Db {
     /// Simulates crash recovery: discards all in-memory state and rebuilds
     /// it purely from the WAL, keeping the log (and its metrics) attached.
     /// State that never reached the log is lost — exactly what a process
-    /// crash loses — and with group commit that includes frames staged but
+    /// crash loses — and in staged mode that includes frames staged but
     /// not yet covered by a sync (the memory backend drops them; a real
     /// machine crash drops them from the page cache). Works for both file-
     /// and memory-backed logs, so simulated restarts exercise the same
@@ -123,8 +117,7 @@ impl Db {
             collections: BTreeMap::new(),
             wal: self.wal,
             oplog: OplogRing::new(OPLOG_CAPACITY),
-            group_commit: self.group_commit,
-            defer_sync: false,
+            staged: self.staged,
             oid_gen,
             oid_secs: self.oid_secs,
             // Tracking restarts off: whoever mirrors the store has to
@@ -147,13 +140,14 @@ impl Db {
         Ok(())
     }
 
-    /// Enables (or, with `None`, disables) group commit. With a config set,
-    /// mutations stage frames and a sync happens when `ops` frames are
-    /// pending; the caller is responsible for also flushing on a timer every
-    /// `max_delay_us` via [`Db::sync_wal`] so a trickle of writes cannot sit
-    /// unsynced forever.
-    pub fn set_group_commit(&mut self, cfg: Option<GroupCommitConfig>) {
-        self.group_commit = cfg.filter(|c| c.ops > 1);
+    /// Switches staged commit on or off. Off (the default), every mutation
+    /// is durable when its call returns — what embedded callers rely on.
+    /// On, mutations only stage their WAL frames and the caller makes them
+    /// durable with [`Db::sync_wal`]: a storage node syncs once per batch
+    /// of work (group commit, DESIGN.md §9). Reads see staged mutations; a
+    /// crash loses exactly the frames staged since the last sync.
+    pub fn set_staged(&mut self, on: bool) {
+        self.staged = on;
     }
 
     /// Syncs any staged WAL frames (one real fsync for file-backed logs).
@@ -232,54 +226,25 @@ impl Db {
         self.log_and_apply(op.clone()).map(|_| ())
     }
 
-    /// Applies a batch of replicated/migrated ops with **one** WAL sync
-    /// covering the whole batch, instead of a sync per op — the group-commit
-    /// fast path for replication streams, migration transfers, and batched
-    /// replica writes. Each op is durable once this returns.
-    pub fn apply_batch(&mut self, ops: &[WalOp]) -> Result<()> {
-        self.with_batch(|db| {
-            for op in ops {
-                db.log_and_apply(op.clone())?;
-            }
-            Ok(())
-        })
-    }
-
     /// Runs `f` as one commit batch: per-op WAL syncs inside are suppressed
     /// and a single covering sync is issued at the end, so callers looping
     /// over [`Db::apply`] (replication streams, bulk loads) pay one fsync
     /// instead of one per op. Everything applied in `f` is durable once
     /// this returns.
     pub fn with_batch<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        let result = self.with_deferred_sync(f);
+        let prev = std::mem::replace(&mut self.staged, true);
+        let result = f(self);
+        self.staged = prev;
         self.wal.sync()?;
         result
     }
 
     // ---- internals ----------------------------------------------------
 
-    /// Runs `f` with per-op syncing suppressed, restoring the previous
-    /// policy afterwards even on error. The caller must issue the covering
-    /// [`Wal::sync`].
-    fn with_deferred_sync<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        let prev = self.defer_sync;
-        self.defer_sync = true;
-        let out = f(self);
-        self.defer_sync = prev;
-        out
-    }
-
     fn log_and_apply(&mut self, op: WalOp) -> Result<u64> {
         self.wal.append_nosync(&op.encode_bytes())?;
-        if !self.defer_sync {
-            match self.group_commit {
-                // Group commit: sync only once enough frames are staged;
-                // the node's flush timer covers stragglers.
-                Some(cfg) if self.wal.pending_ops() < cfg.ops => {}
-                _ => {
-                    self.wal.sync()?;
-                }
-            }
+        if !self.staged {
+            self.wal.sync()?;
         }
         self.apply_in_memory(&op)?;
         Ok(self.oplog.push(op))
@@ -487,25 +452,6 @@ impl Db {
                 self.insert_doc(coll, record.to_document())?;
                 Ok(true)
             }
-        }
-    }
-
-    /// Stores a batch of records with LWW semantics and **one** WAL sync
-    /// covering the whole batch (see [`Db::apply_batch`]). Returns one entry
-    /// per record: `true` iff that record's write succeeded (LWW-stale
-    /// writes count as success, matching [`Db::put_record`]'s `is_ok`), and
-    /// every successful write is durable once this returns.
-    pub fn put_records(&mut self, coll: &str, records: &[Record]) -> Vec<bool> {
-        let outcomes = self
-            .with_deferred_sync(|db| {
-                Ok(records.iter().map(|r| db.put_record(coll, r).is_ok()).collect::<Vec<bool>>())
-            })
-            .unwrap_or_else(|_| vec![false; records.len()]);
-        match self.wal.sync() {
-            Ok(_) => outcomes,
-            // A failed sync means durability is unknown for the whole batch:
-            // acknowledge nothing.
-            Err(_) => vec![false; records.len()],
         }
     }
 
@@ -823,71 +769,34 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_syncs_once() {
-        let reg = mystore_obs::Registry::new();
-        let mut master = Db::memory();
-        master.create_index("d", "self-key").unwrap();
-        for i in 0..10 {
-            master.insert_doc("d", doc! { "self-key": format!("k{i}") }).unwrap();
-        }
-        let mut follower = Db::memory();
-        follower.set_wal_metrics(crate::wal::WalMetrics::from_registry(&reg));
-        follower.apply_batch(&master.full_dump()).unwrap();
-        assert_eq!(follower.count("d", &Filter::True).unwrap(), 10);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["wal.appends"], 11, "index + 10 docs");
-        assert_eq!(snap.counters["wal.fsyncs"], 1, "one sync covers the batch");
-        assert_eq!(follower.wal_pending_ops(), 0, "batch is durable on return");
-    }
-
-    #[test]
-    fn put_records_batches_lww_and_syncs_once() {
+    fn staged_mode_defers_sync_until_sync_wal() {
         let reg = mystore_obs::Registry::new();
         let mut db = Db::memory();
         db.set_wal_metrics(crate::wal::WalMetrics::from_registry(&reg));
-        let recs: Vec<Record> = (0..5)
-            .map(|i| {
-                Record::new(
-                    ObjectId::from_parts(1, 1, i),
-                    format!("k{i}"),
-                    vec![i as u8],
-                    pack_version(10 + i as u64, 0),
-                )
-            })
-            .collect();
-        assert_eq!(db.put_records("data", &recs), vec![true; 5]);
-        assert_eq!(reg.snapshot().counters["wal.fsyncs"], 1);
-        // A stale re-put is LWW-rejected but still acknowledged ok.
-        let stale = Record::new(ObjectId::from_parts(9, 9, 9), "k0", vec![9], pack_version(1, 0));
-        assert_eq!(db.put_records("data", &[stale]), vec![true]);
-        assert_eq!(db.get_record("data", "k0").unwrap().unwrap().val, vec![0]);
-    }
-
-    #[test]
-    fn group_commit_defers_sync_until_threshold_or_flush() {
-        let reg = mystore_obs::Registry::new();
-        let mut db = Db::memory();
-        db.set_wal_metrics(crate::wal::WalMetrics::from_registry(&reg));
-        db.set_group_commit(Some(crate::wal::GroupCommitConfig { ops: 4, max_delay_us: 1_000 }));
+        db.set_staged(true);
         for i in 0..3 {
             db.insert_doc("d", doc! { "k": i }).unwrap();
         }
-        assert_eq!(db.wal_pending_ops(), 3, "below threshold: staged, not synced");
+        assert_eq!(db.wal_pending_ops(), 3, "staged, not synced");
+        assert_eq!(db.count("d", &Filter::True).unwrap(), 3, "reads see staged writes");
         assert_eq!(reg.snapshot().counters["wal.fsyncs"], 0);
-        db.insert_doc("d", doc! { "k": 3 }).unwrap();
-        assert_eq!(db.wal_pending_ops(), 0, "threshold reached: batch synced");
+        assert_eq!(db.sync_wal().unwrap(), 3, "one sync covers the batch");
         assert_eq!(reg.snapshot().counters["wal.fsyncs"], 1);
-        // The flush-timer path: a straggler is staged until sync_wal.
-        db.insert_doc("d", doc! { "k": 4 }).unwrap();
+        // A batch helper still returns durable, and leaves staging on.
+        db.with_batch(|db| db.insert_doc("d", doc! { "k": 8 })).unwrap();
+        assert_eq!(db.wal_pending_ops(), 0);
+        db.insert_doc("d", doc! { "k": 9 }).unwrap();
         assert_eq!(db.wal_pending_ops(), 1);
-        assert_eq!(db.sync_wal().unwrap(), 1);
-        assert_eq!(reg.snapshot().counters["wal.fsyncs"], 2);
+        // Back to the default: durable on return.
+        db.set_staged(false);
+        db.insert_doc("d", doc! { "k": 10 }).unwrap();
+        assert_eq!(db.wal_pending_ops(), 0);
     }
 
     #[test]
-    fn crash_in_group_commit_window_loses_only_unsynced_ops() {
+    fn crash_in_staged_mode_loses_only_unsynced_ops() {
         let mut db = Db::memory();
-        db.set_group_commit(Some(crate::wal::GroupCommitConfig { ops: 100, max_delay_us: 1_000 }));
+        db.set_staged(true);
         db.insert_doc("d", doc! { "self-key": "durable" }).unwrap();
         db.sync_wal().unwrap();
         db.insert_doc("d", doc! { "self-key": "staged" }).unwrap();

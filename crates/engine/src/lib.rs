@@ -50,4 +50,4 @@ pub use pool::{ConnectOptions, DbHandle, Pool, PooledConn};
 pub use query::{Agg, Filter, GroupSpec, Update};
 pub use record::{cas_version_check, lww_winner, pack_version, unpack_version, Record};
 pub use repl::{ReplNode, Role};
-pub use wal::{GroupCommitConfig, WalMetrics};
+pub use wal::WalMetrics;

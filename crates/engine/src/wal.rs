@@ -30,24 +30,6 @@ use mystore_obs::{Counter, Histogram, Registry, Stopwatch};
 
 use crate::error::{EngineError, Result};
 
-/// Tuning for the group-commit pipeline (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Force a sync once this many frames are staged. `1` degenerates to
-    /// one-sync-per-append (group commit effectively off).
-    pub ops: usize,
-    /// Upper bound on how long a staged frame may wait for its sync (µs).
-    /// The [`crate::Db`] does not read clocks itself — callers arm a flush
-    /// timer at this period and call [`crate::Db::sync_wal`] when it fires.
-    pub max_delay_us: u64,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig { ops: 64, max_delay_us: 2_000 }
-    }
-}
-
 /// Observability handles for WAL hot paths. A default-constructed set is
 /// standalone (recorded but invisible); attach registry-backed handles via
 /// [`Wal::set_metrics`] to fold a node's WAL activity into `/_stats`.
@@ -59,7 +41,7 @@ pub struct WalMetrics {
     pub append_bytes: Counter,
     /// Syncs that actually happened: real `sync_all()` calls on the file
     /// backend, modelled syncs on the memory backend. Under group commit
-    /// this stays well below `appends`.
+    /// (one sync per batch of staged frames) this stays below `appends`.
     pub fsyncs: Counter,
     /// Wall-clock append latency, µs (framing + buffered write; the sync is
     /// accounted separately in `sync_us`).

@@ -159,7 +159,6 @@ pub fn workspace_policy(workspace_root: &std::path::Path) -> Vec<CratePolicy> {
         "retry.".into(),
         "node.".into(),
         "batch.".into(),
-        "coord.".into(),
         "frontend.".into(),
         "cas.".into(),
         "sync.".into(),

@@ -300,14 +300,14 @@ pub enum FaultEvent {
         /// The other endpoint.
         b: NodeId,
     },
-    /// Degrade `node`'s disk: every fsync-bearing write costs `extra_us`
-    /// additional service time until a matching [`FaultEvent::HealDisk`].
-    /// Models a failing/contended drive; exercises the group-commit path
-    /// under latency faults. Survives crashes (it is the hardware).
+    /// Degrade `node`'s disk: every WAL sync costs `extra_us` additional
+    /// service time until a matching [`FaultEvent::HealDisk`]. Models a
+    /// failing/contended drive; exercises the commit path under latency
+    /// faults. Survives crashes (it is the hardware).
     SlowFsync {
         /// The node whose disk degrades.
         node: NodeId,
-        /// Extra per-write latency (µs).
+        /// Extra per-sync latency (µs).
         extra_us: u64,
     },
     /// Restore `node`'s disk to full speed.

@@ -85,7 +85,7 @@ pub struct Context<'a, M> {
     /// Fault sampled for the *current operation*, if the runtime's fault
     /// plan produced one. See [`Context::take_op_fault`].
     op_fault: Option<OpFault>,
-    /// Extra per-durable-write latency this node's disk currently suffers
+    /// Extra per-sync latency this node's disk currently suffers
     /// (µs). See [`Context::disk_penalty_us`].
     disk_penalty_us: u64,
 }
@@ -113,8 +113,8 @@ impl<'a, M> Context<'a, M> {
     ///
     /// `0` means the disk is healthy. A `slow-fsync` fault (see
     /// `FaultEvent::SlowFsync` in the schedule vocabulary) raises it until
-    /// a matching `heal-disk` event; components that model an fsync-bearing
-    /// write charge `ctx.consume(cost + ctx.disk_penalty_us())`.
+    /// a matching `heal-disk` event; a component charges it once per WAL
+    /// sync it models (`ctx.consume(ctx.disk_penalty_us())`).
     pub fn disk_penalty_us(&self) -> u64 {
         self.disk_penalty_us
     }
@@ -192,6 +192,14 @@ pub trait Process<M> {
     /// Handles a timer armed with `token`.
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, token: TimerToken);
 
+    /// Called at the end of every *batch* — the messages and due timers
+    /// already queued when its first item was taken (one item under light
+    /// load) — after all its handlers ran and their actions were
+    /// dispatched. Work arriving meanwhile starts the next batch, so a node
+    /// whose inbox never empties still gets here once per batch. A storage
+    /// node commits its WAL here. Default: nothing.
+    fn on_batch_end(&mut self, _ctx: &mut Context<'_, M>) {}
+
     /// Called when the node recovers from a crash. Default: re-run
     /// [`Process::on_start`] (state survives; in-flight work is lost).
     fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
@@ -199,7 +207,7 @@ pub trait Process<M> {
     }
 
     /// True when the process has no in-flight work (pending quorum ops,
-    /// unflushed acks, queued replica batches). The threaded runtime's
+    /// unreleased acks). The threaded runtime's
     /// graceful shutdown drains each node until it reports quiescent before
     /// invoking [`Process::on_shutdown`]. Default: always quiescent, which
     /// is correct for stateless processes. The simulator never calls this.

@@ -12,6 +12,12 @@
 //!   either surfaced to the process (network exception, disk error) or
 //!   applied by the runtime (blocked process), and node breakdown takes the
 //!   node offline,
+//! * a **batch model**: the work already queued at a node when one item
+//!   is taken forms a batch, and [`Process::on_batch_end`] runs once its
+//!   last item has run (a lone arrival at an idle node is its own batch).
+//!   The hook is invoked in event order as the last item is dispatched,
+//!   but time-stamped at the batch's latest completion time, so a crash
+//!   scheduled in between cannot interrupt it (DESIGN.md §9),
 //! * **crash/partition control** for scripted failure drills,
 //! * a **trace** collecting every `ctx.record(...)` measurement.
 //!
@@ -138,10 +144,16 @@ struct NodeSlot<M> {
     busy_us: u64,
     /// Messages dropped because the node was down.
     dropped: u64,
-    /// Extra per-durable-write latency of this node's disk (µs); `0` is a
+    /// Extra per-sync latency of this node's disk (µs); `0` is a
     /// healthy disk. Set by the `slow-fsync` fault, cleared by `heal-disk`.
     /// Survives crashes — it models the hardware, not the process.
     disk_penalty_us: u64,
+    /// Items still to be taken in the open batch (`0` = no batch open). A
+    /// batch is the work already queued when its first item is taken; the
+    /// process's [`Process::on_batch_end`] runs once its last item has.
+    batch_left: usize,
+    /// Latest completion time of the open batch's items (µs).
+    batch_until: u64,
 }
 
 /// Predicate selecting which messages draw per-operation faults.
@@ -219,6 +231,8 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
             busy_us: 0,
             dropped: 0,
             disk_penalty_us: 0,
+            batch_left: 0,
+            batch_until: 0,
         });
         id
     }
@@ -298,8 +312,8 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
     }
 
     /// Schedules degrading (`extra_us > 0`) or healing (`extra_us == 0`)
-    /// `node`'s disk at `at`. While degraded, every fsync-bearing write on
-    /// the node costs `extra_us` additional service time (surfaced to the
+    /// `node`'s disk at `at`. While degraded, every WAL sync on the node
+    /// costs `extra_us` additional service time (surfaced to the
     /// process via [`Context::disk_penalty_us`]).
     pub fn schedule_disk_penalty(&mut self, at: SimTime, node: NodeId, extra_us: u64) {
         self.push(at.0, EventKind::SetDiskPenalty { node, extra_us });
@@ -557,6 +571,7 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
         slot.up = false;
         slot.queue.clear();
         slot.dispatch_at = None;
+        slot.batch_left = 0;
         self.fault_metrics.crashes.inc();
         if let Some(d) = down_for_us {
             self.push(now + d, EventKind::Recover { node });
@@ -586,6 +601,10 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
                     self.push(free_at, EventKind::Dispatch { node });
                 }
                 return;
+            }
+            if slot.batch_left == 0 {
+                slot.batch_left = slot.queue.len();
+                slot.batch_until = now;
             }
             let work = slot.queue.pop_front().expect("non-empty");
             // Sample a per-operation fault for message work (Table 2).
@@ -632,7 +651,25 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
             if slot.up {
                 slot.servers[sidx] = now + total;
                 slot.busy_us += total;
+                slot.batch_until = slot.batch_until.max(now + total);
+                slot.batch_left -= 1;
+                if slot.batch_left == 0 {
+                    self.end_batch(node, sidx);
+                }
             }
+        }
+    }
+
+    /// Runs the end-of-batch hook once every item of the batch has run and
+    /// dispatched its actions: at the batch's latest completion time, with
+    /// its service time charged to the server that ran the last item.
+    fn end_batch(&mut self, node: NodeId, sidx: usize) {
+        let at = self.nodes[node.0 as usize].batch_until;
+        let spent = self.invoke(node, at, |p, ctx| p.on_batch_end(ctx), None);
+        let slot = &mut self.nodes[node.0 as usize];
+        if slot.up && spent > 0 {
+            slot.servers[sidx] = slot.servers[sidx].max(at + spent);
+            slot.busy_us += spent;
         }
     }
 

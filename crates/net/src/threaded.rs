@@ -20,6 +20,13 @@
 //! receiver with [`ThreadedCluster::take_external_rx`] and routes each
 //! triple onward (TCP peer link, HTTP response channel, ...).
 //!
+//! # Batches
+//!
+//! A node thread takes its work in batches: the first message (or due
+//! timer) plus everything already queued behind it at that moment. Once
+//! the batch's handlers have run and their actions are sent, the loop
+//! calls [`Process::on_batch_end`], as the simulator does.
+//!
 //! # Shutdown
 //!
 //! [`ThreadedCluster::shutdown`] stops all nodes promptly;
@@ -358,6 +365,7 @@ enum HandlerInput<M> {
     Start,
     Msg { from: NodeId, msg: M },
     Timer(TimerToken),
+    BatchEnd,
     Shutdown,
 }
 
@@ -387,6 +395,7 @@ impl<M: Send + 'static> NodeLoop<M> {
                 HandlerInput::Start => process.on_start(&mut ctx),
                 HandlerInput::Msg { from, msg } => process.on_message(&mut ctx, from, msg),
                 HandlerInput::Timer(token) => process.on_timer(&mut ctx, token),
+                HandlerInput::BatchEnd => process.on_batch_end(&mut ctx),
                 HandlerInput::Shutdown => process.on_shutdown(&mut ctx),
             }
             ctx.consumed()
@@ -442,6 +451,29 @@ impl<M: Send + 'static> NodeLoop<M> {
         self.drain_deadline.is_some()
             && (process.quiescent() || self.drain_deadline.is_some_and(|d| Instant::now() >= d))
     }
+
+    /// Pops the earliest timer due at `now`, if any.
+    fn pop_due(&mut self, now: Instant) -> Option<TimerToken> {
+        let Reverse((at, _, _)) = self.timers.peek()?;
+        if *at > now {
+            return None;
+        }
+        self.timers.pop().map(|Reverse((_, _, token))| token)
+    }
+
+    /// How long to block for the next envelope: until the next timer (or
+    /// 100 ms with none armed), and while draining at most 10 ms and never
+    /// past the drain deadline, so quiescence is noticed promptly even when
+    /// the process goes idle with long-period timers armed.
+    fn wait_timeout(&self) -> Duration {
+        let now = Instant::now();
+        let next = self.timers.peek().map_or(Duration::from_millis(100), |Reverse((at, _, _))| {
+            at.saturating_duration_since(now)
+        });
+        self.drain_deadline.map_or(next, |d| {
+            next.min(d.saturating_duration_since(now)).min(Duration::from_millis(10))
+        })
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -478,49 +510,55 @@ fn node_main<M: Send + 'static>(
         };
     }
 
-    step!(HandlerInput::Start);
-
-    loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((at, _, _))) = lp.timers.peek() {
-            if *at > now {
-                break;
-            }
-            let Reverse((_, _, token)) = lp.timers.pop().expect("peeked");
-            step!(HandlerInput::Timer(token));
-        }
-        if lp.drained(process.as_ref()) {
+    macro_rules! stop {
+        () => {{
             let _ = lp.run_handler(&mut process, rng, HandlerInput::Shutdown);
             return;
+        }};
+    }
+
+    step!(HandlerInput::Start);
+
+    macro_rules! envelope {
+        ($env:expr) => {
+            match $env {
+                Envelope::Msg { from, msg } => step!(HandlerInput::Msg { from, msg }),
+                Envelope::Stop => stop!(),
+                Envelope::Drain { deadline } => {
+                    lp.drain_deadline =
+                        Some(lp.drain_deadline.map_or(deadline, |d| d.min(deadline)));
+                }
+            }
+        };
+    }
+
+    loop {
+        // Block until there is work: a due timer or an envelope.
+        let first = if lp.timers.peek().is_some_and(|Reverse((at, _, _))| *at <= Instant::now()) {
+            None
+        } else {
+            match rx.recv_timeout(lp.wait_timeout()) {
+                Ok(env) => Some(env),
+                Err(RecvTimeoutError::Timeout) if !lp.drained(process.as_ref()) => continue,
+                Err(_) => stop!(),
+            }
+        };
+        // The batch is the work already queued now: the envelopes behind
+        // the first and the timers due. Sizing it up front bounds it.
+        let (now, queued) = (Instant::now(), rx.len());
+        if let Some(env) = first {
+            envelope!(env);
         }
-        let mut timeout = lp
-            .timers
-            .peek()
-            .map(|Reverse((at, _, _))| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(100));
-        if let Some(deadline) = lp.drain_deadline {
-            // While draining, wake at least at the deadline (and poll a
-            // little faster so quiescence is noticed promptly even when the
-            // process goes idle with long-period timers armed).
-            timeout = timeout
-                .min(deadline.saturating_duration_since(Instant::now()))
-                .min(Duration::from_millis(10));
+        while let Some(token) = lp.pop_due(now) {
+            step!(HandlerInput::Timer(token));
         }
-        match rx.recv_timeout(timeout) {
-            Ok(Envelope::Msg { from, msg }) => step!(HandlerInput::Msg { from, msg }),
-            Ok(Envelope::Stop) => {
-                let _ = lp.run_handler(&mut process, rng, HandlerInput::Shutdown);
-                return;
-            }
-            Ok(Envelope::Drain { deadline }) => {
-                lp.drain_deadline = Some(lp.drain_deadline.map_or(deadline, |d| d.min(deadline)));
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                let _ = lp.run_handler(&mut process, rng, HandlerInput::Shutdown);
-                return;
-            }
+        for _ in 0..queued {
+            let Ok(env) = rx.try_recv() else { break };
+            envelope!(env);
+        }
+        step!(HandlerInput::BatchEnd);
+        if lp.drained(process.as_ref()) {
+            stop!();
         }
     }
 }

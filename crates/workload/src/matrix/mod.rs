@@ -18,9 +18,8 @@
 //!
 //! Quiescent gaps between bursts cost almost nothing: the sim fast-forwards
 //! a drained queue (the `run_until` idle-clock fix) and the periodic timers
-//! back off while nothing changes (gossip and anti-entropy idle backoff,
-//! demand-armed WAL flush) — which is what makes 7×24 h horizons affordable
-//! in seconds of wall clock.
+//! back off while nothing changes (gossip and anti-entropy idle backoff) —
+//! which is what makes 7×24 h horizons affordable in seconds of wall clock.
 
 pub mod client;
 pub mod schedule;
@@ -58,9 +57,6 @@ pub struct CellSpec {
     pub bursts: u64,
     /// Sequential operations per burst.
     pub ops_per_burst: u64,
-    /// WAL group-commit batch size (`1` = per-op sync); slow-fsync cells
-    /// set this above 1 so the latency fault hits the group-commit path.
-    pub group_commit_ops: usize,
     /// Per-node capacity weights (heterogeneous rings, DESIGN.md §16);
     /// empty = homogeneous. Indexed like the storage ids, nodes past the
     /// end get weight 1.
@@ -88,7 +84,6 @@ impl CellSpec {
             keys: 128,
             bursts: (horizon_us / (6 * 3600 * SEC)).clamp(4, 32),
             ops_per_burst: 100,
-            group_commit_ops: if profile == FaultProfile::SlowFsync { 8 } else { 1 },
             weights: Vec::new(),
         }
     }
@@ -162,7 +157,6 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
     cfg.anti_entropy_idle_backoff_max = 64;
     cfg.compaction_interval_us = 3600 * SEC;
     cfg.hint_replay_interval_us = 120 * SEC;
-    cfg.group_commit_ops = spec.group_commit_ops;
     // A coarser tick suits the long-horizon cells: each active plan wakes
     // 4×/s instead of 20×/s, keeping mostly-idle weeks fast-forwardable.
     // With the Kill profile's 30–120 s outages against the 50 s failure

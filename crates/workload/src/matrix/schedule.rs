@@ -30,9 +30,9 @@ pub enum FaultProfile {
     /// A node flaps: three crash/restart cycles of 5–10 s in quick
     /// succession — the gossip generation bump and WAL replay churn test.
     Flap,
-    /// A node's disk degrades (`slow-fsync`): every durable write on it
-    /// costs 2–20 ms extra for 60–600 s, exercising the group-commit path
-    /// under latency faults.
+    /// A node's disk degrades (`slow-fsync`): every WAL commit on it costs
+    /// 2–20 ms extra for 60–600 s, exercising the commit path under
+    /// latency faults.
     SlowFsync,
     /// Round-robin through kill, partition, flap, and slow-fsync.
     Mixed,

@@ -89,13 +89,15 @@ fn elastic_weighted_cell_migrates_without_loss() {
 }
 
 /// The slow-fsync profile actually degrades disks (the `slow-fsync` fault
-/// satellite) and the group-commit path still upholds the invariants
-/// under the added latency.
+/// satellite) and the batch commit still upholds the invariants under the
+/// added latency. The matrix client keeps one operation in flight, so no
+/// work queues at a node and every commit here covers one frame; the
+/// penalty on a multi-frame commit is covered by the core chaos test
+/// `slow_disk_penalty_is_charged_once_per_commit`.
 #[test]
 fn slow_fsync_cell_degrades_disks_without_loss() {
     let spec =
         CellSpec::new(25, Nwr::PAPER, FaultProfile::SlowFsync, KeyDist::Hotspot, 3600 * SEC, 11);
-    assert!(spec.group_commit_ops > 1, "slow-fsync cells must exercise group commit");
     let r = run_cell(&spec);
     assert_eq!(r.client_errors, 0, "client errors in {}", r.name);
     assert_eq!(r.lost_writes, 0, "acked writes lost in {}", r.name);

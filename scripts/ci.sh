@@ -91,12 +91,6 @@ cargo run --release -p mystore-bench --bin bench_elastic -- --smoke
 test -s results/BENCH_PR10_SMOKE.json || { echo "elastic smoke wrote no JSON"; exit 1; }
 rm -f results/BENCH_PR10_SMOKE.json
 
-echo "==> write-throughput bench smoke (group commit)"
-rm -f results/BENCH_PR3_SMOKE.json
-cargo run --release -p mystore-bench --bin bench_pr3 -- --smoke
-test -s results/BENCH_PR3_SMOKE.json || { echo "bench smoke wrote no JSON"; exit 1; }
-rm -f results/BENCH_PR3_SMOKE.json
-
 echo "==> real-runtime benchmark harness (own tests + quick pass of every workload)"
 # The PR-11 benchmark is a standalone package (own workspace and lock, so
 # `cargo test --workspace` above does not reach it). Its unit tests cover
