@@ -275,7 +275,7 @@ pub enum Msg {
     },
     /// Replica → sender: the outcomes of every write from that sender
     /// (`StoreReplica`, `StoreHint`, `StoreReplicaBatch` ops) that one
-    /// end-of-batch WAL commit covered.
+    /// WAL sync made durable.
     StoreAckBatch {
         /// `(req, ok)` per write.
         acks: Vec<(u64, bool)>,

@@ -124,7 +124,7 @@ impl QuorumOp for WriteOp {
                 if fallback == me {
                     // The coordinator may be the only node left standing —
                     // it holds the hint itself, staged like any local
-                    // write: at the batch commit it counts for `intended`.
+                    // write: once durable it counts for `intended`.
                     ctx.consume(node.cfg.cost.put_us(self.record.val.len()));
                     let hint_doc = doc! {
                         "intended": intended.0 as i64,
@@ -133,7 +133,7 @@ impl QuorumOp for WriteOp {
                     if node.db.insert_doc(HINTS, hint_doc).is_ok() {
                         node.metrics.hints_stored.inc();
                         node.metrics.hint_queue_depth.add(1);
-                        node.parked_own.push((req, intended));
+                        node.parked_own.push((req, intended, node.db.wal_end_pos()));
                     }
                 } else {
                     ctx.send(
@@ -261,18 +261,16 @@ impl StorageNode {
         };
         let me = self.id();
         if prefs.contains(&me) {
-            // "The node firstly stores the data records locally" (§5.2.2).
+            // "The node firstly stores the data records locally" (§5.2.2):
+            // staged, it counts toward `W` once its sync completes, while
+            // the replica writes below are already on their way.
             ctx.consume(self.cfg.cost.put_us(record.val.len()));
             self.stats.replica_puts += 1;
             if self.db.put_record(&self.cfg.collection, &record).is_ok() {
-                self.parked_own.push((my_req, me));
+                self.parked_own.push((my_req, me, self.db.wal_end_pos()));
             }
         }
         self.drv_finish_start(ctx, my_req, common, OpState::Write(op));
-        // Commit now (the op is registered for the self-ack), then send: on
-        // a shared disk, overlapping this fsync with the replicas' would
-        // serialise them in its journal and stall every node (DESIGN.md §9).
-        self.commit(ctx);
         for &replica in prefs.iter().filter(|&&r| r != me) {
             self.send_replica(ctx, replica, my_req, &record);
         }

@@ -25,7 +25,8 @@
 //! * [`coordinator`] — the generic quorum engine ([`coordinator::quorum::Driver`],
 //!   the `QuorumOp` trait) and the thin PUT/GET/CAS op definitions,
 //! * [`replica`] — the replica-level server side (store/fetch/hint) and
-//!   the end-of-batch commit that syncs the WAL and releases parked acks,
+//!   the group commit that syncs the WAL off the node's thread and
+//!   releases parked acks as the sync completes,
 //! * [`maintenance`] — membership/ring/rebalance, hint replay,
 //!   anti-entropy and gossip ticks.
 
@@ -113,13 +114,18 @@ pub struct StorageNode {
     pub(crate) reap_floor: u64,
     /// Anti-entropy observability (shared registry, `sync.*` series).
     pub(crate) sync_metrics: crate::sync::SyncMetrics,
-    /// Acks for writes this batch staged, `(to, req)`: an ack must mean
-    /// "durable here", so they wait for the end-of-batch commit.
-    pub(crate) parked_acks: Vec<(NodeId, u64)>,
+    /// Acks for staged writes, `(to, req, wal_pos)`: an ack must mean
+    /// "durable here", so each waits until the WAL's durable watermark
+    /// reaches the position its write staged up to.
+    pub(crate) parked_acks: Vec<(NodeId, u64, u64)>,
     /// This node's own staged copies of writes it coordinates, `(req,
-    /// slot)`: they count toward `W` at the commit, for the replica `slot`
-    /// (itself, or the unreachable replica a self-held hint stands in for).
-    pub(crate) parked_own: Vec<(u64, NodeId)>,
+    /// slot, wal_pos)`: they count toward `W` once durable, for the replica
+    /// `slot` (itself, or the unreachable replica a self-held hint stands
+    /// in for).
+    pub(crate) parked_own: Vec<(u64, NodeId, u64)>,
+    /// The WAL position the sync in flight covers; `None` when no sync is
+    /// in flight. At most one is (DESIGN.md §9).
+    pub(crate) syncing: Option<u64>,
     /// The active migration plan, when a ring change is being drained
     /// through the rate-limited engine (DESIGN.md §16); `None` otherwise.
     pub(crate) migration: Option<MigrationPlan>,
@@ -170,7 +176,7 @@ impl StorageNode {
             db.create_index(&cfg.collection, "self-key").expect("fresh db");
         }
         db.set_wal_metrics(WalMetrics::from_registry(&cfg.metrics));
-        // From here on writes stage; `on_batch_end` makes them durable.
+        // From here on writes stage; `commit` makes them durable.
         db.set_staged(true);
         let mut gossiper = Gossiper::new(me, 1, cfg.gossip.clone());
         gossiper.set_metrics(GossipMetrics::from_registry(&cfg.metrics));
@@ -197,6 +203,7 @@ impl StorageNode {
             sync_metrics,
             parked_acks: Vec::new(),
             parked_own: Vec::new(),
+            syncing: None,
             migration: None,
             migrate_acks: BTreeMap::new(),
             pending_in: Vec::new(),
@@ -262,6 +269,17 @@ impl StorageNode {
     /// table (tests: the table must drain once deadlines pass).
     pub fn inflight_quorum_ops(&self) -> usize {
         self.quorum.ops.len()
+    }
+
+    /// Whether a WAL sync is in flight (tests: crashes inside a commit).
+    pub fn sync_in_flight(&self) -> bool {
+        self.syncing.is_some()
+    }
+
+    /// Acks (remote, and this node's own copies) waiting for their writes
+    /// to become durable.
+    pub fn parked_acks(&self) -> usize {
+        self.parked_acks.len() + self.parked_own.len()
     }
 
     /// Highest tombstone-reap cutoff applied since the last restart
@@ -346,6 +364,7 @@ impl Process<Msg> for StorageNode {
         self.ae_quiet_rounds = 0;
         self.parked_acks.clear();
         self.parked_own.clear();
+        self.syncing = None;
         // Volatile migration state dies with the process; the persisted
         // cursor in `migrate_state` is what survives, and `resume_migration`
         // rebuilds the plan from it below.
@@ -518,14 +537,22 @@ impl Process<Msg> for StorageNode {
         self.commit(ctx);
     }
 
+    fn on_sync_done(&mut self, ctx: &mut Context<'_, Msg>, ok: bool) {
+        self.sync_done(ctx, ok);
+    }
+
     fn quiescent(&self) -> bool {
-        // A drain waits for coordinated ops (parked acks never outlive their
-        // batch); maintenance (gossip, anti-entropy, hints) can be cut.
-        self.quorum.ops.is_empty()
+        // A drain waits for coordinated ops and the sync in flight (a parked
+        // ack waits for at most that sync and the next); maintenance
+        // (gossip, anti-entropy, hints) can be cut.
+        self.quorum.ops.is_empty() && self.syncing.is_none()
     }
 
     fn on_shutdown(&mut self, ctx: &mut Context<'_, Msg>) {
-        // A stop can cut a batch short: commit what it staged.
-        self.commit(ctx);
+        // A stop can cut a batch or a sync short: one blocking sync covers
+        // everything staged, and everything parked goes out.
+        let ok = self.db.sync_wal().is_ok();
+        self.syncing = None;
+        self.release_parked(ctx, self.db.wal_end_pos(), ok);
     }
 }

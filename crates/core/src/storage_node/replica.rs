@@ -1,48 +1,79 @@
 //! The replica-level server side of the storage node: applying
-//! coordinator-issued stores/fetches/hints, and the end-of-batch commit
-//! that keeps "ack" meaning "durable here" (DESIGN.md §9).
+//! coordinator-issued stores/fetches/hints, and the group commit that
+//! keeps "ack" meaning "durable here" (DESIGN.md §9).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mystore_bson::doc;
 use mystore_engine::Record;
-use mystore_net::{Context, NodeId, OpFault};
+use mystore_net::{Context, NodeId, OpFault, SyncJob};
 
 use crate::message::{BatchPut, Msg};
 use crate::storage_node::coordinator::quorum::Reply;
 use crate::storage_node::{StorageNode, HINTS};
 
 impl StorageNode {
-    /// Acks a write this handler staged: a success waits for the batch
-    /// commit (an ack must mean "durable here"); a failure needs no
-    /// durability and is answered at once.
+    /// Acks a write this handler staged: a success waits until the WAL is
+    /// durable up to the write (an ack must mean "durable here"); a failure
+    /// needs no durability and is answered at once.
     pub(crate) fn park_ack(&mut self, ctx: &mut Context<'_, Msg>, to: NodeId, req: u64, ok: bool) {
         if ok {
-            self.parked_acks.push((to, req));
+            self.parked_acks.push((to, req, self.db.wal_end_pos()));
         } else {
             ctx.send(to, Msg::StoreAck { req, ok });
         }
     }
 
-    /// The end-of-batch commit ([`mystore_net::Process::on_batch_end`]):
-    /// one WAL sync covers every frame the batch staged, and a degraded
-    /// disk's penalty is charged once for it. Then the parked acks go out —
-    /// this node's own copies count toward `W`, remote acks leave as one
-    /// `StoreAck` or `StoreAckBatch` per destination — all answered
-    /// `ok: false` if the sync failed. A coordinator starting a client
-    /// write also runs it early, before its fan-out (`start_write`).
+    /// The group commit, run at the end of every batch and after every
+    /// sync: releases the parked acks the durable watermark now covers,
+    /// then — if no sync is in flight and frames are staged — starts the
+    /// one sync that covers them all, off the node's thread. This is the
+    /// only place a sync starts, so at most one is in flight and frames
+    /// staged meanwhile ride the next.
     pub(crate) fn commit(&mut self, ctx: &mut Context<'_, Msg>) {
-        let mut ok = true;
-        if self.db.wal_pending_ops() > 0 {
-            ctx.consume(ctx.disk_penalty_us());
-            ok = self.db.sync_wal().is_ok();
+        self.release_parked(ctx, self.db.wal_durable_pos(), true);
+        if self.syncing.is_some() || self.db.wal_pending_ops() == 0 {
+            return;
         }
-        for (req, slot) in std::mem::take(&mut self.parked_own) {
+        match self.db.begin_wal_sync() {
+            Ok((upto, file)) => {
+                self.syncing = Some(upto);
+                ctx.start_sync(file.map(|f| SyncJob::new(move || f.sync_data().is_ok())));
+            }
+            // Not even a handle to sync with: as good as a failed sync.
+            Err(_) => self.release_parked(ctx, self.db.wal_end_pos(), false),
+        }
+    }
+
+    /// The sync in flight finished ([`mystore_net::Process::on_sync_done`]):
+    /// on success its acks are released, on failure every ack it covered is
+    /// answered `ok: false`; then the frames staged meanwhile start the
+    /// next sync at once.
+    pub(crate) fn sync_done(&mut self, ctx: &mut Context<'_, Msg>, ok: bool) {
+        let Some(upto) = self.syncing.take() else { return };
+        self.db.finish_wal_sync(ok);
+        if !ok {
+            self.release_parked(ctx, upto, false);
+        }
+        self.commit(ctx);
+    }
+
+    /// Answers every parked ack whose write is at or below WAL position
+    /// `upto`: this node's own copies count toward `W`, remote acks leave
+    /// as one `StoreAck` or `StoreAckBatch` per destination.
+    pub(crate) fn release_parked(&mut self, ctx: &mut Context<'_, Msg>, upto: u64, ok: bool) {
+        let (own, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.parked_own).into_iter().partition(|&(_, _, at)| at <= upto);
+        self.parked_own = rest;
+        let (acks, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.parked_acks).into_iter().partition(|&(_, _, at)| at <= upto);
+        self.parked_acks = rest;
+        for (req, slot, _) in own {
             self.drv_on_reply(ctx, req, slot, Reply::Ack { ok });
         }
         let mut by_dest: BTreeMap<NodeId, Vec<(u64, bool)>> = BTreeMap::new();
-        for (to, req) in std::mem::take(&mut self.parked_acks) {
+        for (to, req, _) in acks {
             by_dest.entry(to).or_default().push((req, ok));
         }
         for (to, acks) in by_dest {

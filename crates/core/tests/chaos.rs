@@ -179,18 +179,22 @@ fn seeded_chaos_kill_sustains_cas_chain_with_zero_client_errors() {
     assert_eq!(rec.version, p.expected, "victim must hold the final CAS version");
 }
 
-/// The batch commit under a mid-workload crash: bursts of writes queue up
-/// behind busy servers and share one WAL sync per batch, replica 2 dies
-/// with frames staged but not yet committed (the crash model discards
-/// them), and every *acked* write must still be readable afterwards — only
+/// The group commit under a crash inside a sync. Replica 2's syncs take
+/// 20 ms; six bursts of 16 writes each reach it within a millisecond, so
+/// its frames and acks pile up behind a sync in flight. It is crashed at
+/// nine offsets spread from the start of the fourth burst's first sync to
+/// that sync's completion — the crash model discards what was not yet
+/// durable and the parked acks with it. At every offset every acked write
+/// must still be readable and the rejoined replica must catch up; only
 /// unacked writes may land on either side of the crash.
 #[test]
 fn group_commit_crash_loses_only_unacked_writes() {
+    const PENALTY_US: u64 = 20_000;
+    const OFFSETS: u64 = 9;
     let warm = 5_000_000u64;
-    let crash_at = CRASH_INSIDE_BATCH_US;
-    // Six bursts of 16 writes each, all sent to one coordinator at once:
-    // twice its eight servers, so half of every burst queues and commits
-    // as one batch — at the coordinator and again at each replica.
+    let fourth_burst = warm + 500_000 + 3 * 200_000;
+    // Six bursts of 16 writes, each sent to one coordinator at once: twice
+    // its eight servers, so writes queue and share syncs everywhere.
     let mut script: Vec<(u64, NodeId, Msg)> = Vec::new();
     for burst in 0..6u64 {
         for j in 0..16u64 {
@@ -209,53 +213,88 @@ fn group_commit_crash_loses_only_unacked_writes() {
             get(100 + i, &format!("gc{i}")),
         ));
     }
-    let (mut sim, registry, _spec, probe) = chaos_cluster(4311, script);
-    // Node 2 dies mid-workload — with a batch open — and rejoins 6 s later.
-    sim.schedule_crash(SimTime(crash_at), NodeId(2), Some(6_000_000));
-    sim.start();
-    sim.run_until(SimTime(crash_at - 1));
-    let staged = sim.process::<StorageNode>(NodeId(2)).unwrap().db().wal_pending_ops();
-    assert!(staged > 0, "the crash must land inside an open batch");
-    sim.run_until(SimTime(20_000_000));
+    let cluster = |crash_at: Option<u64>| {
+        let (mut sim, registry, _spec, probe) = chaos_cluster(4311, script.clone());
+        sim.schedule_disk_penalty(SimTime(warm), NodeId(2), PENALTY_US);
+        if let Some(at) = crash_at {
+            sim.schedule_crash(SimTime(at), NodeId(2), Some(6_000_000));
+        }
+        sim.start();
+        (sim, registry, probe)
+    };
+    let victim = |sim: &Sim<Msg>| {
+        let node = sim.process::<StorageNode>(NodeId(2)).unwrap();
+        (node.sync_in_flight(), node.parked_acks())
+    };
 
-    let p = sim.process::<Probe>(probe).unwrap();
-    assert_eq!(
-        p.count_where(|m| matches!(m, Msg::PutResp { result: Ok(()), .. })),
-        96,
-        "every W=2 write must succeed despite the crash"
-    );
-    assert_eq!(
-        p.count_where(|m| matches!(m, Msg::GetResp { result: Ok(Some(_)), .. })),
-        96,
-        "every acked write must survive the crash inside the commit batch"
-    );
-    assert_eq!(
-        p.count_where(|m| matches!(
-            m,
-            Msg::PutResp { result: Err(_), .. } | Msg::GetResp { result: Err(_), .. }
-        )),
-        0,
-        "zero client-visible errors"
-    );
+    // Find when the fourth burst's first sync starts on replica 2.
+    let sync_start = {
+        let (mut sim, _, _) = cluster(None);
+        let mut t = fourth_burst;
+        sim.run_until(SimTime(t));
+        while !victim(&sim).0 {
+            t += 10;
+            assert!(t < fourth_burst + 10_000, "replica 2 never started a sync");
+            sim.run_until(SimTime(t));
+        }
+        t
+    };
 
-    let snap = registry.snapshot();
-    let appends = snap.counters.get("wal.appends").copied().unwrap_or(0);
-    let fsyncs = snap.counters.get("wal.fsyncs").copied().unwrap_or(0);
-    assert!(fsyncs < appends, "bursts must share syncs: {fsyncs}/{appends}");
+    let mut landed_mid_sync = 0;
+    for k in 0..OFFSETS {
+        let crash_at = sync_start + k * PENALTY_US / (OFFSETS - 1);
+        let (mut sim, registry, probe) = cluster(Some(crash_at));
+        sim.run_until(SimTime(crash_at - 1));
+        let (syncing, parked) = victim(&sim);
+        if syncing && parked > 0 {
+            landed_mid_sync += 1;
+        }
+        sim.run_until(SimTime(20_000_000));
 
-    // Read repair + hint replay must leave the rejoined victim caught up.
-    assert_eq!(
-        sim.process::<StorageNode>(NodeId(2)).unwrap().record_count(),
-        96,
-        "victim must hold every record after recovery"
-    );
+        let p = sim.process::<Probe>(probe).unwrap();
+        let count = |f: fn(&Msg) -> bool| p.count_where(f);
+        assert_eq!(
+            count(|m| matches!(m, Msg::PutResp { result: Ok(()), .. })),
+            96,
+            "offset {k}: every W=2 write must succeed despite the crash"
+        );
+        assert_eq!(
+            count(|m| matches!(m, Msg::GetResp { result: Ok(Some(_)), .. })),
+            96,
+            "offset {k}: every acked write must survive a crash inside the sync"
+        );
+        assert_eq!(
+            count(|m| matches!(
+                m,
+                Msg::PutResp { result: Err(_), .. } | Msg::GetResp { result: Err(_), .. }
+            )),
+            0,
+            "offset {k}: zero client-visible errors"
+        );
+        let snap = registry.snapshot();
+        let appends = snap.counters.get("wal.appends").copied().unwrap_or(0);
+        let fsyncs = snap.counters.get("wal.fsyncs").copied().unwrap_or(0);
+        assert!(fsyncs < appends, "offset {k}: bursts must share syncs: {fsyncs}/{appends}");
+        // Read repair + hint replay must leave the rejoined victim caught up.
+        assert_eq!(
+            sim.process::<StorageNode>(NodeId(2)).unwrap().record_count(),
+            96,
+            "offset {k}: victim must hold every record after recovery"
+        );
+    }
+    assert!(landed_mid_sync > 0, "no crash landed with a sync in flight and acks parked");
 }
 
-/// A degraded disk costs its penalty once per WAL sync, and a batch
-/// commit is one sync however many frames it covers: a burst against a
-/// replica whose every sync takes 50 ms occupies its servers, the rest of
-/// the burst queues and commits together, so the replica pays fewer
-/// penalties than it stages frames — and at least one.
+/// A degraded disk costs its penalty once per WAL sync, and one sync
+/// covers every frame staged before it began. With one sync in flight at a
+/// time, a 16-write burst against a replica whose syncs take 50 ms costs
+/// exactly two: the first `StoreReplica` to arrive ends a batch with no
+/// sync in flight and starts sync 1 alone (the rest of the burst lands
+/// within a few milliseconds, long before it completes); when it
+/// completes, everything staged meanwhile starts sync 2 at once, and
+/// nothing is left after that. So the replica's WAL is durable after two
+/// penalties. Charging per frame would take 16, and skipping the penalty
+/// none.
 #[test]
 fn slow_disk_penalty_is_charged_once_per_commit() {
     const PENALTY_US: u64 = 50_000;
@@ -267,29 +306,41 @@ fn slow_disk_penalty_is_charged_once_per_commit() {
     let (mut sim, registry, _spec, probe) = chaos_cluster(4312, script);
     sim.schedule_disk_penalty(SimTime(warm), NodeId(2), PENALTY_US);
     sim.start();
-    sim.run_until(SimTime(warm + 50_000));
-    let busy_before = sim.busy_us(NodeId(2));
-    sim.run_until(SimTime(warm + 2_000_000));
+    // Step through the burst in 1 ms slices, noting when replica 2's
+    // non-durable frame count drops: each drop is one completed sync.
+    sim.run_until(SimTime(warm + 100_000));
+    let pending = |sim: &Sim<Msg>| {
+        sim.process::<StorageNode>(NodeId(2)).unwrap().db().wal_pending_ops() as u64
+    };
+    let (mut last, mut first_staged, mut syncs) = (pending(&sim), None, Vec::new());
+    for ms in 1..=1_000u64 {
+        let t = warm + 100_000 + ms * 1_000;
+        sim.run_until(SimTime(t));
+        let now = pending(&sim);
+        if now > 0 && first_staged.is_none() {
+            first_staged = Some(t);
+        }
+        if now < last {
+            syncs.push((t, last - now));
+        }
+        last = now;
+    }
+    let first_staged = first_staged.expect("replica 2 never staged the burst");
+    assert_eq!(last, 0, "replica 2 must end durable");
+    assert_eq!(syncs.len(), 2, "{BURST} frames must take two syncs: {syncs:?}");
+    assert_eq!(syncs.iter().map(|s| s.1).sum::<u64>(), BURST);
+    let durable_after = syncs[1].0 - first_staged;
+    assert!(
+        (2 * PENALTY_US..2 * PENALTY_US + 5_000).contains(&durable_after),
+        "two penalties, back to back: durable {durable_after} µs after the first frame"
+    );
 
     let p = sim.process::<Probe>(probe).unwrap();
     let ok = p.count_where(|m| matches!(m, Msg::PutResp { result: Ok(()), .. }));
     assert_eq!(ok as u64, BURST);
-    // Handlers cost microseconds; each penalty is 50 ms, so the busy time
-    // the burst added counts the replica's penalised commits.
-    let busy = sim.busy_us(NodeId(2)) - busy_before;
-    let (commits, handlers_us) = (busy / PENALTY_US, busy % PENALTY_US);
-    assert!(handlers_us < PENALTY_US / 2, "busy {busy} µs is not whole penalties");
-    assert!(
-        (1..BURST).contains(&commits),
-        "{BURST} frames must share penalties: {commits} charged (busy {busy} µs)"
-    );
     let h = &registry.snapshot().histograms["wal.batch_ops"];
-    assert!(h.max > 1, "no commit covered more than one frame: {h:?}");
+    assert!(h.max > 1, "no sync covered more than one frame: {h:?}");
 }
-
-/// A moment at which replica 2 holds staged, uncommitted frames of the
-/// fourth burst (found by stepping the seeded run; the test asserts it).
-const CRASH_INSIDE_BATCH_US: u64 = 6_101_310;
 
 /// Regression for the hint-ack leak: the replay target dies again while a
 /// replayed hint is in flight. The in-flight entry must be swept after the

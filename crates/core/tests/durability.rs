@@ -1,6 +1,6 @@
 //! Durable nodes: a threaded cluster with `data_dir` set recovers its
-//! records across a full process-model restart, and acks only what the
-//! end-of-batch WAL commit has made durable.
+//! records across a full process-model restart, and acks only what a
+//! completed WAL sync has made durable.
 
 use std::time::Duration;
 
@@ -289,13 +289,42 @@ fn durable_cluster_recovers_after_restart() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// One commit path, two sides of a write. The coordinator commits its own
-/// copy before its `StoreReplica` sends leave, so its fsync never overlaps
-/// its replicas'; a replica only stages the write, and its ack waits for
-/// the end-of-batch commit. (Before the batch commit, the replica synced
-/// and acked inside the handler.)
+/// Drives one handler of a node by hand and returns the actions it emitted.
+fn drive(
+    sim: &mut mystore_net::Sim<Msg>,
+    id: NodeId,
+    handler: impl FnOnce(&mut StorageNode, &mut Context<'_, Msg>),
+) -> Vec<Action<Msg>> {
+    let now = sim.now();
+    let node = sim.process_mut::<StorageNode>(id).expect("storage node");
+    let (mut actions, mut rng) = (Vec::new(), Rng::new(u64::from(id.0)));
+    handler(node, &mut Context::new(now, id, &mut actions, &mut rng, None));
+    actions
+}
+
+/// Runs the file sync a node's `on_batch_end` started, if it started one,
+/// and returns its outcome.
+fn run_started_sync(actions: Vec<Action<Msg>>) -> Option<bool> {
+    actions.into_iter().find_map(|a| match a {
+        Action::Sync { job } => Some(job.expect("a file WAL hands out a file to sync").run()),
+        _ => None,
+    })
+}
+
+fn is_put_ok(actions: &[Action<Msg>], req: u64) -> bool {
+    actions.iter().any(|a| {
+        matches!(a, Action::Send { msg: Msg::PutResp { req: r, result: Ok(()) }, .. } if *r == req)
+    })
+}
+
+/// One commit ordering, and the sync off the handler. The coordinator
+/// stages its own copy and its `StoreReplica`s leave while that frame is
+/// still above its durable watermark; the copy counts toward `W` only when
+/// its sync completes, and a failed sync answers what it covered
+/// `ok: false`. (Before the split commit, the coordinator synced its copy
+/// inside the handler, before the sends.)
 #[test]
-fn coordinator_commits_before_the_fan_out_and_replicas_ack_at_batch_end() {
+fn coordinator_fans_out_before_its_sync_completes() {
     let dir = std::env::temp_dir().join(format!("mystore-fanout-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut spec = ClusterSpec::small(3);
@@ -303,17 +332,21 @@ fn coordinator_commits_before_the_fan_out_and_replicas_ack_at_batch_end() {
     let mut sim = spec.build_sim(SimConfig { seed: 5, ..SimConfig::default() });
     sim.start();
     sim.run_for(3_000_000);
-    let now = sim.now();
-    let client = NodeId(99);
-    let mut rng = Rng::new(1);
+    let (coord, client) = (NodeId(0), NodeId(99));
+    let put = |req: u64| Msg::Put {
+        req,
+        key: format!("fanout-{req}"),
+        value: vec![1u8; 64].into(),
+        delete: false,
+    };
 
-    // The coordinator's handler: its copy is durable, then the sends leave.
-    let node = sim.process_mut::<StorageNode>(NodeId(0)).expect("storage node 0");
-    assert_eq!(node.ring().len(), 3, "ring must have converged");
-    let mut actions = Vec::new();
-    let put = Msg::Put { req: 7, key: "fanout".into(), value: vec![1u8; 64].into(), delete: false };
-    node.on_message(&mut Context::new(now, NodeId(0), &mut actions, &mut rng, None), client, put);
-    assert_eq!(node.db().wal_pending_ops(), 0, "own copy must be synced before the fan-out");
+    // The coordinator's handler: the sends leave with its own frame staged.
+    let actions = drive(&mut sim, coord, |n, ctx| {
+        assert_eq!(n.ring().len(), 3, "ring must have converged");
+        n.on_message(ctx, client, put(7));
+        assert_eq!(n.db().wal_pending_ops(), 1, "own frame must still be staged at send time");
+        assert!(n.db().wal_durable_pos() < n.db().wal_end_pos());
+    });
     let sends: Vec<(NodeId, Msg)> = actions
         .into_iter()
         .filter_map(|a| match a {
@@ -322,31 +355,56 @@ fn coordinator_commits_before_the_fan_out_and_replicas_ack_at_batch_end() {
         })
         .collect();
     assert_eq!(sends.iter().map(|s| s.0).collect::<Vec<_>>(), [NodeId(1), NodeId(2)]);
+    let coord_sync = drive(&mut sim, coord, |n, ctx| n.on_batch_end(ctx));
 
-    // A replica stages the write and parks its ack until the batch commit.
+    // A replica stages the write; its ack waits for its own sync.
     let (to, store) = sends.into_iter().next().expect("a replica write");
-    let Msg::StoreReplica { req, .. } = store else { unreachable!() };
-    let replica = sim.process_mut::<StorageNode>(to).expect("replica node");
-    let mut actions = Vec::new();
-    replica.on_message(&mut Context::new(now, to, &mut actions, &mut rng, None), NodeId(0), store);
-    assert_eq!(replica.db().wal_pending_ops(), 1, "the replica's frame must be staged");
-    assert!(actions.is_empty(), "the replica acked before its sync: {actions:?}");
-    replica.on_batch_end(&mut Context::new(now, to, &mut actions, &mut rng, None));
-    assert_eq!(replica.db().wal_pending_ops(), 0);
+    let Msg::StoreReplica { req, .. } = store.clone() else { unreachable!() };
+    let staged = drive(&mut sim, to, |n, ctx| n.on_message(ctx, coord, store));
+    assert!(staged.is_empty(), "the replica acked before its sync: {staged:?}");
+    let ok = run_started_sync(drive(&mut sim, to, |n, ctx| n.on_batch_end(ctx)));
+    let acked = drive(&mut sim, to, |n, ctx| n.on_sync_done(ctx, ok.expect("sync started")));
     assert!(matches!(
-        actions.as_slice(),
+        acked.as_slice(),
         [Action::Send { to: NodeId(0), msg: Msg::StoreAck { req: r, ok: true } }] if *r == req
     ));
 
-    // That ack plus the coordinator's own copy make W = 2.
-    let node = sim.process_mut::<StorageNode>(NodeId(0)).expect("storage node 0");
-    let mut actions = Vec::new();
+    // One replica ack alone is not W = 2; the coordinator's completed sync
+    // makes it W.
     let ack = Msg::StoreAck { req, ok: true };
-    node.on_message(&mut Context::new(now, NodeId(0), &mut actions, &mut rng, None), to, ack);
-    assert!(actions.iter().any(|a| matches!(
-        a,
-        Action::Send { to, msg: Msg::PutResp { req: 7, result: Ok(()) } } if *to == client
-    )));
+    let early = drive(&mut sim, coord, |n, ctx| n.on_message(ctx, to, ack));
+    assert!(!is_put_ok(&early, 7), "W met before the coordinator's copy was durable");
+    let ok = run_started_sync(coord_sync).expect("the coordinator started a sync");
+    let done = drive(&mut sim, coord, |n, ctx| {
+        n.on_sync_done(ctx, ok);
+        assert_eq!(n.db().wal_pending_ops(), 0);
+    });
+    assert!(is_put_ok(&done, 7), "the completed sync must make W: {done:?}");
+
+    // A failed sync answers what it covered `ok: false`: the replica's ack
+    // says so, and the coordinator's own copy does not count.
+    let sends = drive(&mut sim, coord, |n, ctx| n.on_message(ctx, client, put(8)));
+    drive(&mut sim, coord, |n, ctx| n.on_batch_end(ctx));
+    let store = sends
+        .into_iter()
+        .find_map(|a| match a {
+            Action::Send { to: t, msg: msg @ Msg::StoreReplica { .. } } if t == to => Some(msg),
+            _ => None,
+        })
+        .expect("a replica write to the same replica");
+    let Msg::StoreReplica { req, .. } = store.clone() else { unreachable!() };
+    drive(&mut sim, to, |n, ctx| n.on_message(ctx, coord, store));
+    drive(&mut sim, to, |n, ctx| n.on_batch_end(ctx));
+    let failed = drive(&mut sim, to, |n, ctx| n.on_sync_done(ctx, false));
+    assert!(matches!(
+        failed.as_slice(),
+        [Action::Send { to: NodeId(0), msg: Msg::StoreAck { req: r, ok: false } }] if *r == req
+    ));
+    let failed = drive(&mut sim, coord, |n, ctx| {
+        n.on_sync_done(ctx, false);
+        n.on_message(ctx, to, Msg::StoreAck { req, ok: true });
+    });
+    assert!(!is_put_ok(&failed, 8), "a failed own sync must not count toward W: {failed:?}");
     drop(sim);
     std::fs::remove_dir_all(&dir).unwrap();
 }

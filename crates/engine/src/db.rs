@@ -99,9 +99,10 @@ impl Db {
     /// Simulates crash recovery: discards all in-memory state and rebuilds
     /// it purely from the WAL, keeping the log (and its metrics) attached.
     /// State that never reached the log is lost — exactly what a process
-    /// crash loses — and in staged mode that includes frames staged but
-    /// not yet covered by a sync (the memory backend drops them; a real
-    /// machine crash drops them from the page cache). Works for both file-
+    /// crash loses — and in staged mode that includes frames above the
+    /// durable watermark, staged or in a sync that has not completed (the
+    /// memory backend drops them; a real machine crash drops them from the
+    /// page cache). Works for both file-
     /// and memory-backed logs, so simulated restarts exercise the same
     /// replay path as real ones.
     pub fn recover_from_wal(mut self) -> Result<Db> {
@@ -143,23 +144,47 @@ impl Db {
     /// Switches staged commit on or off. Off (the default), every mutation
     /// is durable when its call returns — what embedded callers rely on.
     /// On, mutations only stage their WAL frames and the caller makes them
-    /// durable with [`Db::sync_wal`]: a storage node syncs once per batch
-    /// of work (group commit, DESIGN.md §9). Reads see staged mutations; a
-    /// crash loses exactly the frames staged since the last sync.
+    /// durable, blocking with [`Db::sync_wal`] or off-thread with
+    /// [`Db::begin_wal_sync`] / [`Db::finish_wal_sync`] (a storage node's
+    /// group commit, DESIGN.md §9). Reads see staged mutations; a crash
+    /// loses exactly the frames above the durable watermark.
     pub fn set_staged(&mut self, on: bool) {
         self.staged = on;
     }
 
-    /// Syncs any staged WAL frames (one real fsync for file-backed logs).
-    /// Returns how many frames the sync made durable (0 = nothing pending).
+    /// Syncs any staged WAL frames and waits (one real fsync for file-backed
+    /// logs). Returns how many frames the sync made durable (0 = nothing
+    /// pending).
     pub fn sync_wal(&mut self) -> Result<usize> {
         self.wal.sync()
     }
 
-    /// WAL frames staged but not yet durable. Zero means every acknowledged
-    /// mutation so far would survive a crash.
+    /// Starts a WAL sync whose I/O the caller runs elsewhere; see
+    /// [`Wal::begin_sync`].
+    pub fn begin_wal_sync(&mut self) -> Result<(u64, Option<std::fs::File>)> {
+        self.wal.begin_sync()
+    }
+
+    /// Applies the outcome of the WAL sync in flight; see
+    /// [`Wal::finish_sync`].
+    pub fn finish_wal_sync(&mut self, ok: bool) -> usize {
+        self.wal.finish_sync(ok)
+    }
+
+    /// WAL frames not yet durable. Zero means every acknowledged mutation
+    /// so far would survive a crash.
     pub fn wal_pending_ops(&self) -> usize {
         self.wal.pending_ops()
+    }
+
+    /// The WAL position just past the last staged frame ([`Wal::end_pos`]).
+    pub fn wal_end_pos(&self) -> u64 {
+        self.wal.end_pos()
+    }
+
+    /// The WAL's durable watermark ([`Wal::durable_pos`]).
+    pub fn wal_durable_pos(&self) -> u64 {
+        self.wal.durable_pos()
     }
 
     /// Engine version (the liveness probe used by the connection pool).

@@ -14,13 +14,24 @@
 //! # Group commit
 //!
 //! An `fsync` per append caps write throughput at the disk's sync rate, so
-//! the log supports *group commit* (Spinnaker-style batched log sync):
-//! [`Wal::append_nosync`] stages frames without forcing them to disk and
-//! [`Wal::sync`] makes everything staged durable with one `sync_all()`. The
-//! classic one-frame-one-sync [`Wal::append`] is the composition of the two.
-//! Frames staged but not yet synced are exactly what a crash may lose; the
-//! memory backend models this with a durable watermark so simulated crashes
-//! exercise the same contract (see [`Wal::discard_unsynced`]).
+//! the log supports *group commit* (Spinnaker-style log force):
+//! [`Wal::append_nosync`] stages frames without forcing them to disk, and a
+//! sync makes everything staged so far durable at once.
+//!
+//! A sync is split in two so its I/O can run off the caller's thread:
+//! [`Wal::begin_sync`] fixes the position it covers and hands out the I/O
+//! (a cloned file handle to `sync_data`, nothing for the memory backend),
+//! and [`Wal::finish_sync`] applies the outcome. Appends continue while a
+//! sync is in flight; they ride the next one. Every position is measured
+//! in bytes appended since open ([`Wal::end_pos`]), which a rewrite does not
+//! reset, and the *durable watermark* ([`Wal::durable_pos`]) is the
+//! position below which every frame survives a crash. [`Wal::sync`] is the
+//! blocking composition of the two halves, and the classic
+//! one-frame-one-sync [`Wal::append`] is `append_nosync` plus `sync`.
+//!
+//! Frames above the watermark are exactly what a crash may lose; the memory
+//! backend drops them on a simulated crash, so seeded chaos runs exercise
+//! the same contract (see [`Wal::discard_unsynced`]).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -39,14 +50,18 @@ pub struct WalMetrics {
     pub appends: Counter,
     /// Bytes appended (frame headers included).
     pub append_bytes: Counter,
-    /// Syncs that actually happened: real `sync_all()` calls on the file
-    /// backend, modelled syncs on the memory backend. Under group commit
-    /// (one sync per batch of staged frames) this stays below `appends`.
+    /// Syncs that completed successfully, counted by
+    /// [`Wal::finish_sync`]: real `sync_data()` calls on the file backend,
+    /// modelled syncs on the memory backend. One sync covers every frame
+    /// staged before it began, so under load this stays below `appends`.
     pub fsyncs: Counter,
     /// Wall-clock append latency, µs (framing + buffered write; the sync is
     /// accounted separately in `sync_us`).
     pub append_us: Histogram,
-    /// Wall-clock latency of one sync, µs.
+    /// Wall-clock time from [`Wal::begin_sync`] to [`Wal::finish_sync`],
+    /// µs: for a sync run on another thread, the wait for that thread, the
+    /// `sync_data`, and the hand-off of its outcome back to the log's
+    /// owner.
     pub sync_us: Histogram,
     /// Frames made durable per sync (the group-commit batch size).
     pub batch_ops: Histogram,
@@ -94,38 +109,52 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 enum Backend {
-    Memory {
-        buf: Vec<u8>,
-        /// Bytes up to the last (modelled) sync: what a crash preserves.
-        durable_len: usize,
-    },
-    File {
-        file: File,
-        path: PathBuf,
-    },
+    Memory { buf: Vec<u8> },
+    File { file: File, path: PathBuf },
+}
+
+/// The sync [`Wal::begin_sync`] started and [`Wal::finish_sync`] has not
+/// applied yet.
+struct InFlight {
+    /// The position the sync makes durable.
+    upto: u64,
+    /// Frames it covers.
+    ops: usize,
+    started: Stopwatch,
 }
 
 /// An append-only checksummed log.
 pub struct Wal {
     backend: Backend,
-    /// Bytes appended since open (for stats).
+    /// Bytes appended since open: the log position every staged frame and
+    /// the durable watermark are measured in. A rewrite does not reset it.
     appended: u64,
     /// Current log size in bytes (open length + appends; reset by rewrite),
     /// tracked so the hot path never has to `stat` the file.
     len: u64,
-    /// Frames staged since the last sync.
+    /// The durable watermark: frames ending at or below this position
+    /// survive a crash.
+    durable: u64,
+    /// Frames staged and not covered by a started sync.
     pending_ops: usize,
+    in_flight: Option<InFlight>,
     metrics: WalMetrics,
 }
 
 impl Wal {
     /// Opens an in-memory log (starts empty).
     pub fn memory() -> Self {
+        Self::with_backend(Backend::Memory { buf: Vec::new() }, 0)
+    }
+
+    fn with_backend(backend: Backend, len: u64) -> Self {
         Wal {
-            backend: Backend::Memory { buf: Vec::new(), durable_len: 0 },
+            backend,
             appended: 0,
-            len: 0,
+            len,
+            durable: 0,
             pending_ops: 0,
+            in_flight: None,
             metrics: WalMetrics::default(),
         }
     }
@@ -143,13 +172,7 @@ impl Wal {
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        Ok(Wal {
-            backend: Backend::File { file, path },
-            appended: 0,
-            len,
-            pending_ops: 0,
-            metrics: WalMetrics::default(),
-        })
+        Ok(Self::with_backend(Backend::File { file, path }, len))
     }
 
     /// Attaches registry-backed metric handles.
@@ -166,7 +189,8 @@ impl Wal {
     }
 
     /// Stages one frame without forcing it to disk. The frame is not
-    /// durable until the next [`Wal::sync`]; a crash in between may lose it.
+    /// durable until a sync that begins after it finishes; a crash in
+    /// between may lose it.
     pub fn append_nosync(&mut self, payload: &[u8]) -> Result<()> {
         let sw = Stopwatch::start();
         let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -186,45 +210,94 @@ impl Wal {
         Ok(())
     }
 
-    /// Makes every staged frame durable with one sync: a real `sync_all()`
-    /// on the file backend, a durable-watermark advance on the memory
-    /// backend (whose disk timing is modelled by the simulator). Returns the
-    /// number of frames the sync covered; `0` means nothing was pending and
-    /// no sync was issued (and none is counted).
+    /// Makes every staged frame durable and waits for it: the blocking
+    /// composition of [`Wal::begin_sync`], the `sync_data()` it hands out
+    /// (file backend) and [`Wal::finish_sync`]. A sync already in flight is
+    /// superseded, and its late completion is then a no-op. Returns the
+    /// number of frames made durable; `0` means nothing was pending and no
+    /// sync was issued (and none is counted).
     pub fn sync(&mut self) -> Result<usize> {
-        if self.pending_ops == 0 {
+        if self.pending_ops() == 0 {
             return Ok(0);
         }
-        let sw = Stopwatch::start();
-        match &mut self.backend {
-            Backend::Memory { buf, durable_len } => *durable_len = buf.len(),
-            Backend::File { file, .. } => file.sync_all()?,
-        }
-        let batch = self.pending_ops;
+        let (_, file) = self.begin_sync()?;
+        let synced = file.map_or(Ok(()), |f| f.sync_data());
+        let frames = self.finish_sync(synced.is_ok());
+        synced?;
+        Ok(frames)
+    }
+
+    /// Starts a sync of every frame staged so far and returns the position
+    /// it will make durable plus the I/O that does it: a clone of the log's
+    /// file handle to call `sync_data()` on, from any thread, or `None` for
+    /// the memory backend, whose disk timing the simulator models. The sync
+    /// takes effect when [`Wal::finish_sync`] reports its outcome; frames
+    /// appended meanwhile are left for the next sync. One sync is in flight
+    /// at a time: beginning another supersedes the first.
+    pub fn begin_sync(&mut self) -> Result<(u64, Option<File>)> {
+        let file = match &self.backend {
+            Backend::Memory { .. } => None,
+            Backend::File { file, .. } => Some(file.try_clone()?),
+        };
+        let ops = self.pending_ops + self.in_flight.take().map_or(0, |f| f.ops);
         self.pending_ops = 0;
+        self.in_flight = Some(InFlight { upto: self.appended, ops, started: Stopwatch::start() });
+        Ok((self.appended, file))
+    }
+
+    /// Applies the outcome of the sync in flight and returns how many frames
+    /// it made durable. On success the durable watermark advances to the
+    /// position [`Wal::begin_sync`] returned, and `wal.fsyncs`,
+    /// `wal.batch_ops` and `wal.sync_us` record it. A failed sync moves
+    /// nothing and its frames are not retried: after a failed `fsync` the
+    /// kernel may already have dropped their dirty pages, so their writes
+    /// must be reported lost, not synced again. With no sync in flight
+    /// (superseded, or overtaken by a rewrite or a crash) this is a no-op.
+    pub fn finish_sync(&mut self, ok: bool) -> usize {
+        let Some(sync) = self.in_flight.take() else { return 0 };
+        if !ok || sync.ops == 0 {
+            return 0;
+        }
+        self.durable = self.durable.max(sync.upto);
         self.metrics.fsyncs.inc();
-        self.metrics.batch_ops.record(batch as u64);
-        sw.observe(&self.metrics.sync_us);
-        Ok(batch)
+        self.metrics.batch_ops.record(sync.ops as u64);
+        sync.started.observe(&self.metrics.sync_us);
+        sync.ops
     }
 
-    /// Frames staged but not yet covered by a sync.
+    /// Frames not yet durable: staged, or covered by a sync in flight.
     pub fn pending_ops(&self) -> usize {
-        self.pending_ops
+        self.pending_ops + self.in_flight.as_ref().map_or(0, |f| f.ops)
     }
 
-    /// Models the effect of a crash on the memory backend: frames staged
-    /// after the last sync are discarded, exactly as an OS crash discards
-    /// unsynced page-cache data. The file backend is left alone — an
-    /// in-process restart cannot unwrite the page cache, and after a real
-    /// machine crash the file simply comes back shorter.
+    /// The position just past the last staged frame, in bytes appended
+    /// since open. A frame is durable once [`Wal::durable_pos`] reaches the
+    /// `end_pos` read right after staging it.
+    pub fn end_pos(&self) -> u64 {
+        self.appended
+    }
+
+    /// The durable watermark (see [`Wal::end_pos`]).
+    pub fn durable_pos(&self) -> u64 {
+        self.durable
+    }
+
+    /// Models the effect of a crash on the memory backend: frames above the
+    /// durable watermark are discarded, exactly as an OS crash discards
+    /// unsynced page-cache data, and a sync in flight is forgotten. The file
+    /// backend is left alone — an in-process restart cannot unwrite the page
+    /// cache, and after a real machine crash the file simply comes back
+    /// shorter.
     pub fn discard_unsynced(&mut self) {
-        if let Backend::Memory { buf, durable_len } = &mut self.backend {
-            let lost = buf.len() - *durable_len;
-            buf.truncate(*durable_len);
-            self.len -= lost as u64;
+        if let Backend::Memory { buf } = &mut self.backend {
+            let lost = usize::try_from(self.appended - self.durable).unwrap_or(usize::MAX);
+            let keep = buf.len().saturating_sub(lost);
+            self.len -= (buf.len() - keep) as u64;
+            buf.truncate(keep);
         }
+        self.durable = self.appended;
         self.pending_ops = 0;
+        self.in_flight = None;
     }
 
     /// Total bytes appended through this handle.
@@ -265,7 +338,8 @@ impl Wal {
     /// it, renames it over the original, and syncs the parent directory —
     /// without the directory sync a crash right after the rename could
     /// resurrect the old log (the rename itself is metadata the directory
-    /// holds).
+    /// holds). The rewritten log is durable as a whole, so the watermark
+    /// moves to [`Wal::end_pos`] and a sync in flight is forgotten.
     pub fn rewrite(&mut self, payloads: &[Vec<u8>]) -> Result<()> {
         let mut fresh = Vec::new();
         for p in payloads {
@@ -275,10 +349,7 @@ impl Wal {
         }
         let fresh_len = fresh.len() as u64;
         match &mut self.backend {
-            Backend::Memory { buf, durable_len } => {
-                *buf = fresh;
-                *durable_len = buf.len();
-            }
+            Backend::Memory { buf } => *buf = fresh,
             Backend::File { file, path } => {
                 let tmp = path.with_extension("compact");
                 {
@@ -296,7 +367,9 @@ impl Wal {
             }
         }
         self.len = fresh_len;
+        self.durable = self.appended;
         self.pending_ops = 0;
+        self.in_flight = None;
         Ok(())
     }
 }
@@ -474,6 +547,65 @@ mod tests {
             "crash must lose exactly the unsynced tail"
         );
         assert_eq!(wal.len_bytes(), (8 + 9) * 2);
+    }
+
+    #[test]
+    fn split_sync_lets_appends_continue_and_covers_only_its_frames() {
+        let reg = Registry::new();
+        let path = temp_dir("split").join("split.wal");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::file(&path).unwrap();
+        wal.set_metrics(WalMetrics::from_registry(&reg));
+        wal.append_nosync(b"first").unwrap();
+        let (upto, file) = wal.begin_sync().unwrap();
+        assert_eq!(upto, wal.end_pos());
+        // The I/O runs on another thread while the log keeps appending.
+        let io = std::thread::spawn(move || file.expect("file backend").sync_data().is_ok());
+        wal.append_nosync(b"second").unwrap();
+        assert_eq!(wal.pending_ops(), 2, "in flight and staged frames are both not durable");
+        assert_eq!(wal.durable_pos(), 0);
+        assert_eq!(wal.finish_sync(io.join().unwrap()), 1);
+        assert_eq!(wal.durable_pos(), upto, "the watermark stops at the sync's position");
+        assert!(wal.end_pos() > upto);
+        assert_eq!(wal.pending_ops(), 1, "the later frame rides the next sync");
+        assert_eq!(wal.finish_sync(true), 0, "a second completion is a no-op");
+        assert_eq!(wal.sync().unwrap(), 1);
+        assert_eq!(wal.durable_pos(), wal.end_pos());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["wal.fsyncs"], 2);
+        assert_eq!(snap.histograms["wal.sync_us"].count, 2);
+        assert_eq!(Wal::read_frames_from(&path).unwrap().len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_sync_moves_nothing_and_is_not_retried() {
+        let mut wal = Wal::memory();
+        wal.append_nosync(b"lost").unwrap();
+        wal.begin_sync().unwrap();
+        assert_eq!(wal.finish_sync(false), 0);
+        assert_eq!((wal.durable_pos(), wal.pending_ops()), (0, 0));
+        assert_eq!(wal.sync().unwrap(), 0, "no sync is issued for frames whose sync failed");
+        wal.discard_unsynced();
+        assert!(wal.read_frames().unwrap().is_empty(), "a crash loses the unsynced frame");
+    }
+
+    #[test]
+    fn rewrite_during_a_sync_moves_the_watermark_and_the_late_completion_is_harmless() {
+        let mut wal = Wal::memory();
+        wal.append_nosync(b"old").unwrap();
+        let (upto, _) = wal.begin_sync().unwrap();
+        wal.append_nosync(b"staged").unwrap();
+        wal.rewrite(&[b"compacted".to_vec()]).unwrap();
+        assert_eq!(wal.durable_pos(), wal.end_pos(), "the rewritten log is durable as a whole");
+        assert!(wal.durable_pos() > upto);
+        wal.append_nosync(b"after").unwrap();
+        let watermark = wal.durable_pos();
+        assert_eq!(wal.finish_sync(true), 0, "the superseded sync completes as a no-op");
+        assert_eq!(wal.durable_pos(), watermark, "the late completion must not cover `after`");
+        assert_eq!(wal.pending_ops(), 1);
+        wal.discard_unsynced();
+        assert_eq!(wal.read_frames().unwrap(), vec![b"compacted".to_vec()]);
     }
 
     #[test]

@@ -119,6 +119,8 @@ pub fn workspace_policy(workspace_root: &std::path::Path) -> Vec<CratePolicy> {
     net.unordered_iter = true;
     net.metric_prefixes = Some(vec!["fault.".into(), "partition.".into(), "sim.".into()]);
     net.alloc_guard = true;
+    // Real threads and channels: the threaded runtime (`src/threaded.rs`)
+    // and each node's WAL syncer thread (`src/syncer.rs`).
     net.lock_analysis = true;
     out.push(net);
 

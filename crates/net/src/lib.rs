@@ -22,6 +22,7 @@ pub mod netmodel;
 pub mod process;
 pub mod rng;
 pub mod sim;
+mod syncer;
 pub mod threaded;
 pub mod time;
 pub mod trace;
@@ -31,7 +32,7 @@ pub use faults::{
     ScheduleParseError, ScheduledFault,
 };
 pub use netmodel::NetConfig;
-pub use process::{Action, Context, NodeId, Process, TimerToken, WireSized};
+pub use process::{Action, Context, NodeId, Process, SyncJob, TimerToken, WireSized};
 pub use rng::Rng;
 pub use sim::{NodeConfig, Sim, SimConfig, StopReason};
 pub use threaded::{Injector, RecvError, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};

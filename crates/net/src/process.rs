@@ -69,6 +69,35 @@ pub enum Action<M> {
         /// How long the node stays down, or `None` for indefinitely.
         down_for_us: Option<u64>,
     },
+    /// Run a log sync off the node's thread and report its outcome to
+    /// [`Process::on_sync_done`] (see [`Context::start_sync`]).
+    Sync {
+        /// The I/O to run; `None` when there is nothing to run.
+        job: Option<SyncJob>,
+    },
+}
+
+/// The I/O half of a log sync — typically `sync_data()` on a cloned file
+/// handle — returning whether it succeeded. A runtime runs it on a thread
+/// other than the node's, so the node keeps handling messages meanwhile.
+pub struct SyncJob(Box<dyn FnOnce() -> bool + Send>);
+
+impl SyncJob {
+    /// Wraps the I/O to run.
+    pub fn new(run: impl FnOnce() -> bool + Send + 'static) -> Self {
+        SyncJob(Box::new(run))
+    }
+
+    /// Runs the I/O and returns whether it succeeded.
+    pub fn run(self) -> bool {
+        (self.0)()
+    }
+}
+
+impl fmt::Debug for SyncJob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SyncJob")
+    }
 }
 
 /// The per-invocation context handed to a process.
@@ -85,9 +114,6 @@ pub struct Context<'a, M> {
     /// Fault sampled for the *current operation*, if the runtime's fault
     /// plan produced one. See [`Context::take_op_fault`].
     op_fault: Option<OpFault>,
-    /// Extra per-sync latency this node's disk currently suffers
-    /// (µs). See [`Context::disk_penalty_us`].
-    disk_penalty_us: u64,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -99,24 +125,7 @@ impl<'a, M> Context<'a, M> {
         rng: &'a mut Rng,
         op_fault: Option<OpFault>,
     ) -> Self {
-        Context { now, self_id, actions, rng, consumed_us: 0, op_fault, disk_penalty_us: 0 }
-    }
-
-    /// Sets the node's current degraded-disk penalty. Used by runtimes
-    /// before invoking the process; processes only read it.
-    pub fn set_disk_penalty(&mut self, us: u64) {
-        self.disk_penalty_us = us;
-    }
-
-    /// Extra service time (µs) a durable write costs on this node right
-    /// now, on top of the configured cost model.
-    ///
-    /// `0` means the disk is healthy. A `slow-fsync` fault (see
-    /// `FaultEvent::SlowFsync` in the schedule vocabulary) raises it until
-    /// a matching `heal-disk` event; a component charges it once per WAL
-    /// sync it models (`ctx.consume(ctx.disk_penalty_us())`).
-    pub fn disk_penalty_us(&self) -> u64 {
-        self.disk_penalty_us
+        Context { now, self_id, actions, rng, consumed_us: 0, op_fault }
     }
 
     /// Current virtual time.
@@ -161,6 +170,22 @@ impl<'a, M> Context<'a, M> {
         self.actions.push(Action::CrashSelf { down_for_us });
     }
 
+    /// Asks the runtime to run a log sync and to report its outcome to
+    /// [`Process::on_sync_done`], delivered as a batch item of its own.
+    /// `job` is `None` when there is nothing to run (a log with no file).
+    /// Syncs complete in the order they were started.
+    ///
+    /// The threaded runtime runs a job with I/O on the node's syncer
+    /// thread, spawned the first time one arrives, and lets the batch's
+    /// sends go first if it sent any; it completes a `None` job before the
+    /// node takes its next envelope. The simulator runs a job inline and
+    /// completes it on the node's disk — one sync at a time, each lasting
+    /// the disk's `slow-fsync` penalty — and drops the completion if the
+    /// node crashes first.
+    pub fn start_sync(&mut self, job: Option<SyncJob>) {
+        self.actions.push(Action::Sync { job });
+    }
+
     /// Deterministic RNG (owned by the runtime; forked per node).
     pub fn rng(&mut self) -> &mut Rng {
         self.rng
@@ -197,8 +222,15 @@ pub trait Process<M> {
     /// load) — after all its handlers ran and their actions were
     /// dispatched. Work arriving meanwhile starts the next batch, so a node
     /// whose inbox never empties still gets here once per batch. A storage
-    /// node commits its WAL here. Default: nothing.
+    /// node starts its WAL sync here. Default: nothing.
     fn on_batch_end(&mut self, _ctx: &mut Context<'_, M>) {}
+
+    /// Called with the outcome of a sync started by
+    /// [`Context::start_sync`], once per sync and in the order they were
+    /// started, as a batch item of its own (so [`Process::on_batch_end`]
+    /// follows). A storage node releases the acks the sync made durable
+    /// here. Default: nothing.
+    fn on_sync_done(&mut self, _ctx: &mut Context<'_, M>, _ok: bool) {}
 
     /// Called when the node recovers from a crash. Default: re-run
     /// [`Process::on_start`] (state survives; in-flight work is lost).
@@ -207,7 +239,7 @@ pub trait Process<M> {
     }
 
     /// True when the process has no in-flight work (pending quorum ops,
-    /// unreleased acks). The threaded runtime's
+    /// a sync in flight). The threaded runtime's
     /// graceful shutdown drains each node until it reports quiescent before
     /// invoking [`Process::on_shutdown`]. Default: always quiescent, which
     /// is correct for stateless processes. The simulator never calls this.
@@ -218,9 +250,10 @@ pub trait Process<M> {
     /// Called once by the threaded runtime immediately before the node's
     /// thread exits on an *orderly* stop (explicit stop, graceful drain, or
     /// channel disconnect) — not on [`Action::CrashSelf`], which models a
-    /// crash. Emitted actions are still interpreted, so final sends and
-    /// records are delivered; this is where a storage node syncs its WAL.
-    /// Default: nothing. The simulator never calls this.
+    /// crash. Emitted sends and records are still delivered, but a sync
+    /// started here never completes: this is where a storage node makes
+    /// its WAL durable with a blocking sync. Default: nothing. The
+    /// simulator never calls this.
     fn on_shutdown(&mut self, _ctx: &mut Context<'_, M>) {}
 }
 

@@ -16,8 +16,13 @@
 //!   is taken forms a batch, and [`Process::on_batch_end`] runs once its
 //!   last item has run (a lone arrival at an idle node is its own batch).
 //!   The hook is invoked in event order as the last item is dispatched,
-//!   but time-stamped at the batch's latest completion time, so a crash
-//!   scheduled in between cannot interrupt it (DESIGN.md §9),
+//!   but time-stamped at the batch's latest completion time,
+//! * a **disk model**: each node has one disk, which runs the syncs its
+//!   process starts ([`Context::start_sync`]) one at a time, each lasting
+//!   the disk's `slow-fsync` penalty (zero when healthy). A sync's
+//!   completion is its own event, queued to the node like a message; a
+//!   crash processed before it drops it, so the sync never happened
+//!   (DESIGN.md §9),
 //! * **crash/partition control** for scripted failure drills,
 //! * a **trace** collecting every `ctx.record(...)` measurement.
 //!
@@ -36,7 +41,7 @@ use crate::faults::{
     FaultEvent, FaultMetrics, FaultPlan, FaultSchedule, LinkFaultRule, LinkOutcome, OpFault,
 };
 use crate::netmodel::NetConfig;
-use crate::process::{Action, Context, NodeId, Process, TimerToken, WireSized};
+use crate::process::{Action, Context, NodeId, Process, SyncJob, TimerToken, WireSized};
 use crate::rng::Rng;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
@@ -78,11 +83,13 @@ pub enum StopReason {
 enum Work<M> {
     Msg { from: NodeId, msg: M },
     Timer(TimerToken),
+    SyncDone(bool),
 }
 
 enum EventKind<M> {
     Arrive { to: NodeId, from: NodeId, msg: M },
     TimerFire { node: NodeId, token: TimerToken },
+    SyncDone { node: NodeId, life: u64, ok: bool },
     Dispatch { node: NodeId },
     Recover { node: NodeId },
     Crash { node: NodeId, down_for_us: Option<u64> },
@@ -144,10 +151,15 @@ struct NodeSlot<M> {
     busy_us: u64,
     /// Messages dropped because the node was down.
     dropped: u64,
-    /// Extra per-sync latency of this node's disk (µs); `0` is a
+    /// How long one sync takes on this node's disk (µs); `0` is a
     /// healthy disk. Set by the `slow-fsync` fault, cleared by `heal-disk`.
     /// Survives crashes — it models the hardware, not the process.
     disk_penalty_us: u64,
+    /// When the disk finishes the last sync queued on it (µs).
+    disk_free_at: u64,
+    /// Crashes so far: a sync completion for an earlier incarnation is
+    /// dropped.
+    life: u64,
     /// Items still to be taken in the open batch (`0` = no batch open). A
     /// batch is the work already queued when its first item is taken; the
     /// process's [`Process::on_batch_end`] runs once its last item has.
@@ -231,6 +243,8 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
             busy_us: 0,
             dropped: 0,
             disk_penalty_us: 0,
+            disk_free_at: 0,
+            life: 0,
             batch_left: 0,
             batch_until: 0,
         });
@@ -312,9 +326,8 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
     }
 
     /// Schedules degrading (`extra_us > 0`) or healing (`extra_us == 0`)
-    /// `node`'s disk at `at`. While degraded, every WAL sync on the node
-    /// costs `extra_us` additional service time (surfaced to the
-    /// process via [`Context::disk_penalty_us`]).
+    /// `node`'s disk at `at`. While degraded, every sync the node starts
+    /// ([`Context::start_sync`]) occupies its disk for `extra_us`.
     pub fn schedule_disk_penalty(&mut self, at: SimTime, node: NodeId, extra_us: u64) {
         self.push(at.0, EventKind::SetDiskPenalty { node, extra_us });
     }
@@ -497,6 +510,15 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
                 slot.queue.push_back(Work::Timer(token));
                 self.dispatch(node);
             }
+            EventKind::SyncDone { node, life, ok } => {
+                let Some(slot) = self.nodes.get_mut(node.0 as usize) else { return };
+                // The node crashed since the sync started: it never finished.
+                if !slot.up || slot.life != life {
+                    return;
+                }
+                slot.queue.push_back(Work::SyncDone(ok));
+                self.dispatch(node);
+            }
             EventKind::Dispatch { node } => {
                 if let Some(slot) = self.nodes.get_mut(node.0 as usize) {
                     slot.dispatch_at = None;
@@ -569,6 +591,7 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
             return;
         }
         slot.up = false;
+        slot.life += 1;
         slot.queue.clear();
         slot.dispatch_at = None;
         slot.batch_left = 0;
@@ -645,6 +668,9 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
                 Work::Timer(token) => {
                     self.invoke(node, run_at, |p, ctx| p.on_timer(ctx, token), ctx_fault)
                 }
+                Work::SyncDone(ok) => {
+                    self.invoke(node, run_at, |p, ctx| p.on_sync_done(ctx, ok), ctx_fault)
+                }
             };
             let total = consumed + extra_stall;
             let slot = &mut self.nodes[node.0 as usize];
@@ -685,10 +711,8 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
         let mut actions: Vec<Action<M>> = Vec::new();
         let slot = &mut self.nodes[node.0 as usize];
         let mut rng = slot.rng.clone();
-        let disk_penalty = slot.disk_penalty_us;
         let consumed = {
             let mut ctx = Context::new(SimTime(at), node, &mut actions, &mut rng, fault);
-            ctx.set_disk_penalty(disk_penalty);
             f(slot.process.as_mut(), &mut ctx);
             ctx.consumed()
         };
@@ -746,9 +770,23 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
                 Action::CrashSelf { down_for_us } => {
                     self.crash(node, down_for_us);
                 }
+                Action::Sync { job } => self.start_sync(node, effect_time, job),
             }
         }
         consumed
+    }
+
+    /// Queues a sync on `node`'s disk from `at`: the job's I/O runs now
+    /// (virtual time does not pass during it), and its completion is
+    /// scheduled for when the disk has finished the syncs ahead of it plus
+    /// this one's penalty.
+    fn start_sync(&mut self, node: NodeId, at: u64, job: Option<SyncJob>) {
+        let ok = job.is_none_or(SyncJob::run);
+        let slot = &mut self.nodes[node.0 as usize];
+        let done_at = at.max(slot.disk_free_at) + slot.disk_penalty_us;
+        slot.disk_free_at = done_at;
+        let life = slot.life;
+        self.push(done_at, EventKind::SyncDone { node, life, ok });
     }
 }
 
@@ -875,31 +913,66 @@ mod tests {
         assert_eq!(sim.process::<Echo>(echo).unwrap().handled, 1);
     }
 
-    #[test]
-    fn slow_fsync_schedule_sets_and_heals_the_context_penalty() {
-        /// Records the disk penalty it observes on every message.
-        struct DiskProbe;
-        impl Process<u64> for DiskProbe {
-            fn on_start(&mut self, _ctx: &mut Context<'_, u64>) {}
-            fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, _msg: u64) {
-                ctx.record("penalty", ctx.disk_penalty_us() as f64);
-            }
-            fn on_timer(&mut self, _ctx: &mut Context<'_, u64>, _token: TimerToken) {}
+    /// Starts a sync with nothing to run on every message and records how
+    /// long each one took to come back.
+    struct DiskProbe {
+        started_at: u64,
+    }
+    impl Process<u64> for DiskProbe {
+        fn on_start(&mut self, _ctx: &mut Context<'_, u64>) {}
+        fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, _msg: u64) {
+            self.started_at = ctx.now().as_micros();
+            ctx.start_sync(None);
         }
+        fn on_timer(&mut self, _ctx: &mut Context<'_, u64>, _token: TimerToken) {}
+        fn on_sync_done(&mut self, ctx: &mut Context<'_, u64>, ok: bool) {
+            assert!(ok);
+            ctx.record("sync_us", (ctx.now().as_micros() - self.started_at) as f64);
+        }
+    }
+
+    #[test]
+    fn slow_fsync_schedule_sets_and_heals_the_sync_penalty() {
         let mut sim = Sim::new(instant_config(19));
-        let node = sim.add_node(DiskProbe, NodeConfig::default());
+        let node = sim.add_node(DiskProbe { started_at: 0 }, NodeConfig::default());
         let schedule =
             FaultSchedule::parse("100 slow-fsync 0 2500\n300 heal-disk 0").expect("parse");
         sim.start();
         sim.apply_schedule(&schedule);
         sim.inject(SimTime(50), node, 1); // healthy
         sim.inject(SimTime(200), node, 2); // degraded
-        sim.inject(SimTime(400), node, 3); // healed
-        sim.run_for(1_000);
-        let seen: Vec<f64> =
-            sim.trace().events().iter().filter(|e| e.name == "penalty").map(|e| e.value).collect();
-        assert_eq!(seen, vec![0.0, 2_500.0, 0.0]);
+        sim.inject(SimTime(3_000), node, 3); // healed
+        sim.run_for(10_000);
+        assert_eq!(sim.trace().values("sync_us"), vec![0.0, 2_500.0, 0.0]);
         assert_eq!(sim.disk_penalty_us(node), 0);
+    }
+
+    /// The disk runs one sync at a time: back-to-back syncs complete in
+    /// start order, each a penalty after the one before.
+    #[test]
+    fn syncs_queue_on_the_disk_in_start_order() {
+        struct Burst;
+        impl Process<u64> for Burst {
+            fn on_start(&mut self, _ctx: &mut Context<'_, u64>) {}
+            fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, _msg: u64) {
+                ctx.start_sync(Some(SyncJob::new(|| false)));
+                ctx.start_sync(None);
+                ctx.start_sync(Some(SyncJob::new(|| true)));
+            }
+            fn on_timer(&mut self, _ctx: &mut Context<'_, u64>, _token: TimerToken) {}
+            fn on_sync_done(&mut self, ctx: &mut Context<'_, u64>, ok: bool) {
+                ctx.record(if ok { "ok" } else { "failed" }, ctx.now().as_micros() as f64);
+            }
+        }
+        let mut sim = Sim::new(instant_config(23));
+        let node = sim.add_node(Burst, NodeConfig::default());
+        sim.schedule_disk_penalty(SimTime(0), node, 300);
+        sim.start();
+        sim.inject(SimTime(10), node, 1);
+        sim.run_for(10_000);
+        let done: Vec<(&str, f64)> =
+            sim.trace().events().iter().map(|e| (e.name, e.value)).collect();
+        assert_eq!(done, vec![("failed", 310.0), ("ok", 610.0), ("ok", 910.0)]);
     }
 
     /// The disk survives a crash: the penalty models hardware, so a

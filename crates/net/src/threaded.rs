@@ -25,7 +25,9 @@
 //! A node thread takes its work in batches: the first message (or due
 //! timer) plus everything already queued behind it at that moment. Once
 //! the batch's handlers have run and their actions are sent, the loop
-//! calls [`Process::on_batch_end`], as the simulator does.
+//! calls [`Process::on_batch_end`], as the simulator does. A sync a handler
+//! starts runs on the node's syncer thread (`syncer.rs`) meanwhile; if the
+//! batch sent messages, the syncer lets their delivery go first.
 //!
 //! # Shutdown
 //!
@@ -36,7 +38,8 @@
 //! deadline passes. Both paths invoke [`Process::on_shutdown`] before the
 //! node thread exits — that is where a storage node issues its final WAL
 //! fsync — while a [`Action::CrashSelf`] exit deliberately does not (a
-//! crash must not get an orderly goodbye).
+//! crash must not get an orderly goodbye). Every exit joins the node's
+//! syncer thread.
 
 // lint:allow-file(no-wall-clock): this runtime exists to drive real OS time;
 // the determinism contract applies to the sim runtime only.
@@ -52,6 +55,7 @@ use parking_lot::Mutex;
 
 use crate::process::{Action, Context, NodeId, Process, TimerToken};
 use crate::rng::Rng;
+use crate::syncer::Syncs;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 
@@ -85,6 +89,8 @@ enum Envelope<M> {
         from: NodeId,
         msg: M,
     },
+    /// The node's syncer finished a job: did it succeed?
+    SyncDone(bool),
     /// Stop promptly (still runs [`Process::on_shutdown`]).
     Stop,
     /// Keep serving until quiescent or `deadline`, then shut down.
@@ -159,26 +165,24 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
 
         let mut handles = Vec::with_capacity(self.processes.len());
         for ((id, process), (_, rx)) in self.processes.into_iter().zip(receivers) {
-            let all_senders = senders.clone();
-            let external_tx = external_tx.clone();
-            let trace = Arc::clone(&trace);
+            let lp = NodeLoop {
+                id,
+                senders: senders.clone(),
+                external_tx: external_tx.clone(),
+                trace: Arc::clone(&trace),
+                start,
+                dilation: self.config.time_dilation,
+                timers: BinaryHeap::new(),
+                timer_seq: 0,
+                actions: Vec::new(),
+                drain_deadline: None,
+                syncs: Syncs::default(),
+                sent: false,
+            };
             let mut rng = seed_rng.fork();
-            let dilation = self.config.time_dilation;
             let handle = std::thread::Builder::new()
                 .name(format!("mystore-node-{}", id.0))
-                .spawn(move || {
-                    node_main(
-                        id,
-                        process,
-                        rx,
-                        all_senders,
-                        external_tx,
-                        trace,
-                        start,
-                        &mut rng,
-                        dilation,
-                    )
-                })
+                .spawn(move || node_main(lp, process, rx, &mut rng))
                 .expect("spawn node thread");
             handles.push(handle);
         }
@@ -359,12 +363,17 @@ struct NodeLoop<M: Send + 'static> {
     actions: Vec<Action<M>>,
     /// Set once a `Drain` envelope arrives.
     drain_deadline: Option<Instant>,
+    syncs: Syncs,
+    /// Whether the open batch has sent a message (a sync it starts lets
+    /// those go first, `syncer.rs`).
+    sent: bool,
 }
 
 enum HandlerInput<M> {
     Start,
     Msg { from: NodeId, msg: M },
     Timer(TimerToken),
+    SyncDone(bool),
     BatchEnd,
     Shutdown,
 }
@@ -389,12 +398,14 @@ impl<M: Send + 'static> NodeLoop<M> {
         input: HandlerInput<M>,
     ) -> Flow {
         let now = self.now();
+        let ends_batch = matches!(input, HandlerInput::BatchEnd);
         let consumed = {
             let mut ctx = Context::new(now, self.id, &mut self.actions, rng, None);
             match input {
                 HandlerInput::Start => process.on_start(&mut ctx),
                 HandlerInput::Msg { from, msg } => process.on_message(&mut ctx, from, msg),
                 HandlerInput::Timer(token) => process.on_timer(&mut ctx, token),
+                HandlerInput::SyncDone(ok) => process.on_sync_done(&mut ctx, ok),
                 HandlerInput::BatchEnd => process.on_batch_end(&mut ctx),
                 HandlerInput::Shutdown => process.on_shutdown(&mut ctx),
             }
@@ -411,6 +422,7 @@ impl<M: Send + 'static> NodeLoop<M> {
         for action in self.actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
+                    self.sent = true;
                     if let Some(tx) = self.senders.get(&to.0) {
                         let _ = tx.send(Envelope::Msg { from: self.id, msg });
                     } else {
@@ -441,7 +453,14 @@ impl<M: Send + 'static> NodeLoop<M> {
                     // thread; scripted recovery is a simulator feature.
                     flow = Flow::Abort;
                 }
+                Action::Sync { job } => {
+                    let inbox = || self.senders.get(&self.id.0).expect("own mailbox").clone();
+                    self.syncs.start(job, self.sent, self.id, inbox, Envelope::SyncDone);
+                }
             }
+        }
+        if ends_batch {
+            self.sent = false;
         }
         flow
     }
@@ -476,34 +495,26 @@ impl<M: Send + 'static> NodeLoop<M> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn node_main<M: Send + 'static>(
-    id: NodeId,
+    mut lp: NodeLoop<M>,
     mut process: Box<dyn Process<M> + Send>,
     rx: Receiver<Envelope<M>>,
-    senders: BTreeMap<u32, Sender<Envelope<M>>>,
-    external_tx: Sender<(NodeId, NodeId, M)>,
-    trace: Arc<Mutex<Trace>>,
-    start: Instant,
     rng: &mut Rng,
-    dilation: f64,
 ) {
-    let mut lp = NodeLoop {
-        id,
-        senders,
-        external_tx,
-        trace,
-        start,
-        dilation,
-        timers: BinaryHeap::new(),
-        timer_seq: 0,
-        actions: Vec::new(),
-        drain_deadline: None,
-    };
+    run_node(&mut lp, &mut process, &rx, rng);
+    lp.syncs.join();
+}
 
+/// The node loop; returns when the node stops or crashes.
+fn run_node<M: Send + 'static>(
+    lp: &mut NodeLoop<M>,
+    process: &mut Box<dyn Process<M> + Send>,
+    rx: &Receiver<Envelope<M>>,
+    rng: &mut Rng,
+) {
     macro_rules! step {
         ($input:expr) => {
-            match lp.run_handler(&mut process, rng, $input) {
+            match lp.run_handler(process, rng, $input) {
                 Flow::Continue => {}
                 Flow::Abort => return,
             }
@@ -512,7 +523,7 @@ fn node_main<M: Send + 'static>(
 
     macro_rules! stop {
         () => {{
-            let _ = lp.run_handler(&mut process, rng, HandlerInput::Shutdown);
+            let _ = lp.run_handler(process, rng, HandlerInput::Shutdown);
             return;
         }};
     }
@@ -523,6 +534,10 @@ fn node_main<M: Send + 'static>(
         ($env:expr) => {
             match $env {
                 Envelope::Msg { from, msg } => step!(HandlerInput::Msg { from, msg }),
+                Envelope::SyncDone(ok) => {
+                    lp.syncs.arrived();
+                    step!(HandlerInput::SyncDone(ok));
+                }
                 Envelope::Stop => stop!(),
                 Envelope::Drain { deadline } => {
                     lp.drain_deadline =
@@ -533,14 +548,22 @@ fn node_main<M: Send + 'static>(
     }
 
     loop {
+        // Syncs with nothing to run complete before the next envelope.
+        while lp.syncs.take_inline() {
+            step!(HandlerInput::SyncDone(true));
+            step!(HandlerInput::BatchEnd);
+        }
+        if lp.drained(process.as_ref()) {
+            stop!();
+        }
         // Block until there is work: a due timer or an envelope.
         let first = if lp.timers.peek().is_some_and(|Reverse((at, _, _))| *at <= Instant::now()) {
             None
         } else {
             match rx.recv_timeout(lp.wait_timeout()) {
                 Ok(env) => Some(env),
-                Err(RecvTimeoutError::Timeout) if !lp.drained(process.as_ref()) => continue,
-                Err(_) => stop!(),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => stop!(),
             }
         };
         // The batch is the work already queued now: the envelopes behind
@@ -557,9 +580,6 @@ fn node_main<M: Send + 'static>(
             envelope!(env);
         }
         step!(HandlerInput::BatchEnd);
-        if lp.drained(process.as_ref()) {
-            stop!();
-        }
     }
 }
 

@@ -113,8 +113,9 @@ fn hookless_trace() -> String {
 }
 
 /// Hook contract (iii): a process that does not implement
-/// `on_batch_end` replays the exact trace it produced before batches
-/// existed — the digest below was taken at the parent commit.
+/// `on_batch_end` and never syncs replays the exact trace it produced
+/// before batches and the disk model existed — the digest below was taken
+/// before either.
 #[test]
 fn sim_processes_without_the_hook_replay_the_pre_hook_trace() {
     let text = hookless_trace();

@@ -89,10 +89,10 @@ fn elastic_weighted_cell_migrates_without_loss() {
 }
 
 /// The slow-fsync profile actually degrades disks (the `slow-fsync` fault
-/// satellite) and the batch commit still upholds the invariants under the
-/// added latency. The matrix client keeps one operation in flight, so no
-/// work queues at a node and every commit here covers one frame; the
-/// penalty on a multi-frame commit is covered by the core chaos test
+/// satellite) and the group commit still upholds the invariants under the
+/// added latency. The matrix client keeps one operation in flight, so
+/// little work queues at a node; the penalty on a multi-frame sync is
+/// covered by the core chaos test
 /// `slow_disk_penalty_is_charged_once_per_commit`.
 #[test]
 fn slow_fsync_cell_degrades_disks_without_loss() {

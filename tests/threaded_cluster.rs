@@ -163,14 +163,55 @@ fn graceful_shutdown_drains_and_leaves_acked_writes_durable() {
         // Graceful: drain in-flight ops, final-sync the WALs, join threads.
         cluster.shutdown_graceful(Duration::from_secs(5));
     }
+    assert_durable_on_w(&dir, nodes, "dur", 0..keys);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // Reopen each node's WAL cold and count where every key survived. An
-    // acknowledged write must be durable on at least W = 2 replicas.
+/// The drain starts straight after a burst of PUTs, with no wait for their
+/// acks, so it meets WAL syncs still in flight: every write acked before
+/// the threads exit must be durable on `W` WALs all the same.
+#[test]
+fn graceful_drain_during_in_flight_syncs_leaves_acked_writes_durable() {
+    let nodes = 3u32;
+    let dir = std::env::temp_dir().join(format!("mystore-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test data dir");
+
+    let acked: Vec<u64> = {
+        let mut cluster = build_cluster(nodes, Some(dir.clone()));
+        converge(&cluster, nodes);
+        let external = cluster.take_external_rx().expect("external stream");
+        for i in 0..60u64 {
+            cluster.send(NodeId((i % 3) as u32), put(i, &format!("drain-{i}")));
+        }
+        cluster.shutdown_graceful(Duration::from_secs(5));
+        // Every reply the nodes sent before exiting is still queued.
+        std::iter::from_fn(|| external.try_recv().ok())
+            .filter_map(|(_, _, msg)| match msg {
+                Msg::PutResp { req, result: Ok(()) } => Some(req),
+                _ => None,
+            })
+            .collect()
+    };
+    assert!(!acked.is_empty(), "the drain acked none of the burst");
+    assert_durable_on_w(&dir, nodes, "drain", acked);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reopens each node's WAL cold and checks that every write `i` of
+/// `keys` (key `<prefix>-<i>`, written by [`put`]) survived on at least
+/// W = 2 replicas.
+fn assert_durable_on_w(
+    dir: &std::path::Path,
+    nodes: u32,
+    prefix: &str,
+    keys: impl IntoIterator<Item = u64>,
+) {
     let dbs: Vec<Db> = (0..nodes)
         .map(|i| Db::open(dir.join(format!("node{i}.wal"))).expect("reopen wal"))
         .collect();
-    for i in 0..keys {
-        let key = format!("dur-{i}");
+    for i in keys {
+        let key = format!("{prefix}-{i}");
         let copies = dbs
             .iter()
             .filter(|db| {
@@ -182,5 +223,4 @@ fn graceful_shutdown_drains_and_leaves_acked_writes_durable() {
             .count();
         assert!(copies >= 2, "{key} durable on {copies} < W=2 replicas after shutdown");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
