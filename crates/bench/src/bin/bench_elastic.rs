@@ -211,10 +211,9 @@ fn main() {
         replicas
     ));
     fig.note(format!(
-        "default budgets ({} records, {} KiB / {} ms tick); migration drained in {:.2}s \
+        "default budgets ({} records, 1024 KiB / {} ms tick); migration drained in {:.2}s \
          ({} record copies shipped, {} arcs cut over)",
         spec.storage.migrate_max_records_per_tick,
-        spec.storage.migrate_max_bytes_per_tick >> 10,
         spec.storage.migrate_tick_us / 1000,
         (mig_end - t_join) as f64 / 1e6,
         counter("migrate.records_sent"),

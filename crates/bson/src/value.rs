@@ -83,7 +83,7 @@ pub enum Value {
     Array(Vec<Value>),
     /// Nested document.
     Document(Document),
-    /// Monotonic timestamp, used by the engine's oplog and LWW merge.
+    /// Monotonic timestamp: a record's packed LWW version.
     Timestamp(u64),
 }
 

@@ -132,8 +132,6 @@ impl ClusterSpec {
             max_inflight: self.frontend_max_inflight,
             cost: self.storage.cost.clone(),
             request_deadline_us: self.storage.request_deadline_us * 5,
-            redispatch_max: 1,
-            max_key_bytes: 1024,
             auth: None,
             metrics: Registry::new(),
         }

@@ -137,20 +137,11 @@ pub struct StorageConfig {
     /// Cost model for `ctx.consume` charging.
     pub cost: CostModel,
     /// How long a coordinator waits for replica acknowledgements before
-    /// retrying a straggler (and, once retries are exhausted, taking the
-    /// hinted-handoff path) (µs).
+    /// retrying a straggler (and, once its two retries are exhausted,
+    /// taking the hinted-handoff path) (µs).
     pub replica_timeout_us: u64,
     /// Hard deadline after which an unfinished request fails (µs).
     pub request_deadline_us: u64,
-    /// How many times a coordinator re-sends a replica op to a straggler
-    /// before diverting to hinted handoff. Zero disables retries (the first
-    /// missed deadline diverts immediately, the pre-retry behaviour).
-    pub replica_retry_max: u32,
-    /// Backoff before retry round `k` is `min(base << (k-1), cap)` plus
-    /// jitter of up to a quarter of that (µs).
-    pub retry_backoff_base_us: u64,
-    /// Upper bound on the exponential backoff between retries (µs).
-    pub retry_backoff_cap_us: u64,
     /// Interval of the hint-replay scan (µs) — node C probing node B
     /// (Fig. 8).
     pub hint_replay_interval_us: u64,
@@ -184,14 +175,8 @@ pub struct StorageConfig {
     /// many record copies leave a node per migration tick; `0` means no
     /// record cap. The default is the budget BENCH_PR10 measured (a 4→8
     /// node doubling drained in 13 s with the client p50 moving 1.12 →
-    /// 1.34 ms).
+    /// 1.34 ms). A fixed 1 MiB byte budget per tick applies beside it.
     pub migrate_max_records_per_tick: u32,
-    /// Byte budget per migration tick (sum of record value sizes); `0`
-    /// means no byte cap. The default of 1 MiB per 50 ms tick is 20 MiB/s
-    /// — a quarter of the cost model's log-write bandwidth and a sixth of
-    /// a gigabit link — and equals 32 records × 32 KiB, so the record cap
-    /// governs small values and this one takes over for large ones.
-    pub migrate_max_bytes_per_tick: u64,
     /// Period of the migration tick (µs) while a migration plan is active.
     pub migrate_tick_us: u64,
     /// Metrics registry this node publishes into. Registries are cheap
@@ -211,9 +196,6 @@ impl Default for StorageConfig {
             cost: CostModel::default(),
             replica_timeout_us: 60_000,     // 60 ms
             request_deadline_us: 1_000_000, // 1 s
-            replica_retry_max: 2,
-            retry_backoff_base_us: 20_000, // 20 ms, then 40 ms, ...
-            retry_backoff_cap_us: 500_000,
             hint_replay_interval_us: 2_000_000,
             collection: "data".into(),
             hinted_handoff: true,
@@ -223,7 +205,6 @@ impl Default for StorageConfig {
             anti_entropy_interval_us: 30_000_000,
             anti_entropy_idle_backoff_max: 1,
             migrate_max_records_per_tick: 32,
-            migrate_max_bytes_per_tick: 1 << 20,
             migrate_tick_us: 50_000,
             metrics: Registry::new(),
         }
@@ -251,17 +232,9 @@ pub struct FrontendConfig {
     pub max_inflight: usize,
     /// Cost model for `ctx.consume` charging.
     pub cost: CostModel,
-    /// Per-request deadline at the front end (µs).
+    /// Per-request deadline at the front end (µs). A request that hits it
+    /// is re-dispatched once to the next coordinator before failing.
     pub request_deadline_us: u64,
-    /// How many times a request that hits its deadline is re-dispatched to
-    /// the next round-robin coordinator before failing with `504` — covers
-    /// a crashed or partitioned coordinator the static upstream list still
-    /// names. Duplicate completions are harmless (writes are last-write-wins
-    /// and the first response to arrive wins). Zero restores fail-fast.
-    pub redispatch_max: u32,
-    /// Longest key (bytes) accepted on the REST surface; longer keys are
-    /// rejected with `400` before anything is forwarded to storage.
-    pub max_key_bytes: usize,
     /// Enable URI-signature authentication (paper Fig. 2).
     pub auth: Option<crate::auth::AuthConfig>,
     /// Metrics registry; share one handle cluster-wide so the front end's
@@ -277,8 +250,6 @@ impl Default for FrontendConfig {
             max_inflight: 512,
             cost: CostModel::default(),
             request_deadline_us: 5_000_000,
-            redispatch_max: 1,
-            max_key_bytes: 1024,
             auth: None,
             metrics: Registry::new(),
         }

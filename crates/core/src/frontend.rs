@@ -20,6 +20,17 @@ use crate::message::{status, Body, Method, Msg, RestRequest, RestResponse, Store
 
 const TK_DEADLINE: u64 = 1;
 
+/// How many times a request that hits its deadline is re-dispatched to the
+/// next round-robin coordinator before failing with `504` — covers a
+/// crashed or partitioned coordinator the static upstream list still
+/// names. Duplicate completions are harmless (writes are last-write-wins
+/// and the first response to arrive wins).
+const REDISPATCH_MAX: u32 = 1;
+
+/// Longest key (bytes) accepted on the REST surface; longer keys are
+/// rejected with `400` before anything is forwarded to storage.
+const MAX_KEY_BYTES: usize = 1024;
+
 fn tk_deadline(req: u64) -> TimerToken {
     (req << 3) | TK_DEADLINE
 }
@@ -270,7 +281,7 @@ impl Frontend {
             return;
         }
         // Keys are bounded (they travel in every replica message).
-        if r.key.as_ref().is_some_and(|k| k.len() > self.cfg.max_key_bytes) {
+        if r.key.as_ref().is_some_and(|k| k.len() > MAX_KEY_BYTES) {
             reply_now(ctx, client, r.req, status::BAD_REQUEST, Body::default());
             return;
         }
@@ -537,7 +548,7 @@ impl Process<Msg> for Frontend {
             // writes converge under last-write-wins.
             let redo = match self.pending.get_mut(&req) {
                 None => return,
-                Some(p) if p.redispatches < self.cfg.redispatch_max => {
+                Some(p) if p.redispatches < REDISPATCH_MAX => {
                     p.redispatches += 1;
                     p.phase = Phase::Store;
                     Some((p.method, p.key.clone(), p.body.clone(), p.if_match))

@@ -32,6 +32,15 @@ use crate::storage_node::{tk, StorageNode};
 use super::get::ReadOp;
 use super::put::WriteOp;
 
+/// How many times a coordinator re-sends a replica op to a straggler
+/// before the op decides (writes divert to hinted handoff, reads park).
+const REPLICA_RETRY_MAX: u32 = 2;
+/// Backoff before retry round `k` is `min(base << (k-1), cap)` plus jitter
+/// of up to a quarter of that (µs): 20 ms, then 40 ms, ...
+const RETRY_BACKOFF_BASE_US: u64 = 20_000;
+/// Upper bound on the exponential backoff between retries (µs).
+const RETRY_BACKOFF_CAP_US: u64 = 500_000;
+
 /// One replica-level reply, normalized so the driver has a single entry
 /// point ([`StorageNode::drv_on_reply`]) for every ack shape on the wire.
 #[derive(Debug)]
@@ -203,12 +212,10 @@ impl StorageNode {
     /// Backoff before retry round `round` (1-based): exponential in the
     /// round, capped, plus up to 25% jitter so stragglers are not re-hit in
     /// lockstep by every coordinator at once.
-    pub(crate) fn backoff_delay(&self, ctx: &mut Context<'_, Msg>, round: u32) -> u64 {
-        let base = self
-            .cfg
-            .retry_backoff_base_us
+    fn backoff_delay(&self, ctx: &mut Context<'_, Msg>, round: u32) -> u64 {
+        let base = RETRY_BACKOFF_BASE_US
             .saturating_mul(1u64 << (round.saturating_sub(1)).min(32))
-            .min(self.cfg.retry_backoff_cap_us);
+            .min(RETRY_BACKOFF_CAP_US);
         let jitter = ctx.rng().range_u64(0, base / 4 + 1);
         let delay = base + jitter;
         self.metrics.retry_backoff_us.record(delay);
@@ -311,7 +318,7 @@ impl StorageNode {
     /// hard deadline).
     pub(crate) fn drv_on_retry_timeout(&mut self, ctx: &mut Context<'_, Msg>, req: u64) {
         let Some(mut pending) = self.quorum.ops.remove(&req) else { return };
-        if pending.common.retry_round < self.cfg.replica_retry_max {
+        if pending.common.retry_round < REPLICA_RETRY_MAX {
             pending.common.retry_round += 1;
             let round = pending.common.retry_round;
             for replica in pending.op.targets(self) {
@@ -323,7 +330,7 @@ impl StorageNode {
             return;
         }
         // Later calls are re-checks of a diverted write, not new exhaustions.
-        if pending.common.retry_round == self.cfg.replica_retry_max {
+        if pending.common.retry_round == REPLICA_RETRY_MAX {
             pending.common.retry_round += 1;
             self.metrics.retries_exhausted.inc();
         }

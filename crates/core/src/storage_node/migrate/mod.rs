@@ -5,11 +5,10 @@
 //! [`MigrationPlan`]: the old-vs-new ring preference diff, cut into arcs,
 //! with one work item per locally-held record whose replica set changed. A
 //! `TK_MIGRATE` tick drains the work list in key order under the per-tick
-//! budgets in [`crate::config::StorageConfig`]
-//! (`migrate_max_records_per_tick` / `migrate_max_bytes_per_tick`),
-//! shipping records on the acknowledged `StoreReplica`/`StoreReplicaBatch`
-//! path; an arc whose items are all acked is *cut over* — entrants are
-//! told they are now authoritative
+//! budgets (`StorageConfig::migrate_max_records_per_tick` and the fixed
+//! `MIGRATE_MAX_BYTES_PER_TICK`), shipping records on the acknowledged
+//! `StoreReplica`/`StoreReplicaBatch` path; an arc whose items are all
+//! acked is *cut over* — entrants are told they are now authoritative
 //! ([`crate::message::Msg::MigrateCutover`]) and, when this node left the
 //! arc's replica set, its local copies are dropped.
 //!
@@ -41,6 +40,13 @@ use plan::covers;
 pub(crate) use plan::{
     InboundArc, MigAck, MigrationPlan, PlanArc, ProxyFetch, ResumeCursor, WorkItem,
 };
+
+/// Byte budget per migration tick (sum of record value sizes). 1 MiB per
+/// 50 ms tick is 20 MiB/s — a quarter of the cost model's log-write
+/// bandwidth and a sixth of a gigabit link — and equals 32 records × 32
+/// KiB, so the record cap governs small values and this one takes over
+/// for large ones.
+const MIGRATE_MAX_BYTES_PER_TICK: usize = 1 << 20;
 
 impl StorageNode {
     /// Reweights this node at runtime: republishes the scaled vnode count
@@ -416,11 +422,6 @@ impl StorageNode {
         } else {
             usize::MAX
         };
-        let byte_budget = if self.cfg.migrate_max_bytes_per_tick > 0 {
-            self.cfg.migrate_max_bytes_per_tick as usize
-        } else {
-            usize::MAX
-        };
         let mut recs_used = 0usize;
         let mut bytes_used = 0usize;
         let mut batches: BTreeMap<NodeId, Vec<BatchPut>> = BTreeMap::new();
@@ -465,7 +466,8 @@ impl StorageNode {
             let copies = targets.len();
             let bytes = record.val.len() * copies;
             if recs_used > 0
-                && (recs_used + copies > rec_budget || bytes_used + bytes > byte_budget)
+                && (recs_used + copies > rec_budget
+                    || bytes_used + bytes > MIGRATE_MAX_BYTES_PER_TICK)
             {
                 break;
             }

@@ -396,7 +396,7 @@ fn malformed_requests_get_400_without_touching_storage() {
             (warm + 400_000, fe, rest_if_match(3, Method::Get, Some("k"), b"", "1")),
             // If-Match on a key-less POST (key assignment can't be conditional).
             (warm + 600_000, fe, rest_if_match(4, Method::Post, None, b"v", "1")),
-            // Key longer than `max_key_bytes`.
+            // Key longer than the front end's 1 KiB key limit.
             (warm + 800_000, fe, rest(5, Method::Post, Some(&oversized_key), b"v")),
         ]),
         NodeConfig::default(),

@@ -1,5 +1,5 @@
-//! The database: named collections, write-ahead logging, crash recovery,
-//! compaction, and an oplog for replication.
+//! The database: named collections, write-ahead logging, crash recovery
+//! and compaction.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -8,19 +8,11 @@ use mystore_bson::{Document, ObjectId, OidGen};
 
 use crate::collection::{Collection, FindOptions};
 use crate::error::{EngineError, Result};
-use crate::oplog::{OplogRing, WalOp};
+use crate::oplog::WalOp;
 use crate::query::filter::Filter;
 use crate::query::update::Update;
 use crate::record::{Record, F_IS_DEL, F_SELF_KEY};
 use crate::wal::Wal;
-
-/// Engine version string, returned by [`Db::version`]. The paper's wrapped
-/// `Connect` tests liveness by querying the server version (§5.1 step 3);
-/// our pool does the same.
-pub const ENGINE_VERSION: &str = "mystore-engine 0.1.0 (mongolite)";
-
-/// Default capacity of the replication oplog ring.
-const OPLOG_CAPACITY: usize = 100_000;
 
 /// Aggregate statistics for a database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +35,9 @@ pub struct DbStats {
 pub struct Db {
     collections: BTreeMap<String, Collection>,
     wal: Wal,
-    oplog: OplogRing,
-    /// Mutations append WAL frames without syncing (see [`Db::set_staged`];
-    /// also set inside [`Db::with_batch`], which syncs once at its end).
+    /// Mutations logged through this handle ([`Db::last_seq`]).
+    logged: u64,
+    /// Mutations append WAL frames without syncing (see [`Db::set_staged`]).
     staged: bool,
     /// Deterministic id source for simulated nodes (see
     /// [`Db::set_oid_machine`]). `None` falls back to [`ObjectId::new`],
@@ -69,7 +61,7 @@ impl Db {
         Db {
             collections: BTreeMap::new(),
             wal: Wal::memory(),
-            oplog: OplogRing::new(OPLOG_CAPACITY),
+            logged: 0,
             staged: false,
             oid_gen: None,
             oid_secs: 0,
@@ -85,7 +77,7 @@ impl Db {
         let mut db = Db {
             collections: BTreeMap::new(),
             wal,
-            oplog: OplogRing::new(OPLOG_CAPACITY),
+            logged: 0,
             staged: false,
             oid_gen: None,
             oid_secs: 0,
@@ -117,7 +109,7 @@ impl Db {
         let mut db = Db {
             collections: BTreeMap::new(),
             wal: self.wal,
-            oplog: OplogRing::new(OPLOG_CAPACITY),
+            logged: 0,
             staged: self.staged,
             oid_gen,
             oid_secs: self.oid_secs,
@@ -135,8 +127,7 @@ impl Db {
     /// no per-frame sync overhead).
     fn replay_frames(&mut self, frames: Vec<Vec<u8>>) -> Result<()> {
         for frame in frames {
-            let op = WalOp::decode_bytes(&frame)?;
-            self.apply_in_memory(&op)?;
+            self.apply_in_memory(WalOp::decode_bytes(&frame)?)?;
         }
         Ok(())
     }
@@ -187,11 +178,6 @@ impl Db {
         self.wal.durable_pos()
     }
 
-    /// Engine version (the liveness probe used by the connection pool).
-    pub fn version(&self) -> &'static str {
-        ENGINE_VERSION
-    }
-
     /// Attaches registry-backed WAL metrics (see
     /// [`crate::wal::WalMetrics`]).
     pub fn set_wal_metrics(&mut self, metrics: crate::wal::WalMetrics) {
@@ -218,22 +204,19 @@ impl Db {
         }
     }
 
-    // ---- replication --------------------------------------------------
-
-    /// Highest oplog sequence number.
+    /// How many mutations this handle has logged since it was opened or
+    /// recovered (0 until the first). Replay does not count, so a caller
+    /// that compares two readings learns whether anything was written in
+    /// between (anti-entropy's idle backoff does exactly that).
     pub fn last_seq(&self) -> u64 {
-        self.oplog.last_seq()
+        self.logged
     }
 
-    /// Ops after `seq` for a catching-up follower; `None` means the history
-    /// was evicted and the follower must full-resync via [`Db::full_dump`].
-    pub fn ops_since(&self, seq: u64) -> Option<Vec<(u64, WalOp)>> {
-        self.oplog.since(seq)
-    }
+    // ---- internals ----------------------------------------------------
 
     /// A full logical dump: every collection's indexes and documents as
-    /// insert ops (for follower bootstrap and compaction).
-    pub fn full_dump(&self) -> Vec<WalOp> {
+    /// insert ops (what compaction rewrites the log to).
+    fn full_dump(&self) -> Vec<WalOp> {
         let mut ops = Vec::new();
         for (name, coll) in &self.collections {
             for field in coll.index_fields() {
@@ -246,71 +229,55 @@ impl Db {
         ops
     }
 
-    /// Applies a replicated/migrated op, logging it locally as well.
-    pub fn apply(&mut self, op: &WalOp) -> Result<()> {
-        self.log_and_apply(op.clone()).map(|_| ())
-    }
-
-    /// Runs `f` as one commit batch: per-op WAL syncs inside are suppressed
-    /// and a single covering sync is issued at the end, so callers looping
-    /// over [`Db::apply`] (replication streams, bulk loads) pay one fsync
-    /// instead of one per op. Everything applied in `f` is durable once
-    /// this returns.
-    pub fn with_batch<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        let prev = std::mem::replace(&mut self.staged, true);
-        let result = f(self);
-        self.staged = prev;
-        self.wal.sync()?;
-        result
-    }
-
-    // ---- internals ----------------------------------------------------
-
-    fn log_and_apply(&mut self, op: WalOp) -> Result<u64> {
+    /// Logs `op` (one WAL frame, synced unless staged), then applies it by
+    /// move: once its frame is written nothing else needs the op.
+    fn log_and_apply(&mut self, op: WalOp) -> Result<()> {
         self.wal.append_nosync(&op.encode_bytes())?;
         if !self.staged {
             self.wal.sync()?;
         }
-        self.apply_in_memory(&op)?;
-        Ok(self.oplog.push(op))
+        self.apply_in_memory(op)?;
+        self.logged += 1;
+        Ok(())
     }
 
     /// Applies an op to memory without logging (recovery path).
     ///
     /// This is the single funnel every mutation passes through (logged
-    /// writes, batch helpers, WAL replay), which is what makes it the one
-    /// correct place to capture dirty self-keys for [`Db::take_dirty_keys`].
-    fn apply_in_memory(&mut self, op: &WalOp) -> Result<()> {
+    /// writes and WAL replay), which is what makes it the one correct
+    /// place to capture dirty self-keys for [`Db::take_dirty_keys`].
+    fn apply_in_memory(&mut self, op: WalOp) -> Result<()> {
         let tracked = self.dirty_coll.as_deref() == Some(op.collection());
-        let coll = self.collections.entry(op.collection().to_string()).or_default();
         let mut touched: Option<String> = None;
         let mut touched_prev: Option<String> = None;
         match op {
-            WalOp::Insert { doc, .. } => {
+            WalOp::Insert { coll, doc } => {
                 if tracked {
                     touched = doc.get_str(F_SELF_KEY).map(str::to_string);
                 }
-                coll.insert(doc.clone())?;
+                self.collections.entry(coll).or_default().insert(doc)?;
             }
-            WalOp::Update { id, doc, .. } => {
+            WalOp::Update { coll, id, doc } => {
+                let coll = self.collections.entry(coll).or_default();
                 if tracked {
                     // The after-image may carry a different self-key than
                     // the document it replaces; both ranges went stale.
                     touched = doc.get_str(F_SELF_KEY).map(str::to_string);
                     touched_prev =
-                        coll.get(*id).and_then(|d| d.get_str(F_SELF_KEY)).map(str::to_string);
+                        coll.get(id).and_then(|d| d.get_str(F_SELF_KEY)).map(str::to_string);
                 }
-                coll.put_after_image(*id, doc.clone());
+                coll.put_after_image(id, doc);
             }
-            WalOp::Remove { id, .. } => {
+            WalOp::Remove { coll, id } => {
+                let coll = self.collections.entry(coll).or_default();
                 if tracked {
                     // The key must be read before the document is gone.
-                    touched = coll.get(*id).and_then(|d| d.get_str(F_SELF_KEY)).map(str::to_string);
+                    touched = coll.get(id).and_then(|d| d.get_str(F_SELF_KEY)).map(str::to_string);
                 }
-                coll.remove(*id)?;
+                coll.remove(id)?;
             }
-            WalOp::CreateIndex { field, .. } => {
-                coll.create_index(field)?;
+            WalOp::CreateIndex { coll, field } => {
+                self.collections.entry(coll).or_default().create_index(&field)?;
             }
         }
         self.dirty_keys.extend(touched);
@@ -737,43 +704,37 @@ mod tests {
     }
 
     #[test]
-    fn oplog_feeds_follower() {
-        let mut master = Db::memory();
-        let mut slave = Db::memory();
-        master.create_index("d", "self-key").unwrap();
-        for i in 0..5 {
-            master.insert_doc("d", doc! { "self-key": format!("k{i}"), "v": i }).unwrap();
-        }
-        // Follower applies everything since 0.
-        for (_, op) in master.ops_since(0).unwrap() {
-            slave.apply(&op).unwrap();
-        }
-        assert_eq!(slave.count("d", &Filter::True).unwrap(), 5);
-        assert_eq!(slave.last_seq(), master.last_seq());
-        // Incremental catch-up.
-        let mark = slave.last_seq();
-        master.insert_doc("d", doc! { "self-key": "k9", "v": 9 }).unwrap();
-        let tail = master.ops_since(mark).unwrap();
-        assert_eq!(tail.len(), 1);
-        for (_, op) in tail {
-            slave.apply(&op).unwrap();
-        }
-        assert_eq!(slave.count("d", &Filter::True).unwrap(), 6);
-    }
+    fn last_seq_counts_logged_mutations_only() {
+        let mut db = Db::memory();
+        assert_eq!(db.last_seq(), 0);
+        db.create_index("d", "self-key").unwrap();
+        assert_eq!(db.last_seq(), 1);
+        let a = Record::new(ObjectId::from_parts(1, 1, 1), "ka", vec![1], pack_version(10, 0));
+        assert!(db.put_record("d", &a).unwrap());
+        assert_eq!(db.last_seq(), 2, "an insert is one logged mutation");
+        let mut newer = a.clone();
+        newer.version = pack_version(20, 0);
+        assert!(db.put_record("d", &newer).unwrap());
+        assert_eq!(db.last_seq(), 3, "an LWW replace is one logged mutation");
 
-    #[test]
-    fn full_dump_bootstraps_empty_follower() {
-        let mut master = Db::memory();
-        master.create_index("d", "self-key").unwrap();
-        for i in 0..4 {
-            master.insert_doc("d", doc! { "self-key": format!("k{i}") }).unwrap();
-        }
-        let mut follower = Db::memory();
-        for op in master.full_dump() {
-            follower.apply(&op).unwrap();
-        }
-        assert_eq!(follower.count("d", &Filter::True).unwrap(), 4);
-        assert_eq!(follower.collection("d").unwrap().index_fields(), vec!["self-key"]);
+        // Reads and an LWW-stale write log nothing.
+        db.get_record("d", "ka").unwrap();
+        db.count("d", &Filter::True).unwrap();
+        assert!(!db.put_record("d", &a).unwrap());
+        assert_eq!(db.last_seq(), 3);
+
+        // A failed mutation logs nothing either.
+        assert!(db.create_index("d", "self-key").is_err());
+        assert_eq!(db.last_seq(), 3);
+
+        let id = db.get_record("d", "ka").unwrap().unwrap().id;
+        db.remove("d", id).unwrap();
+        assert_eq!(db.last_seq(), 4);
+
+        // Recovery replays the log without counting it.
+        let db = db.recover_from_wal().unwrap();
+        assert_eq!(db.collection("d").unwrap().index_fields(), vec!["self-key"]);
+        assert_eq!(db.last_seq(), 0);
     }
 
     #[test]
@@ -786,11 +747,6 @@ mod tests {
         assert_eq!(s.documents, 2);
         assert!(s.bytes > 1000);
         assert!(s.wal_bytes > 1000);
-    }
-
-    #[test]
-    fn version_is_exposed() {
-        assert!(Db::memory().version().contains("mystore-engine"));
     }
 
     #[test]
@@ -807,9 +763,6 @@ mod tests {
         assert_eq!(reg.snapshot().counters["wal.fsyncs"], 0);
         assert_eq!(db.sync_wal().unwrap(), 3, "one sync covers the batch");
         assert_eq!(reg.snapshot().counters["wal.fsyncs"], 1);
-        // A batch helper still returns durable, and leaves staging on.
-        db.with_batch(|db| db.insert_doc("d", doc! { "k": 8 })).unwrap();
-        assert_eq!(db.wal_pending_ops(), 0);
         db.insert_doc("d", doc! { "k": 9 }).unwrap();
         assert_eq!(db.wal_pending_ops(), 1);
         // Back to the default: durable on return.

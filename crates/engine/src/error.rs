@@ -30,8 +30,6 @@ pub enum EngineError {
     IndexExists(String),
     /// A query or update document was malformed.
     BadQuery(String),
-    /// The engine was asked to operate while closed.
-    Closed,
 }
 
 impl fmt::Display for EngineError {
@@ -45,7 +43,6 @@ impl fmt::Display for EngineError {
             EngineError::NotFound => write!(f, "document not found"),
             EngineError::IndexExists(field) => write!(f, "index already exists on field {field}"),
             EngineError::BadQuery(detail) => write!(f, "malformed query: {detail}"),
-            EngineError::Closed => write!(f, "engine is closed"),
         }
     }
 }

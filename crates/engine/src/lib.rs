@@ -1,9 +1,9 @@
 //! `mystore-engine` — the single-node document store MyStore clusters.
 //!
 //! The paper layers its availability machinery over MongoDB, which it treats
-//! as a per-node black box offering BSON documents, rich queries, secondary
-//! indexes, and master/slave replication. This crate is that black box,
-//! implemented from scratch (see DESIGN.md's substitution ledger):
+//! as a per-node black box offering BSON documents, rich queries and
+//! secondary indexes. This crate is that black box, implemented from
+//! scratch (see DESIGN.md's substitution ledger):
 //!
 //! * [`Db`] — named collections with WAL durability, crash recovery and
 //!   compaction,
@@ -11,10 +11,13 @@
 //!   documents (`$gt`, `$in`, `$or`, `$set`, `$inc`, ...),
 //! * [`index::Index`] — B-tree secondary indexes (multikey, sparse),
 //! * [`record::Record`] — the paper's five-field record layout with
-//!   last-write-wins versions,
-//! * [`repl::ReplNode`] — the master/slave baseline replication mode,
-//! * [`pool::Pool`] — the wrapped `Connect` with real connection testing
-//!   (paper §5.1).
+//!   last-write-wins versions.
+//!
+//! MongoDB's own master/slave replication is not here: MyStore replicates
+//! records through NWR quorums, and the master/slave baseline of the
+//! paper's Fig. 17 is `mystore_baselines::msmongo`. Nor is the paper's
+//! §5.1 connection pool: a node owns its [`Db`] in-process, so there is no
+//! connection to test.
 //!
 //! ```
 //! use mystore_bson::doc;
@@ -35,19 +38,15 @@ pub mod db;
 pub mod error;
 pub mod index;
 pub mod oplog;
-pub mod pool;
 pub mod queries;
 pub mod query;
 pub mod record;
-pub mod repl;
 pub mod wal;
 
 pub use collection::{Collection, Explain, FindOptions};
-pub use db::{Db, DbStats, ENGINE_VERSION};
+pub use db::{Db, DbStats};
 pub use error::{EngineError, Result};
-pub use oplog::{OplogRing, WalOp};
-pub use pool::{ConnectOptions, DbHandle, Pool, PooledConn};
+pub use oplog::WalOp;
 pub use query::{Agg, Filter, GroupSpec, Update};
 pub use record::{cas_version_check, lww_winner, pack_version, unpack_version, Record};
-pub use repl::{ReplNode, Role};
 pub use wal::WalMetrics;

@@ -1,14 +1,10 @@
-//! Logical operations: the unit of both WAL frames and replication.
+//! Logical operations: the unit of WAL frames.
 //!
 //! Every mutation the engine performs is described by a [`WalOp`], encoded
-//! as a BSON document. The same encoding serves three purposes:
-//!
-//! 1. WAL frames (durability + crash recovery),
-//! 2. the in-memory **oplog** ring that a master ships to slaves
-//!    (the paper's baseline "simple master/slave mechanism", §2),
-//! 3. anti-entropy transfers during MyStore migration.
-
-use std::collections::VecDeque;
+//! as a BSON document into one WAL frame. The log serves crash recovery
+//! and compaction only: MyStore replicates records through NWR quorums,
+//! not by shipping its log (DESIGN.md §9), so an op is applied by move
+//! once its frame is written and nothing keeps it afterwards.
 
 use mystore_bson::{doc, Document, ObjectId, Value};
 
@@ -124,63 +120,6 @@ impl WalOp {
     }
 }
 
-/// Bounded in-memory oplog ring with monotonically increasing sequence
-/// numbers; feeds master→slave replication.
-#[derive(Debug, Default)]
-pub struct OplogRing {
-    ops: VecDeque<(u64, WalOp)>,
-    next_seq: u64,
-    capacity: usize,
-}
-
-impl OplogRing {
-    /// Creates a ring holding at most `capacity` recent ops.
-    pub fn new(capacity: usize) -> Self {
-        OplogRing { ops: VecDeque::new(), next_seq: 1, capacity: capacity.max(1) }
-    }
-
-    /// Appends an op, returning its sequence number.
-    pub fn push(&mut self, op: WalOp) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.ops.len() == self.capacity {
-            self.ops.pop_front();
-        }
-        self.ops.push_back((seq, op));
-        seq
-    }
-
-    /// Highest sequence number assigned so far (0 when empty).
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-
-    /// Ops with sequence numbers strictly greater than `after`, or `None`
-    /// if that history has been evicted (the follower must full-resync).
-    pub fn since(&self, after: u64) -> Option<Vec<(u64, WalOp)>> {
-        if after >= self.last_seq() {
-            return Some(Vec::new());
-        }
-        match self.ops.front() {
-            Some(&(oldest, _)) if after + 1 >= oldest => {
-                Some(self.ops.iter().filter(|(s, _)| *s > after).cloned().collect())
-            }
-            None => Some(Vec::new()),
-            _ => None, // evicted
-        }
-    }
-
-    /// Number of retained ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when no ops are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,40 +153,5 @@ mod tests {
         assert!(WalOp::decode(&doc! { "o": "zz", "c": "x" }).is_err());
         assert!(WalOp::decode(&doc! { "o": "u", "c": "x", "d": doc!{} }).is_err());
         assert!(WalOp::decode(&doc! { "o": "x", "c": "x" }).is_err());
-    }
-
-    #[test]
-    fn ring_assigns_monotonic_seqs() {
-        let mut ring = OplogRing::new(10);
-        let ops = sample_ops();
-        let seqs: Vec<u64> = ops.iter().map(|op| ring.push(op.clone())).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4]);
-        assert_eq!(ring.last_seq(), 4);
-    }
-
-    #[test]
-    fn since_returns_tail() {
-        let mut ring = OplogRing::new(10);
-        for op in sample_ops() {
-            ring.push(op);
-        }
-        let tail = ring.since(2).unwrap();
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].0, 3);
-        assert!(ring.since(4).unwrap().is_empty());
-        assert!(ring.since(100).unwrap().is_empty());
-    }
-
-    #[test]
-    fn eviction_forces_resync() {
-        let mut ring = OplogRing::new(2);
-        for op in sample_ops() {
-            ring.push(op);
-        }
-        // Ops 1 and 2 evicted.
-        assert!(ring.since(0).is_none());
-        assert!(ring.since(1).is_none());
-        assert_eq!(ring.since(2).unwrap().len(), 2);
-        assert_eq!(ring.len(), 2);
     }
 }

@@ -4,7 +4,7 @@
 use mystore_bson::ObjectId;
 use mystore_bson::{doc, Value};
 use mystore_engine::query::{Filter, Update};
-use mystore_engine::{pack_version, Db, Record};
+use mystore_engine::{pack_version, Db, FindOptions, Record};
 
 fn temp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("mystore-compact-{}", std::process::id()));
@@ -32,12 +32,16 @@ fn compaction_shrinks_the_log_and_preserves_state() {
         after < before / 10,
         "compaction should collapse 201 log entries to ~1 ({before} -> {after})"
     );
-    // State intact across compaction + reopen.
+    // State intact across compaction + reopen, the index included: the
+    // rewritten log recreates it and queries on `k` still use it.
     drop(db);
     let db = Db::open(&path).unwrap();
     assert_eq!(db.get("d", id).unwrap().unwrap().get_i64("v"), Some(200));
+    assert_eq!(db.collection("d").unwrap().index_fields(), vec!["k"]);
     let f = Filter::parse(&doc! { "k": "hot" }).unwrap();
     assert_eq!(db.count("d", &f).unwrap(), 1);
+    let (_, explain) = db.find_explain("d", &f, &FindOptions::default()).unwrap();
+    assert_eq!(explain.used_index.as_deref(), Some("k"));
     std::fs::remove_file(&path).unwrap();
 }
 

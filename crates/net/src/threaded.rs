@@ -7,8 +7,8 @@
 //! deployment on top of it) as well as the substrate for the examples and
 //! integration tests. Fault injection and the bandwidth model are
 //! simulator-only; here messages deliver as fast as channels allow, and
-//! [`Context::consume`](crate::process::Context::consume) optionally maps to
-//! a real `sleep` via [`ThreadedConfig::time_dilation`].
+//! [`Context::consume`](crate::process::Context::consume) charges nothing
+//! (the real work already took real time).
 //!
 //! # Routing
 //!
@@ -100,20 +100,10 @@ enum Envelope<M> {
 }
 
 /// Configuration for the threaded runtime.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThreadedConfig {
     /// RNG seed (per-node generators are forked from it).
     pub seed: u64,
-    /// Multiplier applied to `ctx.consume(us)` when converting it into a
-    /// real sleep. `0.0` disables sleeping entirely (fastest); `1.0` sleeps
-    /// the full consumed time.
-    pub time_dilation: f64,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        ThreadedConfig { seed: 0, time_dilation: 0.0 }
-    }
 }
 
 /// Builds a [`ThreadedCluster`].
@@ -171,7 +161,6 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
                 external_tx: external_tx.clone(),
                 trace: Arc::clone(&trace),
                 start,
-                dilation: self.config.time_dilation,
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
                 actions: Vec::new(),
@@ -357,7 +346,6 @@ struct NodeLoop<M: Send + 'static> {
     external_tx: Sender<(NodeId, NodeId, M)>,
     trace: Arc<Mutex<Trace>>,
     start: Instant,
-    dilation: f64,
     timers: TimerHeap,
     timer_seq: u64,
     actions: Vec<Action<M>>,
@@ -399,7 +387,7 @@ impl<M: Send + 'static> NodeLoop<M> {
     ) -> Flow {
         let now = self.now();
         let ends_batch = matches!(input, HandlerInput::BatchEnd);
-        let consumed = {
+        {
             let mut ctx = Context::new(now, self.id, &mut self.actions, rng, None);
             match input {
                 HandlerInput::Start => process.on_start(&mut ctx),
@@ -409,10 +397,6 @@ impl<M: Send + 'static> NodeLoop<M> {
                 HandlerInput::BatchEnd => process.on_batch_end(&mut ctx),
                 HandlerInput::Shutdown => process.on_shutdown(&mut ctx),
             }
-            ctx.consumed()
-        };
-        if self.dilation > 0.0 && consumed > 0 {
-            std::thread::sleep(Duration::from_micros((consumed as f64 * self.dilation) as u64));
         }
         // All timers armed by one handler share a base instant, so equal
         // delays produce *equal* deadlines (resolved by seq, i.e. insertion

@@ -17,12 +17,13 @@
 //! simulator verifies; only the action interpreter differs. That is the
 //! sim-as-oracle guarantee (DESIGN.md §12).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use mystore_core::{CostModel, Frontend, FrontendConfig, Msg, StorageConfig, StorageNode};
 use mystore_gossip::GossipConfig;
 use mystore_net::{NodeId, RecvError, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};
@@ -209,50 +210,22 @@ impl Host {
     }
 
     /// Blocks until this host's storage nodes see the full expected ring
-    /// membership, or `timeout` elapses. See [`await_ring_convergence`].
+    /// membership, or `timeout` elapses. See [`poll_ring_ready`].
     pub fn await_ready(&self, expected: &[NodeId], timeout: Duration) -> Result<(), String> {
         let registry = self.gateway.registry();
         let injector = self.cluster.as_ref().expect("host is running").injector();
         let (probe_id, rx) = registry.register();
-        let deadline = Instant::now() + timeout;
-        let mut converged: std::collections::BTreeSet<NodeId> = Default::default();
-        let mut probe_req = 0u64;
-        let result = loop {
-            for &node in &self.storage_ids {
-                if !converged.contains(&node) {
-                    probe_req += 1;
-                    injector.send_from(probe_id, node, Msg::RingReq { req: probe_req });
-                }
-            }
-            let poll_until = (Instant::now() + Duration::from_millis(50)).min(deadline);
-            loop {
-                let left = poll_until.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(left) {
-                    Ok((from, Msg::RingResp { members, .. })) => {
-                        if ring_converged(&members, expected) {
-                            converged.insert(from);
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
-            }
-            if converged.len() == self.storage_ids.len() {
-                break Ok(());
-            }
-            if Instant::now() >= deadline {
-                break Err(format!(
-                    "ring not converged within {timeout:?}: {}/{} local nodes ready",
-                    converged.len(),
-                    self.storage_ids.len()
-                ));
-            }
-        };
+        let result = poll_ring_ready(
+            &self.storage_ids,
+            expected,
+            timeout,
+            |node, msg| {
+                injector.send_from(probe_id, node, msg);
+            },
+            |left| recv_channel(&rx, left),
+        );
         registry.unregister(probe_id);
-        result
+        result.map(|_| ())
     }
 
     /// Graceful shutdown: stop REST intake, drain in-flight quorum ops
@@ -289,16 +262,40 @@ pub fn await_ring_convergence(
     expected: &[NodeId],
     timeout: Duration,
 ) -> Result<Duration, String> {
+    poll_ring_ready(
+        expected,
+        expected,
+        timeout,
+        |node, msg| cluster.send(node, msg),
+        |left| cluster.recv_timeout(left),
+    )
+}
+
+/// The one ring-readiness poll, behind `GET /_ready`, [`Host::await_ready`]
+/// and [`await_ring_convergence`]. Sends `RingReq` to every node in
+/// `nodes` and waits until each has reported a ring of exactly `expected`,
+/// re-probing the rest every 50 ms, for at most `timeout`.
+///
+/// `send` delivers one probe; `recv` waits up to the given time for the
+/// next message addressed to the prober. Anything but a `RingResp` from
+/// one of `nodes` is dropped. Returns the time it took.
+pub(crate) fn poll_ring_ready(
+    nodes: &[NodeId],
+    expected: &[NodeId],
+    timeout: Duration,
+    mut send: impl FnMut(NodeId, Msg),
+    mut recv: impl FnMut(Duration) -> Result<(NodeId, Msg), RecvError>,
+) -> Result<Duration, String> {
     let start = Instant::now();
     let deadline = start + timeout;
-    let mut converged: std::collections::BTreeSet<NodeId> = Default::default();
+    let mut converged: BTreeSet<NodeId> = BTreeSet::new();
     // Correlation ids far above anything a harness uses for its own ops.
     let mut probe_req = u64::MAX / 2;
     loop {
-        for &node in expected {
+        for &node in nodes {
             if !converged.contains(&node) {
                 probe_req += 1;
-                cluster.send(node, Msg::RingReq { req: probe_req });
+                send(node, Msg::RingReq { req: probe_req });
             }
         }
         let poll_until = (Instant::now() + Duration::from_millis(50)).min(deadline);
@@ -307,9 +304,9 @@ pub fn await_ring_convergence(
             if left.is_zero() {
                 break;
             }
-            match cluster.recv_timeout(left) {
+            match recv(left) {
                 Ok((from, Msg::RingResp { members, .. })) => {
-                    if ring_converged(&members, expected) {
+                    if nodes.contains(&from) && ring_converged(&members, expected) {
                         converged.insert(from);
                     }
                 }
@@ -320,17 +317,28 @@ pub fn await_ring_convergence(
                 }
             }
         }
-        if converged.len() == expected.len() {
+        if converged.len() == nodes.len() {
             return Ok(start.elapsed());
         }
         if Instant::now() >= deadline {
             return Err(format!(
                 "ring not converged within {timeout:?}: {}/{} nodes ready",
                 converged.len(),
-                expected.len()
+                nodes.len()
             ));
         }
     }
+}
+
+/// A gateway client channel as a [`poll_ring_ready`] receiver.
+pub(crate) fn recv_channel(
+    rx: &Receiver<(NodeId, Msg)>,
+    timeout: Duration,
+) -> Result<(NodeId, Msg), RecvError> {
+    rx.recv_timeout(timeout).map_err(|e| match e {
+        RecvTimeoutError::Timeout => RecvError::Timeout,
+        RecvTimeoutError::Disconnected => RecvError::Disconnected,
+    })
 }
 
 fn resolve(addr: &str) -> io::Result<SocketAddr> {

@@ -27,12 +27,16 @@ use mystore_core::{Method, Msg, RestRequest};
 use mystore_net::{Injector, NodeId};
 
 use crate::gateway::ClientRegistry;
-use crate::host::ring_converged;
+use crate::host::{poll_ring_ready, recv_channel};
 
 /// How long a translated request may wait for the cluster's response
 /// before the adapter answers 504 on its behalf. Above the frontend's own
 /// internal deadline, so the cluster's verdict normally wins.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long `GET /_ready` polls the local nodes' rings before answering
+/// 503: every local node must report the full spec membership by then.
+const READY_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A running REST listener. Stop with [`HttpServer::shutdown`].
 pub struct HttpServer {
@@ -137,9 +141,17 @@ fn serve_connection(stream: TcpStream, ctx: ConnCtx) {
             req.headers.get("connection").map(|v| !v.eq_ignore_ascii_case("close")).unwrap_or(true);
         let ok = match route(&req) {
             Route::Ready => {
-                let ready = probe_ready(&ctx, client_id, &reply_rx, &mut next_req);
+                let ready = poll_ring_ready(
+                    &ctx.local_storage,
+                    &ctx.all_storage,
+                    READY_TIMEOUT,
+                    |node, msg| {
+                        ctx.injector.send_from(client_id, node, msg);
+                    },
+                    |left| recv_channel(&reply_rx, left),
+                );
                 let (code, body) =
-                    if ready { (200, "ready\n") } else { (503, "ring not converged\n") };
+                    if ready.is_ok() { (200, "ready\n") } else { (503, "ring not converged\n") };
                 write_response(&mut out, code, body.as_bytes(), &[], keep_alive).is_ok()
             }
             Route::Rest(rest) => {
@@ -213,43 +225,6 @@ fn route(req: &HttpReq) -> Route {
             _ => Route::NotFound,
         },
     }
-}
-
-/// Sends `RingReq` to every locally hosted storage node and requires each
-/// to report the full cluster membership — the readiness poll that
-/// replaced the examples' fixed convergence sleeps, reused here as an
-/// endpoint (see also [`crate::host::await_ring_convergence`]).
-fn probe_ready(
-    ctx: &ConnCtx,
-    client_id: NodeId,
-    reply_rx: &crossbeam::channel::Receiver<(NodeId, Msg)>,
-    next_req: &mut u64,
-) -> bool {
-    let base = *next_req;
-    *next_req += ctx.local_storage.len() as u64;
-    for (i, &node) in ctx.local_storage.iter().enumerate() {
-        ctx.injector.send_from(client_id, node, Msg::RingReq { req: base + i as u64 });
-    }
-    let mut ready = 0usize;
-    let deadline = std::time::Instant::now() + Duration::from_millis(500);
-    while ready < ctx.local_storage.len() {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        if left.is_zero() {
-            return false;
-        }
-        match reply_rx.recv_timeout(left) {
-            Ok((_, Msg::RingResp { req, members })) if req >= base && req < *next_req => {
-                if ring_converged(&members, &ctx.all_storage) {
-                    ready += 1;
-                } else {
-                    return false;
-                }
-            }
-            Ok(_) => {}
-            Err(_) => return false,
-        }
-    }
-    true
 }
 
 /// Waits for the `RestResp` correlated with `req_id`, discarding strays

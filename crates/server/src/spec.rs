@@ -58,7 +58,7 @@ pub struct ServerSpec {
 
 impl ServerSpec {
     /// A loopback spec for `n` nodes with OS-assigned ports: node 0 seeds
-    /// gossip and serves REST. Used by tests and `bench_net`.
+    /// gossip and serves REST. Used by tests and the benchmark.
     pub fn local(n: u32) -> ServerSpec {
         ServerSpec {
             nwr: Nwr::PAPER,

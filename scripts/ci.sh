@@ -56,12 +56,12 @@ echo "==> chaos suite (fixed seed)"
 cargo test -p mystore-core --test chaos -q
 cargo run --release -p mystore-bench --bin chaos -- 42
 
-echo "==> real-transport runtime (threaded integration + wire smoke)"
+echo "==> real-transport runtime (threaded integration)"
 # The PR-6 production runtime: the threaded-cluster flow as tests (bounded
-# convergence polling, mid-run node kill, graceful drain + WAL durability),
-# then the binary wire path end-to-end over real TCP sockets.
+# convergence polling, mid-run node kill, graceful drain + WAL durability).
+# The binary wire path over real TCP sockets is the benchmark's
+# `wire_pipelined` quick pass at the end of this script.
 cargo test --test threaded_cluster -q
-cargo run --release -p mystore-bench --bin bench_net -- --smoke
 
 echo "==> scenario-matrix smoke (idle-clock fast-forward + chaos invariants)"
 # The PR-7 matrix runner: a 25-node, 1-virtual-hour kill cell must finish
