@@ -33,25 +33,37 @@ pub const MAX_FRAME: usize = 32 << 20;
 /// Header bytes covered by `len`: version + from + to.
 const FRAME_HDR: usize = 1 + 4 + 4;
 
-/// Writes one `(from, to, msg)` frame. Does not flush; callers decide when
-/// to (a batch of frames per syscall is the normal case).
-pub fn write_frame(w: &mut impl Write, from: NodeId, to: NodeId, msg: &Msg) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(128);
-    encode_msg(msg, &mut payload);
-    let len = FRAME_HDR + payload.len();
+/// Appends one `(from, to, msg)` frame to `buf`: the header, then the
+/// message encoded in place, then the length patched in. A batch of frames
+/// encoded into one buffer leaves in one write.
+///
+/// A message over [`MAX_FRAME`] is an error, and `buf` is truncated back
+/// to where this frame began, so the frames already in it stay intact.
+pub fn encode_frame(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &Msg) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(WIRE_VERSION);
+    buf.extend_from_slice(&from.0.to_le_bytes());
+    buf.extend_from_slice(&to.0.to_le_bytes());
+    encode_msg(msg, buf);
+    let len = buf.len() - start - 4;
     if len > MAX_FRAME {
+        buf.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("message encodes to {len} bytes, over the {MAX_FRAME}-byte frame cap"),
         ));
     }
-    let mut hdr = [0u8; 4 + FRAME_HDR];
-    hdr[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    hdr[4] = WIRE_VERSION;
-    hdr[5..9].copy_from_slice(&from.0.to_le_bytes());
-    hdr[9..13].copy_from_slice(&to.0.to_le_bytes());
-    w.write_all(&hdr)?;
-    w.write_all(&payload)
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Writes one `(from, to, msg)` frame with a single `write_all`. Does not
+/// flush.
+pub fn write_frame(w: &mut impl Write, from: NodeId, to: NodeId, msg: &Msg) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(128);
+    encode_frame(&mut buf, from, to, msg)?;
+    w.write_all(&buf)
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean EOF at a frame boundary
@@ -157,7 +169,7 @@ impl<R: Read> FrameReader<R> {
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
-        let frame: Vec<u8> = self.buf.drain(..4 + len).skip(4).collect();
+        let frame = &self.buf[4..4 + len];
         if frame[0] != WIRE_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -169,6 +181,7 @@ impl<R: Read> FrameReader<R> {
         let msg = decode_msg(&frame[FRAME_HDR..]).ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidData, "undecodable message payload")
         })?;
+        self.buf.drain(..4 + len);
         Ok(Some((from, to, msg)))
     }
 }
@@ -201,6 +214,70 @@ mod tests {
             assert!(matches!(msg, Msg::Put { req, .. } if req == i));
         }
         assert!(read_frame(&mut rd).unwrap().is_none(), "clean EOF at boundary");
+    }
+
+    /// The frame layout built by hand: the reference `encode_frame` and
+    /// `write_frame` must reproduce byte for byte.
+    fn reference_frame(from: NodeId, to: NodeId, msg: &Msg) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_msg(msg, &mut payload);
+        let mut out = ((FRAME_HDR + payload.len()) as u32).to_le_bytes().to_vec();
+        out.push(WIRE_VERSION);
+        out.extend_from_slice(&from.0.to_le_bytes());
+        out.extend_from_slice(&to.0.to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    #[test]
+    fn a_batch_encoded_into_one_buffer_is_the_per_frame_bytes_and_reads_back() {
+        let frames: Vec<(NodeId, NodeId, Msg)> =
+            (0..6u64).map(|i| (NodeId(i as u32), NodeId(9), put(i))).collect();
+        let (mut batch, mut one_by_one, mut reference) = (Vec::new(), Vec::new(), Vec::new());
+        for (from, to, msg) in &frames {
+            encode_frame(&mut batch, *from, *to, msg).unwrap();
+            write_frame(&mut one_by_one, *from, *to, msg).unwrap();
+            reference.extend(reference_frame(*from, *to, msg));
+        }
+        assert_eq!(batch, one_by_one);
+        assert_eq!(batch, reference);
+
+        let mut rd = Cursor::new(batch.clone());
+        let mut fr = FrameReader::new(Cursor::new(batch));
+        for i in 0..6u64 {
+            for got in [read_frame(&mut rd), fr.next_frame()] {
+                let (from, to, msg) = got.unwrap().expect("frame");
+                assert_eq!((from, to), (NodeId(i as u32), NodeId(9)));
+                assert!(matches!(msg, Msg::Put { req, .. } if req == i));
+            }
+        }
+        assert!(read_frame(&mut rd).unwrap().is_none());
+        assert!(fr.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn an_oversized_message_leaves_the_earlier_frames_intact() {
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, NodeId(0), NodeId(1), &put(1)).unwrap();
+        let before = buf.clone();
+        let huge = Msg::Put {
+            req: 2,
+            key: "huge".to_string(),
+            value: std::sync::Arc::new(vec![0; MAX_FRAME]),
+            delete: false,
+        };
+        let err = encode_frame(&mut buf, NodeId(0), NodeId(1), &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(buf, before, "the failed frame must be rolled back");
+        assert!(write_frame(&mut Vec::new(), NodeId(0), NodeId(1), &huge).is_err());
+
+        encode_frame(&mut buf, NodeId(0), NodeId(1), &put(3)).unwrap();
+        let mut rd = Cursor::new(buf);
+        for want in [1, 3] {
+            let (_, _, msg) = read_frame(&mut rd).unwrap().expect("frame");
+            assert!(matches!(msg, Msg::Put { req, .. } if req == want));
+        }
+        assert!(read_frame(&mut rd).unwrap().is_none());
     }
 
     #[test]

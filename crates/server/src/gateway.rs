@@ -18,13 +18,25 @@
 //!   backoff. Delivery is best-effort: the replication protocol already
 //!   tolerates message loss (retries, hinted handoff, read repair), so a
 //!   down peer costs retransmissions, never correctness.
+//! * **client writer** (one per wire client connection) — writes the
+//!   replies routed to that connection's client id.
+//!
+//! Both writers batch by backlog, never by a timer: each encodes the frame
+//! it woke for plus whatever is already queued behind it (up to
+//! `BATCH_FRAMES`) into one reusable buffer, and sends it with one
+//! `write_all` on a `TCP_NODELAY` socket. Nagle would hold a small frame
+//! until the previous one is ACKed, and each direction of a node pair has
+//! a socket of its own, so that ACK is a delayed one (up to 40 ms on
+//! Linux). One contiguous buffer per batch also never emits a lone header
+//! segment, which a buffered writer does for a frame larger than its
+//! capacity.
 //!
 //! Client ids are allocated from [`CLIENT_BASE`] upward — disjoint from
 //! storage/frontend ids (low u32s) and from [`NodeId::EXTERNAL`]
 //! (`u32::MAX`), so routing is a plain range test.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufWriter, Write as _};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,7 +47,44 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mystore_core::Msg;
 use mystore_net::{Injector, NodeId};
 
-use crate::frame::{write_frame, FrameReader};
+use crate::frame::{encode_frame, FrameReader};
+
+/// Frames a writer sends in one write: the one it woke for plus up to
+/// `BATCH_FRAMES - 1` already queued behind it.
+const BATCH_FRAMES: usize = 64;
+
+/// Capacity a write buffer keeps between writes. A batch that grew it past
+/// this (64 frames of 16 KiB values are ~1 MiB) gives the excess back, so
+/// retained memory does not follow the largest batch ever seen.
+const RETAINED_BUF: usize = 64 << 10;
+
+/// Sends `buf` in one `write_all`, then empties it for the next batch and
+/// shrinks it back to [`RETAINED_BUF`] if this batch grew it past that.
+pub(crate) fn write_batch(out: &mut impl Write, buf: &mut Vec<u8>) -> io::Result<()> {
+    let res = out.write_all(buf);
+    buf.clear();
+    buf.shrink_to(RETAINED_BUF);
+    res
+}
+
+/// Encodes `first` and up to `BATCH_FRAMES - 1` items already queued on
+/// `rx` into `buf`, and writes them with [`write_batch`].
+fn drain_and_write<T>(
+    out: &mut impl Write,
+    buf: &mut Vec<u8>,
+    first: T,
+    rx: &Receiver<T>,
+    encode: impl Fn(&mut Vec<u8>, &T) -> io::Result<()>,
+) -> io::Result<()> {
+    let queued = std::iter::from_fn(|| rx.try_recv().ok()).take(BATCH_FRAMES - 1);
+    for item in std::iter::once(first).chain(queued) {
+        // Only a message over `MAX_FRAME` fails, and it can never be sent:
+        // it is dropped like a lost message, and `encode_frame` has
+        // already rolled it back out of `buf`.
+        let _ = encode(buf, &item);
+    }
+    write_batch(out, buf)
+}
 
 /// First client id. Everything at or above this (and below `u32::MAX`) is
 /// a gateway-allocated per-connection identity.
@@ -127,9 +176,10 @@ impl PeerLinks {
 /// cannot be delivered while the peer is unreachable are dropped — the
 /// protocol's retry machinery owns recovery.
 fn peer_writer(addr: SocketAddr, rx: Receiver<(NodeId, NodeId, Msg)>, shutdown: Arc<AtomicBool>) {
-    let mut conn: Option<BufWriter<TcpStream>> = None;
+    let mut conn: Option<TcpStream> = None;
+    let mut buf = Vec::new();
     loop {
-        let (from, to, msg) = match rx.recv_timeout(Duration::from_millis(100)) {
+        let first = match rx.recv_timeout(Duration::from_millis(100)) {
             Ok(t) => t,
             Err(RecvTimeoutError::Timeout) => {
                 if shutdown.load(Ordering::Relaxed) {
@@ -140,25 +190,16 @@ fn peer_writer(addr: SocketAddr, rx: Receiver<(NodeId, NodeId, Msg)>, shutdown: 
             Err(RecvTimeoutError::Disconnected) => return,
         };
         if conn.is_none() {
-            conn = TcpStream::connect_timeout(&addr, Duration::from_millis(250))
-                .ok()
-                .map(BufWriter::new);
-        }
-        let Some(w) = conn.as_mut() else { continue };
-        let ok = write_frame(w, from, to, &msg).and_then(|()| {
-            // Flush opportunistically: batch whatever is already queued
-            // behind this frame into the same syscall, then flush once.
-            let mut queued = 0;
-            while let Ok((f, t, m)) = rx.try_recv() {
-                write_frame(w, f, t, &m)?;
-                queued += 1;
-                if queued >= 64 {
-                    break;
-                }
+            conn = TcpStream::connect_timeout(&addr, Duration::from_millis(250)).ok();
+            if let Some(stream) = &conn {
+                let _ = stream.set_nodelay(true);
             }
-            w.flush()
+        }
+        let Some(stream) = conn.as_mut() else { continue };
+        let sent = drain_and_write(stream, &mut buf, first, &rx, |buf, (from, to, msg)| {
+            encode_frame(buf, *from, *to, msg)
         });
-        if ok.is_err() {
+        if sent.is_err() {
             conn = None; // reconnect on the next frame
         }
     }
@@ -300,11 +341,7 @@ fn spawn_connection(
                             // and a writer for the replies, lazily.
                             *client.get_or_insert_with(|| {
                                 let (id, rx) = registry.register();
-                                let out = rd
-                                    .get_ref()
-                                    .try_clone()
-                                    .map(BufWriter::new)
-                                    .expect("clone client stream");
+                                let out = rd.get_ref().try_clone().expect("clone client stream");
                                 writer = Some(
                                     std::thread::Builder::new()
                                         .name("mystore-gw-client-wr".into())
@@ -339,31 +376,86 @@ fn spawn_connection(
         .expect("spawn connection reader");
 }
 
-/// Writes reply frames to a client connection until its channel closes.
-fn client_writer(mut out: BufWriter<TcpStream>, rx: Receiver<(NodeId, Msg)>) {
-    while let Ok((from, msg)) = rx.recv() {
-        if write_frame(&mut out, from, NodeId::EXTERNAL, &msg).is_err() {
-            return;
-        }
-        let mut queued = 0;
-        while let Ok((f, m)) = rx.try_recv() {
-            if write_frame(&mut out, f, NodeId::EXTERNAL, &m).is_err() {
-                return;
-            }
-            queued += 1;
-            if queued >= 64 {
-                break;
-            }
-        }
-        if out.flush().is_err() {
+/// Writes reply frames to a client connection (a `TCP_NODELAY` socket, set
+/// in [`spawn_connection`]) until its channel closes.
+fn client_writer(mut out: TcpStream, rx: Receiver<(NodeId, Msg)>) {
+    let mut buf = Vec::new();
+    while let Ok(first) = rx.recv() {
+        let sent = drain_and_write(&mut out, &mut buf, first, &rx, |buf, (from, msg)| {
+            encode_frame(buf, *from, NodeId::EXTERNAL, msg)
+        });
+        if sent.is_err() {
             return;
         }
     }
-    let _ = out.flush();
 }
 
 /// Read-timeout classification across platforms (`WouldBlock` on Unix,
 /// `TimedOut` on Windows).
 fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::read_frame;
+
+    /// A socket stand-in that records the size of every `write` call.
+    #[derive(Default)]
+    struct Writes {
+        sizes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.sizes.push(data.len());
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn ping(req: u64) -> (NodeId, Msg) {
+        (NodeId(req as u32), Msg::RingReq { req })
+    }
+
+    #[test]
+    fn a_drained_batch_leaves_in_one_write_of_at_most_batch_frames() {
+        let (tx, rx) = unbounded();
+        for req in 1..100 {
+            tx.send(ping(req)).unwrap();
+        }
+        let (mut out, mut buf) = (Writes::default(), Vec::new());
+        drain_and_write(&mut out, &mut buf, ping(0), &rx, |buf, (from, msg)| {
+            encode_frame(buf, *from, NodeId::EXTERNAL, msg)
+        })
+        .unwrap();
+        assert_eq!(out.sizes.len(), 1, "one write per batch");
+        assert_eq!(rx.len(), 100 - BATCH_FRAMES, "the rest waits for the next batch");
+        let mut rd = io::Cursor::new(out.bytes);
+        for want in 0..BATCH_FRAMES as u64 {
+            let (from, _, msg) = read_frame(&mut rd).unwrap().expect("frame");
+            assert_eq!(from, NodeId(want as u32));
+            assert!(matches!(msg, Msg::RingReq { req } if req == want));
+        }
+        assert!(read_frame(&mut rd).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_batch_that_grew_the_buffer_gives_the_excess_back() {
+        let mut buf = Vec::with_capacity(1024);
+        buf.extend_from_slice(&[1; 512]);
+        write_batch(&mut io::sink(), &mut buf).unwrap();
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), 1024, "a batch within the bound keeps its buffer");
+
+        buf.extend_from_slice(&vec![2; 1 << 20]);
+        write_batch(&mut io::sink(), &mut buf).unwrap();
+        assert!(buf.is_empty());
+        assert!(buf.capacity() <= RETAINED_BUF, "kept {} bytes", buf.capacity());
+    }
 }

@@ -26,7 +26,7 @@ use std::time::Duration;
 use mystore_core::{Method, Msg, RestRequest};
 use mystore_net::{Injector, NodeId};
 
-use crate::gateway::ClientRegistry;
+use crate::gateway::{write_batch, ClientRegistry};
 use crate::host::{poll_ring_ready, recv_channel};
 
 /// How long a translated request may wait for the cluster's response
@@ -128,7 +128,7 @@ fn serve_connection(stream: TcpStream, ctx: ConnCtx) {
     let _ = stream.set_nodelay(true);
     let (client_id, reply_rx) = ctx.registry.register();
     let mut out = match stream.try_clone() {
-        Ok(s) => s,
+        Ok(stream) => Responder { stream, buf: Vec::new() },
         Err(_) => {
             ctx.registry.unregister(client_id);
             return;
@@ -139,7 +139,7 @@ fn serve_connection(stream: TcpStream, ctx: ConnCtx) {
     while let Ok(Some(req)) = parser.next_request(&ctx.shutdown) {
         let keep_alive =
             req.headers.get("connection").map(|v| !v.eq_ignore_ascii_case("close")).unwrap_or(true);
-        let ok = match route(&req) {
+        let ok = match route(req) {
             Route::Ready => {
                 let ready = poll_ring_ready(
                     &ctx.local_storage,
@@ -152,7 +152,7 @@ fn serve_connection(stream: TcpStream, ctx: ConnCtx) {
                 );
                 let (code, body) =
                     if ready.is_ok() { (200, "ready\n") } else { (503, "ring not converged\n") };
-                write_response(&mut out, code, body.as_bytes(), &[], keep_alive).is_ok()
+                out.send(code, body.as_bytes(), &[], keep_alive).is_ok()
             }
             Route::Rest(rest) => {
                 let req_id = next_req;
@@ -171,20 +171,13 @@ fn serve_connection(stream: TcpStream, ctx: ConnCtx) {
                         if resp.from_cache {
                             extra.push(("X-From-Cache", "1".to_string()));
                         }
-                        write_response(&mut out, resp.status, &resp.body, &extra, keep_alive)
-                            .is_ok()
+                        out.send(resp.status, &resp.body, &extra, keep_alive).is_ok()
                     }
-                    None => {
-                        write_response(&mut out, 504, b"cluster timeout\n", &[], keep_alive).is_ok()
-                    }
+                    None => out.send(504, b"cluster timeout\n", &[], keep_alive).is_ok(),
                 }
             }
-            Route::NotFound => {
-                write_response(&mut out, 404, b"no such endpoint\n", &[], keep_alive).is_ok()
-            }
-            Route::BadRequest(why) => {
-                write_response(&mut out, 400, why.as_bytes(), &[], keep_alive).is_ok()
-            }
+            Route::NotFound => out.send(404, b"no such endpoint\n", &[], keep_alive).is_ok(),
+            Route::BadRequest(why) => out.send(400, why.as_bytes(), &[], keep_alive).is_ok(),
         };
         if !ok || !keep_alive {
             break;
@@ -200,13 +193,13 @@ enum Route {
     BadRequest(String),
 }
 
-fn route(req: &HttpReq) -> Route {
+fn route(req: HttpReq) -> Route {
     let rest = |method: Method, key: Option<String>| {
         Route::Rest(RestRequest {
             req: 0, // assigned by the connection loop
             method,
             key,
-            body: Arc::new(req.body.clone()),
+            body: Arc::new(req.body),
             if_match: req.headers.get("if-match").cloned(),
             auth: None,
         })
@@ -358,27 +351,35 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-fn write_response(
-    out: &mut TcpStream,
-    status: u16,
-    body: &[u8],
-    extra_headers: &[(&str, String)],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+/// The write half of a connection: its socket and the buffer each
+/// response is built in, reused from one response to the next.
+struct Responder {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Responder {
+    /// Sends head and body in one write, so the `TCP_NODELAY` socket never
+    /// emits the head as a segment of its own.
+    fn send(
+        &mut self,
+        status: u16,
+        body: &[u8],
+        extra_headers: &[(&str, String)],
+        keep_alive: bool,
+    ) -> io::Result<()> {
+        write!(
+            self.buf,
+            "HTTP/1.1 {status} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            reason(status),
+            body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        )?;
+        for (name, value) in extra_headers {
+            write!(self.buf, "{name}: {value}\r\n")?;
+        }
+        self.buf.extend_from_slice(b"\r\n");
+        self.buf.extend_from_slice(body);
+        write_batch(&mut self.stream, &mut self.buf)
     }
-    head.push_str("\r\n");
-    out.write_all(head.as_bytes())?;
-    out.write_all(body)?;
-    out.flush()
 }

@@ -60,8 +60,11 @@ echo "==> real-transport runtime (threaded integration)"
 # The PR-6 production runtime: the threaded-cluster flow as tests (bounded
 # convergence polling, mid-run node kill, graceful drain + WAL durability).
 # The binary wire path over real TCP sockets is the benchmark's
-# `wire_pipelined` quick pass at the end of this script.
+# `wire_pipelined` quick pass at the end of this script; `mesh_latency`
+# checks that fixed-size replication frames on a 3-node TCP mesh do not
+# wait on delayed ACKs (`TCP_NODELAY`, one write per drained batch).
 cargo test --test threaded_cluster -q
+cargo test -p mystore-serverd --test mesh_latency -q
 
 echo "==> scenario-matrix smoke (idle-clock fast-forward + chaos invariants)"
 # The PR-7 matrix runner: a 25-node, 1-virtual-hour kill cell must finish
