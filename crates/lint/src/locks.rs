@@ -641,8 +641,8 @@ fn wrong_way(s: &S) {
 
     #[test]
     fn builder_spawn_closure_is_a_fresh_thread() {
-        // The gateway pattern: or_insert_with runs inline (lock held), but
-        // the Builder::spawn closure inside it is a new thread.
+        // A lazily spawned writer: or_insert_with runs inline (lock held),
+        // but the Builder::spawn closure inside it is a new thread.
         let d = run(r#"
 fn send(s: &S, rx: Receiver<Vec<u8>>) {
     let mut q = s.queues.lock().unwrap();

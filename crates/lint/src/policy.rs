@@ -71,10 +71,11 @@ impl CratePolicy {
 /// pair here, so acquiring a later lock before an earlier one is a cycle
 /// even if the inverted pair never executes in one test run.
 ///
-/// * `inner` — `ClientRegistry` client queues (gateway accept/response path)
-/// * `queues` — `PeerLinks` peer write queues (gateway fan-out path)
+/// * `inner` — `ClientRegistry` client queues: node threads take it in
+///   `Router::route` to hand a reply to its client's queue, connection
+///   threads take it to register and unregister
 /// * `trace` — the threaded runtime's shared event trace
-pub const LOCK_ORDER: &[&str] = &["inner", "queues", "trace"];
+pub const LOCK_ORDER: &[&str] = &["inner", "trace"];
 
 /// Builds the workspace policy table rooted at `workspace_root`.
 ///

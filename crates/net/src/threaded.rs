@@ -12,13 +12,20 @@
 //!
 //! # Routing
 //!
-//! Every node has an id; messages addressed to an id with no local mailbox
+//! Every node has an id; a message addressed to an id with no local mailbox
 //! (an external client id, [`NodeId::EXTERNAL`], or — in a multi-process
-//! deployment — a peer hosted elsewhere) are delivered to the *external
-//! stream* as `(from, to, msg)` triples. A harness consumes that stream via
-//! [`ThreadedCluster::recv_timeout`]; a production gateway takes the raw
-//! receiver with [`ThreadedCluster::take_external_rx`] and routes each
-//! triple onward (TCP peer link, HTTP response channel, ...).
+//! deployment — a peer hosted elsewhere) goes to the cluster's [`Route`],
+//! called as `route(from, to, msg)` on the sending node's own thread. A
+//! production gateway installs one with
+//! [`ThreadedClusterBuilder::route_external`] that puts the frame straight
+//! on a peer host's writer queue or a client connection's reply queue, so
+//! no thread sits between a node and its socket writer. A route must not
+//! block: it runs in the node loop, between one handler and the next.
+//!
+//! Without a route, the route is the sender of the *external stream*, and
+//! a harness consumes the `(from, to, msg)` triples with
+//! [`ThreadedCluster::recv_timeout`] or
+//! [`ThreadedCluster::recv_routed_timeout`].
 //!
 //! # Batches
 //!
@@ -70,8 +77,9 @@ use crate::trace::{Trace, TraceEvent};
 pub enum RecvError {
     /// No message arrived within the timeout; the cluster is still running.
     Timeout,
-    /// All node threads have exited (or the external stream was taken by a
-    /// gateway); no further message can arrive on this handle.
+    /// All node threads have exited (or the cluster was built with a
+    /// [`Route`] of its own, so it has no external stream); no further
+    /// message can arrive on this handle.
     Disconnected,
 }
 
@@ -106,16 +114,31 @@ pub struct ThreadedConfig {
     pub seed: u64,
 }
 
+/// Where a node's sends to ids with no local mailbox go, as
+/// `route(from, to, msg)`, called on the sending node's thread (see the
+/// module docs, "Routing").
+pub type Route<M> = Arc<dyn Fn(NodeId, NodeId, M) + Send + Sync>;
+
 /// Builds a [`ThreadedCluster`].
 pub struct ThreadedClusterBuilder<M: Send + 'static> {
     processes: Vec<(NodeId, Box<dyn Process<M> + Send>)>,
     config: ThreadedConfig,
+    route: Option<Route<M>>,
 }
 
 impl<M: Send + 'static> ThreadedClusterBuilder<M> {
     /// Creates a builder.
     pub fn new(config: ThreadedConfig) -> Self {
-        ThreadedClusterBuilder { processes: Vec::new(), config }
+        ThreadedClusterBuilder { processes: Vec::new(), config, route: None }
+    }
+
+    /// Sends every message addressed to an id with no local mailbox to
+    /// `route`, on the sending node's thread, instead of to the external
+    /// stream; the cluster then has no external stream, and
+    /// [`ThreadedCluster::recv_timeout`] reports [`RecvError::Disconnected`].
+    pub fn route_external(mut self, route: Route<M>) -> Self {
+        self.route = Some(route);
+        self
     }
 
     /// Adds a node; ids are assigned in insertion order starting at 0.
@@ -145,7 +168,16 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
             senders.insert(id.0, tx);
             receivers.push((*id, rx));
         }
-        let (external_tx, external_rx) = unbounded::<(NodeId, NodeId, M)>();
+        let (route, external_rx) = match self.route {
+            Some(route) => (route, None),
+            None => {
+                let (tx, rx) = unbounded::<(NodeId, NodeId, M)>();
+                let route: Route<M> = Arc::new(move |from, to, msg| {
+                    let _ = tx.send((from, to, msg));
+                });
+                (route, Some(rx))
+            }
+        };
         // `trace` is last in the declared lock order
         // (crates/lint/src/policy.rs::LOCK_ORDER): node threads take it
         // briefly per event and never acquire another lock under it.
@@ -158,7 +190,7 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
             let lp = NodeLoop {
                 id,
                 senders: senders.clone(),
-                external_tx: external_tx.clone(),
+                route: Arc::clone(&route),
                 trace: Arc::clone(&trace),
                 start,
                 timers: BinaryHeap::new(),
@@ -176,7 +208,7 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
             handles.push(handle);
         }
 
-        ThreadedCluster { senders, handles, trace, external_rx: Some(external_rx), start }
+        ThreadedCluster { senders, handles, trace, external_rx, start }
     }
 }
 
@@ -213,8 +245,8 @@ impl<M: Send + 'static> ThreadedCluster<M> {
 
     /// Sends `msg` to local node `to` with an explicit sender identity.
     /// Gateways use this to inject traffic on behalf of remote peers and
-    /// external client connections; replies addressed to `from` then come
-    /// back out on the external stream.
+    /// external client connections; replies addressed to `from` then go to
+    /// the cluster's [`Route`].
     pub fn send_from(&self, from: NodeId, to: NodeId, msg: M) {
         if let Some(tx) = self.senders.get(&to.0) {
             let _ = tx.send(Envelope::Msg { from, msg });
@@ -239,15 +271,6 @@ impl<M: Send + 'static> ThreadedCluster<M> {
             RecvTimeoutError::Timeout => RecvError::Timeout,
             RecvTimeoutError::Disconnected => RecvError::Disconnected,
         })
-    }
-
-    /// Takes the raw external stream, detaching it from
-    /// `recv_timeout`/`recv_routed_timeout` (which then report
-    /// [`RecvError::Disconnected`]). A production gateway owns the stream
-    /// and routes each `(from, to, msg)` triple to TCP peers or client
-    /// connections.
-    pub fn take_external_rx(&mut self) -> Option<Receiver<(NodeId, NodeId, M)>> {
-        self.external_rx.take()
     }
 
     /// A cheap clonable handle for injecting messages into the running
@@ -343,7 +366,7 @@ type TimerHeap = BinaryHeap<Reverse<(Instant, u64, TimerToken)>>;
 struct NodeLoop<M: Send + 'static> {
     id: NodeId,
     senders: BTreeMap<u32, Sender<Envelope<M>>>,
-    external_tx: Sender<(NodeId, NodeId, M)>,
+    route: Route<M>,
     trace: Arc<Mutex<Trace>>,
     start: Instant,
     timers: TimerHeap,
@@ -407,13 +430,13 @@ impl<M: Send + 'static> NodeLoop<M> {
             match action {
                 Action::Send { to, msg } => {
                     self.sent = true;
-                    if let Some(tx) = self.senders.get(&to.0) {
-                        let _ = tx.send(Envelope::Msg { from: self.id, msg });
-                    } else {
+                    match self.senders.get(&to.0) {
+                        Some(tx) => {
+                            let _ = tx.send(Envelope::Msg { from: self.id, msg });
+                        }
                         // No local mailbox: external client, EXTERNAL, or a
-                        // peer hosted in another process — the gateway's
-                        // problem, not ours.
-                        let _ = self.external_tx.send((self.id, to, msg));
+                        // peer hosted in another process.
+                        None => (self.route)(self.id, to, msg),
                     }
                 }
                 Action::SetTimer { delay_us, token } => {
@@ -740,8 +763,15 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_waits_for_quiescence_and_runs_on_shutdown() {
+        // shutdown_graceful consumes the cluster, so the farewell goes to a
+        // route that outlives it.
+        let (tx, farewells) = unbounded();
+        let route: Route<u64> = Arc::new(move |from, to, msg| {
+            let _ = tx.send((from, to, msg));
+        });
         let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
             .add_node(DrainProbe { pending: 0, processed: 0 })
+            .route_external(route)
             .build();
         for _ in 0..3 {
             cluster.send(NodeId(0), 0);
@@ -749,25 +779,32 @@ mod tests {
         // Allow the messages to land, then drain. The in-flight "work"
         // (timers 5 ms out) must complete before on_shutdown runs.
         std::thread::sleep(Duration::from_millis(20));
-        let (tx, rx) = unbounded::<u64>();
-        let (from_cluster, farewell) = {
-            // shutdown_graceful consumes the cluster, so grab the report
-            // inline: spawn a thread that forwards the farewell.
-            let probe_rx = {
-                let mut c = cluster;
-                let ext = c.take_external_rx().expect("external stream");
-                std::thread::spawn(move || {
-                    if let Ok(triple) = ext.recv_timeout(Duration::from_secs(5)) {
-                        let _ = tx.send(triple.2);
-                    }
-                });
-                c.shutdown_graceful(Duration::from_secs(5));
-                rx
-            };
-            (NodeId(0), probe_rx.recv_timeout(Duration::from_secs(5)).expect("farewell"))
-        };
-        assert_eq!(from_cluster, NodeId(0));
+        cluster.shutdown_graceful(Duration::from_secs(5));
+        let (from, to, farewell) = farewells.try_recv().expect("farewell");
+        assert_eq!((from, to), (NodeId(0), NodeId::EXTERNAL));
         assert_eq!(farewell, 3, "on_shutdown must run after all 3 messages were processed");
+    }
+
+    #[test]
+    fn a_send_with_no_local_mailbox_is_routed_on_the_senders_thread() {
+        let (tx, routed) = unbounded();
+        let route: Route<u64> = Arc::new(move |from, to, msg| {
+            let thread = std::thread::current().name().map(str::to_string);
+            let _ = tx.send((from, to, msg, thread));
+        });
+        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+            .add_node_as(NodeId(3), Forwarder { next: NodeId(12) })
+            .route_external(route)
+            .build();
+        cluster.send(NodeId(3), 5);
+        let got = routed.recv_timeout(Duration::from_secs(2)).expect("routed");
+        assert_eq!(got, (NodeId(3), NodeId(12), 10, Some("mystore-node-3".to_string())));
+        assert_eq!(
+            cluster.recv_timeout(Duration::from_millis(20)),
+            Err(RecvError::Disconnected),
+            "a routed cluster has no external stream"
+        );
+        cluster.shutdown();
     }
 
     #[test]

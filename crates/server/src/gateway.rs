@@ -1,25 +1,45 @@
 //! TCP gateway: the boundary between a host's in-process cluster and the
 //! network.
 //!
-//! A [`Gateway`] owns one listening socket and three kinds of threads:
+//! # Routing
 //!
-//! * **pump** — drains the cluster's external stream (`(from, to, msg)`
-//!   triples the node threads addressed to ids with no local mailbox) and
-//!   routes each triple: to a *peer link* when `to` is a node hosted by
-//!   another process, or to a *client connection* when `to` is a client id
-//!   this gateway allocated.
+//! A [`Router`] is built once at boot, before the cluster, and installed as
+//! the cluster's route (`ThreadedClusterBuilder::route_external`): each node
+//! thread calls [`Router::route`] for every message it sends to an id with
+//! no local mailbox. A frame for a node or frontend on another host goes on
+//! that host's writer queue; a reply for a client id goes on that
+//! connection's reply queue; anything else ([`NodeId::EXTERNAL`], an
+//! unknown id) is dropped.
+//!
+//! **A node thread never touches a socket.** Routing is a map lookup plus a
+//! send on an unbounded channel, and the client registry's lock is held only
+//! for that lookup and send. The writer threads are the only thing a slow
+//! or dead peer can stall. A cross-host message crosses three thread
+//! hand-offs: sending node → peer writer → (socket) → the remote host's
+//! connection reader → receiving node.
+//!
+//! # Threads
+//!
+//! A [`Gateway`] owns one listening socket and these threads:
+//!
+//! * **accept** — blocks in `accept`; [`Gateway::shutdown`] sets a flag and
+//!   connects once to the listener to wake it.
 //! * **reader** (one per accepted connection) — decodes inbound frames and
 //!   injects them into the local cluster. Frames claiming `from ==`
 //!   [`NodeId::EXTERNAL`] are rewritten to the connection's allocated
 //!   client id, so replies route back to the right socket; frames with a
 //!   real node id are peer traffic and inject verbatim.
-//! * **peer writer** (one per remote peer, lazily) — connects to the
-//!   peer's listen address and writes outbound frames, reconnecting with
-//!   backoff. Delivery is best-effort: the replication protocol already
-//!   tolerates message loss (retries, hinted handoff, read repair), so a
-//!   down peer costs retransmissions, never correctness.
+//! * **peer writer** (one per remote host, spawned by [`Router::new`] and
+//!   named `mystore-peer-<first node id of that host>`) — connects to the
+//!   host's listen address and writes the frames for every node and
+//!   frontend it hosts, reconnecting on the next frame after a failure.
+//!   Delivery is best-effort: the replication protocol already tolerates
+//!   message loss (retries, hinted handoff, read repair), so a down peer
+//!   costs retransmissions, never correctness.
 //! * **client writer** (one per wire client connection) — writes the
 //!   replies routed to that connection's client id.
+//!
+//! [`Gateway::shutdown`] joins all of them.
 //!
 //! Both writers batch by backlog, never by a timer: each encodes the frame
 //! it woke for plus whatever is already queued behind it (up to
@@ -37,13 +57,13 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use mystore_core::Msg;
 use mystore_net::{Injector, NodeId};
 
@@ -86,6 +106,39 @@ fn drain_and_write<T>(
     write_batch(out, buf)
 }
 
+/// Accepts connections on `listener`, handing each to `serve`, until
+/// `shutdown` is set. The accept blocks: [`stop_accepting`] sets the flag
+/// and connects once to wake it.
+pub(crate) fn accept_until(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    mut serve: impl FnMut(TcpStream),
+) {
+    for stream in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream {
+            Ok(stream) => serve(stream),
+            Err(_) => return,
+        }
+    }
+}
+
+/// Stops the [`accept_until`] loop of the listener bound to `addr`.
+pub(crate) fn stop_accepting(addr: SocketAddr, shutdown: &AtomicBool) {
+    shutdown.store(true, Ordering::SeqCst);
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A failed connect means the loop has already exited, listener and all.
+    let _ = TcpStream::connect(wake);
+}
+
 /// First client id. Everything at or above this (and below `u32::MAX`) is
 /// a gateway-allocated per-connection identity.
 pub const CLIENT_BASE: u32 = 0x8000_0000;
@@ -99,12 +152,13 @@ pub fn is_client_id(id: NodeId) -> bool {
 type ClientQueues = BTreeMap<u32, Sender<(NodeId, Msg)>>;
 
 /// Registry of live client connections: client id → that connection's
-/// outbound queue. Shared between the pump (routes in) and the HTTP
-/// adapter (registers virtual clients the same way socket clients are).
+/// outbound queue. Shared between the [`Router`] (routes replies in) and
+/// the connections, socket and HTTP alike (register and unregister).
 ///
 /// Lock order: `inner` is first in the declared canonical order
-/// (`crates/lint/src/policy.rs::LOCK_ORDER`) — it may be taken before
-/// `queues` or the threaded-runtime trace, never after. The lock-order
+/// (`crates/lint/src/policy.rs::LOCK_ORDER`), before the threaded-runtime
+/// trace, never after. Node threads take it in [`Router::route`];
+/// connection threads take it to register and unregister. The lock-order
 /// analysis (DESIGN.md §15) checks this mechanically.
 #[derive(Clone, Default)]
 pub struct ClientRegistry {
@@ -141,54 +195,90 @@ impl ClientRegistry {
     }
 }
 
-/// Outbound links to the other processes' nodes.
-/// Per-peer outbound queues of `(from, to, msg)` frames.
-type PeerQueues = BTreeMap<u32, Sender<(NodeId, NodeId, Msg)>>;
+/// One frame queued for a peer writer: `(from, to, msg)`.
+type Frame = (NodeId, NodeId, Msg);
 
+/// Outbound links to the other hosts: one queue and one writer per remote
+/// listen address. Built once at boot and never changed after that, so
+/// routing to a peer needs no lock.
 struct PeerLinks {
-    addrs: BTreeMap<u32, SocketAddr>,
-    /// Second in the declared lock order (`policy.rs::LOCK_ORDER`): held
-    /// only around queue lookup/insert — the blocking `recv` loop runs on
-    /// the spawned writer thread, never under this lock.
-    queues: Mutex<PeerQueues>,
-    shutdown: Arc<AtomicBool>,
+    /// Every remote node and frontend id → its host's queue. Ids on one
+    /// host share the queue, so their frames leave in send order and batch
+    /// together.
+    by_id: BTreeMap<u32, Sender<Frame>>,
+    writers: Vec<JoinHandle<()>>,
 }
 
 impl PeerLinks {
-    /// Queues a frame for `to`'s host, spinning up the writer on first use.
-    fn send(&self, from: NodeId, to: NodeId, msg: Msg) {
-        let Some(&addr) = self.addrs.get(&to.0) else { return };
-        let mut queues = self.queues.lock().expect("peer queues lock");
-        let tx = queues.entry(to.0).or_insert_with(|| {
-            let (tx, rx) = unbounded();
-            let shutdown = Arc::clone(&self.shutdown);
-            std::thread::Builder::new()
-                .name(format!("mystore-peer-{}", to.0))
-                .spawn(move || peer_writer(addr, rx, shutdown))
-                .expect("spawn peer writer");
-            tx
-        });
-        let _ = tx.send((from, to, msg));
+    fn new(peers: &BTreeMap<u32, SocketAddr>) -> PeerLinks {
+        let mut by_addr: BTreeMap<SocketAddr, Sender<Frame>> = BTreeMap::new();
+        let mut by_id = BTreeMap::new();
+        let mut writers = Vec::new();
+        for (&id, &addr) in peers {
+            let tx = by_addr.entry(addr).or_insert_with(|| {
+                let (tx, rx) = unbounded();
+                // Ids ascend, so this is the host's first node id. A thread
+                // name keeps 15 bytes, which a frontend id would overflow.
+                writers.push(
+                    std::thread::Builder::new()
+                        .name(format!("mystore-peer-{id}"))
+                        .spawn(move || peer_writer(addr, rx))
+                        .expect("spawn peer writer"),
+                );
+                tx
+            });
+            by_id.insert(id, tx.clone());
+        }
+        PeerLinks { by_id, writers }
+    }
+
+    /// Closes every queue, then waits for each writer to send what was
+    /// queued and exit.
+    fn close(self) {
+        drop(self.by_id);
+        for writer in self.writers {
+            let _ = writer.join();
+        }
     }
 }
 
-/// Writes queued frames to one peer, (re)connecting as needed. Frames that
-/// cannot be delivered while the peer is unreachable are dropped — the
-/// protocol's retry machinery owns recovery.
-fn peer_writer(addr: SocketAddr, rx: Receiver<(NodeId, NodeId, Msg)>, shutdown: Arc<AtomicBool>) {
+/// Routes what the cluster's node threads send to ids with no local
+/// mailbox: to a peer host's writer, or to a client connection's reply
+/// queue (module docs, "Routing").
+pub struct Router {
+    links: PeerLinks,
+    registry: ClientRegistry,
+}
+
+impl Router {
+    /// A router to the nodes in `peers` (remote node or frontend id → its
+    /// host's listen address; empty when the whole cluster is local) and to
+    /// the clients in `registry`. Spawns one peer writer per distinct
+    /// address.
+    pub fn new(peers: &BTreeMap<u32, SocketAddr>, registry: ClientRegistry) -> Router {
+        Router { links: PeerLinks::new(peers), registry }
+    }
+
+    /// Hands `msg` from local node `from` to `to`'s host writer or client
+    /// reply queue, and drops it if `to` is neither. Never blocks on a
+    /// socket.
+    pub fn route(&self, from: NodeId, to: NodeId, msg: Msg) {
+        if let Some(tx) = self.links.by_id.get(&to.0) {
+            let _ = tx.send((from, to, msg));
+        } else if is_client_id(to) {
+            self.registry.route(to, from, msg);
+        }
+    }
+}
+
+/// Writes queued frames to one peer host, (re)connecting as needed, until
+/// [`PeerLinks::close`] closes the queue or the router is dropped. Frames
+/// that cannot be delivered while the peer is unreachable are dropped —
+/// the protocol's retry machinery owns recovery.
+fn peer_writer(addr: SocketAddr, rx: Receiver<Frame>) {
     let mut conn: Option<TcpStream> = None;
     let mut buf = Vec::new();
-    loop {
-        let first = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(t) => t,
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+    while let Ok(first) = rx.recv() {
         if conn.is_none() {
             conn = TcpStream::connect_timeout(&addr, Duration::from_millis(250)).ok();
             if let Some(stream) = &conn {
@@ -209,9 +299,9 @@ fn peer_writer(addr: SocketAddr, rx: Receiver<(NodeId, NodeId, Msg)>, shutdown: 
 /// [`Gateway::shutdown`].
 pub struct Gateway {
     local_addr: SocketAddr,
-    registry: ClientRegistry,
+    router: Arc<Router>,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl Gateway {
@@ -219,80 +309,38 @@ impl Gateway {
     ///
     /// * `listener` — the wire socket peers and clients connect to.
     /// * `injector` — ingress into the local cluster.
-    /// * `external_rx` — the cluster's external stream (from
-    ///   `take_external_rx`).
-    /// * `peers` — node id → listen address for every node hosted by
-    ///   *other* processes (empty when the whole cluster is local).
-    /// * `registry` — client registry, shared with the HTTP adapter.
+    /// * `router` — the router installed as the cluster's route; its
+    ///   registry gives wire clients their identities.
     pub fn spawn(
         listener: TcpListener,
         injector: Injector<Msg>,
-        external_rx: Receiver<(NodeId, NodeId, Msg)>,
-        peers: BTreeMap<u32, SocketAddr>,
-        registry: ClientRegistry,
+        router: &Arc<Router>,
     ) -> io::Result<Gateway> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let links = Arc::new(PeerLinks {
-            addrs: peers,
-            queues: Mutex::new(BTreeMap::new()),
-            shutdown: Arc::clone(&shutdown),
-        });
-        let mut threads = Vec::new();
-
-        // Pump: cluster's external stream → peers / clients.
-        {
-            let links = Arc::clone(&links);
-            let registry = registry.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("mystore-gw-pump".into())
-                    .spawn(move || {
-                        // Exits when the cluster shuts down (stream closes).
-                        while let Ok((from, to, msg)) = external_rx.recv() {
-                            if links.addrs.contains_key(&to.0) {
-                                links.send(from, to, msg);
-                            } else if is_client_id(to) {
-                                registry.route(to, from, msg);
-                            }
-                            // else: EXTERNAL/unknown with no consumer — drop.
-                        }
-                    })
-                    .expect("spawn gateway pump"),
-            );
-        }
-
-        // Accept loop.
-        {
+        let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let registry = registry.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("mystore-gw-accept".into())
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::Relaxed) {
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    spawn_connection(
-                                        stream,
-                                        injector.clone(),
-                                        registry.clone(),
-                                        Arc::clone(&shutdown),
-                                    );
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(Duration::from_millis(5));
-                                }
-                                Err(_) => return,
-                            }
-                        }
-                    })
-                    .expect("spawn gateway accept"),
-            );
-        }
-
-        Ok(Gateway { local_addr, registry, shutdown, threads })
+            let registry = router.registry.clone();
+            std::thread::Builder::new()
+                .name("mystore-gw-accept".into())
+                .spawn(move || {
+                    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+                    accept_until(&listener, &shutdown, |stream| {
+                        conns.retain(|conn| !conn.is_finished());
+                        conns.push(spawn_connection(
+                            stream,
+                            injector.clone(),
+                            registry.clone(),
+                            Arc::clone(&shutdown),
+                        ));
+                    });
+                    for conn in conns {
+                        let _ = conn.join();
+                    }
+                })
+                .expect("spawn gateway accept")
+        };
+        Ok(Gateway { local_addr, router: Arc::clone(router), shutdown, accept })
     }
 
     /// The bound wire address (resolves port 0 binds).
@@ -302,16 +350,20 @@ impl Gateway {
 
     /// The client registry (shared with the HTTP adapter).
     pub fn registry(&self) -> ClientRegistry {
-        self.registry.clone()
+        self.router.registry.clone()
     }
 
-    /// Stops accepting, tears down peer links, and joins gateway threads.
-    /// Call *after* the cluster itself has shut down (the pump exits when
-    /// the external stream closes).
+    /// Stops accepting, closes every connection and peer link, and joins
+    /// every gateway thread. Call *after* the cluster itself has shut down:
+    /// the peer writers exit once the last handle on the router is gone,
+    /// and each node thread's route holds one until the thread exits.
     pub fn shutdown(self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads {
-            let _ = t.join();
+        stop_accepting(self.local_addr, &self.shutdown);
+        // Joins the connection threads too; each sees the flag after its
+        // next frame or read timeout.
+        let _ = self.accept.join();
+        if let Ok(router) = Arc::try_unwrap(self.router) {
+            router.links.close();
         }
     }
 }
@@ -324,7 +376,7 @@ fn spawn_connection(
     injector: Injector<Msg>,
     registry: ClientRegistry,
     shutdown: Arc<AtomicBool>,
-) {
+) -> JoinHandle<()> {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
     std::thread::Builder::new()
@@ -356,12 +408,13 @@ fn spawn_connection(
                         injector.send_from(from, to, msg);
                     }
                     Ok(None) => break, // orderly close
-                    Err(e) if is_timeout(&e) => {
-                        if shutdown.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
+                    Err(e) if is_timeout(&e) => {}
                     Err(_) => break, // protocol violation or reset
+                }
+                // After every frame too: a live peer's gossip keeps a link
+                // busy past any read timeout.
+                if shutdown.load(Ordering::Relaxed) {
+                    break;
                 }
             }
             if let Some(id) = client {
@@ -373,7 +426,7 @@ fn spawn_connection(
                 let _ = w.join();
             }
         })
-        .expect("spawn connection reader");
+        .expect("spawn connection reader")
 }
 
 /// Writes reply frames to a client connection (a `TCP_NODELAY` socket, set
@@ -457,5 +510,47 @@ mod tests {
         write_batch(&mut io::sink(), &mut buf).unwrap();
         assert!(buf.is_empty());
         assert!(buf.capacity() <= RETAINED_BUF, "kept {} bytes", buf.capacity());
+    }
+
+    /// Every `(from, to, req)` of the `RingReq` frames a peer link carried,
+    /// read from the link's listener until the writer closed it.
+    fn frames_on(listener: &TcpListener) -> Vec<(u32, u32, u64)> {
+        let (mut conn, _) = listener.accept().unwrap();
+        std::iter::from_fn(|| read_frame(&mut conn).unwrap())
+            .map(|(from, to, msg)| match msg {
+                Msg::RingReq { req } => (from.0, to.0, req),
+                other => panic!("unexpected frame {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_router_gives_each_remote_host_one_link_and_each_client_its_queue() {
+        use crate::host::FRONTEND_BASE as FE;
+        let hosts =
+            [TcpListener::bind("127.0.0.1:0").unwrap(), TcpListener::bind("127.0.0.1:0").unwrap()];
+        let addr = |i: usize| hosts[i].local_addr().unwrap();
+        let peers =
+            BTreeMap::from([(1, addr(0)), (FE + 1, addr(0)), (2, addr(1)), (FE + 2, addr(1))]);
+        let registry = ClientRegistry::new();
+        let (client, replies) = registry.register();
+        let router = Router::new(&peers, registry);
+        assert_eq!(router.links.writers.len(), 2, "one link per remote host");
+
+        let sent = [(0, 1, 1), (0, FE + 1, 2), (3, 1, 3), (0, 2, 4), (3, FE + 1, 5)];
+        for (from, to, req) in sent {
+            router.route(NodeId(from), NodeId(to), Msg::RingReq { req });
+        }
+        router.route(NodeId(0), client, Msg::RingReq { req: 6 });
+        router.route(NodeId(0), NodeId(7), Msg::RingReq { req: 7 }); // unknown id
+        router.route(NodeId(0), NodeId::EXTERNAL, Msg::RingReq { req: 8 });
+        router.links.close();
+
+        let host1 = vec![(0, 1, 1), (0, FE + 1, 2), (3, 1, 3), (3, FE + 1, 5)];
+        assert_eq!(frames_on(&hosts[0]), host1, "node 1 and its frontend share one queue");
+        assert_eq!(frames_on(&hosts[1]), vec![(0, 2, 4)]);
+        let (from, reply) = replies.try_recv().expect("the client's reply");
+        assert!(from == NodeId(0) && matches!(reply, Msg::RingReq { req: 6 }));
+        assert!(replies.try_recv().is_err(), "the unknown and EXTERNAL sends are dropped");
     }
 }

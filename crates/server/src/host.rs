@@ -10,8 +10,9 @@
 //! * [`Transport::Tcp`] — the host runs a subset of the spec's nodes (one,
 //!   for `--node-id`; or `boot_tcp_mesh` builds one host per node inside a
 //!   single process for benches). Every non-local destination leaves
-//!   through the gateway as a real TCP frame, so the full replication path
-//!   — quorum fan-out, gossip, hinted handoff — crosses sockets.
+//!   through the [`Router`]'s peer writers as a real TCP frame, so the full
+//!   replication path — quorum fan-out, gossip, hinted handoff — crosses
+//!   sockets.
 //!
 //! Either way the node logic is the unmodified sans-io [`StorageNode`] the
 //! simulator verifies; only the action interpreter differs. That is the
@@ -21,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -29,7 +31,7 @@ use mystore_gossip::GossipConfig;
 use mystore_net::{NodeId, RecvError, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};
 use mystore_obs::Registry;
 
-use crate::gateway::{ClientRegistry, Gateway};
+use crate::gateway::{ClientRegistry, Gateway, Router};
 use crate::http::HttpServer;
 use crate::spec::ServerSpec;
 
@@ -81,7 +83,30 @@ impl Host {
             idle_backoff_max: 1,
         };
 
-        let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+        // Sockets first: a failed bind then leaves no threads behind.
+        let listener = TcpListener::bind(&*local[0].listen)?;
+        let http_listener = local[0].http.as_deref().map(TcpListener::bind).transpose()?;
+
+        // Peers are every spec node NOT hosted here (Tcp only). Each remote
+        // host also hosts a frontend at FRONTEND_BASE + its first node id;
+        // replies from our storage nodes to that frontend must route over
+        // the wire too.
+        let mut peers = BTreeMap::new();
+        if transport == Transport::Tcp {
+            for node in &spec.nodes {
+                if !local.iter().any(|l| l.id == node.id) {
+                    let addr = resolve(&node.listen)?;
+                    peers.insert(node.id, addr);
+                    peers.insert(FRONTEND_BASE + node.id, addr);
+                }
+            }
+        }
+        let registry = ClientRegistry::new();
+        let router = Arc::new(Router::new(&peers, registry.clone()));
+        let route = Arc::clone(&router);
+
+        let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default())
+            .route_external(Arc::new(move |from, to, msg| route.route(from, to, msg)));
         for node in &local {
             let cfg = StorageConfig {
                 nwr: spec.nwr,
@@ -107,31 +132,11 @@ impl Host {
             ..FrontendConfig::default()
         };
         builder = builder.add_node_as(frontend_id, Frontend::new(fe_cfg));
-        let mut cluster = builder.build();
-
-        // Gateway: peers are every spec node NOT hosted here (Tcp only).
-        // Each remote host also hosts a frontend at FRONTEND_BASE + its
-        // first node id; replies from our storage nodes to that frontend
-        // must route over the wire too.
-        let mut peers = BTreeMap::new();
-        if transport == Transport::Tcp {
-            for node in &spec.nodes {
-                if !local.iter().any(|l| l.id == node.id) {
-                    let addr = resolve(&node.listen)?;
-                    peers.insert(node.id, addr);
-                    peers.insert(FRONTEND_BASE + node.id, addr);
-                }
-            }
-        }
-        let listener = TcpListener::bind(&*local[0].listen)?;
-        let registry = ClientRegistry::new();
-        let external_rx = cluster.take_external_rx().expect("fresh cluster has its stream");
-        let gateway =
-            Gateway::spawn(listener, cluster.injector(), external_rx, peers, registry.clone())?;
-
-        let http = match &local[0].http {
-            Some(addr) => Some(HttpServer::spawn(
-                TcpListener::bind(&**addr)?,
+        let cluster = builder.build();
+        let gateway = Gateway::spawn(listener, cluster.injector(), &router)?;
+        let http = match http_listener {
+            Some(listener) => Some(HttpServer::spawn(
+                listener,
                 cluster.injector(),
                 registry,
                 frontend_id,
@@ -272,14 +277,15 @@ pub fn await_ring_convergence(
 }
 
 /// The one ring-readiness poll, behind `GET /_ready`, [`Host::await_ready`]
-/// and [`await_ring_convergence`]. Sends `RingReq` to every node in
+/// and [`await_ring_convergence`], and for a harness whose cluster replies
+/// to a route of its own. Sends `RingReq` to every node in
 /// `nodes` and waits until each has reported a ring of exactly `expected`,
 /// re-probing the rest every 50 ms, for at most `timeout`.
 ///
 /// `send` delivers one probe; `recv` waits up to the given time for the
 /// next message addressed to the prober. Anything but a `RingResp` from
 /// one of `nodes` is dropped. Returns the time it took.
-pub(crate) fn poll_ring_ready(
+pub fn poll_ring_ready(
     nodes: &[NodeId],
     expected: &[NodeId],
     timeout: Duration,

@@ -26,7 +26,7 @@ use std::time::Duration;
 use mystore_core::{Method, Msg, RestRequest};
 use mystore_net::{Injector, NodeId};
 
-use crate::gateway::{write_batch, ClientRegistry};
+use crate::gateway::{accept_until, stop_accepting, write_batch, ClientRegistry};
 use crate::host::{poll_ring_ready, recv_channel};
 
 /// How long a translated request may wait for the cluster's response
@@ -57,35 +57,26 @@ impl HttpServer {
         all_storage: Vec<NodeId>,
     ) -> io::Result<HttpServer> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("mystore-http-accept".into())
                 .spawn(move || {
-                    while !shutdown.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let ctx = ConnCtx {
-                                    injector: injector.clone(),
-                                    registry: registry.clone(),
-                                    frontend,
-                                    local_storage: local_storage.clone(),
-                                    all_storage: all_storage.clone(),
-                                    shutdown: Arc::clone(&shutdown),
-                                };
-                                std::thread::Builder::new()
-                                    .name("mystore-http-conn".into())
-                                    .spawn(move || serve_connection(stream, ctx))
-                                    .expect("spawn http connection");
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => return,
-                        }
-                    }
+                    accept_until(&listener, &shutdown, |stream| {
+                        let ctx = ConnCtx {
+                            injector: injector.clone(),
+                            registry: registry.clone(),
+                            frontend,
+                            local_storage: local_storage.clone(),
+                            all_storage: all_storage.clone(),
+                            shutdown: Arc::clone(&shutdown),
+                        };
+                        std::thread::Builder::new()
+                            .name("mystore-http-conn".into())
+                            .spawn(move || serve_connection(stream, ctx))
+                            .expect("spawn http connection");
+                    });
                 })
                 .expect("spawn http accept")
         };
@@ -101,7 +92,7 @@ impl HttpServer {
     /// connections finish their in-flight request and close on their next
     /// read (they observe the same flag).
     pub fn shutdown(self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        stop_accepting(self.local_addr, &self.shutdown);
         let _ = self.accept_thread.join();
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`codec`] / [`frame`] — a deterministic, bounds-checked binary wire
 //!   format for `Msg` (length-prefixed frames, version byte).
-//! * [`gateway`] — the socket edge: accepts peer and client connections,
-//!   routes outbound frames to peer hosts, multiplexes client replies.
+//! * [`gateway`] — the socket edge: accepts peer and client connections;
+//!   its [`Router`] hands outbound frames from the node threads straight to
+//!   one writer per peer host, and client replies to their connections.
 //! * [`http`] — a minimal HTTP/1.1 adapter in front of the existing REST
 //!   frontend (`/_stats`, keyed GET/POST with `If-Match`, `/_ready`).
 //! * [`spec`] — the TOML-subset cluster spec (`mystore-server --spec`).
@@ -29,7 +30,9 @@ pub mod spec;
 
 pub use codec::{decode_msg, encode_msg};
 pub use frame::{read_frame, write_frame, FrameReader, MAX_FRAME, WIRE_VERSION};
-pub use gateway::{ClientRegistry, Gateway, CLIENT_BASE};
-pub use host::{await_ring_convergence, ring_converged, Host, Transport, FRONTEND_BASE};
+pub use gateway::{ClientRegistry, Gateway, Router, CLIENT_BASE};
+pub use host::{
+    await_ring_convergence, poll_ring_ready, ring_converged, Host, Transport, FRONTEND_BASE,
+};
 pub use http::HttpServer;
 pub use spec::{NodeSpec, ServerSpec};

@@ -62,9 +62,12 @@ echo "==> real-transport runtime (threaded integration)"
 # The binary wire path over real TCP sockets is the benchmark's
 # `wire_pipelined` quick pass at the end of this script; `mesh_latency`
 # checks that fixed-size replication frames on a 3-node TCP mesh do not
-# wait on delayed ACKs (`TCP_NODELAY`, one write per drained batch).
+# wait on delayed ACKs (`TCP_NODELAY`, one write per drained batch);
+# `mesh_threads` checks the mesh's thread inventory: no routing pump, one
+# peer writer per remote host, none left after `Host::shutdown`.
 cargo test --test threaded_cluster -q
 cargo test -p mystore-serverd --test mesh_latency -q
+cargo test -p mystore-serverd --test mesh_threads -q
 
 echo "==> scenario-matrix smoke (idle-clock fast-forward + chaos invariants)"
 # The PR-7 matrix runner: a 25-node, 1-virtual-hour kill cell must finish

@@ -8,13 +8,17 @@
 //! write durable in the on-disk WALs.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mystore::core::prelude::*;
 use mystore::engine::Db;
 use mystore::gossip::GossipConfig;
-use mystore::net::{NodeId, RecvError, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};
-use mystore::server::await_ring_convergence;
+use mystore::net::{
+    NodeId, RecvError, Route, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig,
+};
+use mystore::server::{await_ring_convergence, poll_ring_ready};
 
 fn gossip_cfg(nodes: u32) -> GossipConfig {
     GossipConfig {
@@ -28,7 +32,18 @@ fn gossip_cfg(nodes: u32) -> GossipConfig {
 }
 
 fn build_cluster(nodes: u32, data_dir: Option<PathBuf>) -> ThreadedCluster<Msg> {
+    build_cluster_with(nodes, data_dir, None)
+}
+
+fn build_cluster_with(
+    nodes: u32,
+    data_dir: Option<PathBuf>,
+    route: Option<Route<Msg>>,
+) -> ThreadedCluster<Msg> {
     let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+    if let Some(route) = route {
+        builder = builder.route_external(route);
+    }
     for i in 0..nodes {
         let cfg = StorageConfig {
             gossip: gossip_cfg(nodes),
@@ -178,16 +193,33 @@ fn graceful_drain_during_in_flight_syncs_leaves_acked_writes_durable() {
     std::fs::create_dir_all(&dir).expect("create test data dir");
 
     let acked: Vec<u64> = {
-        let mut cluster = build_cluster(nodes, Some(dir.clone()));
-        converge(&cluster, nodes);
-        let external = cluster.take_external_rx().expect("external stream");
+        // shutdown_graceful consumes the cluster, so its replies go to a
+        // route that outlives it.
+        let (tx, external) = mpsc::channel();
+        let route: Route<Msg> = Arc::new(move |from, _to, msg| {
+            let _ = tx.send((from, msg));
+        });
+        let cluster = build_cluster_with(nodes, Some(dir.clone()), Some(route));
+        let expected: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+        poll_ring_ready(
+            &expected,
+            &expected,
+            Duration::from_secs(15),
+            |node, msg| cluster.send(node, msg),
+            |left| match external.recv_timeout(left) {
+                Ok(reply) => Ok(reply),
+                Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
+            },
+        )
+        .expect("ring convergence");
         for i in 0..60u64 {
             cluster.send(NodeId((i % 3) as u32), put(i, &format!("drain-{i}")));
         }
         cluster.shutdown_graceful(Duration::from_secs(5));
         // Every reply the nodes sent before exiting is still queued.
         std::iter::from_fn(|| external.try_recv().ok())
-            .filter_map(|(_, _, msg)| match msg {
+            .filter_map(|(_, msg)| match msg {
                 Msg::PutResp { req, result: Ok(()) } => Some(req),
                 _ => None,
             })
