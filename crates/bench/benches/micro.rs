@@ -1,17 +1,16 @@
 #![allow(missing_docs)]
 //! Criterion micro-benchmarks for the building blocks on MyStore's hot
 //! paths: MD5/ring lookups (every request), BSON codec (every record),
-//! engine operations (every replica op), LRU (every cache access), gossip
+//! keyed engine puts and gets (every replica op), LRU (every cache access), gossip
 //! digest handling (every round), and a full simulated quorum write.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use mystore_bson::{doc, Document, Value};
+use mystore_bson::Document;
 use mystore_cache::LruCache;
 use mystore_core::prelude::*;
 use mystore_core::testing::Probe;
-use mystore_engine::query::Filter;
-use mystore_engine::{pack_version, Db, FindOptions, Record};
+use mystore_engine::{pack_version, Db, Record};
 use mystore_gossip::{GossipConfig, GossipMsg, Gossiper};
 use mystore_net::{FaultPlan, NetConfig, NodeConfig, NodeId, Rng, SimConfig, SimTime};
 use mystore_ring::md5::md5;
@@ -56,52 +55,42 @@ fn bench_bson(c: &mut Criterion) {
     g.finish();
 }
 
+/// A record of `len` payload bytes under key `k{i}`, version `i`.
+fn record(i: u32, len: usize) -> Record {
+    let id = mystore_bson::ObjectId::from_parts(0, 0, i);
+    Record::new(id, format!("k{i}"), vec![1; len], pack_version(i as u64, 0))
+}
+
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
-    g.bench_function("put_record_1K", |b| {
+    let indexed = || {
         let mut db = Db::memory();
         db.create_index("data", "self-key").unwrap();
+        db
+    };
+    g.bench_function("put_record_fresh_1K", |b| {
+        let mut db = indexed();
         let mut i = 0u32;
         b.iter(|| {
             i += 1;
-            let rec = Record::new(
-                mystore_bson::ObjectId::from_parts(0, 0, i),
-                format!("k{i}"),
-                vec![1; 1024],
-                pack_version(i as u64, 0),
-            );
+            db.put_record("data", &record(i, 1024)).unwrap()
+        })
+    });
+    g.bench_function("put_record_overwrite_16K", |b| {
+        let mut db = indexed();
+        let mut rec = record(0, 16 * 1024);
+        db.put_record("data", &rec).unwrap();
+        b.iter(|| {
+            rec.version += 1;
             db.put_record("data", &rec).unwrap()
         })
     });
-    g.bench_function("indexed_point_query", |b| {
-        let mut db = Db::memory();
-        db.create_index("data", "self-key").unwrap();
-        for i in 0..10_000u32 {
-            let rec = Record::new(
-                mystore_bson::ObjectId::from_parts(0, 0, i),
-                format!("k{i}"),
-                vec![1; 64],
-                pack_version(i as u64, 0),
-            );
-            db.put_record("data", &rec).unwrap();
+    g.bench_function("get_record_16K_of_1k", |b| {
+        let mut db = indexed();
+        for i in 0..1_000u32 {
+            db.put_record("data", &record(i, 16 * 1024)).unwrap();
         }
-        b.iter(|| db.get_record("data", "k5000").unwrap())
-    });
-    g.bench_function("filter_parse_and_match", |b| {
-        let query = doc! { "n": doc! { "$gte": 10, "$lt": 20 }, "k": doc! { "$prefix": "ab" } };
-        let target = doc! { "n": 15, "k": "abcdef" };
-        b.iter(|| {
-            let f = Filter::parse(std::hint::black_box(&query)).unwrap();
-            f.matches(std::hint::black_box(&target))
-        })
-    });
-    g.bench_function("full_scan_1k_docs", |b| {
-        let mut db = Db::memory();
-        for i in 0..1_000 {
-            db.insert_doc("d", doc! { "n": i, "tag": Value::from(i % 7) }).unwrap();
-        }
-        let f = Filter::parse(&doc! { "tag": 3 }).unwrap();
-        b.iter(|| db.find("d", &f, &FindOptions::default()).unwrap().len())
+        b.iter(|| db.get_record("data", std::hint::black_box("k500")).unwrap())
     });
     g.finish();
 }

@@ -145,8 +145,6 @@ pub struct StorageConfig {
     /// Interval of the hint-replay scan (µs) — node C probing node B
     /// (Fig. 8).
     pub hint_replay_interval_us: u64,
-    /// Name of the data collection.
-    pub collection: String,
     /// Enable hinted handoff for short failures (Fig. 8). Disable only for
     /// the A4 ablation.
     pub hinted_handoff: bool,
@@ -197,7 +195,6 @@ impl Default for StorageConfig {
             replica_timeout_us: 60_000,     // 60 ms
             request_deadline_us: 1_000_000, // 1 s
             hint_replay_interval_us: 2_000_000,
-            collection: "data".into(),
             hinted_handoff: true,
             compaction_interval_us: 60_000_000,
             tombstone_grace_us: 300_000_000, // 5 min >> hint replay windows

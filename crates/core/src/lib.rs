@@ -16,9 +16,7 @@
 //!   addition,
 //! * **Front end** — REST GET/POST/DELETE with URI-signature auth
 //!   ([`auth`]), round-robin dispatch, and a hash-sharded LRU cache tier
-//!   ([`mystore_cache`]),
-//! * **Extension** — chunked large-value storage ([`chunks`], the paper's
-//!   future-work item).
+//!   ([`mystore_cache`]).
 //!
 //! Every component is a sans-io [`mystore_net::Process`]; deployments are
 //! assembled by [`cluster::ClusterSpec`] on either the deterministic
@@ -52,7 +50,6 @@
 
 pub mod auth;
 pub mod cache_node;
-pub mod chunks;
 pub mod cluster;
 pub mod config;
 pub mod frontend;

@@ -8,7 +8,7 @@ use mystore_engine::{lww_winner, Record};
 use mystore_net::{Context, NodeId};
 
 use crate::message::{Body, Msg, StoreError};
-use crate::storage_node::{StorageNode, TK_GET_HARD, TK_GET_RETRY};
+use crate::storage_node::{StorageNode, DATA, TK_GET_HARD, TK_GET_RETRY};
 
 use super::driver::{Common, Exhausted, OpState, QuorumOp, Reply};
 
@@ -259,7 +259,7 @@ impl StorageNode {
             self.metrics.read_repair_pushes.inc();
             ctx.record("read_repair", 1.0);
             if *node == me {
-                let _ = self.db.put_record(&self.cfg.collection, &newest);
+                let _ = self.db.put_record(DATA, &newest);
             } else {
                 // Fire-and-forget: acks for req 0 are ignored.
                 ctx.send(*node, Msg::StoreReplica { req: 0, record: Arc::clone(&newest) });

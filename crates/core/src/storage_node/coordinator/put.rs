@@ -9,7 +9,7 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
 use crate::message::{Body, Msg, StoreError};
-use crate::storage_node::{StorageNode, HINTS, TK_PUT_HARD, TK_PUT_RETRY};
+use crate::storage_node::{StorageNode, DATA, HINTS, TK_PUT_HARD, TK_PUT_RETRY};
 
 use super::driver::{Common, Exhausted, OpState, QuorumOp, Reply};
 
@@ -219,7 +219,7 @@ impl StorageNode {
         // OidGen (a raw ObjectId::new here would leak wall clock into the
         // replicated data and break seeded replay).
         self.db.set_oid_secs((ctx.now().as_micros() / 1_000_000) as u32);
-        let oid = self.db.fresh_oid(&self.cfg.collection);
+        let oid = self.db.fresh_oid(DATA);
         Arc::new(if delete {
             Record::tombstone(oid, key, version)
         } else {
@@ -266,7 +266,7 @@ impl StorageNode {
             // the replica writes below are already on their way.
             ctx.consume(self.cfg.cost.put_us(record.val.len()));
             self.stats.replica_puts += 1;
-            if self.db.put_record(&self.cfg.collection, &record).is_ok() {
+            if self.db.put_record(DATA, &record).is_ok() {
                 self.parked_own.push((my_req, me, self.db.wal_end_pos()));
             }
         }

@@ -12,7 +12,7 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
 use crate::message::Msg;
-use crate::storage_node::{tk, StorageNode, HINTS, TK_GOSSIP};
+use crate::storage_node::{tk, StorageNode, DATA, HINTS, TK_GOSSIP};
 
 /// A hint replay awaiting its `StoreAck`: which hint document it is for and
 /// when it was sent, so stale entries can be swept instead of leaking.
@@ -167,7 +167,7 @@ impl StorageNode {
         // `wins_over` compares: the packed `(timestamp, writer)` stamp).
         // Equal versions are the same write and need no transfer either way.
         for (key, their_version) in entries {
-            match self.db.get_record(&self.cfg.collection, &key) {
+            match self.db.get_record(DATA, &key) {
                 Ok(Some(mine)) if mine.wins_over_version(their_version) => newer.push(mine),
                 Ok(Some(mine)) if mine.loses_to_version(their_version) => {
                     behind.push((key, mine.version))

@@ -31,7 +31,7 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::{Arc_, HashRing};
 
 use crate::message::{BatchPut, Msg};
-use crate::storage_node::{tk, StorageNode, TK_MIGRATE};
+use crate::storage_node::{tk, StorageNode, DATA, TK_MIGRATE};
 
 mod cursor;
 mod plan;
@@ -300,7 +300,7 @@ impl StorageNode {
     /// One scan of the data collection → the sorted work list. Arc lookup
     /// is a wrap-aware scan over the (few) plan arcs per record.
     fn build_work_list(&self, arcs: &[PlanArc]) -> Vec<WorkItem> {
-        let Ok(coll) = self.db.collection(&self.cfg.collection) else { return Vec::new() };
+        let Ok(coll) = self.db.collection(DATA) else { return Vec::new() };
         let mut work: Vec<WorkItem> = Vec::new();
         for (_, docu) in coll.iter() {
             let Some(key) = docu.get_str("self-key") else { continue };
@@ -390,8 +390,8 @@ impl StorageNode {
                     .map(|(_, k)| k.clone())
                     .collect();
                 for key in keys {
-                    if let Ok(Some(rec)) = self.db.get_record(&self.cfg.collection, &key) {
-                        let _ = self.db.remove(&self.cfg.collection, rec.id);
+                    if let Ok(Some(rec)) = self.db.get_record(DATA, &key) {
+                        let _ = self.db.remove(DATA, rec.id);
                         self.stats.records_migrated_out += 1;
                     }
                 }
@@ -436,7 +436,7 @@ impl StorageNode {
                 self.settle_item(plan, idx);
                 continue;
             };
-            let record = match self.db.get_record(&self.cfg.collection, &key) {
+            let record = match self.db.get_record(DATA, &key) {
                 Ok(Some(r)) => StdArc::new(r),
                 // Deleted since the scan (reaped tombstone): nothing to
                 // ship, the item is settled.

@@ -72,6 +72,9 @@ pub(crate) fn tk_split(token: TimerToken) -> (u64, u64) {
     (token & TK_KIND_MASK, token >> 4)
 }
 
+/// Collection holding the node's records (one per `self-key`).
+pub(crate) const DATA: &str = "data";
+
 /// Collection holding hinted-handoff records.
 pub(crate) const HINTS: &str = "hints";
 
@@ -167,13 +170,11 @@ impl StorageNode {
         // Record ids must replay identically under the seeded simulator.
         db.set_oid_machine(u64::from(me.0));
         // Recovered databases already carry the index.
-        let indexed = db
-            .collection(&cfg.collection)
-            .map(|c| c.index_fields().contains(&"self-key"))
-            .unwrap_or(false);
+        let indexed =
+            db.collection(DATA).map(|c| c.index_fields().contains(&"self-key")).unwrap_or(false);
         if !indexed {
             // lint:allow(no-panic-hot-path): startup-time index creation, fail-fast by design
-            db.create_index(&cfg.collection, "self-key").expect("fresh db");
+            db.create_index(DATA, "self-key").expect("fresh db");
         }
         db.set_wal_metrics(WalMetrics::from_registry(&cfg.metrics));
         // From here on writes stage; `commit` makes them durable.
@@ -227,7 +228,7 @@ impl StorageNode {
     /// Records stored locally in the data collection (replicas included,
     /// tombstones included) — the quantity Fig. 15 plots.
     pub fn record_count(&self) -> usize {
-        self.db.collection(&self.cfg.collection).map(|c| c.len()).unwrap_or(0)
+        self.db.collection(DATA).map(|c| c.len()).unwrap_or(0)
     }
 
     /// Outstanding hints held for other nodes.
@@ -245,7 +246,7 @@ impl StorageNode {
     /// of load traffic; placement must be computed by the caller (see
     /// `mystore-workload`'s preload helpers).
     pub fn preload_record(&mut self, record: &mystore_engine::Record) {
-        let _ = self.db.put_record(&self.cfg.collection, record);
+        let _ = self.db.put_record(DATA, record);
         let _ = self.db.sync_wal();
     }
 
@@ -330,7 +331,7 @@ impl Process<Msg> for StorageNode {
                 // and anti-entropy re-fill us — and count the event.
                 self.metrics.recover_failures.inc();
                 let mut fresh = Db::memory();
-                let _ = fresh.create_index(&self.cfg.collection, "self-key");
+                let _ = fresh.create_index(DATA, "self-key");
                 fresh.set_wal_metrics(WalMetrics::from_registry(&self.cfg.metrics));
                 fresh.set_oid_machine(u64::from(self.id().0));
                 fresh.set_staged(true);
@@ -435,18 +436,13 @@ impl Process<Msg> for StorageNode {
                     // deleted — not data we lost.
                     if self.reap_floor > 0
                         && record.version <= self.reap_floor
-                        && self
-                            .db
-                            .get_record(&self.cfg.collection, &record.self_key)
-                            .ok()
-                            .flatten()
-                            .is_none()
+                        && self.db.get_record(DATA, &record.self_key).ok().flatten().is_none()
                     {
                         self.sync_metrics.resurrections_blocked.inc();
                         continue;
                     }
                     ctx.consume(self.cfg.cost.put_us(record.val.len()));
-                    if self.db.put_record(&self.cfg.collection, &record).unwrap_or(false) {
+                    if self.db.put_record(DATA, &record).unwrap_or(false) {
                         self.stats.anti_entropy_received += 1;
                         ctx.record("anti_entropy_repair", 1.0);
                     }
@@ -470,7 +466,7 @@ impl Process<Msg> for StorageNode {
             Msg::TransferRecords { records } => {
                 for record in records {
                     ctx.consume(self.cfg.cost.put_us(record.val.len()));
-                    let _ = self.db.put_record(&self.cfg.collection, &record);
+                    let _ = self.db.put_record(DATA, &record);
                 }
             }
             Msg::Gossip(g) => {
@@ -508,7 +504,7 @@ impl Process<Msg> for StorageNode {
                     now_us.saturating_sub(self.cfg.tombstone_grace_us),
                     0,
                 );
-                if let Ok(reaped) = self.db.reap_tombstones(&self.cfg.collection, cutoff) {
+                if let Ok(reaped) = self.db.reap_tombstones(DATA, cutoff) {
                     if reaped > 0 {
                         ctx.record("tombstones_reaped", reaped as f64);
                         // Only advance the floor when something was actually

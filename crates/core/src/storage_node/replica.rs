@@ -11,7 +11,7 @@ use mystore_net::{Context, NodeId, OpFault, SyncJob};
 
 use crate::message::{BatchPut, Msg};
 use crate::storage_node::coordinator::quorum::Reply;
-use crate::storage_node::{StorageNode, HINTS};
+use crate::storage_node::{StorageNode, DATA, HINTS};
 
 impl StorageNode {
     /// Acks a write this handler staged: a success waits until the WAL is
@@ -104,7 +104,7 @@ impl StorageNode {
         }
         ctx.consume(self.cfg.cost.put_us(record.val.len()));
         self.stats.replica_puts += 1;
-        let ok = self.db.put_record(&self.cfg.collection, &record).is_ok();
+        let ok = self.db.put_record(DATA, &record).is_ok();
         if ok {
             // Dual ownership: a write landing on a still-inbound arc is
             // forwarded to the arc's old owner (no-op outside migrations).
@@ -174,7 +174,7 @@ impl StorageNode {
     /// coordinator's own copy during a read fan-out).
     pub(crate) fn local_fetch(&mut self, ctx: &mut Context<'_, Msg>, key: &str) -> Option<Record> {
         self.stats.replica_gets += 1;
-        let found = self.db.get_record(&self.cfg.collection, key).ok().flatten();
+        let found = self.db.get_record(DATA, key).ok().flatten();
         ctx.consume(self.cfg.cost.get_us(found.as_ref().map(|r| r.val.len()).unwrap_or(0)));
         found
     }

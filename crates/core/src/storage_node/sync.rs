@@ -21,7 +21,7 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::Arc_;
 
 use crate::message::Msg;
-use crate::storage_node::StorageNode;
+use crate::storage_node::{StorageNode, DATA};
 use crate::sync::{ring_hash, TreeHeap};
 
 /// Wire bytes a root-match exchange costs (one `SyncTreeRequest`); what a
@@ -38,7 +38,7 @@ impl StorageNode {
         if !self.sync_tree.is_built() {
             let records: Vec<(String, u64, bool)> = self
                 .db
-                .collection(&self.cfg.collection)
+                .collection(DATA)
                 .map(|c| {
                     c.iter()
                         .filter_map(|(_, doc)| Record::sync_state(doc))
@@ -47,16 +47,12 @@ impl StorageNode {
                 })
                 .unwrap_or_default();
             self.sync_tree.rebuild(records);
-            self.db.track_dirty_keys(&self.cfg.collection);
+            self.db.track_dirty_keys(DATA);
             return;
         }
         for key in self.db.take_dirty_keys() {
-            let state = self
-                .db
-                .get_record(&self.cfg.collection, &key)
-                .ok()
-                .flatten()
-                .map(|r| (r.version, r.is_del));
+            let state =
+                self.db.get_record(DATA, &key).ok().flatten().map(|r| (r.version, r.is_del));
             self.sync_tree.note(&self.ring, &key, state);
         }
     }
@@ -239,14 +235,14 @@ impl StorageNode {
                     if theirs.contains(key.as_str()) {
                         continue;
                     }
-                    if let Ok(Some(mine)) = self.db.get_record(&self.cfg.collection, &key) {
+                    if let Ok(Some(mine)) = self.db.get_record(DATA, &key) {
                         newer.push(mine);
                     }
                 }
             }
         }
         for (key, their_version) in entries {
-            match self.db.get_record(&self.cfg.collection, &key) {
+            match self.db.get_record(DATA, &key) {
                 Ok(Some(mine)) if mine.wins_over_version(their_version) => newer.push(mine),
                 Ok(Some(mine)) if mine.loses_to_version(their_version) => {
                     behind.push((key, mine.version))

@@ -1,72 +1,17 @@
-//! Collections: ordered documents + secondary indexes + a small query
-//! planner.
+//! Collections: ordered documents plus secondary indexes.
 //!
 //! A collection is the engine's in-memory working set for one namespace;
 //! durability is layered on by [`crate::db::Db`], which logs every mutation
 //! to the WAL before calling into the collection.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use mystore_bson::{Document, ObjectId, Value};
 
 use crate::error::{EngineError, Result};
 use crate::index::Index;
-use crate::query::filter::Filter;
-use crate::query::update::Update;
-
-/// Options for `find`.
-#[derive(Debug, Clone, Default)]
-pub struct FindOptions {
-    /// Sort keys applied lexicographically; `true` = ascending.
-    pub sort: Vec<(String, bool)>,
-    /// Skip the first `skip` results (after sort).
-    pub skip: usize,
-    /// Return at most `limit` results.
-    pub limit: Option<usize>,
-    /// If set, project only these fields (plus `_id`).
-    pub projection: Option<Vec<String>>,
-}
-
-impl FindOptions {
-    /// Adds an ascending sort key (keys compose lexicographically).
-    pub fn sort_asc(mut self, field: impl Into<String>) -> Self {
-        self.sort.push((field.into(), true));
-        self
-    }
-
-    /// Adds a descending sort key.
-    pub fn sort_desc(mut self, field: impl Into<String>) -> Self {
-        self.sort.push((field.into(), false));
-        self
-    }
-
-    /// Skips `n` results.
-    pub fn skip(mut self, n: usize) -> Self {
-        self.skip = n;
-        self
-    }
-
-    /// Caps the result count.
-    pub fn limit(mut self, n: usize) -> Self {
-        self.limit = Some(n);
-        self
-    }
-
-    /// Projects the given fields (plus `_id`).
-    pub fn project(mut self, fields: Vec<String>) -> Self {
-        self.projection = Some(fields);
-        self
-    }
-}
-
-/// How a `find` was executed (exposed for tests and tuning).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Explain {
-    /// Name of the index used, if any.
-    pub used_index: Option<String>,
-    /// Documents fetched and tested against the filter.
-    pub scanned: usize,
-}
+use crate::record::F_SELF_KEY;
 
 /// An in-memory collection with secondary indexes.
 #[derive(Debug, Default, Clone)]
@@ -149,37 +94,35 @@ impl Collection {
         self.docs.get(&id)
     }
 
-    /// Applies an update to the document with `id`.
-    pub fn update_by_id(&mut self, id: ObjectId, update: &Update) -> Result<()> {
-        let doc = self.docs.get(&id).ok_or(EngineError::NotFound)?.clone();
-        let mut new_doc = doc.clone();
-        update.apply(&mut new_doc)?;
-        self.replace_internal(id, doc, new_doc);
-        Ok(())
-    }
-
-    /// Replaces the document with `id` wholesale (after-image apply, used by
-    /// WAL recovery and replication).
-    pub fn put_after_image(&mut self, id: ObjectId, new_doc: Document) {
-        match self.docs.get(&id).cloned() {
-            Some(old) => self.replace_internal(id, old, new_doc),
-            None => {
-                for idx in &mut self.indexes {
-                    idx.insert(id, &new_doc);
-                }
-                self.bytes += new_doc.encoded_size();
-                self.docs.insert(id, new_doc);
-            }
+    /// The document whose `self-key` is `key` (the lowest `_id` if
+    /// several share it): a probe of the `self-key` index when the
+    /// collection has one, an `_id`-order scan otherwise.
+    pub fn get_by_self_key(&self, key: &str) -> Option<&Document> {
+        match self.indexes.iter().find(|i| i.field() == F_SELF_KEY) {
+            Some(idx) => idx
+                .lookup_eq(Value::String(key.to_string()))
+                .next()
+                .and_then(|id| self.docs.get(&id)),
+            None => self.docs.values().find(|d| d.get_str(F_SELF_KEY) == Some(key)),
         }
     }
 
-    fn replace_internal(&mut self, id: ObjectId, old: Document, new: Document) {
+    /// Replaces the document with `id` wholesale, or inserts it (after-image
+    /// apply: record writes, WAL recovery). The replaced document comes
+    /// back out of the map to unindex it; nothing is copied.
+    pub fn put_after_image(&mut self, id: ObjectId, doc: Document) {
+        let (old, new) = match self.docs.entry(id) {
+            Entry::Occupied(mut e) => (Some(e.insert(doc)), &*e.into_mut()),
+            Entry::Vacant(e) => (None, &*e.insert(doc)),
+        };
         for idx in &mut self.indexes {
-            idx.remove(id, &old);
-            idx.insert(id, &new);
+            if let Some(old) = &old {
+                idx.remove(id, old);
+            }
+            idx.insert(id, new);
         }
-        self.bytes = self.bytes + new.encoded_size() - old.encoded_size().min(self.bytes);
-        self.docs.insert(id, new);
+        let freed = old.map_or(0, |d| d.encoded_size());
+        self.bytes = self.bytes + new.encoded_size() - freed.min(self.bytes);
     }
 
     /// Physically removes the document (compaction / reaper path; user
@@ -191,105 +134,6 @@ impl Collection {
         }
         self.bytes = self.bytes.saturating_sub(doc.encoded_size());
         Ok(doc)
-    }
-
-    /// Runs a query, returning matching documents.
-    pub fn find(&self, filter: &Filter, opts: &FindOptions) -> Vec<Document> {
-        self.find_explain(filter, opts).0
-    }
-
-    /// Like [`find`](Self::find) but also reports how the query ran.
-    pub fn find_explain(&self, filter: &Filter, opts: &FindOptions) -> (Vec<Document>, Explain) {
-        // Planner: point lookup > range scan > full scan.
-        let (candidates, used_index): (Vec<ObjectId>, Option<String>) =
-            if let Some((field, value)) = filter.index_point() {
-                match self.indexes.iter().find(|i| i.field() == field) {
-                    Some(idx) => (idx.lookup_eq(value), Some(field.to_string())),
-                    None => (self.docs.keys().copied().collect(), None),
-                }
-            } else if let Some((field, lo, hi)) = filter.index_range() {
-                match self.indexes.iter().find(|i| i.field() == field) {
-                    Some(idx) => (idx.lookup_range(lo, hi), Some(field.to_string())),
-                    None => (self.docs.keys().copied().collect(), None),
-                }
-            } else {
-                (self.docs.keys().copied().collect(), None)
-            };
-
-        let scanned = candidates.len();
-        let mut hits: Vec<&Document> = candidates
-            .iter()
-            .filter_map(|id| self.docs.get(id))
-            .filter(|doc| filter.matches(doc))
-            .collect();
-
-        if !opts.sort.is_empty() {
-            hits.sort_by(|a, b| {
-                for (field, asc) in &opts.sort {
-                    let av = a.get_path(field).unwrap_or(&Value::Null);
-                    let bv = b.get_path(field).unwrap_or(&Value::Null);
-                    let ord = av.compare(bv);
-                    if ord != std::cmp::Ordering::Equal {
-                        return if *asc { ord } else { ord.reverse() };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        let iter = hits.into_iter().skip(opts.skip);
-        let docs: Vec<Document> = match opts.limit {
-            Some(n) => iter.take(n).map(|d| self.apply_projection(d, opts)).collect(),
-            None => iter.map(|d| self.apply_projection(d, opts)).collect(),
-        };
-        (docs, Explain { used_index, scanned })
-    }
-
-    fn apply_projection(&self, doc: &Document, opts: &FindOptions) -> Document {
-        match &opts.projection {
-            None => doc.clone(),
-            Some(fields) => {
-                let mut out = Document::with_capacity(fields.len() + 1);
-                if let Some(id) = doc.get("_id") {
-                    out.insert("_id", id.clone());
-                }
-                for f in fields {
-                    if let Some(v) = doc.get_path(f) {
-                        out.insert(f.as_str(), v.clone());
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Distinct values of `field` among matching documents (array fields
-    /// contribute each element), in ascending value order.
-    pub fn distinct(&self, field: &str, filter: &Filter) -> Vec<Value> {
-        use crate::index::OrdValue;
-        let mut seen: std::collections::BTreeSet<OrdValue> = std::collections::BTreeSet::new();
-        for (_, doc) in self.docs.iter() {
-            if !filter.matches(doc) {
-                continue;
-            }
-            match doc.get_path(field) {
-                Some(Value::Array(items)) => {
-                    for v in items {
-                        seen.insert(OrdValue(v.clone()));
-                    }
-                }
-                Some(v) => {
-                    seen.insert(OrdValue(v.clone()));
-                }
-                None => {}
-            }
-        }
-        seen.into_iter().map(|o| o.0).collect()
-    }
-
-    /// Counts matching documents.
-    pub fn count(&self, filter: &Filter) -> usize {
-        self.docs.values().filter(|d| filter.matches(d)).count()
     }
 
     /// Iterates all documents in `_id` order.
@@ -306,9 +150,15 @@ mod tests {
     fn coll_with(n: i32) -> Collection {
         let mut c = Collection::new();
         for i in 0..n {
-            c.insert(doc! { "k": format!("key{i}"), "n": i, "group": i % 3 }).unwrap();
+            c.insert(doc! { "self-key": format!("key{i}"), "n": i }).unwrap();
         }
         c
+    }
+
+    /// Ids the collection's index on `field` holds for `value`.
+    fn indexed(c: &Collection, field: &str, value: &str) -> Vec<ObjectId> {
+        let idx = c.indexes.iter().find(|i| i.field() == field).unwrap();
+        idx.lookup_eq(Value::String(value.into())).collect()
     }
 
     #[test]
@@ -323,80 +173,29 @@ mod tests {
     }
 
     #[test]
-    fn find_with_filter_sort_skip_limit() {
-        let c = coll_with(10);
-        let f = Filter::parse(&doc! { "n": doc! { "$gte": 2 } }).unwrap();
-        let opts = FindOptions::default().sort_desc("n").skip(1).limit(3);
-        let out = c.find(&f, &opts);
-        let ns: Vec<i64> = out.iter().map(|d| d.get_i64("n").unwrap()).collect();
-        assert_eq!(ns, vec![8, 7, 6]);
+    fn self_key_lookup_probes_the_index_or_scans() {
+        let mut c = coll_with(50);
+        assert_eq!(c.get_by_self_key("key7").unwrap().get_i64("n"), Some(7));
+        assert!(c.get_by_self_key("key50").is_none());
+        c.create_index("self-key").unwrap();
+        assert_eq!(c.get_by_self_key("key42").unwrap().get_i64("n"), Some(42));
+        assert!(c.get_by_self_key("key50").is_none());
     }
 
     #[test]
-    fn projection_keeps_id_and_selected_fields() {
-        let c = coll_with(1);
-        let out = c.find(&Filter::True, &FindOptions::default().project(vec!["n".to_string()]));
-        assert_eq!(out.len(), 1);
-        assert!(out[0].get("_id").is_some());
-        assert!(out[0].get("n").is_some());
-        assert!(out[0].get("k").is_none());
-    }
-
-    #[test]
-    fn point_query_uses_index() {
-        let mut c = coll_with(100);
-        c.create_index("k").unwrap();
-        let f = Filter::parse(&doc! { "k": "key42" }).unwrap();
-        let (out, explain) = c.find_explain(&f, &FindOptions::default());
-        assert_eq!(out.len(), 1);
-        assert_eq!(explain.used_index.as_deref(), Some("k"));
-        assert_eq!(explain.scanned, 1);
-    }
-
-    #[test]
-    fn range_query_uses_index() {
-        let mut c = coll_with(100);
-        c.create_index("n").unwrap();
-        let f = Filter::parse(&doc! { "n": doc! { "$gte": 10, "$lt": 20 } }).unwrap();
-        let (out, explain) = c.find_explain(&f, &FindOptions::default());
-        assert_eq!(out.len(), 10);
-        assert_eq!(explain.used_index.as_deref(), Some("n"));
-        assert_eq!(explain.scanned, 10);
-    }
-
-    #[test]
-    fn unindexed_query_full_scans() {
-        let c = coll_with(50);
-        let f = Filter::parse(&doc! { "k": "key7" }).unwrap();
-        let (out, explain) = c.find_explain(&f, &FindOptions::default());
-        assert_eq!(out.len(), 1);
-        assert_eq!(explain.used_index, None);
-        assert_eq!(explain.scanned, 50);
-    }
-
-    #[test]
-    fn update_maintains_indexes() {
-        let mut c = Collection::new();
-        c.create_index("k").unwrap();
-        let id = c.insert(doc! { "k": "old" }).unwrap();
-        let u = Update::parse(&doc! { "$set": doc! { "k": "new" } }).unwrap();
-        c.update_by_id(id, &u).unwrap();
-        let f_old = Filter::parse(&doc! { "k": "old" }).unwrap();
-        let f_new = Filter::parse(&doc! { "k": "new" }).unwrap();
-        let (hits_old, ex) = c.find_explain(&f_old, &FindOptions::default());
-        assert!(hits_old.is_empty());
-        assert_eq!(ex.scanned, 0, "index must not return the old key");
-        assert_eq!(c.find(&f_new, &FindOptions::default()).len(), 1);
-    }
-
-    #[test]
-    fn update_missing_doc_is_not_found() {
-        let mut c = Collection::new();
-        let u = Update::parse(&doc! { "$set": doc! { "x": 1 } }).unwrap();
-        assert!(matches!(
-            c.update_by_id(ObjectId::from_parts(0, 0, 0), &u),
-            Err(EngineError::NotFound)
-        ));
+    fn self_key_lookup_takes_the_lowest_id_of_duplicates() {
+        for indexed in [false, true] {
+            let mut c = Collection::new();
+            if indexed {
+                c.create_index("self-key").unwrap();
+            }
+            for n in [3u32, 1, 2] {
+                let id = ObjectId::from_parts(0, 0, n);
+                c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "self-key": "k" });
+            }
+            let hit = c.get_by_self_key("k").unwrap().get_object_id("_id");
+            assert_eq!(hit, Some(ObjectId::from_parts(0, 0, 1)), "indexed: {indexed}");
+        }
     }
 
     #[test]
@@ -409,22 +208,25 @@ mod tests {
         c.remove(id).unwrap();
         assert_eq!(c.len(), 0);
         assert_eq!(c.bytes(), 0);
-        let f = Filter::parse(&doc! { "k": "x" }).unwrap();
-        assert!(c.find(&f, &FindOptions::default()).is_empty());
+        assert!(indexed(&c, "k", "x").is_empty());
         assert!(matches!(c.remove(id), Err(EngineError::NotFound)));
     }
 
     #[test]
-    fn put_after_image_inserts_or_replaces() {
+    fn put_after_image_inserts_or_replaces_and_reindexes() {
         let mut c = Collection::new();
         c.create_index("k").unwrap();
         let id = ObjectId::from_parts(1, 1, 1);
         c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "k": "a" });
         assert_eq!(c.len(), 1);
+        let one = c.bytes();
         c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "k": "b" });
-        assert_eq!(c.len(), 1);
-        let f = Filter::parse(&doc! { "k": "b" }).unwrap();
-        assert_eq!(c.find(&f, &FindOptions::default()).len(), 1);
+        assert_eq!((c.len(), c.bytes()), (1, one));
+        assert!(indexed(&c, "k", "a").is_empty(), "index must not return the old key");
+        assert_eq!(indexed(&c, "k", "b"), vec![id]);
+        // Same key again: the entry survives its own replacement.
+        c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "k": "b", "v": 2 });
+        assert_eq!(indexed(&c, "k", "b"), vec![id]);
     }
 
     #[test]
@@ -432,12 +234,5 @@ mod tests {
         let mut c = Collection::new();
         c.create_index("k").unwrap();
         assert!(matches!(c.create_index("k"), Err(EngineError::IndexExists(_))));
-    }
-
-    #[test]
-    fn count_matches_find() {
-        let c = coll_with(30);
-        let f = Filter::parse(&doc! { "group": 1 }).unwrap();
-        assert_eq!(c.count(&f), c.find(&f, &FindOptions::default()).len());
     }
 }

@@ -6,11 +6,9 @@ use std::path::Path;
 
 use mystore_bson::{Document, ObjectId, OidGen};
 
-use crate::collection::{Collection, FindOptions};
+use crate::collection::Collection;
 use crate::error::{EngineError, Result};
 use crate::oplog::WalOp;
-use crate::query::filter::Filter;
-use crate::query::update::Update;
 use crate::record::{Record, F_IS_DEL, F_SELF_KEY};
 use crate::wal::Wal;
 
@@ -368,27 +366,6 @@ impl Db {
         Ok(id)
     }
 
-    /// Applies an update to the document with `id` in `coll`.
-    pub fn update_by_id(&mut self, coll: &str, id: ObjectId, update: &Update) -> Result<()> {
-        let c = self.collection(coll)?;
-        let mut after = c.get(id).ok_or(EngineError::NotFound)?.clone();
-        update.apply(&mut after)?;
-        self.log_and_apply(WalOp::Update { coll: coll.to_string(), id, doc: after })?;
-        Ok(())
-    }
-
-    /// Applies an update to every document matching `filter`; returns the
-    /// number updated.
-    pub fn update_many(&mut self, coll: &str, filter: &Filter, update: &Update) -> Result<usize> {
-        let c = self.collection(coll)?;
-        let ids: Vec<ObjectId> =
-            c.iter().filter(|(_, d)| filter.matches(d)).map(|(id, _)| *id).collect();
-        for id in &ids {
-            self.update_by_id(coll, *id, update)?;
-        }
-        Ok(ids.len())
-    }
-
     /// Replaces a document wholesale (upsert semantics: inserts if absent).
     pub fn put_after_image(&mut self, coll: &str, id: ObjectId, doc: Document) -> Result<()> {
         self.log_and_apply(WalOp::Update { coll: coll.to_string(), id, doc })?;
@@ -419,25 +396,20 @@ impl Db {
         Ok(())
     }
 
-    // The read-path query API (find/count/get/distinct/aggregate) lives in
-    // [`crate::queries`].
-
     // ---- record-level helpers (MyStore layout) -------------------------
 
     /// Stores a [`Record`] with LWW semantics: an existing record under the
     /// same `self-key` is replaced only by a strictly newer version.
     /// Returns `true` if the write took effect.
     pub fn put_record(&mut self, coll: &str, record: &Record) -> Result<bool> {
-        let existing = self.get_record(coll, &record.self_key)?;
-        match existing {
-            Some(old) if !record.wins_over(&old) => Ok(false),
-            Some(old) => {
-                self.put_after_image(coll, old.id, {
-                    let mut d = record.to_document();
-                    // Keep the incumbent _id stable across updates.
-                    d.insert("_id", mystore_bson::Value::ObjectId(old.id));
-                    d
-                })?;
+        let incumbent = self.record_doc(coll, &record.self_key).map(Record::stored_stamp);
+        match incumbent.transpose()? {
+            Some((_, version)) if !record.wins_over_version(version) => Ok(false),
+            Some((id, _)) => {
+                let mut d = record.to_document();
+                // Keep the incumbent _id stable across updates.
+                d.insert("_id", mystore_bson::Value::ObjectId(id));
+                self.put_after_image(coll, id, d)?;
                 Ok(true)
             }
             None => {
@@ -447,15 +419,15 @@ impl Db {
         }
     }
 
-    /// Fetches the record stored under `self_key` (tombstones included).
+    /// Fetches the record stored under `self_key` (tombstones included),
+    /// copying its payload once out of the stored document.
     pub fn get_record(&self, coll: &str, self_key: &str) -> Result<Option<Record>> {
-        let c = match self.collections.get(coll) {
-            Some(c) => c,
-            None => return Ok(None),
-        };
-        let filter = Filter::Eq(F_SELF_KEY.to_string(), self_key.into());
-        let hit = c.find(&filter, &FindOptions::default().limit(1)).into_iter().next();
-        hit.map(|d| Record::from_document(&d)).transpose()
+        self.record_doc(coll, self_key).map(Record::from_document).transpose()
+    }
+
+    /// The stored document under `self_key` in `coll`, if any.
+    fn record_doc(&self, coll: &str, self_key: &str) -> Option<&Document> {
+        self.collections.get(coll)?.get_by_self_key(self_key)
     }
 
     // ---- maintenance ----------------------------------------------------
@@ -519,39 +491,48 @@ mod tests {
     use crate::record::pack_version;
     use mystore_bson::{doc, Value};
 
+    /// Documents in `coll` (0 when it does not exist).
+    fn count(db: &Db, coll: &str) -> usize {
+        db.collection(coll).map_or(0, Collection::len)
+    }
+
+    /// Field `f` of the document with `id` in `coll`.
+    fn int_field(db: &Db, coll: &str, id: ObjectId, f: &str) -> Option<i64> {
+        db.collection(coll).ok()?.get(id)?.get_i64(f)
+    }
+
     #[test]
-    fn insert_find_update_remove_cycle() {
+    fn insert_replace_remove_cycle() {
         let mut db = Db::memory();
         let id = db.insert_doc("data", doc! { "k": "a", "n": 1 }).unwrap();
-        assert_eq!(db.count("data", &Filter::True).unwrap(), 1);
-        let u = Update::parse(&doc! { "$inc": doc! { "n": 1 } }).unwrap();
-        db.update_by_id("data", id, &u).unwrap();
-        assert_eq!(db.get("data", id).unwrap().unwrap().get_i64("n"), Some(2));
+        assert_eq!(count(&db, "data"), 1);
+        db.put_after_image("data", id, doc! { "_id": Value::ObjectId(id), "k": "a", "n": 2 })
+            .unwrap();
+        assert_eq!(int_field(&db, "data", id, "n"), Some(2));
         db.remove("data", id).unwrap();
-        assert_eq!(db.count("data", &Filter::True).unwrap(), 0);
+        assert_eq!(count(&db, "data"), 0);
         assert!(db.remove("data", id).is_err());
     }
 
     #[test]
-    fn unknown_collection_errors() {
+    fn unknown_collection_errors_on_access_and_reads_as_empty() {
         let db = Db::memory();
-        assert!(matches!(
-            db.find("nope", &Filter::True, &FindOptions::default()),
-            Err(EngineError::NoSuchCollection(_))
-        ));
+        assert!(matches!(db.collection("nope"), Err(EngineError::NoSuchCollection(_))));
+        assert!(db.get_record("nope", "k").unwrap().is_none());
     }
 
     #[test]
-    fn update_many_counts() {
+    fn a_stored_document_that_is_not_a_record_reads_as_corrupt() {
         let mut db = Db::memory();
-        for i in 0..10 {
-            db.insert_doc("d", doc! { "g": i % 2, "n": 0 }).unwrap();
-        }
-        let f = Filter::parse(&doc! { "g": 0 }).unwrap();
-        let u = Update::parse(&doc! { "$set": doc! { "n": 9 } }).unwrap();
-        assert_eq!(db.update_many("d", &f, &u).unwrap(), 5);
-        let g = Filter::parse(&doc! { "n": 9 }).unwrap();
-        assert_eq!(db.count("d", &g).unwrap(), 5);
+        db.create_index("d", "self-key").unwrap();
+        db.insert_doc("d", doc! { "self-key": "k" }).unwrap();
+        let id = ObjectId::from_parts(9, 9, 9);
+        db.put_after_image("d", id, doc! { "self-key": "nameless" }).unwrap();
+        assert!(db.get_record("d", "k").unwrap().is_some(), "val and ver default");
+        let err = db.get_record("d", "nameless").unwrap_err();
+        assert!(matches!(err, EngineError::Corrupt { .. }), "{err}");
+        let r = Record::new(ObjectId::from_parts(1, 1, 1), "nameless", vec![1], 5);
+        assert!(matches!(db.put_record("d", &r), Err(EngineError::Corrupt { .. })));
     }
 
     #[test]
@@ -599,17 +580,17 @@ mod tests {
             db.create_index("d", "self-key").unwrap();
             id = db.insert_doc("d", doc! { "self-key": "k1", "v": 1 }).unwrap();
             db.insert_doc("d", doc! { "self-key": "k2", "v": 2 }).unwrap();
-            let u = Update::parse(&doc! { "$set": doc! { "v": 10 } }).unwrap();
-            db.update_by_id("d", id, &u).unwrap();
+            let after = doc! { "_id": Value::ObjectId(id), "self-key": "k1", "v": 10 };
+            db.put_after_image("d", id, after).unwrap();
             // db dropped without any shutdown handshake = crash.
         }
         let db = Db::open(&path).unwrap();
-        assert_eq!(db.count("d", &Filter::True).unwrap(), 2);
-        assert_eq!(db.get("d", id).unwrap().unwrap().get_i64("v"), Some(10));
-        // Index survived and is used.
-        let f = Filter::parse(&doc! { "self-key": "k2" }).unwrap();
-        let (_, explain) = db.find_explain("d", &f, &FindOptions::default()).unwrap();
-        assert_eq!(explain.used_index.as_deref(), Some("self-key"));
+        assert_eq!(count(&db, "d"), 2);
+        assert_eq!(int_field(&db, "d", id, "v"), Some(10));
+        // The index survived and answers keyed reads.
+        let c = db.collection("d").unwrap();
+        assert_eq!(c.index_fields(), vec!["self-key"]);
+        assert_eq!(c.get_by_self_key("k2").unwrap().get_i64("v"), Some(2));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -619,16 +600,16 @@ mod tests {
         db.create_index("d", "self-key").unwrap();
         let id = db.insert_doc("d", doc! { "self-key": "k1", "v": 1 }).unwrap();
         db.insert_doc("d", doc! { "self-key": "k2", "v": 2 }).unwrap();
-        let u = Update::parse(&doc! { "$set": doc! { "v": 10 } }).unwrap();
-        db.update_by_id("d", id, &u).unwrap();
+        let after = doc! { "_id": Value::ObjectId(id), "self-key": "k1", "v": 10 };
+        db.put_after_image("d", id, after).unwrap();
 
         // Simulated crash-restart: rebuild purely from the log frames.
         let db = db.recover_from_wal().unwrap();
-        assert_eq!(db.count("d", &Filter::True).unwrap(), 2);
-        assert_eq!(db.get("d", id).unwrap().unwrap().get_i64("v"), Some(10));
-        let f = Filter::parse(&doc! { "self-key": "k2" }).unwrap();
-        let (_, explain) = db.find_explain("d", &f, &FindOptions::default()).unwrap();
-        assert_eq!(explain.used_index.as_deref(), Some("self-key"));
+        assert_eq!(count(&db, "d"), 2);
+        assert_eq!(int_field(&db, "d", id, "v"), Some(10));
+        let c = db.collection("d").unwrap();
+        assert_eq!(c.index_fields(), vec!["self-key"]);
+        assert_eq!(c.get_by_self_key("k2").unwrap().get_i64("v"), Some(2));
     }
 
     #[test]
@@ -649,7 +630,7 @@ mod tests {
         // any id handed out before the crash, even though the in-memory
         // counter was lost.
         let mut recovered = db_a.recover_from_wal().unwrap();
-        assert_eq!(recovered.count("d", &Filter::True).unwrap(), 5);
+        assert_eq!(count(&recovered, "d"), 5);
         for i in 0..5 {
             let id = recovered.insert_doc("d", doc! { "n": 100 + i }).unwrap();
             assert!(!ids_a.contains(&id), "post-recovery id {id} reuses a pre-crash id");
@@ -668,7 +649,7 @@ mod tests {
         db.insert_doc("d", doc).unwrap();
         let id = db.insert_doc("d", doc! { "n": 1 }).unwrap();
         assert_ne!(id, clash, "generator must skip an id already present");
-        assert_eq!(db.count("d", &Filter::True).unwrap(), 2);
+        assert_eq!(count(&db, "d"), 2);
     }
 
     #[test]
@@ -685,7 +666,7 @@ mod tests {
         // _id remains the original insert's.
         assert_eq!(got.id, ObjectId::from_parts(1, 1, 1));
         // Only one physical document for the key.
-        assert_eq!(db.count("data", &Filter::True).unwrap(), 1);
+        assert_eq!(count(&db, "data"), 1);
     }
 
     #[test]
@@ -695,10 +676,10 @@ mod tests {
         let dead = Record::tombstone(ObjectId::from_parts(1, 1, 2), "gone", 2);
         db.put_record("data", &live).unwrap();
         db.put_record("data", &dead).unwrap();
-        assert_eq!(db.count("data", &Filter::True).unwrap(), 2);
+        assert_eq!(count(&db, "data"), 2);
         let purged = db.compact(true).unwrap();
         assert_eq!(purged, 1);
-        assert_eq!(db.count("data", &Filter::True).unwrap(), 1);
+        assert_eq!(count(&db, "data"), 1);
         assert!(db.get_record("data", "gone").unwrap().is_none());
         assert!(db.get_record("data", "keep").unwrap().is_some());
     }
@@ -719,7 +700,6 @@ mod tests {
 
         // Reads and an LWW-stale write log nothing.
         db.get_record("d", "ka").unwrap();
-        db.count("d", &Filter::True).unwrap();
         assert!(!db.put_record("d", &a).unwrap());
         assert_eq!(db.last_seq(), 3);
 
@@ -759,7 +739,7 @@ mod tests {
             db.insert_doc("d", doc! { "k": i }).unwrap();
         }
         assert_eq!(db.wal_pending_ops(), 3, "staged, not synced");
-        assert_eq!(db.count("d", &Filter::True).unwrap(), 3, "reads see staged writes");
+        assert_eq!(count(&db, "d"), 3, "reads see staged writes");
         assert_eq!(reg.snapshot().counters["wal.fsyncs"], 0);
         assert_eq!(db.sync_wal().unwrap(), 3, "one sync covers the batch");
         assert_eq!(reg.snapshot().counters["wal.fsyncs"], 1);
@@ -778,13 +758,13 @@ mod tests {
         db.insert_doc("d", doc! { "self-key": "durable" }).unwrap();
         db.sync_wal().unwrap();
         db.insert_doc("d", doc! { "self-key": "staged" }).unwrap();
-        assert_eq!(db.count("d", &Filter::True).unwrap(), 2);
+        assert_eq!(count(&db, "d"), 2);
         let db = db.recover_from_wal().unwrap();
         let keys: Vec<_> = db
-            .find("d", &Filter::True, &FindOptions::default())
+            .collection("d")
             .unwrap()
             .iter()
-            .filter_map(|d| d.get_str("self-key").map(str::to_string))
+            .filter_map(|(_, d)| d.get_str("self-key").map(str::to_string))
             .collect();
         assert_eq!(keys, vec!["durable".to_string()], "unsynced op must not survive the crash");
     }

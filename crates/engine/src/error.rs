@@ -13,7 +13,8 @@ pub enum EngineError {
     /// Underlying file I/O failed (or was injected as failed — the paper's
     /// *disk IO error* fault).
     Io(std::io::Error),
-    /// A log frame or document failed validation during recovery.
+    /// A log frame failed validation during recovery, or a stored document
+    /// is not a well-formed record.
     Corrupt {
         /// Human-readable description of what failed.
         detail: String,
@@ -28,8 +29,6 @@ pub enum EngineError {
     NotFound,
     /// An index was requested on a field that already has one.
     IndexExists(String),
-    /// A query or update document was malformed.
-    BadQuery(String),
 }
 
 impl fmt::Display for EngineError {
@@ -42,7 +41,6 @@ impl fmt::Display for EngineError {
             EngineError::NoSuchCollection(name) => write!(f, "no such collection: {name}"),
             EngineError::NotFound => write!(f, "document not found"),
             EngineError::IndexExists(field) => write!(f, "index already exists on field {field}"),
-            EngineError::BadQuery(detail) => write!(f, "malformed query: {detail}"),
         }
     }
 }

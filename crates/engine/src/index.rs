@@ -6,11 +6,8 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 
 use mystore_bson::{Document, ObjectId, Value};
-
-use crate::query::filter::RangeBound;
 
 /// A [`Value`] wrapper carrying the total order from
 /// [`Value::compare`], so values can key a `BTreeMap`.
@@ -85,28 +82,9 @@ impl Index {
         }
     }
 
-    /// Ids of documents whose field equals `value`.
-    pub fn lookup_eq(&self, value: &Value) -> Vec<ObjectId> {
-        self.map
-            .get(&OrdValue(value.clone()))
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Ids of documents whose field falls in the given range, in value
-    /// order.
-    pub fn lookup_range(&self, lo: RangeBound<'_>, hi: RangeBound<'_>) -> Vec<ObjectId> {
-        let lo_b: Bound<OrdValue> = match lo {
-            RangeBound::Included(v) => Bound::Included(OrdValue(v.clone())),
-            RangeBound::Excluded(v) => Bound::Excluded(OrdValue(v.clone())),
-            RangeBound::Unbounded => Bound::Unbounded,
-        };
-        let hi_b: Bound<OrdValue> = match hi {
-            RangeBound::Included(v) => Bound::Included(OrdValue(v.clone())),
-            RangeBound::Excluded(v) => Bound::Excluded(OrdValue(v.clone())),
-            RangeBound::Unbounded => Bound::Unbounded,
-        };
-        self.map.range((lo_b, hi_b)).flat_map(|(_, set)| set.iter().copied()).collect()
+    /// Ids of documents whose field equals `value`, in id order.
+    pub fn lookup_eq(&self, value: Value) -> impl Iterator<Item = ObjectId> + '_ {
+        self.map.get(&OrdValue(value)).into_iter().flatten().copied()
     }
 
     fn keys_of(doc: &Document, field: &str) -> Vec<Value> {
@@ -127,16 +105,18 @@ mod tests {
         ObjectId::from_parts(0, 0, n)
     }
 
+    fn eq(idx: &Index, value: Value) -> Vec<ObjectId> {
+        idx.lookup_eq(value).collect()
+    }
+
     #[test]
-    fn eq_lookup() {
+    fn eq_lookup_in_id_order() {
         let mut idx = Index::new("self-key");
-        idx.insert(oid(1), &doc! { "self-key": "a" });
-        idx.insert(oid(2), &doc! { "self-key": "b" });
         idx.insert(oid(3), &doc! { "self-key": "a" });
-        let hits = idx.lookup_eq(&Value::String("a".into()));
-        assert_eq!(hits.len(), 2);
-        assert!(hits.contains(&oid(1)) && hits.contains(&oid(3)));
-        assert!(idx.lookup_eq(&Value::String("z".into())).is_empty());
+        idx.insert(oid(2), &doc! { "self-key": "b" });
+        idx.insert(oid(1), &doc! { "self-key": "a" });
+        assert_eq!(eq(&idx, Value::String("a".into())), vec![oid(1), oid(3)]);
+        assert!(eq(&idx, Value::String("z".into())).is_empty());
         assert_eq!(idx.len(), 3);
     }
 
@@ -147,7 +127,7 @@ mod tests {
         idx.insert(oid(1), &d);
         idx.remove(oid(1), &d);
         assert!(idx.is_empty());
-        assert!(idx.lookup_eq(&Value::Int32(5)).is_empty());
+        assert!(eq(&idx, Value::Int32(5)).is_empty());
     }
 
     #[test]
@@ -165,31 +145,17 @@ mod tests {
         let mut idx = Index::new("tags");
         let d = doc! { "tags": vec!["x", "y"] };
         idx.insert(oid(1), &d);
-        assert_eq!(idx.lookup_eq(&Value::String("x".into())), vec![oid(1)]);
-        assert_eq!(idx.lookup_eq(&Value::String("y".into())), vec![oid(1)]);
+        assert_eq!(eq(&idx, Value::String("x".into())), vec![oid(1)]);
+        assert_eq!(eq(&idx, Value::String("y".into())), vec![oid(1)]);
         idx.remove(oid(1), &d);
         assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn range_scan_in_value_order() {
-        let mut idx = Index::new("n");
-        for i in 0..10 {
-            idx.insert(oid(i), &doc! { "n": i as i32 });
-        }
-        let three = Value::Int32(3);
-        let seven = Value::Int32(7);
-        let hits = idx.lookup_range(RangeBound::Included(&three), RangeBound::Excluded(&seven));
-        assert_eq!(hits, vec![oid(3), oid(4), oid(5), oid(6)]);
-        let unbounded = idx.lookup_range(RangeBound::Unbounded, RangeBound::Unbounded);
-        assert_eq!(unbounded.len(), 10);
     }
 
     #[test]
     fn dotted_path_index() {
         let mut idx = Index::new("meta.size");
         idx.insert(oid(1), &doc! { "meta": doc! { "size": 42 } });
-        assert_eq!(idx.lookup_eq(&Value::Int32(42)), vec![oid(1)]);
+        assert_eq!(eq(&idx, Value::Int32(42)), vec![oid(1)]);
     }
 
     #[test]
@@ -197,7 +163,7 @@ mod tests {
         let mut idx = Index::new("n");
         idx.insert(oid(1), &doc! { "n": 5 });
         // Int64(5) and Double(5.0) compare equal to Int32(5).
-        assert_eq!(idx.lookup_eq(&Value::Int64(5)), vec![oid(1)]);
-        assert_eq!(idx.lookup_eq(&Value::Double(5.0)), vec![oid(1)]);
+        assert_eq!(eq(&idx, Value::Int64(5)), vec![oid(1)]);
+        assert_eq!(eq(&idx, Value::Double(5.0)), vec![oid(1)]);
     }
 }

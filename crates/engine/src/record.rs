@@ -100,14 +100,21 @@ impl Record {
 
     /// Parses a record document; rejects documents missing mandatory fields.
     pub fn from_document(doc: &Document) -> Result<Self> {
-        let id = doc
-            .get_object_id(F_ID)
-            .ok_or_else(|| EngineError::BadQuery(format!("record missing {F_ID}")))?;
-        let (self_key, version, is_del) = Self::sync_state(doc)
-            .ok_or_else(|| EngineError::BadQuery(format!("record missing {F_SELF_KEY}")))?;
+        let id = doc.get_object_id(F_ID).ok_or_else(|| missing_field(F_ID))?;
+        let (self_key, version, is_del) =
+            Self::sync_state(doc).ok_or_else(|| missing_field(F_SELF_KEY))?;
         let val = doc.get_binary(F_VAL).unwrap_or(&[]).to_vec();
         let is_data = doc.get_str(F_IS_DATA) == Some("1");
         Ok(Record { id, self_key: self_key.to_string(), val, is_data, is_del, version })
+    }
+
+    /// The `_id` and LWW version of a record document, read in place —
+    /// all an overwrite's LWW check needs of the incumbent. Rejects what
+    /// [`Record::from_document`] rejects.
+    pub(crate) fn stored_stamp(doc: &Document) -> Result<(ObjectId, u64)> {
+        let id = doc.get_object_id(F_ID).ok_or_else(|| missing_field(F_ID))?;
+        let (_, version, _) = Self::sync_state(doc).ok_or_else(|| missing_field(F_SELF_KEY))?;
+        Ok((id, version))
     }
 
     /// The `(self-key, version, is_del)` of a record document — all that
@@ -144,6 +151,10 @@ impl Record {
     pub fn loses_to_version(&self, other_version: u64) -> bool {
         other_version > self.version
     }
+}
+
+fn missing_field(field: &str) -> EngineError {
+    EngineError::Corrupt { detail: format!("record missing {field}") }
 }
 
 /// Reduces replica read responses to the LWW winner. Ties keep the first

@@ -1,14 +1,16 @@
-//! Property tests for the engine: the indexed query path must agree with a
-//! naive full scan, WAL recovery must reproduce the exact state, and LWW
-//! record semantics must be order-insensitive.
+//! Property tests for the engine: keyed record reads must agree with a
+//! full scan, WAL recovery must reproduce the exact state, and LWW record
+//! semantics must be order-insensitive.
+
+use std::collections::BTreeMap;
 
 use mystore_bson::ObjectId;
-use mystore_bson::{doc, Document, Value};
-use mystore_engine::query::Filter;
-use mystore_engine::{pack_version, Db, FindOptions, Record};
+use mystore_bson::{doc, Document};
+use mystore_engine::{lww_winner, pack_version, Db, Record};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-/// A small universe of keys/values so queries actually hit.
+/// A small universe of keys/values so documents collide.
 fn arb_doc() -> impl Strategy<Value = Document> {
     (
         0..20i32,                      // n
@@ -24,86 +26,123 @@ fn arb_doc() -> impl Strategy<Value = Document> {
         })
 }
 
-fn arb_filter_doc() -> impl Strategy<Value = Document> {
+/// One step of a random record history over five keys.
+#[derive(Debug, Clone)]
+enum Step {
+    Put {
+        key: u8,
+        val: u8,
+        ver: u64,
+    },
+    Tombstone {
+        key: u8,
+        ver: u64,
+    },
+    /// `reap_tombstones` below `pack_version(cutoff, 0)`.
+    Reap {
+        cutoff: u64,
+    },
+    /// Physically removes the key's document, if any.
+    Remove {
+        key: u8,
+    },
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let put =
+        || (0u8..5, any::<u8>(), 1u64..16).prop_map(|(key, val, ver)| Step::Put { key, val, ver });
     prop_oneof![
-        (0..20i32).prop_map(|v| doc! { "n": v }),
-        (0..20i32).prop_map(|v| doc! { "n": doc! { "$gt": v } }),
-        (0..20i32, 0..20i32)
-            .prop_map(|(a, b)| doc! { "n": doc! { "$gte": a.min(b), "$lt": a.max(b).max(1) } }),
-        "[a-e]{1,3}".prop_map(|k| doc! { "k": k }),
-        "[a-e]".prop_map(|p| doc! { "k": doc! { "$prefix": p } }),
-        (0..5i32).prop_map(|m| doc! { "m": doc! { "$exists": m % 2 == 0 } }),
-        (0..20i32, "[a-e]{1,3}").prop_map(|(n, k)| doc! {
-            "$or": vec![Value::Document(doc!{ "n": n }), Value::Document(doc!{ "k": k })]
-        }),
+        put(),
+        put(),
+        (0u8..5, 1u64..16).prop_map(|(key, ver)| Step::Tombstone { key, ver }),
+        (1u64..16).prop_map(|cutoff| Step::Reap { cutoff }),
+        (0u8..5).prop_map(|key| Step::Remove { key }),
     ]
+}
+
+const DATA: &str = "data";
+
+/// Applies `steps`, each write under a fresh `_id`; returns the store and
+/// a model of what each key should read: the LWW winner of the writes
+/// since its document was last removed or reaped, under the `_id` of the
+/// write that created the document.
+fn run_history(indexed: bool, steps: &[Step]) -> (Db, BTreeMap<String, Record>) {
+    let mut db = Db::memory();
+    if indexed {
+        db.create_index(DATA, "self-key").unwrap();
+    }
+    let mut model: BTreeMap<String, Record> = BTreeMap::new();
+    for (i, step) in steps.iter().enumerate() {
+        let id = ObjectId::from_parts(0, 0, i as u32);
+        let rec = match *step {
+            Step::Put { key, val, ver } => {
+                Record::new(id, format!("k{key}"), vec![val], pack_version(ver, 0))
+            }
+            Step::Tombstone { key, ver } => {
+                Record::tombstone(id, format!("k{key}"), pack_version(ver, 0))
+            }
+            Step::Reap { cutoff } => {
+                let cutoff = pack_version(cutoff, 0);
+                let reaped = db.reap_tombstones(DATA, cutoff).unwrap();
+                let before = model.len();
+                model.retain(|_, r| !(r.is_del && r.version < cutoff));
+                assert_eq!(reaped, before - model.len(), "{step:?}");
+                continue;
+            }
+            Step::Remove { key } => {
+                if let Some(r) = model.remove(&format!("k{key}")) {
+                    db.remove(DATA, r.id).unwrap();
+                }
+                continue;
+            }
+        };
+        let took = db.put_record(DATA, &rec).unwrap();
+        match model.get(&rec.self_key) {
+            Some(old) if !rec.wins_over(old) => assert!(!took, "{step:?} beat {old:?}"),
+            incumbent => {
+                assert!(took, "{step:?}");
+                let id = incumbent.map_or(rec.id, |old| old.id);
+                model.insert(rec.self_key.clone(), Record { id, ..rec });
+            }
+        }
+    }
+    (db, model)
+}
+
+/// Every key's `get_record` equals the LWW winner of a full scan of the
+/// stored documents, and the model's record.
+fn keyed_reads_match_a_scan(
+    db: &Db,
+    model: &BTreeMap<String, Record>,
+) -> Result<(), TestCaseError> {
+    let stored: Vec<Record> = match db.collection(DATA) {
+        Ok(c) => c.iter().map(|(_, d)| Record::from_document(d).unwrap()).collect(),
+        Err(_) => Vec::new(),
+    };
+    for key in (0..5).map(|k| format!("k{k}")) {
+        let scanned = lww_winner(stored.iter().filter(|r| r.self_key == key)).cloned();
+        let got = db.get_record(DATA, &key).unwrap();
+        prop_assert_eq!(&got, &scanned, "key {} against a full scan", key);
+        prop_assert_eq!(got.as_ref(), model.get(&key), "key {} against the model", key);
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Indexed execution returns exactly the same documents as a naive
-    /// in-memory filter over all documents.
+    /// Random put / tombstone / reap / remove histories leave every keyed
+    /// read equal to a full scan's LWW winner — on the indexed path and the
+    /// scanning one — before and after crash recovery from the WAL.
     #[test]
-    fn indexed_find_equals_naive_scan(
-        docs in proptest::collection::vec(arb_doc(), 0..60),
-        query in arb_filter_doc(),
+    fn keyed_reads_equal_the_scanned_lww_winner(
+        steps in proptest::collection::vec(arb_step(), 1..60),
+        indexed in any::<bool>(),
     ) {
-        let mut db = Db::memory();
-        db.create_index("d", "n").unwrap();
-        db.create_index("d", "k").unwrap();
-        let mut all = Vec::new();
-        for d in docs {
-            let id = db.insert_doc("d", d).unwrap();
-            all.push(db.get("d", id).unwrap().unwrap());
-        }
-        let filter = Filter::parse(&query).unwrap();
-        let mut expected: Vec<String> = all
-            .iter()
-            .filter(|d| filter.matches(d))
-            .map(|d| d.get_object_id("_id").unwrap().to_hex())
-            .collect();
-        let mut got: Vec<String> = db
-            .find("d", &filter, &FindOptions::default())
-            .unwrap()
-            .iter()
-            .map(|d| d.get_object_id("_id").unwrap().to_hex())
-            .collect();
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Sort + skip + limit slice the naive-sorted result exactly.
-    #[test]
-    fn sort_skip_limit_is_a_slice(
-        docs in proptest::collection::vec(arb_doc(), 0..40),
-        skip in 0usize..10,
-        limit in 1usize..10,
-        asc in any::<bool>(),
-    ) {
-        let mut db = Db::memory();
-        // Ensure the collection exists even when no documents are generated.
-        db.create_index("d", "k").unwrap();
-        for d in docs {
-            db.insert_doc("d", d).unwrap();
-        }
-        let opts = if asc {
-            FindOptions::default().sort_asc("n").skip(skip).limit(limit)
-        } else {
-            FindOptions::default().sort_desc("n").skip(skip).limit(limit)
-        };
-        let got = db.find("d", &Filter::True, &opts).unwrap();
-        prop_assert!(got.len() <= limit);
-        // The returned ns must be monotone in the requested direction.
-        let ns: Vec<i64> = got.iter().map(|d| d.get_i64("n").unwrap()).collect();
-        for w in ns.windows(2) {
-            if asc {
-                prop_assert!(w[0] <= w[1]);
-            } else {
-                prop_assert!(w[0] >= w[1]);
-            }
-        }
+        let (db, model) = run_history(indexed, &steps);
+        keyed_reads_match_a_scan(&db, &model)?;
+        let db = db.recover_from_wal().unwrap();
+        keyed_reads_match_a_scan(&db, &model)?;
     }
 
     /// Reopening a file-backed database replays to the identical state.
@@ -185,85 +224,4 @@ fn snapshot(db: &Db) -> Vec<(String, Vec<u8>)> {
     }
     out.sort();
     out
-}
-
-/// Random mutation sequences (insert / update / physical remove / LWW put)
-/// must leave secondary indexes exactly consistent with a full scan.
-mod index_consistency {
-    use super::*;
-    use mystore_engine::query::Update;
-
-    #[derive(Debug, Clone)]
-    enum Mut {
-        Insert { k: String, n: i32 },
-        UpdateN { idx: proptest::sample::Index, n: i32 },
-        Remove { idx: proptest::sample::Index },
-        Rename { idx: proptest::sample::Index, k: String },
-    }
-
-    fn arb_mut() -> impl Strategy<Value = Mut> {
-        prop_oneof![
-            ("[a-d]{1,3}", 0..10i32).prop_map(|(k, n)| Mut::Insert { k, n }),
-            (any::<proptest::sample::Index>(), 0..10i32)
-                .prop_map(|(idx, n)| Mut::UpdateN { idx, n }),
-            any::<proptest::sample::Index>().prop_map(|idx| Mut::Remove { idx }),
-            (any::<proptest::sample::Index>(), "[a-d]{1,3}")
-                .prop_map(|(idx, k)| Mut::Rename { idx, k }),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn indexes_agree_with_full_scan(muts in proptest::collection::vec(arb_mut(), 1..60)) {
-            let mut db = Db::memory();
-            db.create_index("d", "k").unwrap();
-            db.create_index("d", "n").unwrap();
-            let mut ids: Vec<ObjectId> = Vec::new();
-            for m in &muts {
-                match m {
-                    Mut::Insert { k, n } => {
-                        let id = db.insert_doc("d", doc! { "k": k.as_str(), "n": *n }).unwrap();
-                        ids.push(id);
-                    }
-                    Mut::UpdateN { idx, n } if !ids.is_empty() => {
-                        let id = ids[idx.index(ids.len())];
-                        if db.get("d", id).unwrap().is_some() {
-                            let u = Update::parse(&doc! { "$set": doc! { "n": *n } }).unwrap();
-                            db.update_by_id("d", id, &u).unwrap();
-                        }
-                    }
-                    Mut::Remove { idx } if !ids.is_empty() => {
-                        let id = ids[idx.index(ids.len())];
-                        let _ = db.remove("d", id);
-                    }
-                    Mut::Rename { idx, k } if !ids.is_empty() => {
-                        let id = ids[idx.index(ids.len())];
-                        if db.get("d", id).unwrap().is_some() {
-                            let u = Update::parse(&doc! { "$set": doc! { "k": k.as_str() } }).unwrap();
-                            db.update_by_id("d", id, &u).unwrap();
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Every indexed query must match a naive scan exactly.
-            let coll = db.collection("d").unwrap();
-            for key in ["a", "b", "ab", "abc", "d", "dd"] {
-                let f = Filter::parse(&doc! { "k": key }).unwrap();
-                let (hits, explain) = coll.find_explain(&f, &FindOptions::default());
-                prop_assert_eq!(explain.used_index.as_deref(), Some("k"));
-                let naive = coll.iter().filter(|(_, d)| f.matches(d)).count();
-                prop_assert_eq!(hits.len(), naive, "key {}", key);
-            }
-            for n in 0..10i32 {
-                let f = Filter::parse(&doc! { "n": doc! { "$gte": n } }).unwrap();
-                let (hits, explain) = coll.find_explain(&f, &FindOptions::default());
-                prop_assert_eq!(explain.used_index.as_deref(), Some("n"));
-                let naive = coll.iter().filter(|(_, d)| f.matches(d)).count();
-                prop_assert_eq!(hits.len(), naive, "n >= {}", n);
-            }
-        }
-    }
 }

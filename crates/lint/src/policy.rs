@@ -74,8 +74,7 @@ impl CratePolicy {
 /// * `inner` — `ClientRegistry` client queues: node threads take it in
 ///   `Router::route` to hand a reply to its client's queue, connection
 ///   threads take it to register and unregister
-/// * `trace` — the threaded runtime's shared event trace
-pub const LOCK_ORDER: &[&str] = &["inner", "trace"];
+pub const LOCK_ORDER: &[&str] = &["inner"];
 
 /// Builds the workspace policy table rooted at `workspace_root`.
 ///

@@ -148,7 +148,8 @@ impl<'a, M> Context<'a, M> {
         self.actions.push(Action::SetTimer { delay_us, token });
     }
 
-    /// Records a measurement into the experiment trace.
+    /// Records a measurement into the experiment trace (the simulator's;
+    /// the threaded runtime keeps no trace and drops it).
     pub fn record(&mut self, name: &'static str, value: f64) {
         self.actions.push(Action::Record { name, value });
     }

@@ -5,10 +5,13 @@
 //! links, `recv_timeout` as the timer wheel. This is the in-process
 //! transport of the production runtime (`mystore-serverd` builds its TCP
 //! deployment on top of it) as well as the substrate for the examples and
-//! integration tests. Fault injection and the bandwidth model are
-//! simulator-only; here messages deliver as fast as channels allow, and
-//! [`Context::consume`](crate::process::Context::consume) charges nothing
-//! (the real work already took real time).
+//! integration tests. Fault injection, the bandwidth model and the event
+//! trace are simulator-only; here messages deliver as fast as channels
+//! allow, [`Context::consume`](crate::process::Context::consume) charges
+//! nothing (the real work already took real time), and
+//! [`Context::record`](crate::process::Context::record) keeps nothing (a
+//! server runs unboundedly long, and nothing reads its trace; the live
+//! numbers are the registry's).
 //!
 //! # Routing
 //!
@@ -58,13 +61,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use crate::process::{Action, Context, NodeId, Process, TimerToken};
 use crate::rng::Rng;
 use crate::syncer::Syncs;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
 
 /// Why a receive on the external stream returned no message.
 ///
@@ -178,10 +179,6 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
                 (route, Some(rx))
             }
         };
-        // `trace` is last in the declared lock order
-        // (crates/lint/src/policy.rs::LOCK_ORDER): node threads take it
-        // briefly per event and never acquire another lock under it.
-        let trace = Arc::new(Mutex::new(Trace::new()));
         let start = Instant::now();
         let mut seed_rng = Rng::new(self.config.seed);
 
@@ -191,7 +188,6 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
                 id,
                 senders: senders.clone(),
                 route: Arc::clone(&route),
-                trace: Arc::clone(&trace),
                 start,
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
@@ -208,7 +204,7 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
             handles.push(handle);
         }
 
-        ThreadedCluster { senders, handles, trace, external_rx, start }
+        ThreadedCluster { senders, handles, external_rx, start }
     }
 }
 
@@ -216,7 +212,6 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
 pub struct ThreadedCluster<M: Send + 'static> {
     senders: BTreeMap<u32, Sender<Envelope<M>>>,
     handles: Vec<JoinHandle<()>>,
-    trace: Arc<Mutex<Trace>>,
     external_rx: Option<Receiver<(NodeId, NodeId, M)>>,
     start: Instant,
 }
@@ -284,11 +279,6 @@ impl<M: Send + 'static> ThreadedCluster<M> {
     /// Elapsed run time as a [`SimTime`] (µs since cluster start).
     pub fn elapsed(&self) -> SimTime {
         SimTime(self.start.elapsed().as_micros() as u64)
-    }
-
-    /// Snapshot of the recorded trace.
-    pub fn trace_snapshot(&self) -> Trace {
-        self.trace.lock().clone()
     }
 
     /// Stops a single node thread (prompt stop, after which the node is
@@ -367,7 +357,6 @@ struct NodeLoop<M: Send + 'static> {
     id: NodeId,
     senders: BTreeMap<u32, Sender<Envelope<M>>>,
     route: Route<M>,
-    trace: Arc<Mutex<Trace>>,
     start: Instant,
     timers: TimerHeap,
     timer_seq: u64,
@@ -447,14 +436,8 @@ impl<M: Send + 'static> NodeLoop<M> {
                         token,
                     )));
                 }
-                Action::Record { name, value } => {
-                    self.trace.lock().push(TraceEvent {
-                        time: SimTime(self.start.elapsed().as_micros() as u64),
-                        node: self.id,
-                        name,
-                        value,
-                    });
-                }
+                // Records are the simulator's; see the module docs.
+                Action::Record { .. } => {}
                 Action::CrashSelf { .. } => {
                     // In the threaded runtime a crash simply stops the node
                     // thread; scripted recovery is a simulator feature.
@@ -614,6 +597,8 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Context<'_, u64>, _t: TimerToken) {}
     }
 
+    /// Re-arms its timer until it has ticked three times, reporting (and
+    /// recording, which this runtime drops) every tick.
     struct Ticker {
         period_us: u64,
         ticks: u64,
@@ -627,10 +612,9 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context<'_, u64>, _t: TimerToken) {
             self.ticks += 1;
             ctx.record("tick", self.ticks as f64);
+            ctx.send(self.report_to, self.ticks);
             if self.ticks < 3 {
                 ctx.set_timer(self.period_us, 1);
-            } else {
-                ctx.send(self.report_to, self.ticks);
             }
         }
     }
@@ -660,14 +644,15 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_record() {
+    fn timers_fire_and_rearm() {
         let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
             .add_node(Ticker { period_us: 2_000, ticks: 0, report_to: NodeId::EXTERNAL })
             .build();
-        let (_, ticks) = cluster.recv_timeout(Duration::from_secs(5)).expect("ticks");
-        assert_eq!(ticks, 3);
-        let trace = cluster.trace_snapshot();
-        assert_eq!(trace.count("tick"), 3);
+        let mut ticks = Vec::new();
+        while let Ok((_, tick)) = cluster.recv_timeout(Duration::from_millis(300)) {
+            ticks.push(tick);
+        }
+        assert_eq!(ticks, vec![1, 2, 3]);
         cluster.shutdown();
     }
 

@@ -155,9 +155,9 @@ type ClientQueues = BTreeMap<u32, Sender<(NodeId, Msg)>>;
 /// outbound queue. Shared between the [`Router`] (routes replies in) and
 /// the connections, socket and HTTP alike (register and unregister).
 ///
-/// Lock order: `inner` is first in the declared canonical order
-/// (`crates/lint/src/policy.rs::LOCK_ORDER`), before the threaded-runtime
-/// trace, never after. Node threads take it in [`Router::route`];
+/// Lock order: `inner` is the only lock in the declared canonical order
+/// (`crates/lint/src/policy.rs::LOCK_ORDER`), and no other lock is taken
+/// under it. Node threads take it in [`Router::route`];
 /// connection threads take it to register and unregister. The lock-order
 /// analysis (DESIGN.md §15) checks this mechanically.
 #[derive(Clone, Default)]

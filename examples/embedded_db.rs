@@ -1,18 +1,19 @@
-//! Embedded document store — `mystore-engine` standalone.
+//! Embedded record store — `mystore-engine` standalone.
 //!
-//! The paper picked MongoDB as its per-node store because it "can provide
-//! complex query functions ... like relational databases" (§2). This
-//! example uses the engine directly as an embedded database: collections,
-//! secondary indexes, MongoDB-style filters and updates, durable WAL
-//! persistence, and crash recovery.
+//! Each MyStore node keeps its records in this engine and reaches them only
+//! by `self-key` (paper §3.3, §5.1). This example uses the engine directly
+//! as an embedded keyed store: last-write-wins puts, a logical delete
+//! (tombstone) and its reaping, log compaction, durable WAL persistence,
+//! and crash recovery.
 //!
 //! ```bash
 //! cargo run --example embedded_db
 //! ```
 
-use mystore::bson::{doc, Value};
-use mystore::engine::query::{Filter, Update};
-use mystore::engine::{Db, FindOptions};
+use mystore::bson::ObjectId;
+use mystore::engine::{pack_version, Db, Record};
+
+const COLL: &str = "components";
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("mystore-embedded-{}", std::process::id()));
@@ -20,88 +21,64 @@ fn main() {
     let path = dir.join("components.wal");
     let _ = std::fs::remove_file(&path);
 
+    // Each write carries a fresh private `_id` and an LWW version stamp
+    // (`pack_version(timestamp_us, writer)`).
+    let mut ids = (1..).map(|n| ObjectId::from_parts(1, 1, n));
+    let mut rec = |key: &str, val: &[u8], t: u64| {
+        Record::new(ids.next().unwrap(), key, val.to_vec(), pack_version(t, 0))
+    };
+
     // ---- populate a component catalogue ------------------------------------
     {
         let mut db = Db::open(&path).expect("open");
-        db.create_index("components", "kind").unwrap();
-        db.create_index("components", "ohms").unwrap();
-        for (name, kind, ohms, tags) in [
-            ("Resistor5", "resistor", Some(470), vec!["smd", "passive"]),
-            ("Resistor9", "resistor", Some(10_000), vec!["tht", "passive"]),
-            ("Cap33n", "capacitor", None, vec!["smd", "passive"]),
-            ("Led3mm", "led", None, vec!["tht", "active"]),
-            ("Pot10k", "resistor", Some(10_000), vec!["tht", "variable"]),
+        db.create_index(COLL, "self-key").unwrap();
+        for (key, xml) in [
+            ("Resistor5", r#"<component ohms="470"/>"#),
+            ("Resistor9", r#"<component ohms="10000"/>"#),
+            ("Cap33n", r#"<component farads="33e-9"/>"#),
+            ("Led3mm", r#"<component colour="red"/>"#),
         ] {
-            let mut d = doc! { "self-key": name, "kind": kind, "tags": Value::from(tags) };
-            if let Some(o) = ohms {
-                d.insert("ohms", o);
-            }
-            db.insert_doc("components", d).unwrap();
+            assert!(db.put_record(COLL, &rec(key, xml.as_bytes(), 10)).unwrap());
         }
-        println!("catalogue: {} components", db.count("components", &Filter::True).unwrap());
+        println!("catalogue: {} components", db.collection(COLL).unwrap().len());
 
-        // Indexed point query.
-        let f = Filter::parse(&doc! { "kind": "resistor" }).unwrap();
-        let (rows, explain) =
-            db.find_explain("components", &f, &FindOptions::default().sort_asc("ohms")).unwrap();
-        println!(
-            "resistors by ohms (index: {:?}, scanned {}):",
-            explain.used_index, explain.scanned
-        );
-        for r in &rows {
-            println!("  {} -> {:?} ohms", r.get_str("self-key").unwrap(), r.get_i64("ohms"));
-        }
-        assert_eq!(rows.len(), 3);
+        // Last write wins: a newer version replaces the record in place,
+        // a stale one is refused.
+        let newer = rec("Resistor5", br#"<component ohms="470" package="smd"/>"#, 20);
+        assert!(db.put_record(COLL, &newer).unwrap());
+        let stale = rec("Resistor5", br#"<component ohms="1"/>"#, 15);
+        assert!(!db.put_record(COLL, &stale).unwrap(), "an older version must lose");
+        let r5 = db.get_record(COLL, "Resistor5").unwrap().unwrap();
+        println!("Resistor5 @ {}: {}", r5.version, String::from_utf8_lossy(&r5.val));
 
-        // Range + array-membership + boolean combinators.
-        let complex = Filter::parse(&doc! {
-            "$or": vec![
-                Value::Document(doc! { "ohms": doc! { "$gte": 1000 } }),
-                Value::Document(doc! { "tags": "active" }),
-            ]
-        })
-        .unwrap();
-        let hits = db.find("components", &complex, &FindOptions::default()).unwrap();
-        println!("ohms>=1000 OR active: {} hits", hits.len());
-        assert_eq!(hits.len(), 3);
+        // A delete is logical: a tombstone that wins like any other write
+        // (its `_id` is unused: an overwrite keeps the incumbent's).
+        let gone = Record::tombstone(ObjectId::from_parts(2, 2, 2), "Led3mm", pack_version(30, 0));
+        assert!(db.put_record(COLL, &gone).unwrap());
+        assert!(db.get_record(COLL, "Led3mm").unwrap().unwrap().is_del);
 
-        // Update operators.
-        let u = Update::parse(&doc! {
-            "$set": doc! { "stock.shelf": "B3" },
-            "$inc": doc! { "stock.count": 42 },
-            "$push": doc! { "tags": "audited" },
-        })
-        .unwrap();
-        let f = Filter::parse(&doc! { "self-key": "Resistor5" }).unwrap();
-        db.update_many("components", &f, &u).unwrap();
-        let updated = db.find_one("components", &f).unwrap().unwrap();
-        println!(
-            "after update: shelf={:?} count={:?} tags={:?}",
-            updated.get_path("stock.shelf").unwrap(),
-            updated.get_path("stock.count").unwrap(),
-            updated.get_array("tags").unwrap().len()
-        );
-        // Db dropped here without a clean shutdown — a "crash".
+        // Reaping drops tombstones older than a cutoff; compaction rewrites
+        // the log down to the live state.
+        assert_eq!(db.reap_tombstones(COLL, pack_version(40, 0)).unwrap(), 1);
+        assert!(db.get_record(COLL, "Led3mm").unwrap().is_none());
+        let before = std::fs::metadata(&path).unwrap().len();
+        db.compact(true).unwrap();
+        let after = std::fs::metadata(&path).unwrap().len();
+        println!("compaction: WAL {before} -> {after} bytes");
+        // One more write after compaction, then drop the Db without a clean
+        // shutdown — a "crash".
+        assert!(db.put_record(COLL, &rec("Pot10k", br#"<component ohms="10000"/>"#, 50)).unwrap());
     }
 
     // ---- crash recovery ------------------------------------------------------
     let db = Db::open(&path).expect("recover");
-    let f = Filter::parse(&doc! { "self-key": "Resistor5" }).unwrap();
-    let recovered = db.find_one("components", &f).unwrap().expect("survives recovery");
-    assert_eq!(recovered.get_path("stock.count").and_then(Value::as_i64), Some(42));
-    let (_, explain) = db
-        .find_explain(
-            "components",
-            &Filter::parse(&doc! { "kind": "capacitor" }).unwrap(),
-            &FindOptions::default(),
-        )
-        .unwrap();
-    assert_eq!(explain.used_index.as_deref(), Some("kind"), "indexes rebuilt on recovery");
-    println!(
-        "recovered from WAL: {} components, indexes intact, stats: {:?}",
-        db.count("components", &Filter::True).unwrap(),
-        db.stats()
-    );
+    let r5 = db.get_record(COLL, "Resistor5").unwrap().expect("survives recovery");
+    assert_eq!(r5.val, br#"<component ohms="470" package="smd"/>"#);
+    assert!(db.get_record(COLL, "Pot10k").unwrap().is_some(), "post-compaction write replayed");
+    assert!(db.get_record(COLL, "Led3mm").unwrap().is_none(), "reaped stays reaped");
+    let coll = db.collection(COLL).unwrap();
+    assert_eq!(coll.index_fields(), vec!["self-key"], "index rebuilt on recovery");
+    println!("recovered from WAL: {} components, stats: {:?}", coll.len(), db.stats());
 
     std::fs::remove_file(&path).ok();
     println!("embedded_db OK");

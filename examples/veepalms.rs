@@ -7,15 +7,13 @@
 //! authenticated requests:
 //!
 //! 1. instructors upload components and scenes (signed POSTs),
-//! 2. a large guideline video goes in through the chunked-value extension,
-//! 3. a class of students hammers GETs on the hot scene (cache at work),
-//! 4. a scene is revised (update) and an obsolete one deleted.
+//! 2. a class of students hammers GETs on the hot scene (cache at work),
+//! 3. a scene is revised (update) and an obsolete component deleted.
 //!
 //! ```bash
 //! cargo run --example veepalms
 //! ```
 
-use mystore::core::chunks;
 use mystore::core::prelude::*;
 use mystore::core::testing::Probe;
 use mystore::core::{sign_request, AuthConfig, Frontend};
@@ -55,36 +53,15 @@ fn main() {
     };
     let component = br#"<component id="Resistor5" ohms="470" package="smd"/>"#;
     let scene = br#"<scene id="rc-filter"><use ref="Resistor5"/><use ref="Cap33n"/></scene>"#;
-
-    // A 1.2 MB guideline video, split by the chunked-value extension
-    // (paper §7 future work: "segmentation, storage and schedule of large
-    // video files").
-    let video: Vec<u8> = (0..1_200_000u32).map(|i| (i % 251) as u8).collect();
-    let plan = chunks::plan_chunks("video:rc-filter-howto", &video, chunks::DEFAULT_CHUNK_BYTES);
-    println!("guideline video: {} bytes -> {} chunks + manifest", video.len(), plan.chunks.len());
-
     let mut script: Vec<(u64, NodeId, Msg)> = vec![
         (warm, fe, signed(1, &tokens[0], "component:Resistor5", component)),
         (warm + 200_000, fe, signed(2, &tokens[1], "scene:rc-filter", scene)),
     ];
-    // Chunk uploads from the media pipeline, each with its own token.
-    let mut req = 10u64;
-    let mut tok = 4usize;
-    for (key, body) in plan.chunks.iter() {
-        script.push((warm + 400_000 + req * 20_000, fe, signed(req, &tokens[tok], key, body)));
-        req += 1;
-        tok += 1;
-    }
-    script.push((
-        warm + 400_000 + req * 20_000,
-        fe,
-        signed(8, &tokens[tok], "video:rc-filter-howto", &plan.manifest),
-    ));
-    tok += 1;
+    let mut tok = 2usize;
 
-    // --- students read the hot scene (and the video manifest) --------------
+    // --- students read the hot scene ---------------------------------------
     for i in 0..60u64 {
-        let key = if i % 10 == 0 { "video:rc-filter-howto" } else { "scene:rc-filter" };
+        let key = "scene:rc-filter";
         let sig = sign_request(&tokens[tok], &format!("/data/{key}"), "circuits-2026");
         tok += 1;
         script.push((
@@ -133,36 +110,25 @@ fn main() {
     let cached = p.count_where(|m| matches!(m, Msg::RestResp(r) if r.from_cache));
     println!("{ok} successful responses, {cached} served from cache");
 
-    // Reassemble the video from what the cluster stores, via a replica scan.
-    let any_node = sim.process::<StorageNode>(NodeId(0)).expect("node");
-    let manifest = any_node.db().get_record("data", "video:rc-filter-howto").ok().flatten();
-    if let Some(m) = manifest {
-        println!("video manifest replicated to node 0: {} bytes", m.val.len());
-    }
-    // Chunks are spread over the ring; count replicas cluster-wide.
-    let chunk_replicas: usize = spec
-        .storage_ids()
-        .iter()
-        .map(|&id| {
-            let node = sim.process::<StorageNode>(id).unwrap();
-            (0..plan.chunks.len())
-                .filter(|&i| {
-                    node.db()
-                        .get_record("data", &chunks::chunk_key("video:rc-filter-howto", i))
-                        .ok()
-                        .flatten()
-                        .is_some()
-                })
-                .count()
-        })
-        .sum();
-    println!(
-        "video chunk replicas across the cluster: {chunk_replicas} ({} chunks x N=3)",
-        plan.chunks.len()
-    );
+    // The revised scene reached its replicas; the retired component is a
+    // tombstone there (logical delete, paper §3.3).
+    let replicas = |key: &str| -> Vec<_> {
+        spec.storage_ids()
+            .iter()
+            .filter_map(|&id| {
+                let node = sim.process::<StorageNode>(id).expect("node");
+                node.db().get_record("data", key).ok().flatten()
+            })
+            .collect()
+    };
+    let scenes = replicas("scene:rc-filter");
+    let tombstones = replicas("component:Resistor5").iter().filter(|r| r.is_del).count();
+    println!("scene replicas: {}, component tombstones: {tombstones}", scenes.len());
 
-    assert!(ok >= 65, "most operations must succeed, got {ok}");
+    assert!(ok >= 60, "most operations must succeed, got {ok}");
     assert!(cached >= 40, "the hot scene must be served from cache, got {cached}");
-    assert_eq!(chunk_replicas, plan.chunks.len() * 3);
+    assert_eq!(scenes.len(), 3, "N=3 replicas of the scene");
+    assert!(scenes.iter().all(|r| r.val.starts_with(b"<scene id=\"rc-filter\" v=\"2\"")));
+    assert_eq!(tombstones, 3, "the delete reached every replica");
     println!("veepalms OK");
 }

@@ -1,13 +1,12 @@
 //! Workspace-level integration tests spanning every crate: the full REST
-//! topology with workload clients, the baseline systems, the chunked-value
-//! extension through the cluster, and whole-stack determinism.
+//! topology with workload clients, the baseline systems, and whole-stack
+//! determinism.
 
 use std::sync::Arc;
 
 use mystore::baselines::{FsCost, FsStoreNode};
 use mystore::core::prelude::*;
-use mystore::core::testing::Probe;
-use mystore::net::{FaultPlan, NetConfig, NodeConfig, NodeId, Sim, SimConfig, SimTime};
+use mystore::net::{FaultPlan, NetConfig, NodeConfig, Sim, SimConfig, SimTime};
 use mystore::workload::{
     preload_mystore, rate_per_sec, xml_corpus, RestClient, RestClientConfig, Summary,
 };
@@ -88,59 +87,6 @@ fn baseline_store_serves_the_same_workload() {
     // 404s on unwritten keys are fine; hard errors are not.
     let errs = sim.trace().values("rest_status").into_iter().filter(|s| *s >= 500.0).count();
     assert_eq!(errs, 0);
-}
-
-#[test]
-fn chunked_video_round_trips_through_the_cluster() {
-    use mystore::core::chunks;
-    let spec = ClusterSpec::small(5);
-    let mut sim = spec.build_sim(sim_config(3));
-    let warm = spec.warmup_us();
-
-    let video: Vec<u8> = (0..700_000u32).map(|i| (i % 241) as u8).collect();
-    let plan = chunks::plan_chunks("lecture", &video, chunks::DEFAULT_CHUNK_BYTES);
-    let mut script: Vec<(u64, NodeId, Msg)> = Vec::new();
-    for (i, (key, body)) in plan.chunks.iter().enumerate() {
-        script.push((
-            warm + i as u64 * 50_000,
-            NodeId((i % 5) as u32),
-            Msg::Put { req: i as u64, key: key.clone(), value: body.clone().into(), delete: false },
-        ));
-    }
-    script.push((
-        warm + 1_000_000,
-        NodeId(0),
-        Msg::Put {
-            req: 99,
-            key: "lecture".into(),
-            value: plan.manifest.clone().into(),
-            delete: false,
-        },
-    ));
-    // Read everything back through a different coordinator.
-    script.push((warm + 2_000_000, NodeId(3), Msg::Get { req: 100, key: "lecture".into() }));
-    for i in 0..plan.chunks.len() {
-        script.push((
-            warm + 2_100_000 + i as u64 * 50_000,
-            NodeId(((i + 1) % 5) as u32),
-            Msg::Get { req: 101 + i as u64, key: chunks::chunk_key("lecture", i) },
-        ));
-    }
-    let probe = sim.add_node(Probe::new(script), NodeConfig::default());
-    sim.start();
-    sim.run_for(warm + 6_000_000);
-
-    let p = sim.process::<Probe>(probe).unwrap();
-    let manifest = match p.response_for(100) {
-        Some(Msg::GetResp { result: Ok(Some(m)), .. }) => m.clone(),
-        other => panic!("manifest read: {other:?}"),
-    };
-    let rebuilt = chunks::reassemble(&manifest, |i| match p.response_for(101 + i as u64) {
-        Some(Msg::GetResp { result: Ok(Some(c)), .. }) => Some(c.as_ref().clone()),
-        _ => None,
-    })
-    .expect("reassembly");
-    assert_eq!(rebuilt, video);
 }
 
 #[test]
