@@ -7,9 +7,10 @@
 //! the baseline systems which speak only the REST subset.
 //!
 //! The binary wire layout of this enum (tags, field order, widths — see
-//! `server/src/codec/`) is frozen in `crates/lint/schema.lock` and checked
-//! by `mystore-lint --check-schema`; tags are append-only, and adding one
-//! requires re-blessing the lock (DESIGN.md §15).
+//! `server/src/codec/`) is frozen by the append-only byte golden
+//! `crates/server/tests/golden/wire.golden`: every committed frame must
+//! keep decoding, and a new variant needs a new tag and a new line
+//! (DESIGN.md §12).
 
 use std::sync::Arc;
 

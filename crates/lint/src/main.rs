@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! mystore-lint --workspace [--root DIR] [--json]   lint the whole workspace
-//! mystore-lint --check-schema [--root DIR]         run only the wire-schema gate
-//! mystore-lint --bless-schema [--root DIR]         regenerate crates/lint/schema.lock
 //! mystore-lint --list-rules                        print the rule table
 //! mystore-lint [--json] FILE...                    lint files with every rule on
 //! ```
@@ -15,15 +13,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mystore_lint::{locks, policy, rules, schema, Diagnostic, MetricsIndex, RULES};
+use mystore_lint::{policy, rules, Diagnostic, MetricsIndex, RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workspace = false;
     let mut list_rules = false;
     let mut json = false;
-    let mut check_schema = false;
-    let mut bless_schema = false;
     let mut root = PathBuf::from(".");
     let mut files: Vec<PathBuf> = Vec::new();
 
@@ -33,8 +29,6 @@ fn main() -> ExitCode {
             "--workspace" => workspace = true,
             "--list-rules" => list_rules = true,
             "--json" => json = true,
-            "--check-schema" => check_schema = true,
-            "--bless-schema" => bless_schema = true,
             "--root" => match it.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage("--root needs a directory"),
@@ -54,35 +48,11 @@ fn main() -> ExitCode {
         print_rules();
         return ExitCode::SUCCESS;
     }
-    let cfg = policy::schema_config(&root);
-    if bless_schema {
-        return match schema::bless(&cfg) {
-            Ok(text) => {
-                eprintln!("mystore-lint: wrote {} ({} lines)", cfg.lock_file, text.lines().count());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("mystore-lint: bless failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if !workspace && !check_schema && files.is_empty() {
+    if !workspace && files.is_empty() {
         return usage("nothing to do: pass --workspace, --list-rules, or file paths");
     }
 
-    // --check-schema narrows a workspace run to just the schema gate (the
-    // fast CI stage); without it, --workspace runs everything including
-    // the gate.
-    let diags = if check_schema {
-        match schema::check(&cfg) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("mystore-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if workspace {
+    let diags = if workspace {
         match rules::run_workspace(&root) {
             Ok(d) => d,
             Err(e) => {
@@ -111,14 +81,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Lints explicit file paths with the strict everything-on policy, then
-/// runs the lock-order analysis over the whole file group (cross-file
-/// call edges included).
+/// Lints explicit file paths with the strict everything-on policy.
 fn lint_paths(files: &[PathBuf]) -> Vec<Diagnostic> {
     let policy = policy::strict_policy(PathBuf::from("."));
     let mut metrics = MetricsIndex::new();
     let mut out = Vec::new();
-    let mut group: Vec<(String, String)> = Vec::new();
     for path in files {
         match std::fs::read_to_string(path) {
             Ok(source) => {
@@ -133,7 +100,6 @@ fn lint_paths(files: &[PathBuf]) -> Vec<Diagnostic> {
                     "src/adhoc.rs"
                 };
                 out.extend(rules::lint_file(&source, rel, &display, &policy, &mut metrics));
-                group.push((display, source));
             }
             Err(e) => out.push(Diagnostic {
                 file: path.to_string_lossy().to_string(),
@@ -144,7 +110,6 @@ fn lint_paths(files: &[PathBuf]) -> Vec<Diagnostic> {
         }
     }
     out.extend(metrics.finish());
-    out.extend(locks::analyze(&group, policy::LOCK_ORDER));
     out.sort();
     out
 }
@@ -205,14 +170,10 @@ fn usage(msg: &str) -> ExitCode {
 
 const HELP: &str = "\
 usage: mystore-lint --workspace [--root DIR] [--json]
-       mystore-lint --check-schema [--root DIR] [--json]
-       mystore-lint --bless-schema [--root DIR]
        mystore-lint --list-rules
        mystore-lint [--json] FILE...
 
-Lints the mystore workspace for determinism, panic-freedom, atomics
-hygiene, wire-schema compatibility (against crates/lint/schema.lock), and
-lock-order discipline. --check-schema runs only the schema gate;
---bless-schema regenerates the lockfile after a deliberate append-only
-wire change. Exit code 0 = clean, 1 = diagnostics found, 2 = usage/IO.
+Lints the mystore workspace for determinism, panic-freedom, atomics and
+metric-name hygiene, unsafe-freedom and file size. Exit code 0 = clean,
+1 = diagnostics found, 2 = usage/IO.
 ";

@@ -39,13 +39,6 @@ pub struct CratePolicy {
     /// than one responsibility (the PR-5 `storage_node.rs` split is the
     /// motivating case).
     pub max_file_lines: Option<usize>,
-    /// `unguarded-alloc`: decoded lengths must meet a bounds guard before
-    /// they size an allocation. Set for crates that parse wire bytes.
-    pub alloc_guard: bool,
-    /// `lock-order` / `recv-under-lock`: include this crate's files in the
-    /// interprocedural lock-acquisition analysis. Set for the crates with
-    /// real threads and real mutexes.
-    pub lock_analysis: bool,
 }
 
 impl CratePolicy {
@@ -60,21 +53,9 @@ impl CratePolicy {
             metric_prefixes: None,
             forbid_unsafe: true,
             max_file_lines: Some(600),
-            alloc_guard: false,
-            lock_analysis: false,
         }
     }
 }
-
-/// The declared canonical lock order for the threaded runtime, outermost
-/// first. The lock-order analysis seeds its graph with an edge for every
-/// pair here, so acquiring a later lock before an earlier one is a cycle
-/// even if the inverted pair never executes in one test run.
-///
-/// * `inner` — `ClientRegistry` client queues: node threads take it in
-///   `Router::route` to hand a reply to its client's queue, connection
-///   threads take it to register and unregister
-pub const LOCK_ORDER: &[&str] = &["inner"];
 
 /// Builds the workspace policy table rooted at `workspace_root`.
 ///
@@ -111,17 +92,12 @@ pub fn workspace_policy(workspace_root: &std::path::Path) -> Vec<CratePolicy> {
     engine.unordered_iter = true;
     engine.panic_files = vec!["src/wal.rs".into(), "src/db.rs".into()];
     engine.metric_prefixes = Some(vec!["wal.".into()]);
-    engine.alloc_guard = true;
     out.push(engine);
 
     let mut net = CratePolicy::new("net", c("net"));
     net.wall_clock = true;
     net.unordered_iter = true;
     net.metric_prefixes = Some(vec!["fault.".into(), "partition.".into(), "sim.".into()]);
-    net.alloc_guard = true;
-    // Real threads and channels: the threaded runtime (`src/threaded.rs`)
-    // and each node's WAL syncer thread (`src/syncer.rs`).
-    net.lock_analysis = true;
     out.push(net);
 
     let mut gossip = CratePolicy::new("gossip", c("gossip"));
@@ -195,8 +171,6 @@ pub fn workspace_policy(workspace_root: &std::path::Path) -> Vec<CratePolicy> {
     let mut server = CratePolicy::new("server", c("server"));
     server.unordered_iter = true;
     server.metric_prefixes = Some(vec!["server.".into()]);
-    server.alloc_guard = true;
-    server.lock_analysis = true;
     out.push(server);
 
     // The facade crate at the workspace root (src/lib.rs re-exports).
@@ -218,39 +192,6 @@ pub fn strict_policy(root: PathBuf) -> CratePolicy {
         atomics_ordering: true,
         metric_prefixes: Some(vec!["app.".into()]),
         forbid_unsafe: true,
-        max_file_lines: Some(60),
-        alloc_guard: true,
-        lock_analysis: true,
-    }
-}
-
-/// Where the wire schema lives: the `Msg` enum, the two codec halves, and
-/// the committed lockfile. Paths are workspace-relative so diagnostics
-/// print the same way everywhere.
-#[derive(Debug, Clone)]
-pub struct SchemaConfig {
-    /// Workspace root the relative paths below resolve against.
-    pub root: PathBuf,
-    /// File defining the wire enums (`Msg`, `StoreError`, `Method`).
-    pub enum_file: String,
-    /// The wire enum whose variants map 1:1 onto tags.
-    pub enum_name: String,
-    /// Encoding half (`encode_msg` + `put_*` helpers).
-    pub encode_file: String,
-    /// Decoding half (`decode_msg` + the `Rd` cursor).
-    pub decode_file: String,
-    /// The committed canonical fingerprint.
-    pub lock_file: String,
-}
-
-/// The schema gate's file layout for a workspace rooted at `root`.
-pub fn schema_config(root: &std::path::Path) -> SchemaConfig {
-    SchemaConfig {
-        root: root.to_path_buf(),
-        enum_file: "crates/core/src/message.rs".to_string(),
-        enum_name: "Msg".to_string(),
-        encode_file: "crates/server/src/codec/mod.rs".to_string(),
-        decode_file: "crates/server/src/codec/decode.rs".to_string(),
-        lock_file: "crates/lint/schema.lock".to_string(),
+        max_file_lines: Some(40),
     }
 }

@@ -72,27 +72,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "max-file-lines",
         what: "non-test region capped at 600 lines; a file that large is a god-object in the making — split it",
-        scope: "every workspace crate (strict/fixture policy uses 60)",
-    },
-    RuleInfo {
-        name: "wire-schema",
-        what: "codec tag table must match schema.lock: no tag reuse/renumber, no layout change, encode/decode symmetry; appends need --bless-schema (no lint:allow escape)",
-        scope: "core/src/message.rs + server/src/codec/{mod,decode}.rs",
-    },
-    RuleInfo {
-        name: "unguarded-alloc",
-        what: "a decoded length must meet a bounds guard (count()/min()/compare) before it sizes Vec::with_capacity / vec![..; n] / read_exact",
-        scope: "wire-parsing crates (engine, net, server)",
-    },
-    RuleInfo {
-        name: "lock-order",
-        what: "interprocedural lock acquisition must be acyclic and respect the declared canonical order (policy::LOCK_ORDER)",
-        scope: "threaded crates (net, server)",
-    },
-    RuleInfo {
-        name: "recv-under-lock",
-        what: "no blocking recv()/recv_timeout() while holding a lock; a stalled sender then wedges every other lock user",
-        scope: "threaded crates (net, server)",
+        scope: "every workspace crate (strict/fixture policy uses 40)",
     },
 ];
 
@@ -113,7 +93,7 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 /// line" for a trailing comment, "the next line" for a comment on its
 /// own line.
 #[derive(Debug)]
-pub(crate) struct AllowDirective {
+struct AllowDirective {
     rule: String,
     justified: bool,
     start: usize,
@@ -123,12 +103,12 @@ pub(crate) struct AllowDirective {
 
 /// Allow directives extracted from a file's comments.
 #[derive(Debug, Default)]
-pub(crate) struct Allows {
+struct Allows {
     directives: Vec<AllowDirective>,
 }
 
 impl Allows {
-    pub(crate) fn parse(lexed: &LexedFile) -> Allows {
+    fn parse(lexed: &LexedFile) -> Allows {
         let mut out = Allows::default();
         for span in &lexed.spans {
             for (needle, file_level) in [("lint:allow-file(", true), ("lint:allow(", false)] {
@@ -159,7 +139,7 @@ impl Allows {
         out
     }
 
-    pub(crate) fn is_allowed(&self, rule: &str, line: usize) -> bool {
+    fn is_allowed(&self, rule: &str, line: usize) -> bool {
         self.directives
             .iter()
             .any(|d| d.rule == rule && (d.file_level || (line >= d.start && line <= d.end + 1)))
@@ -406,12 +386,6 @@ pub fn lint_file(
         }
     }
 
-    // --- unguarded-alloc ---
-    if policy.alloc_guard {
-        let ast = crate::parser::parse_tokens(toks);
-        raw.extend(crate::schema::alloc_rule(&ast, display));
-    }
-
     // Filter: drop findings in the #[cfg(test)] region or covered by an
     // allow; then report malformed allow directives.
     let mut out: Vec<Diagnostic> = raw
@@ -448,7 +422,7 @@ pub fn lint_file(
 /// `usize::MAX` when the file has no test region. The repo convention
 /// keeps test modules at the bottom of the file, so everything from that
 /// attribute onward is treated as test code.
-pub(crate) fn test_region_start(toks: &[Token]) -> usize {
+fn test_region_start(toks: &[Token]) -> usize {
     let mut i = 0usize;
     while i + 3 < toks.len() {
         if toks[i].text == "#"
@@ -526,33 +500,14 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::R
     Ok(())
 }
 
-/// Runs the full workspace policy and returns all diagnostics, sorted:
-/// the per-file token rules, the wire-schema gate, and the cross-file
-/// lock-order analysis over the threaded crates.
+/// Runs the full workspace policy and returns all diagnostics, sorted.
 pub fn run_workspace(workspace_root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut metrics = MetricsIndex::new();
     let mut out = Vec::new();
-    let mut lock_files = Vec::new();
     for policy in crate::policy::workspace_policy(workspace_root) {
         out.extend(lint_crate(&policy, workspace_root, &mut metrics)?);
-        if policy.lock_analysis {
-            let src = policy.root.join("src");
-            let mut files = Vec::new();
-            collect_rs_files(&src, &mut files)?;
-            files.sort();
-            for path in files {
-                let display = path
-                    .strip_prefix(workspace_root)
-                    .unwrap_or(&path)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                lock_files.push((display, std::fs::read_to_string(&path)?));
-            }
-        }
     }
     out.extend(metrics.finish());
-    out.extend(crate::locks::analyze(&lock_files, crate::policy::LOCK_ORDER));
-    out.extend(crate::schema::check(&crate::policy::schema_config(workspace_root))?);
     out.sort();
     Ok(out)
 }
@@ -699,11 +654,11 @@ mod tests {
 
     #[test]
     fn max_file_lines_counts_only_the_non_test_region() {
-        // 70 code lines under the strict 60-line budget: fires at line 61.
+        // 70 code lines under the strict 40-line budget: fires at line 41.
         let big = "fn f() {}\n".repeat(70);
         let d = strict(&big);
         assert_eq!(rules_of(&d), vec!["max-file-lines"]);
-        assert_eq!(d[0].line, 61);
+        assert_eq!(d[0].line, 41);
         assert!(d[0].message.contains("70 non-test lines"), "{}", d[0].message);
 
         // The same 70 lines of *test* code are free: only the region
@@ -712,7 +667,7 @@ mod tests {
         assert!(strict(&tests_only).is_empty());
 
         // Exactly at the budget is fine.
-        let at_limit = "fn f() {}\n".repeat(60);
+        let at_limit = "fn f() {}\n".repeat(40);
         assert!(strict(&at_limit).is_empty());
     }
 

@@ -56,51 +56,6 @@ pub fn strings_and_comments_do_not_fire() {
     let _nested = 1; /* block /* nested */ comment with panic!() inside */
 }
 
-pub fn forged_length(rd: &mut Rd) -> Vec<u8> {
-    // unguarded-alloc: a wire-decoded length sizes the allocation with
-    // no bounds check against the bytes actually remaining.
-    let n = rd.u32() as usize;
-    Vec::with_capacity(n)
-}
-
-pub fn guarded_length(rd: &mut Rd) -> Vec<u8> {
-    // Must NOT fire: min() bounds the decoded length first.
-    let n = rd.u32() as usize;
-    let n = n.min(rd.remaining());
-    Vec::with_capacity(n)
-}
-
-pub fn lock_forward(s: &S) {
-    // lock-order: alpha then (via grab_beta) beta ...
-    let _a = s.alpha.lock();
-    grab_beta(s);
-}
-
-fn grab_beta(s: &S) {
-    let _b = s.beta.lock();
-}
-
-pub fn lock_backward(s: &S) {
-    // ... while this path takes beta then alpha: a cycle.
-    let _b = s.beta.lock();
-    let _a = s.alpha.lock();
-}
-
-pub fn recv_while_locked(s: &S, rx: &Receiver<u8>) {
-    // recv-under-lock: blocking on a channel with the mutex held.
-    let _q = s.alpha.lock();
-    let _item = rx.recv();
-}
-
-pub fn recv_in_spawned_thread_is_fine(s: &S, rx: Receiver<u8>) {
-    // Must NOT fire: the closure handed to spawn runs on a fresh
-    // thread that holds nothing.
-    let _q = s.alpha.lock();
-    std::thread::spawn(move || {
-        let _item = rx.recv();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

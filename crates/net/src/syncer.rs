@@ -18,9 +18,9 @@
 //! (DESIGN.md §9). A batch that sent nothing, such as a replica staging
 //! a write whose ack waits for this very sync, starts its sync at once.
 //!
-//! Lock discipline (`lock-order` / `recv-under-lock`, DESIGN.md §15): the
-//! syncer thread takes no lock, and its only blocking call is the `recv`
-//! on its job queue, which nothing else reads.
+//! Lock discipline (DESIGN.md §12): the syncer thread takes no lock, and
+//! its only blocking call is the `recv` on its job queue, which nothing
+//! else reads.
 
 use std::thread::JoinHandle;
 

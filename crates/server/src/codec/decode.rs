@@ -72,15 +72,34 @@ impl<'a> Rd<'a> {
         Some(NodeId(self.u32()?))
     }
 
-    /// Reads a `Vec` count and sanity-checks it against the bytes left,
-    /// given a (conservative) minimum encoded size per element — a forged
-    /// count then fails here instead of reserving gigabytes.
-    fn count(&mut self, min_elem: usize) -> Option<usize> {
+    /// One `(key, version)` entry of a sync digest.
+    fn str_u64(&mut self) -> Option<(String, u64)> {
+        Some((self.str()?, self.u64()?))
+    }
+
+    /// Reads a `u32` count and then that many elements with `elem`. The
+    /// only place a decoded count sizes an allocation: the count is first
+    /// checked against the bytes left, given a (conservative) minimum
+    /// encoded size per element, so a forged count fails here instead of
+    /// reserving gigabytes.
+    fn seq<T>(
+        &mut self,
+        min_elem: usize,
+        mut elem: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        #[cfg(test)]
+        let count_at = self.at;
         let n = self.u32()? as usize;
         if n.checked_mul(min_elem)? > self.buf.len() - self.at {
             return None;
         }
-        Some(n)
+        let mut out = Vec::with_capacity(n);
+        #[cfg(test)]
+        SEQ_TRACE.with(|t| t.borrow_mut().push((count_at, out.capacity())));
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Some(out)
     }
 
     fn record(&mut self) -> Option<Record> {
@@ -132,37 +151,21 @@ impl<'a> Rd<'a> {
             _ => return None,
         };
         // Minimum app_state: two empty strings (4-byte lengths) + version.
-        let n = self.count(4 + 4 + 8)?;
-        let mut app_states = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = self.str()?;
-            let value = self.str()?;
-            let version = self.u64()?;
-            app_states.push((k, VersionedValue { value, version }));
-        }
+        let app_states = self.seq(4 + 4 + 8, |rd| {
+            Some((rd.str()?, VersionedValue { value: rd.str()?, version: rd.u64()? }))
+        })?;
         let max_version = self.u64()?;
         Some(EndpointDelta { endpoint, generation, heartbeat, app_states, max_version })
     }
 
     fn gossip(&mut self) -> Option<GossipMsg> {
         match self.u8()? {
-            1 => {
-                let n = self.count(20)?;
-                Some(GossipMsg::Syn((0..n).map(|_| self.digest()).collect::<Option<_>>()?))
-            }
-            2 => {
-                let nd = self.count(21)?;
-                let deltas = (0..nd).map(|_| self.delta()).collect::<Option<_>>()?;
-                let nr = self.count(20)?;
-                let requests = (0..nr).map(|_| self.digest()).collect::<Option<_>>()?;
-                Some(GossipMsg::Ack1 { deltas, requests })
-            }
-            3 => {
-                let n = self.count(21)?;
-                Some(GossipMsg::Ack2 {
-                    deltas: (0..n).map(|_| self.delta()).collect::<Option<_>>()?,
-                })
-            }
+            1 => Some(GossipMsg::Syn(self.seq(20, Self::digest)?)),
+            2 => Some(GossipMsg::Ack1 {
+                deltas: self.seq(21, Self::delta)?,
+                requests: self.seq(20, Self::digest)?,
+            }),
+            3 => Some(GossipMsg::Ack2 { deltas: self.seq(21, Self::delta)? }),
             _ => None,
         }
     }
@@ -253,24 +256,12 @@ pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
         }
         15 => Msg::StoreReplica { req: rd.u64()?, record: Arc::new(rd.record()?) },
         16 => Msg::StoreAck { req: rd.u64()?, ok: rd.bool()? },
-        17 => {
-            let n = rd.count(8 + RECORD_MIN)?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                let req = rd.u64()?;
-                ops.push(BatchPut { req, record: Arc::new(rd.record()?) });
-            }
-            Msg::StoreReplicaBatch { ops }
-        }
-        18 => {
-            let n = rd.count(9)?;
-            let mut acks = Vec::with_capacity(n);
-            for _ in 0..n {
-                let req = rd.u64()?;
-                acks.push((req, rd.bool()?));
-            }
-            Msg::StoreAckBatch { acks }
-        }
+        17 => Msg::StoreReplicaBatch {
+            ops: rd.seq(8 + RECORD_MIN, |rd| {
+                Some(BatchPut { req: rd.u64()?, record: Arc::new(rd.record()?) })
+            })?,
+        },
+        18 => Msg::StoreAckBatch { acks: rd.seq(9, |rd| Some((rd.u64()?, rd.bool()?)))? },
         19 => Msg::FetchReplica { req: rd.u64()?, key: rd.str()? },
         20 => {
             let req = rd.u64()?;
@@ -284,54 +275,22 @@ pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
         21 => {
             Msg::StoreHint { req: rd.u64()?, intended: rd.node()?, record: Arc::new(rd.record()?) }
         }
-        22 => {
-            let n = rd.count(RECORD_MIN)?;
-            let records = (0..n).map(|_| rd.record().map(Arc::new)).collect::<Option<_>>()?;
-            Msg::TransferRecords { records }
-        }
-        23 => {
-            let n = rd.count(4 + 8)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = rd.str()?;
-                entries.push((k, rd.u64()?));
-            }
-            Msg::SyncDigest { entries }
-        }
-        24 => {
-            let n = rd.count(RECORD_MIN)?;
-            Msg::SyncRecords { records: (0..n).map(|_| rd.record()).collect::<Option<_>>()? }
-        }
+        22 => Msg::TransferRecords { records: rd.seq(RECORD_MIN, |rd| rd.record().map(Arc::new))? },
+        23 => Msg::SyncDigest { entries: rd.seq(4 + 8, Rd::str_u64)? },
+        24 => Msg::SyncRecords { records: rd.seq(RECORD_MIN, Rd::record)? },
         25 => Msg::Gossip(rd.gossip()?),
         26 => Msg::RingReq { req: rd.u64()? },
-        27 => {
-            let req = rd.u64()?;
-            let n = rd.count(4)?;
-            Msg::RingResp { req, members: (0..n).map(|_| rd.node()).collect::<Option<_>>()? }
-        }
+        27 => Msg::RingResp { req: rd.u64()?, members: rd.seq(4, Rd::node)? },
         28 => Msg::SyncTreeRequest { ring_hash: rd.u64()?, root: rd.u64()? },
-        29 => {
-            let ring_hash = rd.u64()?;
-            let n = rd.count(4 + 8)?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let idx = rd.u32()?;
-                nodes.push((idx, rd.u64()?));
-            }
-            Msg::SyncTreeLevel { ring_hash, nodes }
-        }
-        30 => {
-            let ring_hash = rd.u64()?;
-            let nl = rd.count(4)?;
-            let leaves = (0..nl).map(|_| rd.u32()).collect::<Option<Vec<u32>>>()?;
-            let ne = rd.count(4 + 8)?;
-            let mut entries = Vec::with_capacity(ne);
-            for _ in 0..ne {
-                let k = rd.str()?;
-                entries.push((k, rd.u64()?));
-            }
-            Msg::SyncLeafDigest { ring_hash, leaves, entries }
-        }
+        29 => Msg::SyncTreeLevel {
+            ring_hash: rd.u64()?,
+            nodes: rd.seq(4 + 8, |rd| Some((rd.u32()?, rd.u64()?)))?,
+        },
+        30 => Msg::SyncLeafDigest {
+            ring_hash: rd.u64()?,
+            leaves: rd.seq(4, Rd::u32)?,
+            entries: rd.seq(4 + 8, Rd::str_u64)?,
+        },
         31 => Msg::MigrateCutover { start: rd.u64()?, end: rd.u64()? },
         32 => Msg::MigrateBegin { start: rd.u64()?, end: rd.u64()? },
         _ => return None,
@@ -341,4 +300,22 @@ pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
         return None;
     }
     Some(msg)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(offset of the count, capacity reserved)` for every `Rd::seq` call
+    /// on this thread, read by [`decode_traced`].
+    static SEQ_TRACE: std::cell::RefCell<Vec<(usize, usize)>> = const {
+        std::cell::RefCell::new(Vec::new())
+    };
+}
+
+/// [`decode_msg`] plus, for every count it read, the count's offset in
+/// `buf` and the capacity `Rd::seq` reserved for it.
+#[cfg(test)]
+pub(super) fn decode_traced(buf: &[u8]) -> (Option<Msg>, Vec<(usize, usize)>) {
+    SEQ_TRACE.with(|t| t.borrow_mut().clear());
+    let msg = decode_msg(buf);
+    (msg, SEQ_TRACE.with(|t| t.take()))
 }

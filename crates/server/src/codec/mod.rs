@@ -16,6 +16,8 @@
 //!   new message gets a new tag, existing tags never change meaning
 //!   (renumbering would silently corrupt mixed-version clusters; the frame
 //!   layer's version byte exists for layout changes, not for tag reuse).
+//!   `tests/golden/wire.golden` holds the committed bytes of every sample
+//!   message, and the tests below keep each line decoding to itself.
 
 use mystore_core::{Method, Msg, StoreError};
 use mystore_engine::Record;
@@ -376,11 +378,82 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
 
 #[cfg(test)]
 mod tests {
+    use super::decode::decode_traced;
     use super::*;
     use mystore_bson::ObjectId;
     use mystore_core::{status, BatchPut, RestRequest, RestResponse, Signature};
     use mystore_gossip::VersionedValue;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
+
+    /// Every frame the codec has ever been committed to: one hex line per
+    /// encoding, append-only (`#` lines are comments).
+    const WIRE_GOLDEN: &str = include_str!("../../tests/golden/wire.golden");
+
+    /// The highest tag [`tag_of`] returns.
+    const LAST_TAG: u8 = 32;
+
+    /// The wire tag of each `Msg` variant. Exhaustive on purpose: a new
+    /// variant does not compile until it has an arm here (and `LAST_TAG`
+    /// moves), and `every_variant_has_a_sample` then fails until
+    /// `sample_msgs` holds one.
+    fn tag_of(msg: &Msg) -> u8 {
+        match msg {
+            Msg::RestReq(_) => 1,
+            Msg::RestResp(_) => 2,
+            Msg::TokenReq { .. } => 3,
+            Msg::TokenResp { .. } => 4,
+            Msg::CacheGet { .. } => 5,
+            Msg::CacheGetResp { .. } => 6,
+            Msg::CachePut { .. } => 7,
+            Msg::CacheDel { .. } => 8,
+            Msg::Get { .. } => 9,
+            Msg::GetResp { .. } => 10,
+            Msg::Put { .. } => 11,
+            Msg::PutResp { .. } => 12,
+            Msg::Cas { .. } => 13,
+            Msg::CasResp { .. } => 14,
+            Msg::StoreReplica { .. } => 15,
+            Msg::StoreAck { .. } => 16,
+            Msg::StoreReplicaBatch { .. } => 17,
+            Msg::StoreAckBatch { .. } => 18,
+            Msg::FetchReplica { .. } => 19,
+            Msg::FetchAck { .. } => 20,
+            Msg::StoreHint { .. } => 21,
+            Msg::TransferRecords { .. } => 22,
+            Msg::SyncDigest { .. } => 23,
+            Msg::SyncRecords { .. } => 24,
+            Msg::Gossip(_) => 25,
+            Msg::RingReq { .. } => 26,
+            Msg::RingResp { .. } => 27,
+            Msg::SyncTreeRequest { .. } => 28,
+            Msg::SyncTreeLevel { .. } => 29,
+            Msg::SyncLeafDigest { .. } => 30,
+            Msg::MigrateCutover { .. } => 31,
+            Msg::MigrateBegin { .. } => 32,
+        }
+    }
+
+    fn encode(msg: &Msg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_msg(msg, &mut buf);
+        buf
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(line: &str) -> Vec<u8> {
+        (0..line.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex golden line"))
+            .collect()
+    }
+
+    fn golden_lines() -> impl Iterator<Item = &'static str> {
+        WIRE_GOLDEN.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'))
+    }
 
     fn sample_record(key: &str) -> Record {
         Record {
@@ -414,12 +487,27 @@ mod tests {
                 if_match: None,
                 auth: None,
             }),
+            Msg::RestReq(RestRequest {
+                req: 3,
+                method: Method::Delete,
+                key: Some("gone".into()),
+                body: Arc::new(Vec::new()),
+                if_match: None,
+                auth: None,
+            }),
             Msg::RestResp(RestResponse {
                 req: 1,
                 status: status::CREATED,
                 body: Arc::new(b"out".to_vec()),
                 assigned_key: Some("assigned".into()),
                 from_cache: false,
+            }),
+            Msg::RestResp(RestResponse {
+                req: 2,
+                status: status::OK,
+                body: Arc::new(b"hit".to_vec()),
+                assigned_key: None,
+                from_cache: true,
             }),
             Msg::TokenReq { req: 3, user: "alice".into() },
             Msg::TokenResp { req: 3, token: Some("t".into()) },
@@ -434,13 +522,16 @@ mod tests {
             Msg::GetResp { req: 8, result: Ok(None) },
             Msg::GetResp { req: 9, result: Err(StoreError::QuorumReadFailed) },
             Msg::Put { req: 10, key: "pk".into(), value: Arc::new(vec![3]), delete: true },
+            Msg::Put { req: 11, key: "pk".into(), value: Arc::new(vec![5]), delete: false },
             Msg::PutResp { req: 10, result: Ok(()) },
             Msg::PutResp { req: 11, result: Err(StoreError::NoRing) },
+            Msg::PutResp { req: 12, result: Err(StoreError::QuorumWriteFailed) },
             Msg::Cas { req: 12, key: "c".into(), value: Arc::new(vec![4]), expected: 17 },
             Msg::CasResp { req: 12, result: Ok(18) },
             Msg::CasResp { req: 13, result: Err(StoreError::CasConflict(19)) },
             Msg::StoreReplica { req: 14, record: Arc::new(sample_record("r1")) },
             Msg::StoreAck { req: 14, ok: true },
+            Msg::StoreAck { req: 15, ok: false },
             Msg::StoreReplicaBatch {
                 ops: vec![
                     BatchPut { req: 15, record: Arc::new(sample_record("b1")) },
@@ -479,6 +570,16 @@ mod tests {
                     max_version: 9,
                 }],
                 requests: vec![Digest { endpoint: NodeId(0), generation: 1, max_version: 0 }],
+            }),
+            Msg::Gossip(GossipMsg::Ack1 {
+                deltas: vec![EndpointDelta {
+                    endpoint: NodeId(5),
+                    generation: 6,
+                    heartbeat: None,
+                    app_states: vec![],
+                    max_version: 4,
+                }],
+                requests: vec![],
             }),
             Msg::Gossip(GossipMsg::Ack2 {
                 deltas: vec![EndpointDelta {
@@ -551,17 +652,76 @@ mod tests {
     }
 
     #[test]
-    fn hostile_counts_do_not_allocate() {
-        // StoreReplicaBatch claiming u32::MAX ops in a 9-byte frame.
-        let mut buf = vec![17u8];
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&[0; 4]);
-        assert!(decode_msg(&buf).is_none());
-        // RingResp claiming a giant member list.
-        let mut buf = vec![27u8];
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&0x00FF_FFFFu32.to_le_bytes());
-        assert!(decode_msg(&buf).is_none());
+    fn every_variant_has_a_sample() {
+        let mut tags = BTreeSet::new();
+        for msg in sample_msgs() {
+            assert_eq!(encode(&msg)[0], tag_of(&msg), "encoded tag of {msg:?}");
+            tags.insert(tag_of(&msg));
+        }
+        assert_eq!(tags, (1..=LAST_TAG).collect(), "a Msg variant has no sample");
+        // The decoder knows no tag past LAST_TAG: a zero body of any
+        // length after it is still rejected.
+        for len in 0..=256 {
+            let mut buf = vec![0u8; len + 1];
+            buf[0] = LAST_TAG + 1;
+            assert!(decode_msg(&buf).is_none(), "tag {} decodes; give it a sample", LAST_TAG + 1);
+        }
+    }
+
+    #[test]
+    fn committed_frames_decode_and_re_encode_byte_for_byte() {
+        let mut lines = 0;
+        for line in golden_lines() {
+            let msg = decode_msg(&unhex(line))
+                .unwrap_or_else(|| panic!("committed wire frame no longer decodes: {line}"));
+            assert_eq!(hex(&encode(&msg)), line, "committed frame re-encodes differently: {msg:?}");
+            lines += 1;
+        }
+        assert!(lines >= sample_msgs().len());
+    }
+
+    #[test]
+    fn every_sample_encoding_is_committed() {
+        let committed: BTreeSet<&str> = golden_lines().collect();
+        let missing: Vec<String> = sample_msgs()
+            .iter()
+            .map(|msg| hex(&encode(msg)))
+            .filter(|h| !committed.contains(h.as_str()))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "sample encodings missing from tests/golden/wire.golden. Existing frames are \
+             frozen; if this is a deliberate append (a new tag or a new sample), append:\n{}",
+            missing.join("\n")
+        );
+    }
+
+    #[test]
+    fn forged_counts_are_rejected_before_allocating() {
+        let mut forged_fields = 0;
+        for msg in sample_msgs() {
+            let clean = encode(&msg);
+            let (back, counts) = decode_traced(&clean);
+            assert!(back.is_some(), "{msg:?}");
+            for (at, _) in counts {
+                for forged in [0x00FF_FFFFu32, u32::MAX] {
+                    let mut dirty = clean.clone();
+                    dirty[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                    let (got, reserved) = decode_traced(&dirty);
+                    assert!(got.is_none(), "count at byte {at} forged to {forged:#x}: {msg:?}");
+                    for (_, capacity) in reserved {
+                        assert!(
+                            capacity <= dirty.len(),
+                            "reserved {capacity} elements for a {}-byte frame: {msg:?}",
+                            dirty.len()
+                        );
+                    }
+                }
+                forged_fields += 1;
+            }
+        }
+        // The samples reach each of decode.rs's 14 `seq` call sites.
+        assert!(forged_fields >= 14, "only {forged_fields} count fields swept");
     }
 
     #[test]

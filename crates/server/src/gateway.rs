@@ -155,11 +155,11 @@ type ClientQueues = BTreeMap<u32, Sender<(NodeId, Msg)>>;
 /// outbound queue. Shared between the [`Router`] (routes replies in) and
 /// the connections, socket and HTTP alike (register and unregister).
 ///
-/// Lock order: `inner` is the only lock in the declared canonical order
-/// (`crates/lint/src/policy.rs::LOCK_ORDER`), and no other lock is taken
-/// under it. Node threads take it in [`Router::route`];
-/// connection threads take it to register and unregister. The lock-order
-/// analysis (DESIGN.md §15) checks this mechanically.
+/// Lock discipline: `inner` is the only mutex in `net` and `server`, so no
+/// lock order exists to break. It is held only around a map lookup and an
+/// unbounded (never blocking) send: node threads take it in
+/// [`Router::route`], connection threads to register and unregister
+/// (DESIGN.md §12).
 #[derive(Clone, Default)]
 pub struct ClientRegistry {
     inner: Arc<Mutex<ClientQueues>>,

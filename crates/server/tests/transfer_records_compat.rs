@@ -10,7 +10,7 @@ use mystore_net::{FaultPlan, NetConfig, NodeConfig, NodeId, SimConfig};
 use mystore_serverd::decode_msg;
 
 /// The frame body an old peer puts on the wire, assembled by hand from the
-/// layout `schema.lock` freezes — not by today's encoder.
+/// tag-22 layout the wire golden freezes — not by today's encoder.
 fn old_peer_frame(key: &str, val: &[u8], version: u64) -> Vec<u8> {
     let mut out = vec![22u8]; // tag
     out.extend_from_slice(&1u32.to_le_bytes()); // record count

@@ -7,36 +7,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> mystore-lint --check-schema (wire-compat gate)"
-# The fast schema stage (DESIGN.md §15): rebuild the tag table from the
-# codec sources and diff against crates/lint/schema.lock. A tag renumber,
-# layout change, or encode/decode asymmetry fails here before anything
-# compiles the full workspace.
-cargo run --release -q -p mystore-lint -- --workspace --check-schema
-
 echo "==> mystore-lint --workspace"
-# The in-tree static-analysis pass (DESIGN.md §10/§15): determinism, panic
-# freedom, atomics hygiene, unguarded decoded-length allocations, and the
-# interprocedural lock-order analysis. Fails on any unexempted diagnostic.
+# The in-tree static-analysis pass (DESIGN.md §10): determinism, panic
+# freedom, atomics and metric hygiene, forbid(unsafe), file size. Fails on
+# any unexempted diagnostic. The wire format is frozen by the codec's byte
+# golden, which runs with the workspace tests below (DESIGN.md §12).
 cargo run --release -q -p mystore-lint -- --workspace
 # The linter itself must still catch the seeded fixture violations; if the
-# fixtures ever lint clean, the rules have silently stopped firing.
-badcrate_out=$(cargo run --release -q -p mystore-lint -- \
-    crates/lint/tests/fixtures/badcrate/src/lib.rs 2>/dev/null) && {
-  echo "lint fixture unexpectedly clean — rule engine is broken"
-  exit 1
-}
-for rule in unguarded-alloc lock-order recv-under-lock; do
-  if ! grep -q "$rule" <<<"$badcrate_out"; then
-    echo "lint fixture no longer trips $rule — the rule has stopped firing"
-    exit 1
-  fi
-done
-# Same teeth check for the schema gate: the seeded badwire fixture (tag
-# renumber + width change + missing decode arm) must fail its lockfile.
+# fixture ever lints clean, the rules have silently stopped firing
+# (crates/lint/tests/golden.rs checks each rule by name).
 if cargo run --release -q -p mystore-lint -- \
-    --check-schema --root crates/lint/tests/fixtures/badwire >/dev/null 2>&1; then
-  echo "badwire fixture unexpectedly passed the schema gate"
+    crates/lint/tests/fixtures/badcrate/src/lib.rs >/dev/null 2>&1; then
+  echo "lint fixture unexpectedly clean — rule engine is broken"
   exit 1
 fi
 
