@@ -37,9 +37,7 @@ pub struct MsMongoNode {
 impl MsMongoNode {
     /// Creates a node.
     pub fn new(role: MsRole, cost: CostModel) -> Self {
-        let mut db = Db::memory();
-        db.create_index("data", "self-key").expect("fresh db");
-        MsMongoNode { role, db, cost, puts: 0 }
+        MsMongoNode { role, db: Db::memory(), cost, puts: 0 }
     }
 
     /// Puts applied on this node.

@@ -63,13 +63,8 @@ fn record(i: u32, len: usize) -> Record {
 
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
-    let indexed = || {
-        let mut db = Db::memory();
-        db.create_index("data", "self-key").unwrap();
-        db
-    };
     g.bench_function("put_record_fresh_1K", |b| {
-        let mut db = indexed();
+        let mut db = Db::memory();
         let mut i = 0u32;
         b.iter(|| {
             i += 1;
@@ -77,7 +72,7 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
     g.bench_function("put_record_overwrite_16K", |b| {
-        let mut db = indexed();
+        let mut db = Db::memory();
         let mut rec = record(0, 16 * 1024);
         db.put_record("data", &rec).unwrap();
         b.iter(|| {
@@ -86,7 +81,7 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
     g.bench_function("get_record_16K_of_1k", |b| {
-        let mut db = indexed();
+        let mut db = Db::memory();
         for i in 0..1_000u32 {
             db.put_record("data", &record(i, 16 * 1024)).unwrap();
         }

@@ -74,22 +74,6 @@ impl Document {
         self.get(key).is_some()
     }
 
-    /// Looks up a dotted path such as `"meta.owner.name"`. Path segments
-    /// index into nested documents; numeric segments index into arrays.
-    pub fn get_path(&self, path: &str) -> Option<&Value> {
-        let mut segments = path.split('.');
-        let first = segments.next()?;
-        let mut current = self.get(first)?;
-        for seg in segments {
-            current = match current {
-                Value::Document(d) => d.get(seg)?,
-                Value::Array(items) => items.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(current)
-    }
-
     /// String accessor for a top-level field.
     pub fn get_str(&self, key: &str) -> Option<&str> {
         self.get(key).and_then(Value::as_str)
@@ -244,19 +228,6 @@ mod tests {
         assert_eq!(d.remove("y"), Some(Value::String("two".into())));
         assert_eq!(d.remove("y"), None);
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn path_access_traverses_documents_and_arrays() {
-        let d = doc! {
-            "meta": doc! { "owner": doc! { "name": "veepalms" } },
-            "tags": vec!["xml", "scene"],
-        };
-        assert_eq!(d.get_path("meta.owner.name").unwrap().as_str(), Some("veepalms"));
-        assert_eq!(d.get_path("tags.1").unwrap().as_str(), Some("scene"));
-        assert!(d.get_path("meta.owner.missing").is_none());
-        assert!(d.get_path("tags.7").is_none());
-        assert!(d.get_path("tags.x").is_none());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`Value`] — the dynamically-typed value enum (double, string, document,
 //!   array, binary, [`ObjectId`], bool, null, int32, int64, timestamp),
-//! * [`Document`] — an insertion-ordered key/value map with dotted-path
-//!   access,
+//! * [`Document`] — an insertion-ordered key/value map with top-level
+//!   field access,
 //! * a binary codec ([`Document::to_bytes`] / [`Document::from_bytes`])
 //!   following the BSON framing rules (little-endian, length-prefixed,
 //!   NUL-terminated keys),

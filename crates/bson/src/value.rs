@@ -1,6 +1,5 @@
 //! The dynamically-typed BSON value.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::document::Document;
@@ -188,80 +187,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// True if the value is numeric (int32, int64 or double).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::Int32(_) | Value::Int64(_) | Value::Double(_))
-    }
-
-    /// Cross-type rank used as the primary sort key. Numbers share a rank so
-    /// that `Int32(1) == Double(1.0)` in comparisons, as in MongoDB.
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int32(_) | Value::Int64(_) | Value::Double(_) => 2,
-            Value::Timestamp(_) => 3,
-            Value::String(_) => 4,
-            Value::Binary(_) => 5,
-            Value::ObjectId(_) => 6,
-            Value::Array(_) => 7,
-            Value::Document(_) => 8,
-        }
-    }
-
-    /// Total-order comparison used by indexes, sorts, and range operators.
-    ///
-    /// NaN doubles sort below every other number (and equal to themselves) so
-    /// the order stays total.
-    pub fn compare(&self, other: &Value) -> Ordering {
-        let (ra, rb) = (self.type_rank(), other.type_rank());
-        if ra != rb {
-            return ra.cmp(&rb);
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                cmp_f64_total(a.as_f64().unwrap(), b.as_f64().unwrap())
-            }
-            (Value::Timestamp(a), Value::Timestamp(b)) => a.cmp(b),
-            (Value::String(a), Value::String(b)) => a.cmp(b),
-            (Value::Binary(a), Value::Binary(b)) => a.cmp(b),
-            (Value::ObjectId(a), Value::ObjectId(b)) => a.cmp(b),
-            (Value::Array(a), Value::Array(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    let ord = x.compare(y);
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Value::Document(a), Value::Document(b)) => {
-                for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
-                    let ord = ka.cmp(kb).then_with(|| va.compare(vb));
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            _ => unreachable!("type ranks matched but variants did not"),
-        }
-    }
-}
-
-fn cmp_f64_total(a: f64, b: f64) -> Ordering {
-    match a.partial_cmp(&b) {
-        Some(o) => o,
-        None => match (a.is_nan(), b.is_nan()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            (false, false) => unreachable!(),
-        },
-    }
 }
 
 impl fmt::Display for Value {
@@ -363,49 +288,6 @@ where
 mod tests {
     use super::*;
     use crate::doc;
-
-    #[test]
-    fn numeric_comparison_crosses_representations() {
-        assert_eq!(Value::Int32(1).compare(&Value::Double(1.0)), Ordering::Equal);
-        assert_eq!(Value::Int64(2).compare(&Value::Double(1.5)), Ordering::Greater);
-        assert_eq!(Value::Double(0.5).compare(&Value::Int32(1)), Ordering::Less);
-    }
-
-    #[test]
-    fn type_ranks_order_across_types() {
-        let ordered = [
-            Value::Null,
-            Value::Bool(true),
-            Value::Int32(5),
-            Value::Timestamp(0),
-            Value::String("a".into()),
-            Value::Binary(vec![0]),
-            Value::ObjectId(ObjectId::from_parts(0, 0, 0)),
-            Value::Array(vec![]),
-            Value::Document(Document::new()),
-        ];
-        for w in ordered.windows(2) {
-            assert_eq!(w[0].compare(&w[1]), Ordering::Less, "{} < {}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn nan_sorts_below_numbers_and_equal_to_itself() {
-        let nan = Value::Double(f64::NAN);
-        assert_eq!(nan.compare(&nan), Ordering::Equal);
-        assert_eq!(nan.compare(&Value::Double(-1e308)), Ordering::Less);
-        assert_eq!(Value::Int32(0).compare(&nan), Ordering::Greater);
-    }
-
-    #[test]
-    fn array_comparison_is_lexicographic() {
-        let a = Value::Array(vec![Value::Int32(1), Value::Int32(2)]);
-        let b = Value::Array(vec![Value::Int32(1), Value::Int32(3)]);
-        let c = Value::Array(vec![Value::Int32(1)]);
-        assert_eq!(a.compare(&b), Ordering::Less);
-        assert_eq!(c.compare(&a), Ordering::Less);
-        assert_eq!(a.compare(&a.clone()), Ordering::Equal);
-    }
 
     #[test]
     fn conversions_produce_expected_variants() {

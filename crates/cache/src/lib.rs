@@ -3,14 +3,15 @@
 //! An independent in-memory cache tier sitting between the REST front end
 //! and the storage module: items read, inserted or updated recently are
 //! cached; GETs try the cache first and fall back to the database, inserting
-//! the returned value; DELETEs invalidate. Shards ("cache servers") are
-//! selected by MD5 key hash, and each shard ages out entries with a
-//! byte-bounded LRU.
+//! the returned value; DELETEs invalidate. The tier is a set of cache
+//! server processes (`mystore_core::CacheNode`), selected by key hash in
+//! the front end; each server ages out entries with the byte-bounded
+//! [`LruCache`] this crate provides.
 
 #![forbid(unsafe_code)]
 
 pub mod lru;
-pub mod tier;
+pub mod metrics;
 
 pub use lru::{CacheStats, LruCache};
-pub use tier::{CacheTier, CacheTierMetrics};
+pub use metrics::CacheTierMetrics;

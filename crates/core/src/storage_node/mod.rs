@@ -169,13 +169,6 @@ impl StorageNode {
         };
         // Record ids must replay identically under the seeded simulator.
         db.set_oid_machine(u64::from(me.0));
-        // Recovered databases already carry the index.
-        let indexed =
-            db.collection(DATA).map(|c| c.index_fields().contains(&"self-key")).unwrap_or(false);
-        if !indexed {
-            // lint:allow(no-panic-hot-path): startup-time index creation, fail-fast by design
-            db.create_index(DATA, "self-key").expect("fresh db");
-        }
         db.set_wal_metrics(WalMetrics::from_registry(&cfg.metrics));
         // From here on writes stage; `commit` makes them durable.
         db.set_staged(true);
@@ -331,7 +324,6 @@ impl Process<Msg> for StorageNode {
                 // and anti-entropy re-fill us — and count the event.
                 self.metrics.recover_failures.inc();
                 let mut fresh = Db::memory();
-                let _ = fresh.create_index(DATA, "self-key");
                 fresh.set_wal_metrics(WalMetrics::from_registry(&self.cfg.metrics));
                 fresh.set_oid_machine(u64::from(self.id().0));
                 fresh.set_staged(true);

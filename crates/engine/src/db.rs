@@ -70,8 +70,7 @@ impl Db {
 
     /// Opens a file-backed database, replaying any existing WAL at `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let frames = Wal::read_frames_from(path.as_ref())?;
-        let wal = Wal::file(path)?;
+        let (wal, frames) = Wal::open(path)?;
         let mut db = Db {
             collections: BTreeMap::new(),
             wal,
@@ -212,14 +211,11 @@ impl Db {
 
     // ---- internals ----------------------------------------------------
 
-    /// A full logical dump: every collection's indexes and documents as
-    /// insert ops (what compaction rewrites the log to).
+    /// A full logical dump: every collection's documents as insert ops
+    /// (what compaction rewrites the log to).
     fn full_dump(&self) -> Vec<WalOp> {
         let mut ops = Vec::new();
         for (name, coll) in &self.collections {
-            for field in coll.index_fields() {
-                ops.push(WalOp::CreateIndex { coll: name.clone(), field: field.to_string() });
-            }
             for (_, doc) in coll.iter() {
                 ops.push(WalOp::Insert { coll: name.clone(), doc: doc.clone() });
             }
@@ -274,9 +270,8 @@ impl Db {
                 }
                 coll.remove(id)?;
             }
-            WalOp::CreateIndex { coll, field } => {
-                self.collections.entry(coll).or_default().create_index(&field)?;
-            }
+            // Every collection keeps its `self-key` map already.
+            WalOp::CreateIndex { .. } => {}
         }
         self.dirty_keys.extend(touched);
         self.dirty_keys.extend(touched_prev);
@@ -382,18 +377,14 @@ impl Db {
         Ok(())
     }
 
-    /// Creates a single-field index on `coll` (collection created if absent).
-    pub fn create_index(&mut self, coll: &str, field: &str) -> Result<()> {
-        if let Some(c) = self.collections.get(coll) {
-            if c.index_fields().contains(&field) {
-                return Err(EngineError::IndexExists(field.to_string()));
-            }
+    /// Accepts an index on `self-key`, which every collection keeps
+    /// already, and logs nothing; any other field is an error.
+    pub fn create_index(&self, _coll: &str, field: &str) -> Result<()> {
+        if field == F_SELF_KEY {
+            Ok(())
+        } else {
+            Err(EngineError::UnindexedField(field.to_string()))
         }
-        self.log_and_apply(WalOp::CreateIndex {
-            coll: coll.to_string(),
-            field: field.to_string(),
-        })?;
-        Ok(())
     }
 
     // ---- record-level helpers (MyStore layout) -------------------------
@@ -524,7 +515,6 @@ mod tests {
     #[test]
     fn a_stored_document_that_is_not_a_record_reads_as_corrupt() {
         let mut db = Db::memory();
-        db.create_index("d", "self-key").unwrap();
         db.insert_doc("d", doc! { "self-key": "k" }).unwrap();
         let id = ObjectId::from_parts(9, 9, 9);
         db.put_after_image("d", id, doc! { "self-key": "nameless" }).unwrap();
@@ -538,7 +528,6 @@ mod tests {
     #[test]
     fn dirty_key_tracking_captures_every_mutation_path() {
         let mut db = Db::memory();
-        db.create_index("d", "self-key").unwrap();
         db.track_dirty_keys("d");
 
         // Insert, LWW update, logical delete, physical reap — each must
@@ -577,7 +566,6 @@ mod tests {
         let id;
         {
             let mut db = Db::open(&path).unwrap();
-            db.create_index("d", "self-key").unwrap();
             id = db.insert_doc("d", doc! { "self-key": "k1", "v": 1 }).unwrap();
             db.insert_doc("d", doc! { "self-key": "k2", "v": 2 }).unwrap();
             let after = doc! { "_id": Value::ObjectId(id), "self-key": "k1", "v": 10 };
@@ -587,9 +575,8 @@ mod tests {
         let db = Db::open(&path).unwrap();
         assert_eq!(count(&db, "d"), 2);
         assert_eq!(int_field(&db, "d", id, "v"), Some(10));
-        // The index survived and answers keyed reads.
+        // The key map was rebuilt and answers keyed reads.
         let c = db.collection("d").unwrap();
-        assert_eq!(c.index_fields(), vec!["self-key"]);
         assert_eq!(c.get_by_self_key("k2").unwrap().get_i64("v"), Some(2));
         std::fs::remove_file(&path).unwrap();
     }
@@ -597,7 +584,6 @@ mod tests {
     #[test]
     fn recover_from_wal_rebuilds_memory_backed_db() {
         let mut db = Db::memory();
-        db.create_index("d", "self-key").unwrap();
         let id = db.insert_doc("d", doc! { "self-key": "k1", "v": 1 }).unwrap();
         db.insert_doc("d", doc! { "self-key": "k2", "v": 2 }).unwrap();
         let after = doc! { "_id": Value::ObjectId(id), "self-key": "k1", "v": 10 };
@@ -608,7 +594,6 @@ mod tests {
         assert_eq!(count(&db, "d"), 2);
         assert_eq!(int_field(&db, "d", id, "v"), Some(10));
         let c = db.collection("d").unwrap();
-        assert_eq!(c.index_fields(), vec!["self-key"]);
         assert_eq!(c.get_by_self_key("k2").unwrap().get_i64("v"), Some(2));
     }
 
@@ -688,32 +673,32 @@ mod tests {
     fn last_seq_counts_logged_mutations_only() {
         let mut db = Db::memory();
         assert_eq!(db.last_seq(), 0);
+        // The self-key index is always there: asking for it logs nothing.
         db.create_index("d", "self-key").unwrap();
-        assert_eq!(db.last_seq(), 1);
+        assert_eq!(db.last_seq(), 0);
         let a = Record::new(ObjectId::from_parts(1, 1, 1), "ka", vec![1], pack_version(10, 0));
         assert!(db.put_record("d", &a).unwrap());
-        assert_eq!(db.last_seq(), 2, "an insert is one logged mutation");
+        assert_eq!(db.last_seq(), 1, "an insert is one logged mutation");
         let mut newer = a.clone();
         newer.version = pack_version(20, 0);
         assert!(db.put_record("d", &newer).unwrap());
-        assert_eq!(db.last_seq(), 3, "an LWW replace is one logged mutation");
+        assert_eq!(db.last_seq(), 2, "an LWW replace is one logged mutation");
 
         // Reads and an LWW-stale write log nothing.
         db.get_record("d", "ka").unwrap();
         assert!(!db.put_record("d", &a).unwrap());
-        assert_eq!(db.last_seq(), 3);
+        assert_eq!(db.last_seq(), 2);
 
-        // A failed mutation logs nothing either.
-        assert!(db.create_index("d", "self-key").is_err());
-        assert_eq!(db.last_seq(), 3);
+        // A refused index logs nothing either.
+        assert!(matches!(db.create_index("d", "k"), Err(EngineError::UnindexedField(_))));
+        assert_eq!(db.last_seq(), 2);
 
         let id = db.get_record("d", "ka").unwrap().unwrap().id;
         db.remove("d", id).unwrap();
-        assert_eq!(db.last_seq(), 4);
+        assert_eq!(db.last_seq(), 3);
 
         // Recovery replays the log without counting it.
         let db = db.recover_from_wal().unwrap();
-        assert_eq!(db.collection("d").unwrap().index_fields(), vec!["self-key"]);
         assert_eq!(db.last_seq(), 0);
     }
 

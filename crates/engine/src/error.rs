@@ -27,8 +27,9 @@ pub enum EngineError {
     NoSuchCollection(String),
     /// The document addressed by id does not exist.
     NotFound,
-    /// An index was requested on a field that already has one.
-    IndexExists(String),
+    /// An index was requested on a field other than `self-key`, the one
+    /// field the engine indexes.
+    UnindexedField(String),
 }
 
 impl fmt::Display for EngineError {
@@ -40,7 +41,9 @@ impl fmt::Display for EngineError {
             EngineError::DuplicateId(id) => write!(f, "duplicate _id: {id}"),
             EngineError::NoSuchCollection(name) => write!(f, "no such collection: {name}"),
             EngineError::NotFound => write!(f, "document not found"),
-            EngineError::IndexExists(field) => write!(f, "index already exists on field {field}"),
+            EngineError::UnindexedField(field) => {
+                write!(f, "only self-key is indexed, not {field}")
+            }
         }
     }
 }

@@ -8,14 +8,16 @@
 //!
 //! * [`Db`] — named collections with WAL durability, crash recovery and
 //!   compaction,
-//! * [`index::Index`] — B-tree secondary indexes (multikey, sparse); the
-//!   `self-key` index is the one every record read goes through,
+//! * [`Collection`] — documents by `_id` plus one map from each
+//!   document's `self-key` to its ids, kept on every insert, replace and
+//!   remove; every record read goes through it,
 //! * [`record::Record`] — the paper's five-field record layout with
 //!   last-write-wins versions.
 //!
-//! MongoDB's query language is not here, nor its master/slave replication:
-//! MyStore replicates records through NWR quorums, and the master/slave
-//! baseline of the paper's Fig. 17 is `mystore_baselines::msmongo`. Nor is
+//! MongoDB's query language and secondary indexes are not here, nor its
+//! master/slave replication: MyStore replicates records through NWR
+//! quorums, and the master/slave baseline of the paper's Fig. 17 is
+//! `mystore_baselines::msmongo`. Nor is
 //! the paper's §5.1 connection pool: a node owns its [`Db`] in-process, so
 //! there is no connection to test.
 //!
@@ -24,7 +26,6 @@
 //! use mystore_engine::{pack_version, Db, Record};
 //!
 //! let mut db = Db::memory();
-//! db.create_index("components", "self-key").unwrap();
 //! let id = ObjectId::from_parts(1, 1, 1);
 //! let r = Record::new(id, "Resistor5", b"470 ohm".to_vec(), pack_version(10, 0));
 //! assert!(db.put_record("components", &r).unwrap());
@@ -40,7 +41,6 @@
 pub mod collection;
 pub mod db;
 pub mod error;
-pub mod index;
 pub mod oplog;
 pub mod record;
 pub mod wal;

@@ -36,7 +36,9 @@ pub enum WalOp {
         /// Primary key.
         id: ObjectId,
     },
-    /// Create a single-field index.
+    /// Create an index on `field`. Nothing writes this op any more — every
+    /// collection keeps its `self-key` map by itself — but logs written
+    /// before that still carry it, so it decodes and replays as a no-op.
     CreateIndex {
         /// Collection name.
         coll: String,

@@ -159,20 +159,36 @@ impl Wal {
         }
     }
 
-    /// Opens (creating if needed) a file-backed log at `path`. Existing
-    /// contents are preserved; call [`Wal::read_frames_from`] first to
-    /// recover them. A stale `.compact` sibling (a compaction that crashed
-    /// before its rename) is removed — the original log is still the
-    /// authoritative copy.
+    /// Opens (creating if needed) a file-backed log at `path`, keeping its
+    /// intact frames; see [`Wal::open`].
     pub fn file(path: impl AsRef<Path>) -> Result<Self> {
+        Self::open(path).map(|(wal, _)| wal)
+    }
+
+    /// Opens (creating if needed) a file-backed log at `path` and returns
+    /// it with the intact frames it holds, for recovery. A torn tail (a
+    /// crash mid-append) is cut off and the cut synced before anything is
+    /// appended: a frame written behind the torn bytes would read back as
+    /// part of the torn tail and be dropped. Corruption mid-log is an
+    /// error. A stale `.compact` sibling (a compaction that crashed before
+    /// its rename) is removed — the original log is still the
+    /// authoritative copy.
+    pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Vec<u8>>)> {
         let path = path.as_ref().to_path_buf();
         let stale = path.with_extension("compact");
         if stale.exists() {
             let _ = std::fs::remove_file(&stale);
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        Ok(Self::with_backend(Backend::File { file, path }, len))
+        let mut file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        let frames = decode_frames(&buf)?;
+        let intact: u64 = frames.iter().map(|f| 8 + f.len() as u64).sum();
+        if intact < buf.len() as u64 {
+            file.set_len(intact)?;
+            file.sync_all()?;
+        }
+        Ok((Self::with_backend(Backend::File { file, path }, intact), frames))
     }
 
     /// Attaches registry-backed metric handles.
@@ -472,6 +488,53 @@ mod tests {
         }
         let frames = wal.read_frames().unwrap();
         assert_eq!(frames, vec![b"keep-me".to_vec()]);
+    }
+
+    #[test]
+    fn reopen_cuts_a_torn_tail_before_appending() {
+        // A torn header (3 bytes) and a torn body (a header claiming more
+        // bytes than follow) are both cut off at reopen, so the next frame
+        // lands right after the last intact one and survives.
+        let torn_header = vec![7u8, 0, 0];
+        let mut torn_body = 100u32.to_le_bytes().to_vec();
+        torn_body.extend_from_slice(&[0xAB; 7]);
+        for (tag, torn) in [("header", torn_header), ("body", torn_body)] {
+            let path = temp_dir("torn").join(format!("{tag}.wal"));
+            let _ = std::fs::remove_file(&path);
+            Wal::file(&path).unwrap().append(b"before").unwrap();
+            let intact = std::fs::metadata(&path).unwrap().len();
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&torn).unwrap();
+            drop(f);
+            let (mut wal, frames) = Wal::open(&path).unwrap();
+            assert_eq!(frames, vec![b"before".to_vec()], "{tag}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), intact, "{tag}: cut on open");
+            assert_eq!(wal.len_bytes(), intact, "{tag}");
+            wal.append(b"after").unwrap();
+            assert_eq!(
+                Wal::read_frames_from(&path).unwrap(),
+                vec![b"before".to_vec(), b"after".to_vec()],
+                "{tag}: the frame appended after the cut must read back"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn open_refuses_mid_log_corruption() {
+        let path = temp_dir("midlog").join("corrupt.wal");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut wal = Wal::file(&path).unwrap();
+            wal.append(b"first").unwrap();
+            wal.append(b"second").unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[9] ^= 0xFF; // inside the first frame's body
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(Wal::open(&path), Err(EngineError::Corrupt { .. })));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refused log is left as it was");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -17,7 +17,6 @@ fn temp(name: &str) -> std::path::PathBuf {
 fn compaction_shrinks_the_log_and_preserves_state() {
     let path = temp("shrink.wal");
     let mut db = Db::open(&path).unwrap();
-    db.create_index("d", "self-key").unwrap();
     let id = db.insert_doc("d", doc! { "self-key": "hot", "v": 0 }).unwrap();
     // 200 updates of the same document bloat the log with after-images.
     for i in 1..=200 {
@@ -31,13 +30,11 @@ fn compaction_shrinks_the_log_and_preserves_state() {
         after < before / 10,
         "compaction should collapse 201 log entries to ~1 ({before} -> {after})"
     );
-    // State intact across compaction + reopen, the index included: the
-    // rewritten log recreates it and keyed reads go through it.
+    // State intact across compaction + reopen, keyed reads included.
     drop(db);
     let db = Db::open(&path).unwrap();
     let coll = db.collection("d").unwrap();
     assert_eq!(coll.get(id).unwrap().get_i64("v"), Some(200));
-    assert_eq!(coll.index_fields(), vec!["self-key"]);
     assert_eq!(coll.len(), 1);
     assert_eq!(coll.get_by_self_key("hot").unwrap().get_object_id("_id"), Some(id));
     std::fs::remove_file(&path).unwrap();
@@ -47,7 +44,6 @@ fn compaction_shrinks_the_log_and_preserves_state() {
 fn compaction_without_purge_keeps_tombstones() {
     let path = temp("keep.wal");
     let mut db = Db::open(&path).unwrap();
-    db.create_index("data", "self-key").unwrap();
     db.put_record(
         "data",
         &Record::tombstone(ObjectId::from_parts(1, 1, 1), "gone", pack_version(5, 0)),
@@ -64,7 +60,6 @@ fn compaction_without_purge_keeps_tombstones() {
 #[test]
 fn reap_respects_the_version_cutoff() {
     let mut db = Db::memory();
-    db.create_index("data", "self-key").unwrap();
     db.put_record(
         "data",
         &Record::tombstone(ObjectId::from_parts(1, 1, 1), "old", pack_version(100, 0)),

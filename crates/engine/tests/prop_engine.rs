@@ -66,11 +66,8 @@ const DATA: &str = "data";
 /// a model of what each key should read: the LWW winner of the writes
 /// since its document was last removed or reaped, under the `_id` of the
 /// write that created the document.
-fn run_history(indexed: bool, steps: &[Step]) -> (Db, BTreeMap<String, Record>) {
+fn run_history(steps: &[Step]) -> (Db, BTreeMap<String, Record>) {
     let mut db = Db::memory();
-    if indexed {
-        db.create_index(DATA, "self-key").unwrap();
-    }
     let mut model: BTreeMap<String, Record> = BTreeMap::new();
     for (i, step) in steps.iter().enumerate() {
         let id = ObjectId::from_parts(0, 0, i as u32);
@@ -132,14 +129,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random put / tombstone / reap / remove histories leave every keyed
-    /// read equal to a full scan's LWW winner — on the indexed path and the
-    /// scanning one — before and after crash recovery from the WAL.
+    /// read equal to a full scan's LWW winner, before and after crash
+    /// recovery from the WAL.
     #[test]
     fn keyed_reads_equal_the_scanned_lww_winner(
         steps in proptest::collection::vec(arb_step(), 1..60),
-        indexed in any::<bool>(),
     ) {
-        let (db, model) = run_history(indexed, &steps);
+        let (db, model) = run_history(&steps);
         keyed_reads_match_a_scan(&db, &model)?;
         let db = db.recover_from_wal().unwrap();
         keyed_reads_match_a_scan(&db, &model)?;
@@ -160,7 +156,6 @@ proptest! {
         let before;
         {
             let mut db = Db::open(&path).unwrap();
-            db.create_index("d", "k").unwrap();
             for d in &docs {
                 ids.push(db.insert_doc("d", d.clone()).unwrap());
             }
@@ -187,7 +182,6 @@ proptest! {
             order.swap(i, j);
         }
         let mut db = Db::memory();
-        db.create_index("data", "self-key").unwrap();
         for &v in &order {
             let rec = Record::new(
                 ObjectId::from_parts(0, 0, v as u32),

@@ -75,7 +75,6 @@ impl Arc_ {
 struct NodeInfo {
     label: String,
     vnodes: u32,
-    weight: u32,
 }
 
 /// The consistent-hash ring.
@@ -113,49 +112,34 @@ impl<N: Clone + Eq + Hash + Ord> HashRing<N> {
     /// Adds a physical node with `vnodes` virtual nodes.
     ///
     /// Per the paper, more powerful machines get more virtual nodes; the
-    /// caller decides the count. Point collisions with existing vnodes are
+    /// caller decides the count (a storage node's is its base count times
+    /// its capacity weight). Point collisions with existing vnodes are
     /// resolved by keeping the incumbent (deterministic, and vanishingly
     /// rare in a 64-bit space).
+    ///
+    /// Because vnode points are derived from `label#0..label#vnodes`,
+    /// re-adding a node with more vnodes only *appends* points and with
+    /// fewer only *removes* its own tail points — so [`diff`](Self::diff)
+    /// between the two rings is minimal by construction: every changed arc
+    /// involves the resized node on one side.
     pub fn add_node(
         &mut self,
         id: N,
         label: impl Into<String>,
         vnodes: u32,
     ) -> Result<(), RingError> {
-        self.add_node_weighted(id, label, vnodes, 1)
-    }
-
-    /// Adds a physical node whose virtual-node count is `base_vnodes`
-    /// scaled by a capacity `weight`: a weight-2 node contributes twice the
-    /// points and therefore owns roughly twice the keyspace of a weight-1
-    /// node with the same base (the paper's "more powerful machines get
-    /// more virtual nodes" knob, made explicit).
-    ///
-    /// Because vnode points are derived from `label#0..label#count`,
-    /// raising a node's weight only *appends* points and lowering it only
-    /// *removes* its own tail points — so [`diff`](Self::diff) between the
-    /// two rings is minimal by construction: every changed arc involves the
-    /// reweighted node on one side.
-    pub fn add_node_weighted(
-        &mut self,
-        id: N,
-        label: impl Into<String>,
-        base_vnodes: u32,
-        weight: u32,
-    ) -> Result<(), RingError> {
         let label = label.into();
-        if base_vnodes == 0 || weight == 0 {
+        if vnodes == 0 {
             return Err(RingError::ZeroVnodes);
         }
         if self.nodes.contains_key(&id) {
             return Err(RingError::DuplicateNode(label));
         }
-        let vnodes = base_vnodes.saturating_mul(weight);
         for i in 0..vnodes {
             let point = Self::vnode_point(&label, i);
             self.points.entry(point).or_insert_with(|| id.clone());
         }
-        self.nodes.insert(id, NodeInfo { label, vnodes, weight });
+        self.nodes.insert(id, NodeInfo { label, vnodes });
         Ok(())
     }
 
@@ -189,15 +173,9 @@ impl<N: Clone + Eq + Hash + Ord> HashRing<N> {
         self.points.len()
     }
 
-    /// Virtual-node count configured for `id` (weight already applied).
+    /// Virtual-node count configured for `id`.
     pub fn vnodes_of(&self, id: &N) -> Option<u32> {
         self.nodes.get(id).map(|i| i.vnodes)
-    }
-
-    /// Capacity weight configured for `id` (`1` for nodes added via
-    /// [`add_node`](Self::add_node)).
-    pub fn weight_of(&self, id: &N) -> Option<u32> {
-        self.nodes.get(id).map(|i| i.weight)
     }
 
     /// Label configured for `id`.
@@ -622,17 +600,16 @@ mod tests {
     }
 
     #[test]
-    fn weight_scales_vnode_count_and_ownership() {
+    fn vnode_count_scales_ownership() {
         // Seeded determinism: vnode points derive from labels, so this is
-        // exactly reproducible. A 2x-weight node must own ~2x the keyspace
-        // of its weight-1 peers.
+        // exactly reproducible. A node with 2x the vnodes must own ~2x the
+        // keyspace of its peers.
         let mut r = HashRing::new();
-        r.add_node_weighted(0u32, "node0", 64, 1).unwrap();
-        r.add_node_weighted(1u32, "node1", 64, 2).unwrap();
-        r.add_node_weighted(2u32, "node2", 64, 1).unwrap();
+        r.add_node(0u32, "node0", 64).unwrap();
+        r.add_node(1u32, "node1", 128).unwrap();
+        r.add_node(2u32, "node2", 64).unwrap();
         assert_eq!(r.vnodes_of(&1), Some(128));
-        assert_eq!(r.weight_of(&1), Some(2));
-        assert_eq!(r.weight_of(&0), Some(1));
+        assert_eq!(r.vnodes_of(&0), Some(64));
         let mut counts = [0usize; 3];
         let total = 40_000u32;
         for key in 0..total {
@@ -641,29 +618,29 @@ mod tests {
         let heavy = counts[1] as f64;
         let light = (counts[0] + counts[2]) as f64 / 2.0;
         let ratio = heavy / light;
-        assert!((1.6..2.5).contains(&ratio), "2x-weight ownership ratio {ratio}");
-        assert_eq!(r.add_node_weighted(9, "z", 64, 0), Err(RingError::ZeroVnodes));
+        assert!((1.6..2.5).contains(&ratio), "2x-vnode ownership ratio {ratio}");
+        assert_eq!(r.add_node(9, "z", 0), Err(RingError::ZeroVnodes));
     }
 
     #[test]
-    fn diff_is_minimal_under_weight_only_change() {
-        // Re-add node 2 with double weight: the only arcs that may change
-        // hands are ones node 2 gains, each reported exactly once.
+    fn diff_is_minimal_when_a_node_gains_vnodes() {
+        // Re-add node 2 with double the vnodes: the only arcs that may
+        // change hands are ones node 2 gains, each reported exactly once.
         let mut before = HashRing::new();
         for i in 0..4u32 {
-            before.add_node_weighted(i, format!("node{i}"), 32, 1).unwrap();
+            before.add_node(i, format!("node{i}"), 32).unwrap();
         }
         let mut after = before.clone();
         after.remove_node(&2);
-        after.add_node_weighted(2, "node2", 32, 2).unwrap();
+        after.add_node(2, "node2", 64).unwrap();
 
         let diff = before.diff(&after);
         assert!(!diff.is_empty());
         let mut gained: u64 = 0;
         for (arc, old, new) in &diff {
-            // Raising a weight only appends that node's points, so every
+            // More vnodes only append that node's points, so every
             // transition gains node 2 and loses someone else.
-            assert_eq!(new.as_ref(), Some(&2), "weight gain must route to node 2");
+            assert_eq!(new.as_ref(), Some(&2), "the vnode gain must route to node 2");
             assert_ne!(old.as_ref(), Some(&2));
             gained += arc.len();
         }
@@ -673,7 +650,7 @@ mod tests {
             let (a, b) = (&w[0], &w[1]);
             assert!(!(a.0.end == b.0.start && a.1 == b.1 && a.2 == b.2));
         }
-        // The gained share is roughly the extra weight's proportion:
+        // The gained share is roughly the extra vnodes' proportion:
         // node 2 goes from 1/4 to 2/5 of the ring, so ~0.15 of the circle.
         let frac = gained as f64 / (u64::MAX as f64);
         assert!((0.08..0.25).contains(&frac), "gained fraction {frac}");

@@ -31,7 +31,6 @@ fn main() {
     // ---- populate a component catalogue ------------------------------------
     {
         let mut db = Db::open(&path).expect("open");
-        db.create_index(COLL, "self-key").unwrap();
         for (key, xml) in [
             ("Resistor5", r#"<component ohms="470"/>"#),
             ("Resistor9", r#"<component ohms="10000"/>"#),
@@ -77,7 +76,6 @@ fn main() {
     assert!(db.get_record(COLL, "Pot10k").unwrap().is_some(), "post-compaction write replayed");
     assert!(db.get_record(COLL, "Led3mm").unwrap().is_none(), "reaped stays reaped");
     let coll = db.collection(COLL).unwrap();
-    assert_eq!(coll.index_fields(), vec!["self-key"], "index rebuilt on recovery");
     println!("recovered from WAL: {} components, stats: {:?}", coll.len(), db.stats());
 
     std::fs::remove_file(&path).ok();

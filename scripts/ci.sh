@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints, and the full workspace test suite.
-# Run from the repo root. Fails fast on the first broken stage.
+# Run from the repo root. Fails fast on the first broken stage. Every
+# cargo clippy, test and run command passes `--locked`, so a dependency
+# edit that would rewrite a `Cargo.lock` fails here instead of changing
+# the lock silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,31 +15,31 @@ echo "==> mystore-lint --workspace"
 # freedom, atomics and metric hygiene, forbid(unsafe), file size. Fails on
 # any unexempted diagnostic. The wire format is frozen by the codec's byte
 # golden, which runs with the workspace tests below (DESIGN.md §12).
-cargo run --release -q -p mystore-lint -- --workspace
+cargo run --locked --release -q -p mystore-lint -- --workspace
 # The linter itself must still catch the seeded fixture violations; if the
 # fixture ever lints clean, the rules have silently stopped firing
 # (crates/lint/tests/golden.rs checks each rule by name).
-if cargo run --release -q -p mystore-lint -- \
+if cargo run --locked --release -q -p mystore-lint -- \
     crates/lint/tests/fixtures/badcrate/src/lib.rs >/dev/null 2>&1; then
   echo "lint fixture unexpectedly clean — rule engine is broken"
   exit 1
 fi
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --locked --workspace -q"
+cargo test --locked --workspace -q
 
 echo "==> quorum engine (driver goldens, CAS, schedule lock)"
 # The PR-5 refactor contract: the generic quorum driver must replay the
 # pre-refactor retry/backoff schedule bit-identically (quorum_golden) and
 # serve CAS through the same engine (rest_frontend/chaos cas tests).
-cargo test -p mystore-core quorum -q
+cargo test --locked -p mystore-core quorum -q
 
 echo "==> chaos suite (fixed seed)"
-cargo test -p mystore-core --test chaos -q
-cargo run --release -p mystore-bench --bin chaos -- 42
+cargo test --locked -p mystore-core --test chaos -q
+cargo run --locked --release -p mystore-bench --bin chaos -- 42
 
 echo "==> real-transport runtime (threaded integration)"
 # The PR-6 production runtime: the threaded-cluster flow as tests (bounded
@@ -47,15 +50,15 @@ echo "==> real-transport runtime (threaded integration)"
 # wait on delayed ACKs (`TCP_NODELAY`, one write per drained batch);
 # `mesh_threads` checks the mesh's thread inventory: no routing pump, one
 # peer writer per remote host, none left after `Host::shutdown`.
-cargo test --test threaded_cluster -q
-cargo test -p mystore-serverd --test mesh_latency -q
-cargo test -p mystore-serverd --test mesh_threads -q
+cargo test --locked --test threaded_cluster -q
+cargo test --locked -p mystore-serverd --test mesh_latency -q
+cargo test --locked -p mystore-serverd --test mesh_threads -q
 
 echo "==> scenario-matrix smoke (idle-clock fast-forward + chaos invariants)"
 # The PR-7 matrix runner: a 25-node, 1-virtual-hour kill cell must finish
 # with 0 client errors and no acked-write loss (full sweep: --bin matrix).
 rm -f results/BENCH_PR7_SMOKE.json
-cargo run --release -p mystore-bench --bin matrix -- --smoke
+cargo run --locked --release -p mystore-bench --bin matrix -- --smoke
 test -s results/BENCH_PR7_SMOKE.json || { echo "matrix smoke wrote no JSON"; exit 1; }
 rm -f results/BENCH_PR7_SMOKE.json
 
@@ -63,7 +66,7 @@ echo "==> anti-entropy sync suite (Merkle exchange + regression tests)"
 # The PR-8 sync work: Merkle convergence/determinism tests (digest
 # traffic bounded by the divergence, not the corpus), the
 # resurrection-after-reap regression and the rebalance fan-out bound.
-cargo test -p mystore-core --test anti_entropy --test merkle_sync --test rebalance -q
+cargo test --locked -p mystore-core --test anti_entropy --test merkle_sync --test rebalance -q
 
 echo "==> online elasticity (migration engine + weighted placement)"
 # The PR-10 elasticity work: the incremental, rate-limited migration
@@ -73,9 +76,9 @@ echo "==> online elasticity (migration engine + weighted placement)"
 # cluster-doubling smoke bench at the default budgets — 0 client errors,
 # 0 acked-write loss, corpus fully replicated on the new weighted ring
 # (full figure: --bin bench_elastic without --smoke).
-cargo test -p mystore-core --test elastic -q
+cargo test --locked -p mystore-core --test elastic -q
 rm -f results/BENCH_PR10_SMOKE.json
-cargo run --release -p mystore-bench --bin bench_elastic -- --smoke
+cargo run --locked --release -p mystore-bench --bin bench_elastic -- --smoke
 test -s results/BENCH_PR10_SMOKE.json || { echo "elastic smoke wrote no JSON"; exit 1; }
 rm -f results/BENCH_PR10_SMOKE.json
 
@@ -86,7 +89,10 @@ echo "==> real-runtime benchmark harness (own tests + quick pass of every worklo
 # node on the real TCP runtime under all four workloads and exits non-zero
 # on a failed operation or an open loop that fell behind its schedule — so
 # a default flip that breaks or badly slows the harness fails here.
-cargo test --manifest-path benchmark/Cargo.toml -q
+# `run.sh` builds without `--locked`; the locked test build before it is
+# what keeps a dependency edit in a crate the benchmark builds from
+# rewriting `benchmark/Cargo.lock`.
+cargo test --locked --manifest-path benchmark/Cargo.toml -q
 bash benchmark/run.sh run all --quick
 
 echo "CI OK"
