@@ -1,8 +1,9 @@
 #![allow(missing_docs)]
 //! Criterion micro-benchmarks for the building blocks on MyStore's hot
 //! paths: MD5/ring lookups (every request), BSON codec (every record),
-//! keyed engine puts and gets (every replica op), LRU (every cache access), gossip
-//! digest handling (every round), and a full simulated quorum write.
+//! the WAL checksum and keyed engine puts and gets (every replica op), LRU
+//! (every cache access), gossip digest handling (every round), and a full
+//! simulated quorum write.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -10,6 +11,7 @@ use mystore_bson::Document;
 use mystore_cache::LruCache;
 use mystore_core::prelude::*;
 use mystore_core::testing::Probe;
+use mystore_engine::wal::crc32;
 use mystore_engine::{pack_version, Db, Record};
 use mystore_gossip::{GossipConfig, GossipMsg, Gossiper};
 use mystore_net::{FaultPlan, NetConfig, NodeConfig, NodeId, Rng, SimConfig, SimTime};
@@ -63,6 +65,10 @@ fn record(i: u32, len: usize) -> Record {
 
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
+    g.bench_function("crc32_16K", |b| {
+        let data = vec![0xA5u8; 16 * 1024];
+        b.iter(|| crc32(std::hint::black_box(&data)))
+    });
     g.bench_function("put_record_fresh_1K", |b| {
         let mut db = Db::memory();
         let mut i = 0u32;

@@ -7,14 +7,17 @@
 //! length and a subtype byte (always 0); arrays are documents keyed by
 //! decimal indices.
 
+use std::ops::Range;
+
 use crate::document::Document;
 use crate::error::{BsonError, Result};
-use crate::oid::OID_LEN;
+use crate::oid::{ObjectId, OID_LEN};
+use crate::raw::RawDocument;
 use crate::value::{ElementType, Value};
 
 /// Maximum nesting depth accepted by the decoder; prevents stack overflow on
 /// maliciously nested input.
-const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// Encodes `doc` into a fresh byte vector.
 pub fn encode_document(doc: &Document) -> Vec<u8> {
@@ -35,21 +38,111 @@ pub fn decode_document(bytes: &[u8]) -> Result<Document> {
     Ok(doc)
 }
 
-fn write_document(buf: &mut Vec<u8>, doc: &Document) {
-    let start = buf.len();
-    buf.extend_from_slice(&[0; 4]); // length placeholder
-    for (key, value) in doc.iter() {
-        write_element(buf, key, value);
+/// Writes one document straight into the end of a byte buffer: the
+/// encoder behind [`Document::to_bytes`], open to callers that hold a
+/// document's fields without a [`Document`] — a store encoding a record
+/// into the log frame it appends, say. Fields land in call order; a
+/// document is only well formed once [`DocWriter::finish`] has written
+/// its terminator and length.
+#[must_use = "a document is malformed until `finish` writes its length"]
+pub struct DocWriter<'a> {
+    buf: &'a mut Vec<u8>,
+    start: usize,
+}
+
+impl<'a> DocWriter<'a> {
+    /// Starts a document at the end of `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 4]); // length placeholder
+        DocWriter { buf, start }
     }
+
+    /// Appends a string field.
+    pub fn str(&mut self, key: &str, v: &str) {
+        put_head(self.buf, ElementType::String, key);
+        put_str(self.buf, v);
+    }
+
+    /// Appends a binary field (subtype 0).
+    pub fn binary(&mut self, key: &str, v: &[u8]) {
+        put_head(self.buf, ElementType::Binary, key);
+        put_binary(self.buf, v);
+    }
+
+    /// Appends an ObjectId field.
+    pub fn object_id(&mut self, key: &str, id: ObjectId) {
+        put_head(self.buf, ElementType::ObjectId, key);
+        self.buf.extend_from_slice(id.bytes());
+    }
+
+    /// Appends a timestamp field.
+    pub fn timestamp(&mut self, key: &str, v: u64) {
+        put_head(self.buf, ElementType::Timestamp, key);
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a field of any type.
+    pub fn value(&mut self, key: &str, v: &Value) {
+        write_element(self.buf, key, v);
+    }
+
+    /// Appends an embedded document already encoded, byte for byte, and
+    /// returns where it sits in the buffer.
+    pub fn raw_document(&mut self, key: &str, doc: RawDocument<'_>) -> Range<usize> {
+        put_head(self.buf, ElementType::Document, key);
+        let start = self.buf.len();
+        self.buf.extend_from_slice(doc.as_bytes());
+        start..self.buf.len()
+    }
+
+    /// Starts an embedded document under `key`; finish it before writing
+    /// this document's next field.
+    pub fn document(&mut self, key: &str) -> DocWriter<'_> {
+        put_head(self.buf, ElementType::Document, key);
+        DocWriter::new(self.buf)
+    }
+
+    /// Terminates the document, writes its length, and returns where it
+    /// sits in the buffer.
+    pub fn finish(self) -> Range<usize> {
+        self.buf.push(0);
+        let len = (self.buf.len() - self.start) as i32;
+        if let Some(slot) = self.buf.get_mut(self.start..self.start + 4) {
+            slot.copy_from_slice(&len.to_le_bytes());
+        }
+        self.start..self.buf.len()
+    }
+}
+
+fn write_document(buf: &mut Vec<u8>, doc: &Document) {
+    let mut w = DocWriter::new(buf);
+    for (key, value) in doc.iter() {
+        w.value(key, value);
+    }
+    w.finish();
+}
+
+fn put_head(buf: &mut Vec<u8>, ty: ElementType, key: &str) {
+    buf.push(ty as u8);
+    buf.extend_from_slice(key.as_bytes());
     buf.push(0);
-    let len = (buf.len() - start) as i32;
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&((s.len() + 1) as i32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+    buf.push(0);
+}
+
+fn put_binary(buf: &mut Vec<u8>, b: &[u8]) {
+    buf.extend_from_slice(&(b.len() as i32).to_le_bytes());
+    buf.push(0); // subtype: generic
+    buf.extend_from_slice(b);
 }
 
 fn write_element(buf: &mut Vec<u8>, key: &str, value: &Value) {
-    buf.push(value.element_type() as u8);
-    buf.extend_from_slice(key.as_bytes());
-    buf.push(0);
+    put_head(buf, value.element_type(), key);
     match value {
         Value::Null => {}
         Value::Bool(b) => buf.push(*b as u8),
@@ -57,29 +150,18 @@ fn write_element(buf: &mut Vec<u8>, key: &str, value: &Value) {
         Value::Int64(v) => buf.extend_from_slice(&v.to_le_bytes()),
         Value::Double(v) => buf.extend_from_slice(&v.to_le_bytes()),
         Value::Timestamp(v) => buf.extend_from_slice(&v.to_le_bytes()),
-        Value::String(s) => {
-            buf.extend_from_slice(&((s.len() + 1) as i32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
-            buf.push(0);
-        }
-        Value::Binary(b) => {
-            buf.extend_from_slice(&(b.len() as i32).to_le_bytes());
-            buf.push(0); // subtype: generic
-            buf.extend_from_slice(b);
-        }
+        Value::String(s) => put_str(buf, s),
+        Value::Binary(b) => put_binary(buf, b),
         Value::ObjectId(id) => buf.extend_from_slice(id.bytes()),
         Value::Document(d) => write_document(buf, d),
         Value::Array(items) => {
             // Arrays are documents keyed "0", "1", ...
-            let start = buf.len();
-            buf.extend_from_slice(&[0; 4]);
+            let mut w = DocWriter::new(buf);
             let mut keybuf = itoa_buf();
             for (i, item) in items.iter().enumerate() {
-                write_element(buf, itoa(&mut keybuf, i), item);
+                w.value(itoa(&mut keybuf, i), item);
             }
-            buf.push(0);
-            let len = (buf.len() - start) as i32;
-            buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            w.finish();
         }
     }
 }
@@ -209,7 +291,7 @@ fn read_value(r: &mut Reader<'_>, ty: ElementType, depth: usize) -> Result<Value
         }
         ElementType::ObjectId => {
             let bytes = r.take(OID_LEN, "objectid")?;
-            Value::ObjectId(crate::oid::ObjectId::from_bytes(bytes.try_into().expect("len 12")))
+            Value::ObjectId(ObjectId::from_bytes(bytes.try_into().expect("len 12")))
         }
         ElementType::Document => Value::Document(read_document(r, depth + 1)?),
         ElementType::Array => {
@@ -222,7 +304,6 @@ fn read_value(r: &mut Reader<'_>, ty: ElementType, depth: usize) -> Result<Value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oid::ObjectId;
     use crate::{doc, Document};
 
     fn sample() -> Document {

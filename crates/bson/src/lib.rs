@@ -12,6 +12,11 @@
 //! * a binary codec ([`Document::to_bytes`] / [`Document::from_bytes`])
 //!   following the BSON framing rules (little-endian, length-prefixed,
 //!   NUL-terminated keys),
+//! * [`DocWriter`], the encoder itself, for writing a document field by
+//!   field into a caller's buffer without building a [`Document`], and
+//!   [`RawDocument`], a borrowed, validated reader that serves field
+//!   lookups from the encoded bytes in place (the engine stores documents
+//!   encoded and reads them this way),
 //! * the [`doc!`] and [`bson!`] construction macros.
 //!
 //! # Example
@@ -38,10 +43,12 @@ mod document;
 mod error;
 mod macros;
 mod oid;
+mod raw;
 mod value;
 
-pub use codec::{decode_document, encode_document};
+pub use codec::{decode_document, encode_document, DocWriter};
 pub use document::Document;
 pub use error::{BsonError, Result};
 pub use oid::{ObjectId, OidGen};
+pub use raw::RawDocument;
 pub use value::{ElementType, Value};

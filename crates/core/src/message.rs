@@ -463,26 +463,20 @@ impl WireSized for Msg {
             Msg::PutResp { .. } => 8,
             Msg::Cas { key, value, .. } => key.len() + value.len() + 8,
             Msg::CasResp { .. } => 16,
-            Msg::StoreReplica { record, .. } => record.to_document().encoded_size(),
+            Msg::StoreReplica { record, .. } => record.encoded_len(),
             Msg::StoreAck { .. } => 8,
             Msg::StoreReplicaBatch { ops } => {
-                ops.iter().map(|op| op.record.to_document().encoded_size() + 8).sum()
+                ops.iter().map(|op| op.record.encoded_len() + 8).sum()
             }
             Msg::StoreAckBatch { acks } => acks.len() * 10 + 8,
             Msg::FetchReplica { key, .. } => key.len(),
-            Msg::FetchAck { found, .. } => {
-                found.as_ref().map(|r| r.to_document().encoded_size()).unwrap_or(8)
-            }
-            Msg::StoreHint { record, .. } => record.to_document().encoded_size() + 8,
-            Msg::TransferRecords { records } => {
-                records.iter().map(|r| r.to_document().encoded_size()).sum()
-            }
+            Msg::FetchAck { found, .. } => found.as_ref().map(|r| r.encoded_len()).unwrap_or(8),
+            Msg::StoreHint { record, .. } => record.encoded_len() + 8,
+            Msg::TransferRecords { records } => records.iter().map(|r| r.encoded_len()).sum(),
             Msg::MigrateCutover { .. } => 16,
             Msg::MigrateBegin { .. } => 16,
             Msg::SyncDigest { entries } => entries.iter().map(|(k, _)| k.len() + 8).sum::<usize>(),
-            Msg::SyncRecords { records } => {
-                records.iter().map(|r| r.to_document().encoded_size()).sum()
-            }
+            Msg::SyncRecords { records } => records.iter().map(|r| r.encoded_len()).sum(),
             Msg::SyncTreeRequest { .. } => 16,
             Msg::SyncTreeLevel { nodes, .. } => 8 + nodes.len() * 12,
             Msg::SyncLeafDigest { leaves, entries, .. } => {

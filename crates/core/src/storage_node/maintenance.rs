@@ -122,7 +122,7 @@ impl StorageNode {
                 continue;
             };
             let Some(rec_doc) = docu.get_document("rec") else { continue };
-            let Ok(record) = Record::from_document(rec_doc) else { continue };
+            let Ok(record) = Record::from_raw(&rec_doc) else { continue };
             if self.gossiper.is_alive(intended) && !self.gossiper.is_removed(intended) {
                 replays.push((*id, intended, record));
             } else if self.gossiper.is_removed(intended) {

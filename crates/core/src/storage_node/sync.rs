@@ -41,7 +41,7 @@ impl StorageNode {
                 .collection(DATA)
                 .map(|c| {
                     c.iter()
-                        .filter_map(|(_, doc)| Record::sync_state(doc))
+                        .filter_map(|(_, doc)| Record::sync_state(&doc))
                         .map(|(key, version, is_del)| (key.to_string(), version, is_del))
                         .collect()
                 })
@@ -51,8 +51,12 @@ impl StorageNode {
             return;
         }
         for key in self.db.take_dirty_keys() {
-            let state =
-                self.db.get_record(DATA, &key).ok().flatten().map(|r| (r.version, r.is_del));
+            // Read in place: the tree needs the version and flag, not `val`.
+            let state = self
+                .db
+                .get_record_raw(DATA, &key)
+                .and_then(|doc| Record::sync_state(&doc))
+                .map(|(_, version, is_del)| (version, is_del));
             self.sync_tree.note(&self.ring, &key, state);
         }
     }

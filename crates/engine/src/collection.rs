@@ -2,27 +2,93 @@
 //!
 //! A collection is the engine's in-memory working set for one namespace;
 //! durability is layered on by [`crate::db::Db`], which logs every mutation
-//! to the WAL before calling into the collection.
+//! to the WAL before calling into the collection. A document is kept as the
+//! bytes its WAL frame logged — a range of that shared frame — and read in
+//! place through [`RawDocument`].
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use mystore_bson::{Document, ObjectId, Value};
+use mystore_bson::{ObjectId, RawDocument};
 
 use crate::error::{EngineError, Result};
 use crate::record::F_SELF_KEY;
+use crate::wal::Frame;
 
-/// `self-key` → ids of the documents carrying it. A record store holds one
-/// id per key; ties are kept so reads can pick the lowest.
-type KeyMap = BTreeMap<String, BTreeSet<ObjectId>>;
+/// A stored document: where it sits in the WAL frame that logged it. The
+/// frame was checked when it was logged or recovered, so the bytes are a
+/// valid document.
+#[derive(Debug, Clone)]
+pub(crate) struct Stored {
+    frame: Frame,
+    doc: Range<usize>,
+}
+
+impl Stored {
+    /// The document at `doc` in `frame`.
+    pub(crate) fn new(frame: Frame, doc: Range<usize>) -> Self {
+        Stored { frame, doc }
+    }
+
+    /// The document, read in place.
+    pub(crate) fn raw(&self) -> RawDocument<'_> {
+        RawDocument::from_validated(self.frame.get(self.doc.clone()).unwrap_or_default())
+    }
+}
+
+/// The ids carrying one `self-key`. A record store holds one id per key,
+/// kept inline; ties fall back to a set so reads can pick the lowest.
+#[derive(Debug, Clone)]
+enum Ids {
+    One(ObjectId),
+    Ties(BTreeSet<ObjectId>),
+}
+
+impl Ids {
+    fn lowest(&self) -> Option<&ObjectId> {
+        match self {
+            Ids::One(id) => Some(id),
+            Ids::Ties(ids) => ids.first(),
+        }
+    }
+
+    fn add(&mut self, id: ObjectId) {
+        match self {
+            Ids::One(one) if *one == id => {}
+            Ids::One(one) => *self = Ids::Ties(BTreeSet::from([*one, id])),
+            Ids::Ties(ids) => {
+                ids.insert(id);
+            }
+        }
+    }
+
+    /// Drops `id`; true when no id is left. A set of ties holds two ids
+    /// or more, so it never empties: down to one, it goes back inline.
+    fn remove(&mut self, id: ObjectId) -> bool {
+        match self {
+            Ids::One(one) => *one == id,
+            Ids::Ties(ids) => {
+                ids.remove(&id);
+                if let (1, Some(&last)) = (ids.len(), ids.first()) {
+                    *self = Ids::One(last);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// `self-key` → the ids of the documents carrying it.
+type KeyMap = BTreeMap<Box<str>, Ids>;
 
 /// An in-memory collection: documents in `_id` order, each string
 /// `self-key` mapped to its ids.
 #[derive(Debug, Default, Clone)]
 pub struct Collection {
-    docs: BTreeMap<ObjectId, Document>,
+    docs: BTreeMap<ObjectId, Stored>,
     keys: KeyMap,
-    /// Total payload bytes (approximate, for stats).
+    /// Total encoded document bytes.
     bytes: usize,
 }
 
@@ -42,157 +108,168 @@ impl Collection {
         self.docs.is_empty()
     }
 
-    /// Approximate resident bytes.
+    /// Encoded bytes of the stored documents.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Inserts a document. A missing `_id` gets a fresh [`ObjectId`];
-    /// duplicate `_id`s are rejected.
-    pub fn insert(&mut self, mut doc: Document) -> Result<ObjectId> {
-        let id = match doc.get_object_id("_id") {
-            Some(id) => id,
-            None => {
-                let id = ObjectId::new();
-                // _id leads the document, like MongoDB.
-                let mut fresh = Document::with_capacity(doc.len() + 1);
-                fresh.insert("_id", Value::ObjectId(id));
-                for (k, v) in std::mem::take(&mut doc).into_iter() {
-                    fresh.insert(k, v);
-                }
-                doc = fresh;
-                id
-            }
-        };
-        if self.docs.contains_key(&id) {
-            return Err(EngineError::DuplicateId(id.to_hex()));
-        }
-        link(&mut self.keys, id, doc.get_str(F_SELF_KEY));
-        self.bytes += doc.encoded_size();
-        self.docs.insert(id, doc);
-        Ok(id)
+    /// True when a document has this `_id`.
+    pub fn contains(&self, id: ObjectId) -> bool {
+        self.docs.contains_key(&id)
     }
 
     /// Fetches by primary key.
-    pub fn get(&self, id: ObjectId) -> Option<&Document> {
-        self.docs.get(&id)
+    pub fn get(&self, id: ObjectId) -> Option<RawDocument<'_>> {
+        self.docs.get(&id).map(Stored::raw)
     }
 
     /// The document whose `self-key` is `key`, the lowest `_id` if several
     /// share it.
-    pub fn get_by_self_key(&self, key: &str) -> Option<&Document> {
-        self.docs.get(self.keys.get(key)?.first()?)
+    pub fn get_by_self_key(&self, key: &str) -> Option<RawDocument<'_>> {
+        self.docs.get(self.keys.get(key)?.lowest()?).map(Stored::raw)
     }
 
-    /// Replaces the document with `id` wholesale, or inserts it (after-image
-    /// apply: record writes, WAL recovery). The replaced document comes
-    /// back out of the map to compare keys; nothing is copied, and the key
-    /// map is left alone when the key did not change (every record write).
-    pub fn put_after_image(&mut self, id: ObjectId, doc: Document) {
+    /// Iterates all documents in `_id` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&ObjectId, RawDocument<'_>)> {
+        self.docs.iter().map(|(id, s)| (id, s.raw()))
+    }
+
+    /// Iterates the stored documents in `_id` order (compaction).
+    pub(crate) fn stored(&self) -> impl Iterator<Item = (&ObjectId, &Stored)> {
+        self.docs.iter()
+    }
+
+    /// Points each document, in `_id` order, at its copy in a rewritten
+    /// log (compaction): the same bytes in a new frame, so the key map and
+    /// byte count stand.
+    pub(crate) fn repoint(&mut self, fresh: &mut impl Iterator<Item = Stored>) {
+        for stored in self.docs.values_mut() {
+            if let Some(doc) = fresh.next() {
+                *stored = doc;
+            }
+        }
+    }
+
+    /// The frame holding the document with `id`.
+    #[cfg(test)]
+    pub(crate) fn frame_of(&self, id: ObjectId) -> Option<&Frame> {
+        self.docs.get(&id).map(|s| &s.frame)
+    }
+
+    /// Stores `doc` as the document with `id`, replacing any document with
+    /// that id (record writes, inserts, WAL recovery), and returns the
+    /// replaced one. The key map is left alone when the key did not change
+    /// (every record write).
+    pub(crate) fn put(&mut self, id: ObjectId, doc: Stored) -> Option<Stored> {
         let (old, new) = match self.docs.entry(id) {
             Entry::Occupied(mut e) => (Some(e.insert(doc)), &*e.into_mut()),
             Entry::Vacant(e) => (None, &*e.insert(doc)),
         };
-        let key = new.get_str(F_SELF_KEY);
-        let old_key = old.as_ref().map(|d| d.get_str(F_SELF_KEY));
+        let key = new.raw().get_str(F_SELF_KEY);
+        let old_key = old.as_ref().map(|d| d.raw().get_str(F_SELF_KEY));
         if old_key != Some(key) {
             unlink(&mut self.keys, id, old_key.flatten());
             link(&mut self.keys, id, key);
         }
-        let freed = old.map_or(0, |d| d.encoded_size());
-        self.bytes = self.bytes + new.encoded_size() - freed.min(self.bytes);
+        let freed = old.as_ref().map_or(0, |d| d.doc.len());
+        self.bytes = self.bytes + new.doc.len() - freed.min(self.bytes);
+        old
     }
 
     /// Physically removes the document (compaction / reaper path; user
     /// deletes are logical via `isDel`).
-    pub fn remove(&mut self, id: ObjectId) -> Result<Document> {
+    pub(crate) fn remove(&mut self, id: ObjectId) -> Result<Stored> {
         let doc = self.docs.remove(&id).ok_or(EngineError::NotFound)?;
-        unlink(&mut self.keys, id, doc.get_str(F_SELF_KEY));
-        self.bytes = self.bytes.saturating_sub(doc.encoded_size());
+        unlink(&mut self.keys, id, doc.raw().get_str(F_SELF_KEY));
+        self.bytes = self.bytes.saturating_sub(doc.doc.len());
         Ok(doc)
-    }
-
-    /// Iterates all documents in `_id` order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ObjectId, &Document)> {
-        self.docs.iter()
     }
 }
 
 /// Maps `key` (if the document has one) to `id`.
 fn link(keys: &mut KeyMap, id: ObjectId, key: Option<&str>) {
-    if let Some(key) = key {
-        keys.entry(key.to_string()).or_default().insert(id);
+    let Some(key) = key else { return };
+    match keys.get_mut(key) {
+        Some(ids) => ids.add(id),
+        None => {
+            keys.insert(key.into(), Ids::One(id));
+        }
     }
 }
 
 /// Drops `id` from `key`'s ids, and the key once no id holds it.
 fn unlink(keys: &mut KeyMap, id: ObjectId, key: Option<&str>) {
     let Some(key) = key else { return };
-    if let Some(ids) = keys.get_mut(key) {
-        ids.remove(&id);
-        if ids.is_empty() {
-            keys.remove(key);
-        }
+    if keys.get_mut(key).is_some_and(|ids| ids.remove(id)) {
+        keys.remove(key);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mystore_bson::doc;
+    use mystore_bson::{doc, Document, Value};
+    use std::sync::Arc;
 
-    fn coll_with(n: i32) -> Collection {
-        let mut c = Collection::new();
-        for i in 0..n {
-            c.insert(doc! { "self-key": format!("key{i}"), "n": i }).unwrap();
-        }
-        c
+    /// `doc` stored as a frame of its own bytes.
+    fn stored(doc: &Document) -> Stored {
+        let bytes = doc.to_bytes();
+        let len = bytes.len();
+        Stored::new(Arc::new(bytes), 0..len)
+    }
+
+    fn put(c: &mut Collection, n: u32, key: &str, extra: i32) -> ObjectId {
+        let id = ObjectId::from_parts(0, 0, n);
+        c.put(id, stored(&doc! { "_id": Value::ObjectId(id), "self-key": key, "v": extra }));
+        id
     }
 
     /// Ids the collection's key map holds for `key`.
     fn ids(c: &Collection, key: &str) -> Vec<ObjectId> {
-        c.keys.get(key).into_iter().flatten().copied().collect()
-    }
-
-    #[test]
-    fn insert_assigns_id_and_rejects_duplicates() {
-        let mut c = Collection::new();
-        let id = c.insert(doc! { "a": 1 }).unwrap();
-        let stored = c.get(id).unwrap();
-        assert_eq!(stored.get_object_id("_id"), Some(id));
-        assert_eq!(stored.keys().next().map(|s| s.as_str()), Some("_id"));
-        let dup = doc! { "_id": Value::ObjectId(id), "b": 2 };
-        assert!(matches!(c.insert(dup), Err(EngineError::DuplicateId(_))));
+        match c.keys.get(key) {
+            None => Vec::new(),
+            Some(Ids::One(id)) => vec![*id],
+            Some(Ids::Ties(set)) => set.iter().copied().collect(),
+        }
     }
 
     #[test]
     fn self_key_lookup_probes_the_key_map() {
-        let c = coll_with(50);
-        assert_eq!(c.get_by_self_key("key7").unwrap().get_i64("n"), Some(7));
-        assert_eq!(c.get_by_self_key("key42").unwrap().get_i64("n"), Some(42));
+        let mut c = Collection::new();
+        for i in 0..50 {
+            put(&mut c, i, &format!("key{i}"), i as i32);
+        }
+        assert_eq!(c.get_by_self_key("key7").unwrap().get_i64("v"), Some(7));
+        assert_eq!(c.get_by_self_key("key42").unwrap().get_i64("v"), Some(42));
         assert!(c.get_by_self_key("key50").is_none());
         assert_eq!(c.keys.len(), 50);
+        assert!(c.keys.values().all(|ids| matches!(ids, Ids::One(_))), "one id is kept inline");
     }
 
     #[test]
     fn self_key_lookup_takes_the_lowest_id_of_duplicates() {
         let mut c = Collection::new();
         for n in [3u32, 1, 2] {
-            let id = ObjectId::from_parts(0, 0, n);
-            c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "self-key": "k" });
+            put(&mut c, n, "k", 0);
         }
+        assert!(matches!(c.keys.get("k"), Some(Ids::Ties(_))), "ties fall back to a set");
         let hit = c.get_by_self_key("k").unwrap().get_object_id("_id");
         assert_eq!(hit, Some(ObjectId::from_parts(0, 0, 1)));
         c.remove(ObjectId::from_parts(0, 0, 1)).unwrap();
         let hit = c.get_by_self_key("k").unwrap().get_object_id("_id");
         assert_eq!(hit, Some(ObjectId::from_parts(0, 0, 2)), "the next id takes over");
+        c.remove(ObjectId::from_parts(0, 0, 2)).unwrap();
+        assert!(matches!(c.keys.get("k"), Some(Ids::One(_))), "a lone survivor goes inline");
+        assert_eq!(ids(&c, "k"), vec![ObjectId::from_parts(0, 0, 3)]);
+        c.remove(ObjectId::from_parts(0, 0, 3)).unwrap();
+        assert!(c.keys.is_empty());
     }
 
     #[test]
     fn documents_without_a_string_self_key_are_not_mapped() {
         let mut c = Collection::new();
-        c.insert(doc! { "other": 1 }).unwrap();
-        c.insert(doc! { "self-key": 5 }).unwrap();
+        c.put(ObjectId::from_parts(0, 0, 1), stored(&doc! { "other": 1 }));
+        c.put(ObjectId::from_parts(0, 0, 2), stored(&doc! { "self-key": 5 }));
         assert!(c.keys.is_empty());
         assert!(c.get_by_self_key("5").is_none());
     }
@@ -200,7 +277,7 @@ mod tests {
     #[test]
     fn remove_updates_the_key_map_and_bytes() {
         let mut c = Collection::new();
-        let id = c.insert(doc! { "self-key": "x" }).unwrap();
+        let id = put(&mut c, 1, "x", 0);
         let before = c.bytes();
         assert!(before > 0);
         c.remove(id).unwrap();
@@ -214,21 +291,21 @@ mod tests {
     #[test]
     fn an_after_image_with_a_new_self_key_moves_its_id() {
         let mut c = Collection::new();
-        let id = ObjectId::from_parts(1, 1, 1);
-        c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "self-key": "a" });
+        let id = put(&mut c, 1, "a", 0);
         assert_eq!(c.len(), 1);
         let one = c.bytes();
-        c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "self-key": "b" });
+        put(&mut c, 1, "b", 0);
         assert_eq!((c.len(), c.bytes()), (1, one));
         assert!(c.get_by_self_key("a").is_none(), "the old key must not find the document");
         assert_eq!(ids(&c, "b"), vec![id]);
         assert_eq!(c.keys.len(), 1);
         // Same key again: the entry survives its own replacement.
-        c.put_after_image(id, doc! { "_id": Value::ObjectId(id), "self-key": "b", "v": 2 });
+        let old = c.put(id, stored(&doc! { "_id": Value::ObjectId(id), "self-key": "b", "v": 2 }));
+        assert_eq!(old.unwrap().raw().get_i64("v"), Some(0), "the replaced document comes back");
         assert_eq!(ids(&c, "b"), vec![id]);
         assert_eq!(c.get_by_self_key("b").unwrap().get_i64("v"), Some(2));
         // Losing the key unmaps the document.
-        c.put_after_image(id, doc! { "_id": Value::ObjectId(id) });
+        c.put(id, stored(&doc! { "_id": Value::ObjectId(id) }));
         assert!(c.keys.is_empty());
     }
 }

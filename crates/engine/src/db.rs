@@ -2,15 +2,24 @@
 //! and compaction.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::path::Path;
 
-use mystore_bson::{Document, ObjectId, OidGen};
+use mystore_bson::{Document, ObjectId, OidGen, RawDocument};
 
-use crate::collection::Collection;
+use crate::collection::{Collection, Stored};
 use crate::error::{EngineError, Result};
-use crate::oplog::WalOp;
-use crate::record::{Record, F_IS_DEL, F_SELF_KEY};
-use crate::wal::Wal;
+use crate::oplog::{parse_frame, put_frame, remove_frame, restore_frame, FrameOp};
+use crate::record::{Record, F_IS_DEL, F_SELF_KEY, F_VERSION};
+use crate::wal::{Frame, Wal};
+
+/// A mutation to apply to one document.
+enum Change {
+    /// Store this document; `insert` refuses an id already present.
+    Put { doc: Stored, insert: bool },
+    /// Remove the document.
+    Remove,
+}
 
 /// Aggregate statistics for a database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,8 +37,10 @@ pub struct DbStats {
 /// A single-node document database.
 ///
 /// All mutations are WAL-logged before being applied, so a crashed instance
-/// reopened from the same log recovers its exact state. Reads never touch
-/// the log.
+/// reopened from the same log recovers its exact state. Each stored document
+/// is the range of the WAL frame that logged it: a write encodes its op
+/// once, straight into the frame, and the collection keeps that frame (which
+/// the memory backend's log holds as well). Reads never touch the log.
 pub struct Db {
     collections: BTreeMap<String, Collection>,
     wal: Wal,
@@ -96,7 +107,7 @@ impl Db {
     /// replay path as real ones.
     pub fn recover_from_wal(mut self) -> Result<Db> {
         self.wal.discard_unsynced();
-        let frames = self.wal.read_frames()?;
+        let frames = self.wal.frames()?;
         // The in-memory id counter is part of what the crash lost: start a
         // new OidGen epoch so recovered nodes cannot re-issue pre-crash ids.
         let mut oid_gen = self.oid_gen;
@@ -120,11 +131,20 @@ impl Db {
         Ok(db)
     }
 
-    /// Replays decoded WAL frames into memory (recovery path — no logging,
-    /// no per-frame sync overhead).
-    fn replay_frames(&mut self, frames: Vec<Vec<u8>>) -> Result<()> {
+    /// Replays checked WAL frames into memory (recovery path — no logging,
+    /// no per-frame sync overhead). Each frame's op is read in place, and
+    /// a put stores its document as a range of the frame.
+    fn replay_frames(&mut self, frames: Vec<Frame>) -> Result<()> {
         for frame in frames {
-            self.apply_in_memory(WalOp::decode_bytes(&frame)?)?;
+            let (coll, id, change) = match parse_frame(&frame)? {
+                FrameOp::Put { coll, id, doc, insert } => {
+                    (coll, id, Change::Put { doc: Stored::new(Frame::clone(&frame), doc), insert })
+                }
+                FrameOp::Remove { coll, id } => (coll, id, Change::Remove),
+                // Every collection keeps its `self-key` map already.
+                FrameOp::Nothing => continue,
+            };
+            self.apply(coll, id, change)?;
         }
         Ok(())
     }
@@ -211,70 +231,68 @@ impl Db {
 
     // ---- internals ----------------------------------------------------
 
-    /// A full logical dump: every collection's documents as insert ops
-    /// (what compaction rewrites the log to).
-    fn full_dump(&self) -> Vec<WalOp> {
-        let mut ops = Vec::new();
-        for (name, coll) in &self.collections {
-            for (_, doc) in coll.iter() {
-                ops.push(WalOp::Insert { coll: name.clone(), doc: doc.clone() });
-            }
-        }
-        ops
-    }
-
-    /// Logs `op` (one WAL frame, synced unless staged), then applies it by
-    /// move: once its frame is written nothing else needs the op.
-    fn log_and_apply(&mut self, op: WalOp) -> Result<()> {
-        self.wal.append_nosync(&op.encode_bytes())?;
+    /// Stages a frame `put_frame` or `remove_frame` wrote (synced unless
+    /// staged) and returns it sealed.
+    fn log(&mut self, buf: Vec<u8>) -> Result<Frame> {
+        let frame = self.wal.append_frame(buf)?;
         if !self.staged {
             self.wal.sync()?;
         }
-        self.apply_in_memory(op)?;
         self.logged += 1;
-        Ok(())
+        Ok(frame)
     }
 
-    /// Applies an op to memory without logging (recovery path).
+    /// Logs a put of the document with `id` into `coll`, whose frame
+    /// `put_frame` wrote with the document at `doc`, and applies it.
+    fn log_put(
+        &mut self,
+        coll: &str,
+        id: ObjectId,
+        insert: bool,
+        put: (Vec<u8>, Range<usize>),
+    ) -> Result<()> {
+        let (buf, doc) = put;
+        let frame = self.log(buf)?;
+        self.apply(coll, id, Change::Put { doc: Stored::new(frame, doc), insert })
+    }
+
+    /// Applies a logged or replayed change to memory.
     ///
     /// This is the single funnel every mutation passes through (logged
     /// writes and WAL replay), which is what makes it the one correct
     /// place to capture dirty self-keys for [`Db::take_dirty_keys`].
-    fn apply_in_memory(&mut self, op: WalOp) -> Result<()> {
-        let tracked = self.dirty_coll.as_deref() == Some(op.collection());
-        let mut touched: Option<String> = None;
-        let mut touched_prev: Option<String> = None;
-        match op {
-            WalOp::Insert { coll, doc } => {
-                if tracked {
-                    touched = doc.get_str(F_SELF_KEY).map(str::to_string);
+    fn apply(&mut self, coll: &str, id: ObjectId, change: Change) -> Result<()> {
+        let tracked = self.dirty_coll.as_deref() == Some(coll);
+        let key_of = |d: &Stored| d.raw().get_str(F_SELF_KEY).map(str::to_string);
+        let mut touched = Vec::new();
+        match change {
+            Change::Put { doc, insert } => {
+                let c = match self.collections.get_mut(coll) {
+                    Some(c) => c,
+                    None => self.collections.entry(coll.to_string()).or_default(),
+                };
+                if insert && c.contains(id) {
+                    return Err(EngineError::DuplicateId(id.to_hex()));
                 }
-                self.collections.entry(coll).or_default().insert(doc)?;
-            }
-            WalOp::Update { coll, id, doc } => {
-                let coll = self.collections.entry(coll).or_default();
                 if tracked {
-                    // The after-image may carry a different self-key than
-                    // the document it replaces; both ranges went stale.
-                    touched = doc.get_str(F_SELF_KEY).map(str::to_string);
-                    touched_prev =
-                        coll.get(id).and_then(|d| d.get_str(F_SELF_KEY)).map(str::to_string);
+                    touched.extend(key_of(&doc));
                 }
-                coll.put_after_image(id, doc);
-            }
-            WalOp::Remove { coll, id } => {
-                let coll = self.collections.entry(coll).or_default();
+                // The after-image may carry a different self-key than the
+                // document it replaces; both ranges went stale.
+                let old = c.put(id, doc);
                 if tracked {
-                    // The key must be read before the document is gone.
-                    touched = coll.get(id).and_then(|d| d.get_str(F_SELF_KEY)).map(str::to_string);
+                    touched.extend(old.as_ref().and_then(key_of));
                 }
-                coll.remove(id)?;
             }
-            // Every collection keeps its `self-key` map already.
-            WalOp::CreateIndex { .. } => {}
+            Change::Remove => {
+                let c = self.collections.get_mut(coll).ok_or(EngineError::NotFound)?;
+                let old = c.remove(id)?;
+                if tracked {
+                    touched.extend(key_of(&old));
+                }
+            }
         }
         self.dirty_keys.extend(touched);
-        self.dirty_keys.extend(touched_prev);
         Ok(())
     }
 
@@ -327,7 +345,7 @@ impl Db {
         match &mut self.oid_gen {
             Some(g) => loop {
                 let id = g.next(self.oid_secs);
-                let exists = self.collections.get(coll).is_some_and(|c| c.get(id).is_some());
+                let exists = self.collections.get(coll).is_some_and(|c| c.contains(id));
                 if !exists {
                     return id;
                 }
@@ -336,45 +354,48 @@ impl Db {
         }
     }
 
-    /// Inserts `doc` into `coll` (created on first use). Returns the `_id`.
-    pub fn insert_doc(&mut self, coll: &str, mut doc: Document) -> Result<ObjectId> {
-        use mystore_bson::Value;
-        let id = match doc.get_object_id("_id") {
-            Some(id) => id,
-            None => {
-                let id = self.fresh_oid(coll);
-                let mut fresh = Document::with_capacity(doc.len() + 1);
-                fresh.insert("_id", Value::ObjectId(id));
-                for (k, v) in std::mem::take(&mut doc).into_iter() {
-                    fresh.insert(k, v);
-                }
-                doc = fresh;
-                id
-            }
+    /// Inserts `doc` into `coll` (created on first use). Returns the `_id`;
+    /// a document without one gets a fresh id as its first field.
+    pub fn insert_doc(&mut self, coll: &str, doc: Document) -> Result<ObjectId> {
+        let (id, fresh) = match doc.get_object_id("_id") {
+            Some(id) => (id, false),
+            None => (self.fresh_oid(coll), true),
         };
-        if let Some(c) = self.collections.get(coll) {
-            if c.get(id).is_some() {
-                return Err(EngineError::DuplicateId(id.to_hex()));
-            }
+        if self.collections.get(coll).is_some_and(|c| c.contains(id)) {
+            return Err(EngineError::DuplicateId(id.to_hex()));
         }
-        self.log_and_apply(WalOp::Insert { coll: coll.to_string(), doc })?;
+        let len = doc.encoded_size() + if fresh { ID_ELEMENT } else { 0 };
+        let put = put_frame(coll, None, len, |d| {
+            if fresh {
+                // _id leads the document, like MongoDB.
+                d.object_id("_id", id);
+            }
+            for (k, v) in doc.iter() {
+                d.value(k, v);
+            }
+        });
+        self.log_put(coll, id, true, put)?;
         Ok(id)
     }
 
     /// Replaces a document wholesale (upsert semantics: inserts if absent).
     pub fn put_after_image(&mut self, coll: &str, id: ObjectId, doc: Document) -> Result<()> {
-        self.log_and_apply(WalOp::Update { coll: coll.to_string(), id, doc })?;
-        Ok(())
+        let put = put_frame(coll, Some(id), doc.encoded_size(), |d| {
+            for (k, v) in doc.iter() {
+                d.value(k, v);
+            }
+        });
+        self.log_put(coll, id, false, put)
     }
 
     /// Physically removes a document (compaction/reaper path).
     pub fn remove(&mut self, coll: &str, id: ObjectId) -> Result<()> {
         // Validate first so a failed remove doesn't pollute the log.
-        if self.collection(coll)?.get(id).is_none() {
+        if !self.collection(coll)?.contains(id) {
             return Err(EngineError::NotFound);
         }
-        self.log_and_apply(WalOp::Remove { coll: coll.to_string(), id })?;
-        Ok(())
+        self.log(remove_frame(coll, id))?;
+        self.apply(coll, id, Change::Remove)
     }
 
     /// Accepts an index on `self-key`, which every collection keeps
@@ -391,33 +412,33 @@ impl Db {
 
     /// Stores a [`Record`] with LWW semantics: an existing record under the
     /// same `self-key` is replaced only by a strictly newer version.
-    /// Returns `true` if the write took effect.
+    /// Returns `true` if the write took effect. The record is encoded once,
+    /// straight into its WAL frame, which then holds the stored document.
     pub fn put_record(&mut self, coll: &str, record: &Record) -> Result<bool> {
-        let incumbent = self.record_doc(coll, &record.self_key).map(Record::stored_stamp);
-        match incumbent.transpose()? {
-            Some((_, version)) if !record.wins_over_version(version) => Ok(false),
-            Some((id, _)) => {
-                let mut d = record.to_document();
-                // Keep the incumbent _id stable across updates.
-                d.insert("_id", mystore_bson::Value::ObjectId(id));
-                self.put_after_image(coll, id, d)?;
-                Ok(true)
+        let incumbent = self.get_record_raw(coll, &record.self_key);
+        let (id, update) = match incumbent.map(|d| Record::stored_stamp(&d)).transpose()? {
+            Some((_, version)) if !record.wins_over_version(version) => return Ok(false),
+            // Keep the incumbent _id stable across updates.
+            Some((id, _)) => (id, Some(id)),
+            None if self.collections.get(coll).is_some_and(|c| c.contains(record.id)) => {
+                return Err(EngineError::DuplicateId(record.id.to_hex()));
             }
-            None => {
-                self.insert_doc(coll, record.to_document())?;
-                Ok(true)
-            }
-        }
+            None => (record.id, None),
+        };
+        let put = put_frame(coll, update, record.encoded_len(), |d| record.write_fields(d, id));
+        self.log_put(coll, id, update.is_none(), put)?;
+        Ok(true)
     }
 
     /// Fetches the record stored under `self_key` (tombstones included),
     /// copying its payload once out of the stored document.
     pub fn get_record(&self, coll: &str, self_key: &str) -> Result<Option<Record>> {
-        self.record_doc(coll, self_key).map(Record::from_document).transpose()
+        self.get_record_raw(coll, self_key).map(|d| Record::from_raw(&d)).transpose()
     }
 
-    /// The stored document under `self_key` in `coll`, if any.
-    fn record_doc(&self, coll: &str, self_key: &str) -> Option<&Document> {
+    /// The stored document under `self_key` in `coll`, read in place (for
+    /// [`Record::sync_state`] and the like, which need no payload copy).
+    pub fn get_record_raw(&self, coll: &str, self_key: &str) -> Option<RawDocument<'_>> {
         self.collections.get(coll)?.get_by_self_key(self_key)
     }
 
@@ -434,8 +455,7 @@ impl Db {
             .iter()
             .filter(|(_, d)| {
                 d.get_str(F_IS_DEL) == Some("1")
-                    && matches!(d.get(crate::record::F_VERSION),
-                        Some(mystore_bson::Value::Timestamp(v)) if *v < older_than_version)
+                    && d.get_timestamp(F_VERSION).is_some_and(|v| v < older_than_version)
             })
             .map(|(id, _)| *id)
             .collect();
@@ -446,35 +466,48 @@ impl Db {
         Ok(n)
     }
 
-    /// Rewrites the WAL to the minimal logical dump. With
-    /// `purge_tombstones`, records flagged `isDel = "1"` are physically
-    /// dropped (the paper's deferred reclamation of logical deletes).
+    /// Rewrites the WAL to the minimal logical dump: every stored document
+    /// re-logged as an insert, its bytes copied once into the new frame,
+    /// which the document then lives in. With `purge_tombstones`, records
+    /// flagged `isDel = "1"` are physically dropped (the paper's deferred
+    /// reclamation of logical deletes).
     pub fn compact(&mut self, purge_tombstones: bool) -> Result<usize> {
         let mut purged = 0usize;
         if purge_tombstones {
-            let targets: Vec<(String, ObjectId)> = self
-                .collections
-                .iter()
-                .flat_map(|(name, coll)| {
-                    coll.iter()
-                        .filter(|(_, d)| d.get_str(F_IS_DEL) == Some("1"))
-                        .map(|(id, _)| (name.clone(), *id))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            for (coll, id) in targets {
-                // Remove directly from memory; the rewrite below persists it.
-                if let Some(c) = self.collections.get_mut(&coll) {
-                    let _ = c.remove(id);
-                    purged += 1;
+            for coll in self.collections.values_mut() {
+                let dead: Vec<ObjectId> = coll
+                    .iter()
+                    .filter(|(_, d)| d.get_str(F_IS_DEL) == Some("1"))
+                    .map(|(id, _)| *id)
+                    .collect();
+                for id in dead {
+                    // Remove directly from memory; the rewrite below persists it.
+                    if coll.remove(id).is_ok() {
+                        purged += 1;
+                    }
                 }
             }
         }
-        let frames: Vec<Vec<u8>> = self.full_dump().iter().map(WalOp::encode_bytes).collect();
-        self.wal.rewrite(&frames)?;
+        let mut bufs = Vec::new();
+        let mut docs = Vec::new();
+        for (name, coll) in &self.collections {
+            for (id, stored) in coll.stored() {
+                let (buf, doc) = restore_frame(name, *id, stored.raw());
+                bufs.push(buf);
+                docs.push(doc);
+            }
+        }
+        let frames = self.wal.rewrite(bufs)?;
+        let mut fresh = frames.into_iter().zip(docs).map(|(f, doc)| Stored::new(f, doc));
+        for coll in self.collections.values_mut() {
+            coll.repoint(&mut fresh);
+        }
         Ok(purged)
     }
 }
+
+/// Bytes of an `_id` element: type, `"_id\0"`, the 12-byte id.
+const ID_ELEMENT: usize = 1 + 4 + 12;
 
 #[cfg(test)]
 mod tests {
@@ -503,6 +536,58 @@ mod tests {
         db.remove("data", id).unwrap();
         assert_eq!(count(&db, "data"), 0);
         assert!(db.remove("data", id).is_err());
+    }
+
+    #[test]
+    fn insert_assigns_a_leading_id_and_rejects_duplicates() {
+        let mut db = Db::memory();
+        let id = db.insert_doc("d", doc! { "a": 1 }).unwrap();
+        let stored = db.collection("d").unwrap().get(id).unwrap().to_document().unwrap();
+        assert_eq!(stored.get_object_id("_id"), Some(id));
+        assert_eq!(stored.keys().next().map(|s| s.as_str()), Some("_id"));
+        let logged = db.last_seq();
+        let dup = doc! { "_id": Value::ObjectId(id), "b": 2 };
+        assert!(matches!(db.insert_doc("d", dup), Err(EngineError::DuplicateId(_))));
+        let r = Record::new(id, "other-key", vec![1], 5);
+        assert!(matches!(db.put_record("d", &r), Err(EngineError::DuplicateId(_))));
+        assert_eq!(db.last_seq(), logged, "a refused insert logs nothing");
+    }
+
+    /// The frame the record under `key` in `coll` lives in.
+    fn frame_of<'a>(db: &'a Db, coll: &str, key: &str) -> &'a Frame {
+        let c = db.collection(coll).unwrap();
+        let id = c.get_by_self_key(key).unwrap().get_object_id("_id").unwrap();
+        c.frame_of(id).unwrap()
+    }
+
+    /// True when the memory log holds the very buffer `key`'s record lives in.
+    fn log_holds(db: &Db, coll: &str, key: &str) -> bool {
+        let frame = frame_of(db, coll, key);
+        db.wal.held_frames().iter().any(|f| std::sync::Arc::ptr_eq(f, frame))
+    }
+
+    #[test]
+    fn the_memory_log_and_the_store_share_each_records_frame() {
+        let mut db = Db::memory();
+        let a = Record::new(ObjectId::from_parts(1, 1, 1), "a", vec![1; 64], pack_version(10, 0));
+        let b = Record::new(ObjectId::from_parts(1, 1, 2), "b", vec![2; 64], pack_version(10, 0));
+        let mut a2 = a.clone();
+        (a2.val, a2.version) = (vec![3; 64], pack_version(20, 0));
+        for r in [&a, &b, &a2] {
+            assert!(db.put_record("d", r).unwrap());
+        }
+        let last = db.wal.held_frames().last().unwrap();
+        assert!(std::sync::Arc::ptr_eq(last, frame_of(&db, "d", "a")), "after a write");
+        assert!(log_holds(&db, "d", "b"));
+
+        db.compact(false).unwrap();
+        assert_eq!(db.wal.held_frames().len(), 2, "one frame per live record");
+        assert!(log_holds(&db, "d", "a") && log_holds(&db, "d", "b"), "after compaction");
+
+        let db = db.recover_from_wal().unwrap();
+        assert!(log_holds(&db, "d", "a") && log_holds(&db, "d", "b"), "after recovery");
+        assert_eq!(db.get_record("d", "a").unwrap().unwrap().val, a2.val);
+        assert_eq!(db.get_record("d", "b").unwrap().unwrap(), b);
     }
 
     #[test]

@@ -27,6 +27,8 @@ pub enum EngineError {
     NoSuchCollection(String),
     /// The document addressed by id does not exist.
     NotFound,
+    /// A WAL payload longer than a frame header's `u32` length can say.
+    FrameTooLarge(usize),
     /// An index was requested on a field other than `self-key`, the one
     /// field the engine indexes.
     UnindexedField(String),
@@ -41,6 +43,9 @@ impl fmt::Display for EngineError {
             EngineError::DuplicateId(id) => write!(f, "duplicate _id: {id}"),
             EngineError::NoSuchCollection(name) => write!(f, "no such collection: {name}"),
             EngineError::NotFound => write!(f, "document not found"),
+            EngineError::FrameTooLarge(len) => {
+                write!(f, "a {len}-byte payload does not fit one WAL frame")
+            }
             EngineError::UnindexedField(field) => {
                 write!(f, "only self-key is indexed, not {field}")
             }

@@ -10,7 +10,11 @@
 //!   compaction,
 //! * [`Collection`] — documents by `_id` plus one map from each
 //!   document's `self-key` to its ids, kept on every insert, replace and
-//!   remove; every record read goes through it,
+//!   remove; every record read goes through it. Each document is kept as
+//!   the bytes of the WAL frame that logged it ([`wal::Frame`], shared
+//!   with the memory log) and read in place through
+//!   [`mystore_bson::RawDocument`], so a write encodes its record once,
+//!   straight into the frame, and no parsed document tree is kept,
 //! * [`record::Record`] — the paper's five-field record layout with
 //!   last-write-wins versions.
 //!

@@ -13,7 +13,7 @@
 //! [`Record`] is a typed view over that document with conversion both ways,
 //! so higher layers never hand-assemble field names.
 
-use mystore_bson::{doc, Document, ObjectId, Value};
+use mystore_bson::{doc, DocWriter, Document, ObjectId, RawDocument, Value};
 
 use crate::error::{EngineError, Result};
 
@@ -98,10 +98,51 @@ impl Record {
         }
     }
 
+    /// Writes the fields of [`Record::to_document`], byte for byte, into
+    /// `w`, with `id` as the `_id` (an overwrite keeps the incumbent's).
+    pub(crate) fn write_fields(&self, w: &mut DocWriter<'_>, id: ObjectId) {
+        w.object_id(F_ID, id);
+        w.str(F_SELF_KEY, &self.self_key);
+        w.binary(F_VAL, &self.val);
+        w.str(F_IS_DATA, if self.is_data { "1" } else { "0" });
+        w.str(F_IS_DEL, if self.is_del { "1" } else { "0" });
+        w.timestamp(F_VERSION, self.version);
+    }
+
+    /// `to_document().encoded_size()`, by arithmetic: the bytes the
+    /// record's document takes, without building it.
+    pub fn encoded_len(&self) -> usize {
+        // Each field is a type byte, its name, a NUL, then the value; a
+        // string value is a length, the bytes and a NUL, and a binary one
+        // a length, a subtype and the bytes.
+        let field = |name: &str, value: usize| 2 + name.len() + value;
+        5 + field(F_ID, 12)
+            + field(F_SELF_KEY, 5 + self.self_key.len())
+            + field(F_VAL, 5 + self.val.len())
+            + field(F_IS_DATA, 6)
+            + field(F_IS_DEL, 6)
+            + field(F_VERSION, 8)
+    }
+
     /// Parses a record document; rejects documents missing mandatory fields.
     pub fn from_document(doc: &Document) -> Result<Self> {
         let id = doc.get_object_id(F_ID).ok_or_else(|| missing_field(F_ID))?;
-        let (self_key, version, is_del) =
+        let self_key = doc.get_str(F_SELF_KEY).ok_or_else(|| missing_field(F_SELF_KEY))?;
+        let version = match doc.get(F_VERSION) {
+            Some(Value::Timestamp(v)) => *v,
+            _ => 0,
+        };
+        let val = doc.get_binary(F_VAL).unwrap_or(&[]).to_vec();
+        let is_data = doc.get_str(F_IS_DATA) == Some("1");
+        let is_del = doc.get_str(F_IS_DEL) == Some("1");
+        Ok(Record { id, self_key: self_key.to_string(), val, is_data, is_del, version })
+    }
+
+    /// [`Record::from_document`] over an encoded document, read in place:
+    /// the payload is the one copy it makes.
+    pub fn from_raw(doc: &RawDocument<'_>) -> Result<Self> {
+        let (id, version) = Self::stored_stamp(doc)?;
+        let (self_key, _, is_del) =
             Self::sync_state(doc).ok_or_else(|| missing_field(F_SELF_KEY))?;
         let val = doc.get_binary(F_VAL).unwrap_or(&[]).to_vec();
         let is_data = doc.get_str(F_IS_DATA) == Some("1");
@@ -110,8 +151,8 @@ impl Record {
 
     /// The `_id` and LWW version of a record document, read in place —
     /// all an overwrite's LWW check needs of the incumbent. Rejects what
-    /// [`Record::from_document`] rejects.
-    pub(crate) fn stored_stamp(doc: &Document) -> Result<(ObjectId, u64)> {
+    /// [`Record::from_raw`] rejects.
+    pub(crate) fn stored_stamp(doc: &RawDocument<'_>) -> Result<(ObjectId, u64)> {
         let id = doc.get_object_id(F_ID).ok_or_else(|| missing_field(F_ID))?;
         let (_, version, _) = Self::sync_state(doc).ok_or_else(|| missing_field(F_SELF_KEY))?;
         Ok((id, version))
@@ -119,13 +160,10 @@ impl Record {
 
     /// The `(self-key, version, is_del)` of a record document — all that
     /// anti-entropy hashes and digests — read in place, without the copy
-    /// of `val` that [`Record::from_document`] makes. `None` when the
-    /// document has no `self-key`.
-    pub fn sync_state(doc: &Document) -> Option<(&str, u64, bool)> {
-        let version = match doc.get(F_VERSION) {
-            Some(Value::Timestamp(v)) => *v,
-            _ => 0,
-        };
+    /// of `val` that [`Record::from_raw`] makes. `None` when the document
+    /// has no `self-key`.
+    pub fn sync_state<'a>(doc: &RawDocument<'a>) -> Option<(&'a str, u64, bool)> {
+        let version = doc.get_timestamp(F_VERSION).unwrap_or(0);
         Some((doc.get_str(F_SELF_KEY)?, version, doc.get_str(F_IS_DEL) == Some("1")))
     }
 
@@ -201,6 +239,22 @@ mod tests {
         assert_eq!(doc.get_str(F_IS_DATA), Some("1"));
         assert_eq!(doc.get_str(F_IS_DEL), Some("0"));
         assert_eq!(Record::from_document(&doc).unwrap(), r);
+    }
+
+    #[test]
+    fn raw_reads_match_the_document_reads() {
+        for r in [sample(), sample().as_replica(), Record::tombstone(ObjectId::new(), "", 0)] {
+            let bytes = r.to_document().to_bytes();
+            let raw = RawDocument::new(&bytes).unwrap();
+            assert_eq!(Record::from_raw(&raw).unwrap(), r);
+            assert_eq!(Record::sync_state(&raw), Some((r.self_key.as_str(), r.version, r.is_del)));
+            assert_eq!(r.encoded_len(), bytes.len());
+            let mut written = Vec::new();
+            let mut w = DocWriter::new(&mut written);
+            r.write_fields(&mut w, r.id);
+            w.finish();
+            assert_eq!(written, bytes, "the in-place writer emits to_document's bytes");
+        }
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //!
 //! Frame format: `[len: u32 LE][crc32: u32 LE][payload: len bytes]`.
 //!
-//! Two backends: an in-memory buffer (used by simulated nodes, where disk
-//! timing is modelled separately) and a real file (used by examples and
-//! durability tests).
+//! Two backends: an in-memory list of frames (used by simulated and
+//! memory-backed nodes, where disk timing is modelled separately) and a
+//! real file (used by examples, durability tests and the durable server).
+//! A frame is an immutable shared buffer ([`Frame`]): the engine writes an
+//! op straight into one ([`frame_buf`], then [`Wal::append_frame`] seals
+//! it) and keeps its stored document in that same buffer, which is also
+//! what the memory backend holds.
 //!
 //! # Group commit
 //!
@@ -36,6 +40,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mystore_obs::{Counter, Histogram, Registry, Stopwatch};
 
@@ -81,38 +86,132 @@ impl WalMetrics {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — implemented here to keep the engine
-/// dependency-free.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Generate the table on first use.
-    fn table() -> &'static [u32; 256] {
-        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, entry) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                }
-                *entry = c;
-            }
-            t
-        })
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-16 tables: `CRC_TABLES[0]` is the byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so sixteen lookups advance the checksum sixteen bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        // lint:allow(no-panic-hot-path): const evaluation; i < 256
+        t[0][i] = c;
+        i += 1;
     }
-    let t = table();
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            // lint:allow(no-panic-hot-path): const evaluation; k < 16, i < 256, masked byte
+            let prev = t[k - 1][i];
+            // lint:allow(no-panic-hot-path): const evaluation; k < 16, i < 256, masked byte
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Entry `b` of a CRC table.
+#[inline(always)]
+fn lookup(table: &[u32; 256], b: u8) -> u32 {
+    // lint:allow(no-panic-hot-path): a u8 index cannot leave a [u32; 256] table
+    table[usize::from(b)]
+}
+
+/// CRC-32 (IEEE 802.3, reflected) — implemented here to keep the engine
+/// dependency-free. Slice-by-16: sixteen table lookups per sixteen input
+/// bytes, then byte-at-a-time over the tail.
+pub fn crc32(data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        // lint:allow(no-panic-hot-path): index is masked to 0..256 of a [u32; 256] table
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(16);
+    for chunk in &mut chunks {
+        let Ok::<[u8; 16], _>(b) = chunk.try_into() else { continue };
+        let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = b;
+        let [x0, x1, x2, x3] = (c ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        c = lookup(t15, x0)
+            ^ lookup(t14, x1)
+            ^ lookup(t13, x2)
+            ^ lookup(t12, x3)
+            ^ lookup(t11, b4)
+            ^ lookup(t10, b5)
+            ^ lookup(t9, b6)
+            ^ lookup(t8, b7)
+            ^ lookup(t7, b8)
+            ^ lookup(t6, b9)
+            ^ lookup(t5, b10)
+            ^ lookup(t4, b11)
+            ^ lookup(t3, b12)
+            ^ lookup(t2, b13)
+            ^ lookup(t1, b14)
+            ^ lookup(t0, b15);
+    }
+    for &b in chunks.remainder() {
+        c = lookup(t0, c as u8 ^ b) ^ (c >> 8);
     }
     !c
 }
 
-enum Backend {
-    Memory { buf: Vec<u8> },
-    File { file: File, path: PathBuf },
+/// A sealed log frame, `[len][crc32][payload]`, shared between the log that
+/// appended it and whoever reads its payload in place: the engine keeps
+/// each stored document as a range of the frame that logged it, and the
+/// memory backend keeps the frame itself, so the two are one allocation.
+pub type Frame = Arc<Vec<u8>>;
+
+/// Bytes of frame header ahead of the payload.
+pub const FRAME_HEADER: usize = 8;
+
+/// Starts a frame: the header placeholder, with room for `payload` more
+/// bytes. Write the payload after it, then hand the buffer to
+/// [`Wal::append_frame`] (or [`Wal::rewrite`]), which seals it.
+pub fn frame_buf(payload: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(FRAME_HEADER + payload);
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    buf
 }
 
+/// A payload length as the header's `u32`; longer payloads are refused
+/// rather than wrapped into a frame that cannot be read back.
+fn payload_len(len: usize) -> Result<u32> {
+    u32::try_from(len).map_err(|_| EngineError::FrameTooLarge(len))
+}
+
+/// Patches the length and checksum of a buffer [`frame_buf`] started.
+fn seal(mut buf: Vec<u8>) -> Result<Frame> {
+    let payload = buf.get(FRAME_HEADER..).unwrap_or_default();
+    let len = payload_len(payload.len())?;
+    let crc = crc32(payload);
+    if let Some(h) = buf.get_mut(..4) {
+        h.copy_from_slice(&len.to_le_bytes());
+    }
+    if let Some(h) = buf.get_mut(4..FRAME_HEADER) {
+        h.copy_from_slice(&crc.to_le_bytes());
+    }
+    Ok(Arc::new(buf))
+}
+
+enum Backend {
+    /// Sealed frames in log order.
+    Memory {
+        frames: Vec<Frame>,
+    },
+    File {
+        file: File,
+        path: PathBuf,
+    },
+}
 /// The sync [`Wal::begin_sync`] started and [`Wal::finish_sync`] has not
 /// applied yet.
 struct InFlight {
@@ -144,7 +243,7 @@ pub struct Wal {
 impl Wal {
     /// Opens an in-memory log (starts empty).
     pub fn memory() -> Self {
-        Self::with_backend(Backend::Memory { buf: Vec::new() }, 0)
+        Self::with_backend(Backend::Memory { frames: Vec::new() }, 0)
     }
 
     fn with_backend(backend: Backend, len: u64) -> Self {
@@ -173,7 +272,7 @@ impl Wal {
     /// error. A stale `.compact` sibling (a compaction that crashed before
     /// its rename) is removed — the original log is still the
     /// authoritative copy.
-    pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Vec<u8>>)> {
+    pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Frame>)> {
         let path = path.as_ref().to_path_buf();
         let stale = path.with_extension("compact");
         if stale.exists() {
@@ -182,12 +281,13 @@ impl Wal {
         let mut file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let frames = decode_frames(&buf)?;
-        let intact: u64 = frames.iter().map(|f| 8 + f.len() as u64).sum();
+        let ranges = scan_frames(&buf)?;
+        let intact = ranges.last().map_or(0, |r| r.end) as u64;
         if intact < buf.len() as u64 {
             file.set_len(intact)?;
             file.sync_all()?;
         }
+        let frames = copy_frames(&buf, ranges);
         Ok((Self::with_backend(Backend::File { file, path }, intact), frames))
     }
 
@@ -209,21 +309,33 @@ impl Wal {
     /// between may lose it.
     pub fn append_nosync(&mut self, payload: &[u8]) -> Result<()> {
         let sw = Stopwatch::start();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut buf = frame_buf(payload.len());
+        buf.extend_from_slice(payload);
+        self.stage(buf, sw).map(drop)
+    }
+
+    /// Stages a frame whose payload was written in place after a
+    /// [`frame_buf`] header: seals it (length and checksum) and appends it
+    /// like [`Wal::append_nosync`], without copying the payload. Returns
+    /// the sealed frame, which the memory backend keeps as it is.
+    pub fn append_frame(&mut self, buf: Vec<u8>) -> Result<Frame> {
+        self.stage(buf, Stopwatch::start())
+    }
+
+    fn stage(&mut self, buf: Vec<u8>, sw: Stopwatch) -> Result<Frame> {
+        let frame = seal(buf)?;
         match &mut self.backend {
-            Backend::Memory { buf, .. } => buf.extend_from_slice(&frame),
+            Backend::Memory { frames } => frames.push(Arc::clone(&frame)),
             Backend::File { file, .. } => file.write_all(&frame)?,
         }
-        self.appended += frame.len() as u64;
-        self.len += frame.len() as u64;
+        let n = frame.len() as u64;
+        self.appended += n;
+        self.len += n;
         self.pending_ops += 1;
         self.metrics.appends.inc();
-        self.metrics.append_bytes.add(frame.len() as u64);
+        self.metrics.append_bytes.add(n);
         sw.observe(&self.metrics.append_us);
-        Ok(())
+        Ok(frame)
     }
 
     /// Makes every staged frame durable and waits for it: the blocking
@@ -305,11 +417,15 @@ impl Wal {
     /// cache, and after a real machine crash the file simply comes back
     /// shorter.
     pub fn discard_unsynced(&mut self) {
-        if let Backend::Memory { buf } = &mut self.backend {
-            let lost = usize::try_from(self.appended - self.durable).unwrap_or(usize::MAX);
-            let keep = buf.len().saturating_sub(lost);
-            self.len -= (buf.len() - keep) as u64;
-            buf.truncate(keep);
+        if let Backend::Memory { frames } = &mut self.backend {
+            // The watermark sits on a frame boundary, so whole frames go.
+            let mut lost = self.appended - self.durable;
+            while lost > 0 {
+                let Some(frame) = frames.pop() else { break };
+                let n = frame.len() as u64;
+                lost = lost.saturating_sub(n);
+                self.len = self.len.saturating_sub(n);
+            }
         }
         self.durable = self.appended;
         self.pending_ops = 0;
@@ -331,47 +447,64 @@ impl Wal {
     /// the log is reported as corruption.
     pub fn read_frames(&self) -> Result<Vec<Vec<u8>>> {
         match &self.backend {
-            Backend::Memory { buf, .. } => decode_frames(buf),
+            Backend::Memory { frames } => {
+                Ok(intact_prefix(frames)?.iter().map(|f| payload(f).to_vec()).collect())
+            }
             Backend::File { path, .. } => Self::read_frames_from(path),
+        }
+    }
+
+    /// The intact frames of this log, checked as [`Wal::read_frames`]
+    /// checks them, for recovery: the memory backend hands out the frames
+    /// it holds, the file backend one copy of each frame it reads.
+    pub fn frames(&self) -> Result<Vec<Frame>> {
+        match &self.backend {
+            Backend::Memory { frames } => Ok(intact_prefix(frames)?.to_vec()),
+            Backend::File { path, .. } => {
+                let buf = read_file(path)?;
+                Ok(copy_frames(&buf, scan_frames(&buf)?))
+            }
+        }
+    }
+
+    /// The frames the memory backend holds (none for a file log).
+    #[cfg(test)]
+    pub(crate) fn held_frames(&self) -> &[Frame] {
+        match &self.backend {
+            Backend::Memory { frames } => frames,
+            Backend::File { .. } => &[],
         }
     }
 
     /// Reads and decodes frames from a log file on disk.
     pub fn read_frames_from(path: impl AsRef<Path>) -> Result<Vec<Vec<u8>>> {
-        let mut buf = Vec::new();
-        match File::open(path.as_ref()) {
-            Ok(mut f) => {
-                f.read_to_end(&mut buf)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        }
-        decode_frames(&buf)
+        let buf = read_file(path.as_ref())?;
+        let frames = scan_frames(&buf)?;
+        Ok(frames.into_iter().map(|r| payload(buf.get(r).unwrap_or_default()).to_vec()).collect())
     }
 
     /// Atomically replaces the log contents with the given frames
-    /// (compaction). For files this writes a sibling `.compact` file, syncs
-    /// it, renames it over the original, and syncs the parent directory —
-    /// without the directory sync a crash right after the rename could
-    /// resurrect the old log (the rename itself is metadata the directory
-    /// holds). The rewritten log is durable as a whole, so the watermark
-    /// moves to [`Wal::end_pos`] and a sync in flight is forgotten.
-    pub fn rewrite(&mut self, payloads: &[Vec<u8>]) -> Result<()> {
-        let mut fresh = Vec::new();
-        for p in payloads {
-            fresh.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            fresh.extend_from_slice(&crc32(p).to_le_bytes());
-            fresh.extend_from_slice(p);
-        }
-        let fresh_len = fresh.len() as u64;
+    /// (compaction), each a [`frame_buf`] with its payload written, and
+    /// returns them sealed. For files this writes a sibling `.compact`
+    /// file, syncs it, renames it over the original, and syncs the parent
+    /// directory — without the directory sync a crash right after the
+    /// rename could resurrect the old log (the rename itself is metadata
+    /// the directory holds). The rewritten log is durable as a whole, so
+    /// the watermark moves to [`Wal::end_pos`] and a sync in flight is
+    /// forgotten.
+    pub fn rewrite(&mut self, bufs: Vec<Vec<u8>>) -> Result<Vec<Frame>> {
+        let sealed = bufs.into_iter().map(seal).collect::<Result<Vec<Frame>>>()?;
+        let fresh_len: u64 = sealed.iter().map(|f| f.len() as u64).sum();
         match &mut self.backend {
-            Backend::Memory { buf } => *buf = fresh,
+            Backend::Memory { frames } => frames.clone_from(&sealed),
             Backend::File { file, path } => {
                 let tmp = path.with_extension("compact");
                 {
-                    let mut out = File::create(&tmp)?;
-                    out.write_all(&fresh)?;
-                    out.sync_all()?;
+                    let mut out = std::io::BufWriter::new(File::create(&tmp)?);
+                    for frame in &sealed {
+                        out.write_all(frame)?;
+                    }
+                    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
                 }
                 std::fs::rename(&tmp, &*path)?;
                 if let Some(parent) = path.parent() {
@@ -386,8 +519,26 @@ impl Wal {
         self.durable = self.appended;
         self.pending_ops = 0;
         self.in_flight = None;
-        Ok(())
+        Ok(sealed)
     }
+}
+
+/// A whole log file's bytes; a missing file reads as empty.
+fn read_file(path: &Path) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    match File::open(path) {
+        Ok(mut f) => {
+            f.read_to_end(&mut buf)?;
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
+    }
+    Ok(buf)
+}
+
+/// A sealed frame's payload.
+fn payload(frame: &[u8]) -> &[u8] {
+    frame.get(FRAME_HEADER..).unwrap_or_default()
 }
 
 /// Reads the little-endian `u32` at `at`, or `None` past the buffer end.
@@ -398,30 +549,71 @@ fn read_u32_le(buf: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(raw))
 }
 
-fn decode_frames(buf: &[u8]) -> Result<Vec<Vec<u8>>> {
+/// The frame starting at `pos` in `buf`.
+enum FrameRead {
+    /// Intact, ending at this position.
+    Intact(usize),
+    /// Cut short by the end of `buf`: a torn write.
+    Torn,
+    /// Whole but failing its checksum, ending at this position.
+    BadCrc(usize),
+}
+
+fn read_frame(buf: &[u8], pos: usize) -> FrameRead {
+    let (Some(len), Some(crc)) = (read_u32_le(buf, pos), read_u32_le(buf, pos + 4)) else {
+        return FrameRead::Torn;
+    };
+    let body_start = pos + FRAME_HEADER;
+    let Some(end) = body_start.checked_add(len as usize).filter(|&end| end <= buf.len()) else {
+        return FrameRead::Torn;
+    };
+    if crc32(buf.get(body_start..end).unwrap_or_default()) == crc {
+        FrameRead::Intact(end)
+    } else {
+        FrameRead::BadCrc(end)
+    }
+}
+
+fn crc_mismatch(pos: usize) -> EngineError {
+    EngineError::Corrupt { detail: format!("crc mismatch in frame at byte {pos}") }
+}
+
+/// Where each intact frame of a contiguous log sits. A torn tail ends the
+/// scan; a checksum failure is tolerated only in the last frame.
+fn scan_frames(buf: &[u8]) -> Result<Vec<std::ops::Range<usize>>> {
     let mut frames = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        let (Some(len), Some(crc)) = (read_u32_le(buf, pos), read_u32_le(buf, pos + 4)) else {
-            break; // torn header at tail
-        };
-        let len = len as usize;
-        let body_start = pos + 8;
-        let Some(body) = body_start.checked_add(len).and_then(|end| buf.get(body_start..end))
-        else {
-            break; // torn body at tail
-        };
-        if crc32(body) != crc {
-            // Corruption mid-log is only tolerable at the tail.
-            if body_start + len == buf.len() {
-                break;
+        match read_frame(buf, pos) {
+            FrameRead::Intact(end) => {
+                frames.push(pos..end);
+                pos = end;
             }
-            return Err(EngineError::Corrupt {
-                detail: format!("crc mismatch in frame at byte {pos}"),
-            });
+            FrameRead::Torn => break,
+            // Corruption mid-log is only tolerable at the tail.
+            FrameRead::BadCrc(end) if end == buf.len() => break,
+            FrameRead::BadCrc(_) => return Err(crc_mismatch(pos)),
         }
-        frames.push(body.to_vec());
-        pos = body_start + len;
+    }
+    Ok(frames)
+}
+
+/// One shared copy of each frame `ranges` picks out of `buf`.
+fn copy_frames(buf: &[u8], ranges: Vec<std::ops::Range<usize>>) -> Vec<Frame> {
+    ranges.into_iter().map(|r| Arc::new(buf.get(r).unwrap_or_default().to_vec())).collect()
+}
+
+/// The frames of a frame list up to a torn or corrupt last one, checked
+/// as [`scan_frames`] checks a contiguous log: a bad frame anywhere before
+/// the last is corruption.
+fn intact_prefix(frames: &[Frame]) -> Result<&[Frame]> {
+    let mut pos = 0usize;
+    for (i, frame) in frames.iter().enumerate() {
+        match read_frame(frame, 0) {
+            FrameRead::Intact(end) if end == frame.len() => pos += end,
+            _ if i + 1 == frames.len() => return Ok(frames.get(..i).unwrap_or_default()),
+            _ => return Err(crc_mismatch(pos)),
+        }
     }
     Ok(frames)
 }
@@ -436,11 +628,45 @@ mod tests {
         dir
     }
 
+    /// A frame buffer holding `payload`, ready to seal.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = frame_buf(payload.len());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
     #[test]
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        // Past one 16-byte block, so the sliced loop and the tail both run.
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn an_oversized_payload_is_refused_not_wrapped() {
+        assert_eq!(payload_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let too_long = u32::MAX as usize + 1;
+        assert!(
+            matches!(payload_len(too_long), Err(EngineError::FrameTooLarge(n)) if n == too_long)
+        );
+    }
+
+    #[test]
+    fn a_frame_written_in_place_matches_append_nosync() {
+        let mut copied = Wal::memory();
+        copied.append_nosync(b"payload").unwrap();
+        let mut in_place = Wal::memory();
+        let frame = in_place.append_frame(framed(b"payload")).unwrap();
+        assert_eq!(copied.held_frames(), in_place.held_frames());
+        assert!(
+            Arc::ptr_eq(&frame, &in_place.held_frames()[0]),
+            "the log keeps the frame it sealed"
+        );
+        assert_eq!(in_place.frames().unwrap().len(), 1);
+        assert_eq!(in_place.appended_bytes(), 8 + 7);
     }
 
     #[test]
@@ -482,12 +708,34 @@ mod tests {
         wal.append(b"keep-me").unwrap();
         wal.append(b"torn").unwrap();
         // Corrupt the backend by truncating mid-frame.
-        if let Backend::Memory { buf, .. } = &mut wal.backend {
-            let cut = buf.len() - 2;
-            buf.truncate(cut);
+        if let Backend::Memory { frames } = &mut wal.backend {
+            let last = frames.last_mut().unwrap();
+            let cut = last.len() - 2;
+            Arc::make_mut(last).truncate(cut);
         }
         let frames = wal.read_frames().unwrap();
         assert_eq!(frames, vec![b"keep-me".to_vec()]);
+        assert_eq!(wal.frames().unwrap().len(), 1, "recovery drops the torn frame too");
+    }
+
+    #[test]
+    fn a_torn_header_or_corrupt_last_frame_is_a_torn_tail() {
+        for cut_to in [0usize, 3, 8] {
+            let mut wal = Wal::memory();
+            wal.append(b"keep-me").unwrap();
+            wal.append(b"torn").unwrap();
+            if let Backend::Memory { frames } = &mut wal.backend {
+                Arc::make_mut(frames.last_mut().unwrap()).truncate(cut_to);
+            }
+            assert_eq!(wal.read_frames().unwrap(), vec![b"keep-me".to_vec()], "cut to {cut_to}");
+        }
+        let mut wal = Wal::memory();
+        wal.append(b"keep-me").unwrap();
+        wal.append(b"flipped").unwrap();
+        if let Backend::Memory { frames } = &mut wal.backend {
+            Arc::make_mut(frames.last_mut().unwrap())[9] ^= 0xFF;
+        }
+        assert_eq!(wal.read_frames().unwrap(), vec![b"keep-me".to_vec()]);
     }
 
     #[test]
@@ -507,7 +755,8 @@ mod tests {
             f.write_all(&torn).unwrap();
             drop(f);
             let (mut wal, frames) = Wal::open(&path).unwrap();
-            assert_eq!(frames, vec![b"before".to_vec()], "{tag}");
+            let payloads: Vec<&[u8]> = frames.iter().map(|f| payload(f)).collect();
+            assert_eq!(payloads, vec![&b"before"[..]], "{tag}");
             assert_eq!(std::fs::metadata(&path).unwrap().len(), intact, "{tag}: cut on open");
             assert_eq!(wal.len_bytes(), intact, "{tag}");
             wal.append(b"after").unwrap();
@@ -542,8 +791,17 @@ mod tests {
         let mut wal = Wal::memory();
         wal.append(b"first").unwrap();
         wal.append(b"second").unwrap();
-        if let Backend::Memory { buf, .. } = &mut wal.backend {
-            buf[9] ^= 0xFF; // flip a byte inside the first frame body
+        if let Backend::Memory { frames } = &mut wal.backend {
+            Arc::make_mut(&mut frames[0])[9] ^= 0xFF; // flip a byte inside the first frame body
+        }
+        assert!(matches!(wal.read_frames(), Err(EngineError::Corrupt { .. })));
+        assert!(matches!(wal.frames(), Err(EngineError::Corrupt { .. })));
+        // A frame torn short before the last one is corruption as well.
+        let mut wal = Wal::memory();
+        wal.append(b"first").unwrap();
+        wal.append(b"second").unwrap();
+        if let Backend::Memory { frames } = &mut wal.backend {
+            Arc::make_mut(&mut frames[0]).truncate(10);
         }
         assert!(matches!(wal.read_frames(), Err(EngineError::Corrupt { .. })));
     }
@@ -552,7 +810,8 @@ mod tests {
     fn rewrite_replaces_contents() {
         let mut wal = Wal::memory();
         wal.append(b"old").unwrap();
-        wal.rewrite(&[b"new1".to_vec(), b"new2".to_vec()]).unwrap();
+        let sealed = wal.rewrite(vec![framed(b"new1"), framed(b"new2")]).unwrap();
+        assert!(sealed.iter().zip(wal.held_frames()).all(|(a, b)| Arc::ptr_eq(a, b)));
         assert_eq!(wal.read_frames().unwrap(), vec![b"new1".to_vec(), b"new2".to_vec()]);
         assert_eq!(wal.len_bytes(), (8 + 4) * 2);
         wal.append(b"tail").unwrap();
@@ -659,7 +918,7 @@ mod tests {
         wal.append_nosync(b"old").unwrap();
         let (upto, _) = wal.begin_sync().unwrap();
         wal.append_nosync(b"staged").unwrap();
-        wal.rewrite(&[b"compacted".to_vec()]).unwrap();
+        wal.rewrite(vec![framed(b"compacted")]).unwrap();
         assert_eq!(wal.durable_pos(), wal.end_pos(), "the rewritten log is durable as a whole");
         assert!(wal.durable_pos() > upto);
         wal.append_nosync(b"after").unwrap();
@@ -679,7 +938,7 @@ mod tests {
         let mut wal = Wal::file(&path).unwrap();
         wal.append(b"one").unwrap();
         wal.append(b"two").unwrap();
-        wal.rewrite(&[b"merged".to_vec()]).unwrap();
+        wal.rewrite(vec![framed(b"merged")]).unwrap();
         assert!(!path.with_extension("compact").exists(), "temp file must be renamed away");
         assert_eq!(Wal::read_frames_from(&path).unwrap(), vec![b"merged".to_vec()]);
         assert_eq!(wal.len_bytes(), 8 + 6);

@@ -113,7 +113,7 @@ fn keyed_reads_match_a_scan(
     model: &BTreeMap<String, Record>,
 ) -> Result<(), TestCaseError> {
     let stored: Vec<Record> = match db.collection(DATA) {
-        Ok(c) => c.iter().map(|(_, d)| Record::from_document(d).unwrap()).collect(),
+        Ok(c) => c.iter().map(|(_, d)| Record::from_raw(&d).unwrap()).collect(),
         Err(_) => Vec::new(),
     };
     for key in (0..5).map(|k| format!("k{k}")) {
@@ -127,6 +127,22 @@ fn keyed_reads_match_a_scan(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Record::encoded_len`, which sizes records for the simulator's
+    /// bandwidth model, is exactly the record document's encoded size.
+    #[test]
+    fn encoded_len_is_the_documents_encoded_size(
+        key in "[a-zA-Z0-9 _\\-]{0,40}",
+        val in proptest::collection::vec(any::<u8>(), 0..300),
+        version in any::<u64>(),
+        flags in (any::<bool>(), any::<bool>()),
+    ) {
+        let mut r = Record::new(ObjectId::from_parts(1, 2, 3), key, val, version);
+        (r.is_data, r.is_del) = flags;
+        let doc = r.to_document();
+        prop_assert_eq!(r.encoded_len(), doc.encoded_size());
+        prop_assert_eq!(r.encoded_len(), doc.to_bytes().len());
+    }
 
     /// Random put / tombstone / reap / remove histories leave every keyed
     /// read equal to a full scan's LWW winner, before and after crash
@@ -213,7 +229,7 @@ fn snapshot(db: &Db) -> Vec<(String, Vec<u8>)> {
     for name in db.collection_names() {
         let coll = db.collection(name).unwrap();
         for (id, doc) in coll.iter() {
-            out.push((format!("{name}/{}", id.to_hex()), doc.to_bytes()));
+            out.push((format!("{name}/{}", id.to_hex()), doc.as_bytes().to_vec()));
         }
     }
     out.sort();

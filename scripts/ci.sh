@@ -37,6 +37,17 @@ echo "==> quorum engine (driver goldens, CAS, schedule lock)"
 # serve CAS through the same engine (rest_frontend/chaos cas tests).
 cargo test --locked -p mystore-core quorum -q
 
+echo "==> durable format (WAL golden, CRC kernel, in-place reader)"
+# The engine stores each record as the bytes its WAL frame logged. The
+# golden freezes those bytes (one hex frame per sample op, written by the
+# engine before it logged in place; never regenerate it to pass), the CRC
+# property test holds the slice-by-16 kernel to a bitwise reference at
+# every alignment, and the raw-reader property test feeds RawDocument
+# random, truncated and flipped bytes.
+cargo test --locked -p mystore-engine --test wal_golden -q
+cargo test --locked -p mystore-engine --test prop_crc -q
+cargo test --locked -p mystore-bson --test prop_raw -q
+
 echo "==> chaos suite (fixed seed)"
 cargo test --locked -p mystore-core --test chaos -q
 cargo run --locked --release -p mystore-bench --bin chaos -- 42
