@@ -128,6 +128,10 @@ impl ClusterSpec {
     pub fn frontend_config(&self) -> FrontendConfig {
         FrontendConfig {
             storage_nodes: self.storage_ids(),
+            vnodes: self.storage.vnodes,
+            replicas: self.storage.nwr.n,
+            // The front end is a node of its own and hosts no replica.
+            local_nodes: Vec::new(),
             cache_nodes: self.cache_ids(),
             max_inflight: self.frontend_max_inflight,
             cost: self.storage.cost.clone(),

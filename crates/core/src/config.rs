@@ -219,9 +219,22 @@ impl StorageConfig {
 /// Front-end configuration.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
-    /// Storage nodes usable as coordinators (learned statically at deploy
-    /// time, like the nginx upstream list).
+    /// Storage nodes, learned statically at deploy time like the nginx
+    /// upstream list. Any of them can coordinate any key; the front end
+    /// places them on its own [`mystore_ring::HashRing`] (labels
+    /// `node{id}`, [`FrontendConfig::vnodes`] points each, as the storage
+    /// nodes build theirs) and sends each request to a member of the key's
+    /// preference list. Empty answers every storage request with `500`.
     pub storage_nodes: Vec<NodeId>,
+    /// Virtual nodes per storage node on that placement ring.
+    pub vnodes: u32,
+    /// Preference-list length: the replication factor `N`.
+    pub replicas: usize,
+    /// The storage nodes hosted on this front end's host. A preference-list
+    /// member among them coordinates first, so the request skips a hop.
+    /// Empty when the front end is a node of its own (the simulator's
+    /// paper topology): the key's first preference-list member coordinates.
+    pub local_nodes: Vec<NodeId>,
     /// Cache-server nodes, indexed by key hash; empty disables caching.
     pub cache_nodes: Vec<NodeId>,
     /// Maximum requests in flight before the front end sheds load with
@@ -230,7 +243,8 @@ pub struct FrontendConfig {
     /// Cost model for `ctx.consume` charging.
     pub cost: CostModel,
     /// Per-request deadline at the front end (µs). A request that hits it
-    /// is re-dispatched once to the next coordinator before failing.
+    /// is re-dispatched once to the next preference-list member, with a
+    /// fresh deadline, before failing with `504`.
     pub request_deadline_us: u64,
     /// Enable URI-signature authentication (paper Fig. 2).
     pub auth: Option<crate::auth::AuthConfig>,
@@ -243,6 +257,9 @@ impl Default for FrontendConfig {
     fn default() -> Self {
         FrontendConfig {
             storage_nodes: Vec::new(),
+            vnodes: StorageConfig::default().vnodes,
+            replicas: Nwr::PAPER.n,
+            local_nodes: Vec::new(),
             cache_nodes: Vec::new(),
             max_inflight: 512,
             cost: CostModel::default(),

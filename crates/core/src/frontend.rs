@@ -3,8 +3,10 @@
 //! Plays the role of nginx + spawn-fcgi + the Python logical processes: it
 //! terminates REST requests (GET/POST/DELETE), authenticates URI signatures
 //! when configured, consults the cache tier (hash-routed cache servers),
-//! and forwards misses/writes to the storage module, distributing across
-//! coordinators round-robin. The number of concurrent requests it can carry
+//! and forwards misses/writes to the storage module: to a member of the
+//! key's preference list, one on the front end's own host first, so the
+//! coordinator holds a replica (Dynamo's rule) and on a mesh is the
+//! receiving host's own node. The number of concurrent requests it can carry
 //! is bounded like a process pool: beyond `max_inflight`, requests are shed
 //! with `503` (which is what flattens the latency curve in Fig. 13).
 
@@ -20,11 +22,13 @@ use crate::message::{status, Body, Method, Msg, RestRequest, RestResponse, Store
 
 const TK_DEADLINE: u64 = 1;
 
-/// How many times a request that hits its deadline is re-dispatched to the
-/// next round-robin coordinator before failing with `504` — covers a
-/// crashed or partitioned coordinator the static upstream list still
-/// names. Duplicate completions are harmless (writes are last-write-wins
-/// and the first response to arrive wins).
+/// How many times a request is re-dispatched to the next member of its
+/// key's preference list before it fails. A coordinator that goes silent
+/// past the deadline (crashed or partitioned while the static upstream list
+/// still names it) costs a re-dispatch, and so does one that answers a GET,
+/// PUT or DELETE with a quorum or ring failure (up, but cut off from its
+/// peers). Duplicate completions are harmless: writes are last-write-wins
+/// and the first response to arrive wins.
 const REDISPATCH_MAX: u32 = 1;
 
 /// Longest key (bytes) accepted on the REST surface; longer keys are
@@ -71,11 +75,22 @@ struct Pending {
     if_match: Option<u64>,
     assigned_key: Option<String>,
     phase: Phase,
+    /// The coordinators to try, in order: the key's preference list, its
+    /// members on this host first. Forward `k` goes to `route[k % len]`.
+    route: Vec<NodeId>,
     redispatches: u32,
-    /// Coordinator the request was last forwarded to; a re-dispatch avoids
-    /// picking it again (it is the one that went silent).
-    last_node: Option<NodeId>,
+    /// When the current attempt's deadline expires (µs); a deadline timer
+    /// armed for an earlier attempt fires before it and is ignored.
+    deadline_us: u64,
     done: bool,
+}
+
+impl Pending {
+    /// The coordinator the current attempt was forwarded to.
+    fn coordinator(&self) -> Option<NodeId> {
+        let slot = (self.redispatches as usize).checked_rem(self.route.len())?;
+        self.route.get(slot).copied()
+    }
 }
 
 /// Front-end statistics.
@@ -91,7 +106,8 @@ pub struct FrontendStats {
     pub auth_failures: u64,
     /// Requests that timed out inside the cluster.
     pub timeouts: u64,
-    /// Deadline-expired requests re-dispatched to another coordinator.
+    /// Requests re-dispatched to the next preference-list member after
+    /// their coordinator went silent or failed.
     pub redispatches: u64,
 }
 
@@ -109,7 +125,8 @@ pub struct FrontendMetrics {
     pub auth_failures: Counter,
     /// Requests that timed out inside the cluster.
     pub timeouts: Counter,
-    /// Deadline-expired requests re-dispatched to another coordinator.
+    /// Requests re-dispatched to the next preference-list member after
+    /// their coordinator went silent or failed.
     pub redispatches: Counter,
     /// Requests currently in flight at this front end.
     pub inflight: Gauge,
@@ -133,10 +150,13 @@ impl FrontendMetrics {
 /// The front-end process.
 pub struct Frontend {
     cfg: FrontendConfig,
+    /// Where keys live: built once from [`FrontendConfig::storage_nodes`].
+    /// Only a hint — any storage node can coordinate any key, so a stale
+    /// view costs the extra hop a non-replica coordinator takes.
+    placement: HashRing<NodeId>,
     tokens: TokenStore,
     pending: BTreeMap<u64, Pending>,
     next_req: u64,
-    rr: usize,
     stats: FrontendStats,
     metrics: FrontendMetrics,
 }
@@ -145,12 +165,17 @@ impl Frontend {
     /// Creates a front end.
     pub fn new(cfg: FrontendConfig) -> Self {
         let metrics = FrontendMetrics::from_registry(&cfg.metrics);
+        let mut placement = HashRing::new();
+        for &node in &cfg.storage_nodes {
+            // A duplicate entry is already on the ring.
+            let _ = placement.add_node(node, format!("node{}", node.0), cfg.vnodes);
+        }
         Frontend {
             cfg,
+            placement,
             tokens: TokenStore::new(),
             pending: BTreeMap::new(),
             next_req: 1,
-            rr: 0,
             stats: FrontendStats::default(),
             metrics,
         }
@@ -178,22 +203,13 @@ impl Frontend {
         r
     }
 
-    /// Round-robin coordinator choice (the nginx upstream behaviour). When
-    /// `avoid` is set (a re-dispatch after a coordinator went silent) the
-    /// walk skips that node unless it is the only one.
-    fn next_storage(&mut self, avoid: Option<NodeId>) -> Option<NodeId> {
-        if self.cfg.storage_nodes.is_empty() {
-            return None;
-        }
-        for _ in 0..self.cfg.storage_nodes.len() {
-            let slot = self.rr % self.cfg.storage_nodes.len();
-            self.rr += 1;
-            let Some(&node) = self.cfg.storage_nodes.get(slot) else { continue };
-            if Some(node) != avoid {
-                return Some(node);
-            }
-        }
-        avoid
+    /// The coordinators for `key`, in the order a request tries them: its
+    /// preference list, with the members on this host moved to the front.
+    fn route(&self, key: &str) -> Vec<NodeId> {
+        let mut route = self.placement.preference_list(key.as_bytes(), self.cfg.replicas);
+        // A stable sort: each group keeps its preference-list order.
+        route.sort_by_key(|node| !self.cfg.local_nodes.contains(node));
+        route
     }
 
     /// Hash-routed cache server for `key` (§4: "load balances are based on
@@ -314,6 +330,8 @@ impl Frontend {
                 return;
             }
         };
+        let route = self.route(&key);
+        let deadline_us = ctx.now().as_micros() + self.cfg.request_deadline_us;
         let mut pending = Pending {
             client,
             client_req: r.req,
@@ -323,8 +341,9 @@ impl Frontend {
             if_match,
             assigned_key,
             phase: Phase::Store,
+            route,
             redispatches: 0,
-            last_node: None,
+            deadline_us,
             done: false,
         };
         ctx.set_timer(self.cfg.request_deadline_us, tk_deadline(req));
@@ -338,81 +357,93 @@ impl Frontend {
                     ctx.send(cache, Msg::CacheGet { req, key });
                 } else {
                     self.pending.insert(req, pending);
-                    self.forward_get(ctx, req, key);
+                    self.forward(ctx, req);
                 }
             }
             Method::Post => {
-                // The payload is an `Arc` — cloning shares it with the
-                // pending entry, nothing is copied.
-                let value = pending.body.clone();
                 self.pending.insert(req, pending);
-                match if_match {
-                    Some(expected) => self.forward_cas(ctx, req, key, value, expected),
-                    None => self.forward_put(ctx, req, key, value, false),
-                }
+                self.forward(ctx, req);
             }
             Method::Delete => {
                 // Invalidate the cache eagerly; the DB copy is tombstoned.
                 if let Some(cache) = self.cache_for(&key) {
-                    ctx.send(cache, Msg::CacheDel { key: key.clone() });
+                    ctx.send(cache, Msg::CacheDel { key });
                 }
                 self.pending.insert(req, pending);
-                self.forward_put(ctx, req, key, Body::default(), true);
+                self.forward(ctx, req);
             }
         }
         self.metrics.inflight.set(self.pending.len() as i64);
     }
 
-    fn forward_get(&mut self, ctx: &mut Context<'_, Msg>, req: u64, key: String) {
-        let avoid = self.pending.get(&req).and_then(|p| p.last_node);
-        match self.next_storage(avoid) {
-            Some(node) => {
-                if let Some(p) = self.pending.get_mut(&req) {
-                    p.last_node = Some(node);
-                }
-                ctx.send(node, Msg::Get { req, key });
+    /// Sends `req` to its current coordinator ([`Pending::coordinator`]).
+    /// With no storage node to send to, it fails with `500`.
+    fn forward(&mut self, ctx: &mut Context<'_, Msg>, req: u64) {
+        let Some(p) = self.pending.get(&req) else { return };
+        let Some(node) = p.coordinator() else {
+            self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false);
+            return;
+        };
+        let key = p.key.clone();
+        // The payload is an `Arc`: the forward shares it with the pending
+        // entry, nothing is copied.
+        let msg = match (p.method, p.if_match) {
+            (Method::Get, _) => Msg::Get { req, key },
+            (Method::Post, Some(expected)) => {
+                Msg::Cas { req, key, value: p.body.clone(), expected }
             }
-            None => self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false),
-        }
+            (Method::Post, None) => Msg::Put { req, key, value: p.body.clone(), delete: false },
+            (Method::Delete, _) => Msg::Put { req, key, value: Body::default(), delete: true },
+        };
+        ctx.send(node, msg);
     }
 
-    fn forward_put(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        req: u64,
-        key: String,
-        value: Body,
-        delete: bool,
-    ) {
-        let avoid = self.pending.get(&req).and_then(|p| p.last_node);
-        match self.next_storage(avoid) {
-            Some(node) => {
-                if let Some(p) = self.pending.get_mut(&req) {
-                    p.last_node = Some(node);
-                }
-                ctx.send(node, Msg::Put { req, key, value, delete });
+    /// Re-dispatches `req` to the next member of its route, under a fresh
+    /// deadline. Returns `false`, and sends nothing, once the request has
+    /// used its [`REDISPATCH_MAX`] budget.
+    fn redispatch(&mut self, ctx: &mut Context<'_, Msg>, req: u64) -> bool {
+        let deadline_us = ctx.now().as_micros() + self.cfg.request_deadline_us;
+        match self.pending.get_mut(&req) {
+            Some(p) if p.redispatches < REDISPATCH_MAX => {
+                p.redispatches += 1;
+                p.phase = Phase::Store;
+                p.deadline_us = deadline_us;
             }
-            None => self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false),
+            _ => return false,
         }
+        self.stats.redispatches += 1;
+        self.metrics.redispatches.inc();
+        ctx.record("fe_redispatch", 1.0);
+        // A re-dispatched CAS keeps its predicate: if the silent
+        // coordinator's write actually landed, the retry surfaces a 409
+        // instead of double-applying.
+        self.forward(ctx, req);
+        ctx.set_timer(self.cfg.request_deadline_us, tk_deadline(req));
+        true
     }
 
-    fn forward_cas(
+    /// A GET, PUT or DELETE whose coordinator answered `err`. A quorum or
+    /// ring failure from the current coordinator goes on to the next
+    /// preference-list member while the budget lasts; a late failure from
+    /// an earlier coordinator is dropped, since the current attempt is
+    /// still running.
+    fn on_store_error(
         &mut self,
         ctx: &mut Context<'_, Msg>,
+        from: NodeId,
         req: u64,
-        key: String,
-        value: Body,
-        expected: u64,
+        err: StoreError,
     ) {
-        let avoid = self.pending.get(&req).and_then(|p| p.last_node);
-        match self.next_storage(avoid) {
-            Some(node) => {
-                if let Some(p) = self.pending.get_mut(&req) {
-                    p.last_node = Some(node);
-                }
-                ctx.send(node, Msg::Cas { req, key, value, expected });
-            }
-            None => self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false),
+        let Some(p) = self.pending.get(&req) else { return };
+        if p.coordinator() != Some(from) {
+            return;
+        }
+        let retryable = matches!(
+            err,
+            StoreError::QuorumReadFailed | StoreError::QuorumWriteFailed | StoreError::NoRing
+        );
+        if !(retryable && self.redispatch(ctx, req)) {
+            self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false);
         }
     }
 }
@@ -453,8 +484,7 @@ impl Process<Msg> for Frontend {
                         // Miss: "it will switch to database and the returned
                         // value will be inserted to cache" (§4).
                         p.phase = Phase::Store;
-                        let key = p.key.clone();
-                        self.forward_get(ctx, req, key);
+                        self.forward(ctx, req);
                     }
                 }
             }
@@ -471,7 +501,7 @@ impl Process<Msg> for Frontend {
                         self.respond(ctx, req, status::OK, body, false);
                     }
                     Ok(None) => self.respond(ctx, req, status::NOT_FOUND, Body::default(), false),
-                    Err(_) => self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false),
+                    Err(err) => self.on_store_error(ctx, from, req, err),
                 }
             }
             Msg::PutResp { req, result } => {
@@ -503,7 +533,7 @@ impl Process<Msg> for Frontend {
                         };
                         self.respond(ctx, req, st, key_body, false);
                     }
-                    Err(_) => self.respond(ctx, req, status::STORAGE_ERROR, Body::default(), false),
+                    Err(err) => self.on_store_error(ctx, from, req, err),
                 }
             }
             Msg::CasResp { req, result } => {
@@ -540,47 +570,23 @@ impl Process<Msg> for Frontend {
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: TimerToken) {
         if token & 0b111 == TK_DEADLINE {
             let req = token >> 3;
+            // A timer armed for an earlier attempt: the current one has a
+            // later deadline and its own timer.
+            match self.pending.get(&req) {
+                Some(p) if ctx.now().as_micros() >= p.deadline_us => {}
+                _ => return,
+            }
             // The coordinator (or cache server) this request was routed to
             // may be crashed or partitioned while the static upstream list
-            // still names it: re-dispatch to the next round-robin
-            // coordinator before surfacing a timeout. A late duplicate
+            // still names it: re-dispatch to the next member of the key's
+            // preference list before surfacing a timeout. A late duplicate
             // completion is ignored by the `done` guard, and duplicate
             // writes converge under last-write-wins.
-            let redo = match self.pending.get_mut(&req) {
-                None => return,
-                Some(p) if p.redispatches < REDISPATCH_MAX => {
-                    p.redispatches += 1;
-                    p.phase = Phase::Store;
-                    Some((p.method, p.key.clone(), p.body.clone(), p.if_match))
-                }
-                Some(_) => None,
-            };
-            match redo {
-                Some((method, key, body, if_match)) => {
-                    self.stats.redispatches += 1;
-                    self.metrics.redispatches.inc();
-                    ctx.record("fe_redispatch", 1.0);
-                    match (method, if_match) {
-                        (Method::Get, _) => self.forward_get(ctx, req, key),
-                        // A re-dispatched CAS keeps its predicate: if the
-                        // silent coordinator's write actually landed, the
-                        // retry surfaces a 409 instead of double-applying.
-                        (Method::Post, Some(expected)) => {
-                            self.forward_cas(ctx, req, key, body, expected)
-                        }
-                        (Method::Post, None) => self.forward_put(ctx, req, key, body, false),
-                        (Method::Delete, _) => {
-                            self.forward_put(ctx, req, key, Body::default(), true)
-                        }
-                    }
-                    ctx.set_timer(self.cfg.request_deadline_us, tk_deadline(req));
-                }
-                None => {
-                    self.stats.timeouts += 1;
-                    self.metrics.timeouts.inc();
-                    ctx.record("fe_timeout", 1.0);
-                    self.respond(ctx, req, status::TIMEOUT, Body::default(), false);
-                }
+            if !self.redispatch(ctx, req) {
+                self.stats.timeouts += 1;
+                self.metrics.timeouts.inc();
+                ctx.record("fe_timeout", 1.0);
+                self.respond(ctx, req, status::TIMEOUT, Body::default(), false);
             }
         }
     }

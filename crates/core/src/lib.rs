@@ -15,8 +15,8 @@
 //!   removal plus re-replication for long failures, range migration on node
 //!   addition,
 //! * **Front end** — REST GET/POST/DELETE with URI-signature auth
-//!   ([`auth`]), round-robin dispatch, and a hash-sharded LRU cache tier
-//!   ([`mystore_cache`]).
+//!   ([`auth`]), dispatch to a member of the key's preference list, and a
+//!   hash-sharded LRU cache tier ([`mystore_cache`]).
 //!
 //! Every component is a sans-io [`mystore_net::Process`]; deployments are
 //! assembled by [`cluster::ClusterSpec`] on either the deterministic

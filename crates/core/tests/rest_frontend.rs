@@ -3,8 +3,9 @@
 
 use mystore_core::prelude::*;
 use mystore_core::testing::Probe;
-use mystore_core::{sign_request, AuthConfig, Frontend};
-use mystore_net::{FaultPlan, NetConfig, NodeConfig, SimConfig};
+use mystore_core::{sign_request, AuthConfig, Frontend, NodeStats};
+use mystore_net::{FaultPlan, NetConfig, NodeConfig, NodeId, Sim, SimConfig, SimTime};
+use mystore_ring::HashRing;
 
 fn sim_config(seed: u64) -> SimConfig {
     SimConfig { net: NetConfig::gigabit_lan(), faults: FaultPlan::none(), seed }
@@ -493,10 +494,10 @@ fn if_match_conditional_put_end_to_end() {
     assert!(snap.histograms.get("cas.latency_us").map(|h| h.count).unwrap_or(0) >= 3);
 }
 
-/// A coordinator the round-robin upstream list still names crashes; REST
-/// requests routed to it must be re-dispatched to a live coordinator at the
-/// deadline instead of surfacing `504` — the client sees every write and
-/// read succeed.
+/// A coordinator the static upstream list still names crashes; REST
+/// requests whose key it heads the preference list of must be re-dispatched
+/// to the next member at the deadline instead of surfacing `504` — the
+/// client sees every write and read succeed.
 #[test]
 fn dead_coordinator_is_redispatched_not_timed_out() {
     let spec = ClusterSpec::paper_topology();
@@ -504,8 +505,9 @@ fn dead_coordinator_is_redispatched_not_timed_out() {
     let warm = spec.warmup_us();
     let (mut sim, registry) = spec.build_sim_with_metrics(sim_config(41));
 
-    // 15 POSTs round-robin across all 5 coordinators, so ~3 land on the
-    // victim while it is down; reads of never-cached keys afterwards.
+    // 15 POSTs, each to its key's first preference-list member; about one
+    // in five of them is the victim while it is down. A read of a
+    // never-cached key afterwards.
     let mut script = vec![];
     for i in 0..15u64 {
         script.push((
@@ -542,5 +544,166 @@ fn dead_coordinator_is_redispatched_not_timed_out() {
         "requests routed at the dead coordinator must be re-dispatched: {:?}",
         snap.counters
     );
+    assert_eq!(snap.counters.get("frontend.timeouts").copied().unwrap_or(0), 0);
+}
+
+/// `key`'s preference list as `spec`'s storage nodes place it once their
+/// rings converge: `node{id}` labels, `storage.vnodes` points each.
+fn placement(spec: &ClusterSpec, key: &str) -> Vec<NodeId> {
+    let mut ring = HashRing::new();
+    for id in spec.storage_ids() {
+        ring.add_node(id, format!("node{}", id.0), spec.storage.vnodes).unwrap();
+    }
+    ring.preference_list(key.as_bytes(), spec.storage.nwr.n)
+}
+
+/// Every storage node's counters, indexed by node id.
+fn node_stats(sim: &Sim<Msg>, spec: &ClusterSpec) -> Vec<NodeStats> {
+    spec.storage_ids().iter().map(|&id| sim.process::<StorageNode>(id).unwrap().stats()).collect()
+}
+
+/// The storage nodes that coordinated an op between two snapshots, with how
+/// many each: (node, puts, gets), successful or not.
+fn coordinated(before: &[NodeStats], after: &[NodeStats]) -> Vec<(NodeId, u64, u64)> {
+    before
+        .iter()
+        .zip(after)
+        .enumerate()
+        .map(|(i, (b, a))| {
+            let puts = a.puts_ok + a.puts_failed - b.puts_ok - b.puts_failed;
+            let gets = a.gets_ok + a.gets_failed - b.gets_ok - b.gets_failed;
+            (NodeId(i as u32), puts, gets)
+        })
+        .filter(|&(_, puts, gets)| puts + gets > 0)
+        .collect()
+}
+
+/// The paper topology without its cache tier, so every GET reaches a
+/// coordinator.
+fn uncached_topology() -> ClusterSpec {
+    ClusterSpec { cache_nodes: 0, ..ClusterSpec::paper_topology() }
+}
+
+/// The front end hosts no storage node on the paper topology, so it sends
+/// each op to the first member of its key's preference list. The sim's
+/// registry is cluster-wide, so the check reads each `StorageNode`'s own
+/// counters, one op at a time.
+#[test]
+fn every_forward_lands_on_its_keys_first_preference_list_member() {
+    let spec = uncached_topology();
+    let fe = spec.frontend_ids()[0];
+    let warm = spec.warmup_us();
+    const STEP_US: u64 = 100_000;
+    let keys: Vec<String> = (0..12).map(|i| format!("route-{i}")).collect();
+    let mut script = vec![];
+    for (i, key) in keys.iter().enumerate() {
+        let at = warm + 2 * i as u64 * STEP_US;
+        script.push((at, fe, rest(2 * i as u64, Method::Post, Some(key), b"routed")));
+        script.push((at + STEP_US, fe, rest(2 * i as u64 + 1, Method::Get, Some(key), b"")));
+    }
+    let mut sim = spec.build_sim(sim_config(43));
+    let probe = sim.add_node(Probe::new(script), NodeConfig::default());
+    sim.start();
+    sim.run_until(SimTime(warm - 1));
+
+    let mut heads = std::collections::BTreeSet::new();
+    for (i, key) in keys.iter().enumerate() {
+        let prefs = placement(&spec, key);
+        heads.insert(prefs[0]);
+        for (req, puts, gets) in [(2 * i as u64, 1, 0), (2 * i as u64 + 1, 0, 1)] {
+            let before = node_stats(&sim, &spec);
+            sim.run_for(STEP_US);
+            let p = sim.process::<Probe>(probe).unwrap();
+            assert_eq!(p.response_for(req).and_then(resp_status), Some(status::OK), "{key}");
+            let by = coordinated(&before, &node_stats(&sim, &spec));
+            assert_eq!(by, vec![(prefs[0], puts, gets)], "{key}: preference list {prefs:?}");
+        }
+    }
+    // The keys spread over more than one coordinator; placement agrees with
+    // the storage nodes' converged rings.
+    assert!(heads.len() > 1, "{heads:?}");
+    for key in &keys {
+        let ring = sim.process::<StorageNode>(NodeId(0)).unwrap().ring();
+        assert_eq!(ring.preference_list(key.as_bytes(), 3), placement(&spec, key));
+    }
+}
+
+/// A request whose first coordinator is down goes, at the deadline, to the
+/// second member of its key's preference list, and to no other node.
+#[test]
+fn redispatch_after_silence_goes_to_the_next_preference_list_member() {
+    let spec = uncached_topology();
+    let fe = spec.frontend_ids()[0];
+    let warm = spec.warmup_us();
+    let key = "silent-head";
+    let prefs = placement(&spec, key);
+    let (mut sim, registry) = spec.build_sim_with_metrics(sim_config(44));
+    let probe = sim.add_node(
+        Probe::new(vec![(warm + 200_000, fe, rest(1, Method::Post, Some(key), b"v"))]),
+        NodeConfig::default(),
+    );
+    sim.schedule_crash(SimTime(warm + 100_000), prefs[0], None);
+    sim.start();
+    sim.run_until(SimTime(warm));
+    let before = node_stats(&sim, &spec);
+    sim.run_for(spec.frontend_config().request_deadline_us + 1_000_000);
+
+    let p = sim.process::<Probe>(probe).unwrap();
+    assert_eq!(p.response_for(1).and_then(resp_status), Some(status::OK));
+    let by = coordinated(&before, &node_stats(&sim, &spec));
+    assert_eq!(by, vec![(prefs[1], 1, 0)], "preference list {prefs:?}");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counters.get("frontend.redispatches").copied(), Some(1));
+    assert_eq!(snap.counters.get("frontend.timeouts").copied().unwrap_or(0), 0);
+}
+
+/// A coordinator that is up but cut off from its peers answers with a
+/// quorum failure instead of going silent. The front end sends a GET, PUT
+/// or DELETE that fails so to the next member of the key's preference
+/// list, which reaches a quorum. `W = 3` because the cut-off head's own
+/// copy plus the hint it holds for itself would make a quorum of two, and
+/// `R = 2` because it would answer a read of one from its own copy.
+#[test]
+fn failed_coordinator_is_redispatched_to_the_next_member() {
+    let mut spec = uncached_topology();
+    spec.storage.nwr = Nwr { n: 3, w: 3, r: 2 };
+    let fe = spec.frontend_ids()[0];
+    let warm = spec.warmup_us();
+    let key = "cut-off-head";
+    let prefs = placement(&spec, key);
+    let (mut sim, registry) = spec.build_sim_with_metrics(sim_config(45));
+    let probe = sim.add_node(
+        Probe::new(vec![
+            (warm + 100_000, fe, rest(1, Method::Post, Some(key), b"v")),
+            (warm + 3_000_000, fe, rest(2, Method::Get, Some(key), b"")),
+        ]),
+        NodeConfig::default(),
+    );
+    // The head still hears its peers (so it keeps them on its ring) and
+    // still answers the front end, but reaches no other storage node.
+    for peer in spec.storage_ids().into_iter().filter(|&id| id != prefs[0]) {
+        sim.schedule_link_oneway(SimTime(warm), prefs[0], peer, false);
+    }
+    sim.start();
+    sim.run_until(SimTime(warm));
+    let before = node_stats(&sim, &spec);
+    sim.run_for(5_000_000);
+
+    let p = sim.process::<Probe>(probe).unwrap();
+    assert_eq!(p.response_for(1).and_then(resp_status), Some(status::OK));
+    match p.response_for(2) {
+        Some(Msg::RestResp(r)) => {
+            assert_eq!(r.status, status::OK);
+            assert_eq!(*r.body, b"v");
+        }
+        other => panic!("{other:?}"),
+    }
+    let after = node_stats(&sim, &spec);
+    let (head, next) = (prefs[0].0 as usize, prefs[1].0 as usize);
+    assert_eq!((after[head].puts_failed, after[head].gets_failed), (1, 1), "{prefs:?}");
+    assert_eq!((after[next].puts_ok, after[next].gets_ok), (1, 1), "{prefs:?}");
+    assert_eq!(coordinated(&before, &after).len(), 2, "{prefs:?}");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counters.get("frontend.redispatches").copied(), Some(2));
     assert_eq!(snap.counters.get("frontend.timeouts").copied().unwrap_or(0), 0);
 }

@@ -123,8 +123,13 @@ impl Host {
             builder = builder.add_node_as(NodeId(node.id), StorageNode::new(NodeId(node.id), cfg));
         }
         let frontend_id = NodeId(FRONTEND_BASE + local[0].id);
+        let storage_ids: Vec<NodeId> = local.iter().map(|n| NodeId(n.id)).collect();
         let fe_cfg = FrontendConfig {
             storage_nodes: spec.node_ids(),
+            vnodes: spec.vnodes as u32,
+            replicas: spec.nwr.n,
+            // A key's replica on this host coordinates its requests here.
+            local_nodes: storage_ids.clone(),
             cache_nodes: Vec::new(),
             cost: CostModel::default(),
             request_deadline_us: 5_000_000,
@@ -140,20 +145,13 @@ impl Host {
                 cluster.injector(),
                 registry,
                 frontend_id,
-                local.iter().map(|n| NodeId(n.id)).collect(),
+                storage_ids.clone(),
                 spec.node_ids(),
             )?),
             None => None,
         };
 
-        Ok(Host {
-            cluster: Some(cluster),
-            gateway,
-            http,
-            storage_ids: local.iter().map(|n| NodeId(n.id)).collect(),
-            frontend_id,
-            metrics,
-        })
+        Ok(Host { cluster: Some(cluster), gateway, http, storage_ids, frontend_id, metrics })
     }
 
     /// Boots one [`Transport::Tcp`] host per spec node inside this process

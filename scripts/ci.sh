@@ -64,6 +64,8 @@ echo "==> real-transport runtime (threaded integration)"
 cargo test --locked --test threaded_cluster -q
 cargo test --locked -p mystore-serverd --test mesh_latency -q
 cargo test --locked -p mystore-serverd --test mesh_threads -q
+# Each mesh host's own node coordinates every request its frontend receives.
+cargo test --locked -p mystore-serverd --test mesh_local_first -q
 
 echo "==> scenario-matrix smoke (idle-clock fast-forward + chaos invariants)"
 # The PR-7 matrix runner: a 25-node, 1-virtual-hour kill cell must finish
