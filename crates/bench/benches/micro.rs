@@ -1,4 +1,4 @@
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "criterion_group! generates undocumented public items")]
 //! Criterion micro-benchmarks for the building blocks on MyStore's hot
 //! paths: MD5/ring lookups (every request), BSON codec (every record),
 //! the WAL checksum and keyed engine puts and gets (every replica op), LRU

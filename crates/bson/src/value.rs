@@ -104,23 +104,6 @@ impl Value {
         }
     }
 
-    /// Human-readable type name (used in error messages).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int32(_) => "int32",
-            Value::Int64(_) => "int64",
-            Value::Double(_) => "double",
-            Value::String(_) => "string",
-            Value::Binary(_) => "binData",
-            Value::ObjectId(_) => "objectId",
-            Value::Array(_) => "array",
-            Value::Document(_) => "document",
-            Value::Timestamp(_) => "timestamp",
-        }
-    }
-
     /// Returns the string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -10,6 +10,16 @@
 //! is bounded like a process pool: beyond `max_inflight`, requests are shed
 //! with `503` (which is what flattens the latency curve in Fig. 13).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeMap;
 
 use mystore_net::{Context, NodeId, Process, TimerToken};
@@ -251,11 +261,9 @@ impl Frontend {
     }
 
     fn on_rest(&mut self, ctx: &mut Context<'_, Msg>, client: NodeId, r: RestRequest) {
-        // `GET /data/_stats`: the cluster-wide metrics snapshot. Keys
-        // starting with `_` are reserved for diagnostics; the endpoint is
-        // served before admission control (it must answer precisely when
-        // the cluster is shedding) and without auth, like an internal
-        // status page.
+        // `GET /data/_stats` (`_` keys are reserved for diagnostics): the
+        // cluster-wide metrics snapshot, served before admission control (it
+        // must answer while the cluster sheds) and without auth.
         if r.method == Method::Get && r.key.as_deref() == Some("_stats") {
             ctx.consume(self.cfg.cost.frontend_base_us);
             let body: Body = self.cfg.metrics.snapshot().to_pretty_string().into_bytes().into();
@@ -287,11 +295,9 @@ impl Frontend {
                 return;
             }
         }
-        // Request-shape validation. Everything here answers `400` straight
-        // from the front end: a malformed request must never reach a
-        // coordinator (the REST-conformance tests assert no storage message
-        // is emitted for any of these).
-        // DELETE must address a key (§4).
+        // A malformed request is answered `400` here and never reaches a
+        // coordinator (the REST-conformance tests check this). DELETE must
+        // address a key (§4).
         if r.method == Method::Delete && r.key.is_none() {
             reply_now(ctx, client, r.req, status::BAD_REQUEST, Body::default());
             return;
@@ -385,8 +391,6 @@ impl Frontend {
             return;
         };
         let key = p.key.clone();
-        // The payload is an `Arc`: the forward shares it with the pending
-        // entry, nothing is copied.
         let msg = match (p.method, p.if_match) {
             (Method::Get, _) => Msg::Get { req, key },
             (Method::Post, Some(expected)) => {
@@ -576,12 +580,8 @@ impl Process<Msg> for Frontend {
                 Some(p) if ctx.now().as_micros() >= p.deadline_us => {}
                 _ => return,
             }
-            // The coordinator (or cache server) this request was routed to
-            // may be crashed or partitioned while the static upstream list
-            // still names it: re-dispatch to the next member of the key's
-            // preference list before surfacing a timeout. A late duplicate
-            // completion is ignored by the `done` guard, and duplicate
-            // writes converge under last-write-wins.
+            // The coordinator (or cache server) went silent: try the next
+            // member of the route before surfacing a timeout.
             if !self.redispatch(ctx, req) {
                 self.stats.timeouts += 1;
                 self.metrics.timeouts.inc();

@@ -22,6 +22,16 @@
 //! returned versions tell the callers who won. Failure of either phase's
 //! quorum reports `cas.failed`, never a silent partial write.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use mystore_engine::cas_version_check;
 use mystore_net::{Context, NodeId};
 

@@ -21,6 +21,16 @@
 //! `start_*` entry point — none of the machinery above is repeated. See
 //! DESIGN.md §11.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeMap;
 
 use mystore_engine::Record;

@@ -2,6 +2,16 @@
 //! phase, as one [`QuorumOp`] over the generic driver, including the read
 //! repair / replica supplementation that runs once every replica answered.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::Arc;
 
 use mystore_engine::{lww_winner, Record};
@@ -185,7 +195,10 @@ impl StorageNode {
     /// Fans a read out to the key's preference list and hands the op to the
     /// driver. Shared by GET and the CAS predicate check; only the quorum
     /// size and the `purpose` differ.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the op's fields, passed flat: GET and the CAS predicate read share this entry"
+    )]
     pub(crate) fn start_read(
         &mut self,
         ctx: &mut Context<'_, Msg>,

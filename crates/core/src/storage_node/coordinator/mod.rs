@@ -13,6 +13,16 @@
 //!   the version predicate, chained into a normal quorum write. The whole
 //!   op is ~100 lines because both phases reuse the generic driver.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub(crate) mod cas;
 pub(crate) mod driver;
 pub(crate) mod get;

@@ -1,6 +1,16 @@
 //! The quorum-write operation (§5.2.2) — PUT, DELETE, and the write phase
 //! of CAS, as one [`QuorumOp`] over the generic driver.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::Arc;
 
 use mystore_bson::doc;

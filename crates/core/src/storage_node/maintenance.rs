@@ -2,6 +2,16 @@
 //! rebalance (Fig. 9), hint replay (Fig. 8), anti-entropy exchange, and the
 //! gossip tick.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeSet;
 use std::sync::Arc;
 

@@ -2,6 +2,16 @@
 //! in the `migrate_state` collection so a crashed source resumes where it
 //! stopped instead of restarting its transfer (DESIGN.md §16).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use mystore_bson::doc;
 use mystore_net::NodeId;
 

@@ -23,6 +23,16 @@
 //! stopped instead of restarting the sweep; at most the in-flight window
 //! is re-sent, and LWW application dedups it.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc as StdArc;
 

@@ -3,6 +3,16 @@
 //! [`ProxyFetch`]) kept by nodes on the receiving side. The engine logic
 //! that drives these lives in the parent module.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use mystore_net::NodeId;

@@ -30,6 +30,16 @@
 //! * [`maintenance`] — membership/ring/rebalance, hint replay,
 //!   anti-entropy and gossip ticks.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub(crate) mod coordinator;
 pub(crate) mod maintenance;
 pub(crate) mod migrate;
@@ -152,17 +162,15 @@ impl StorageNode {
     /// Creates a node with identity `me`. With
     /// [`StorageConfig::data_dir`] set, the node opens (and on restart,
     /// recovers) a durable WAL named `node<id>.wal` in that directory.
+    #[allow(
+        clippy::expect_used,
+        reason = "startup-time config validation, data-dir setup and WAL open, fail-fast by design: nothing is serving yet"
+    )]
     pub fn new(me: NodeId, cfg: StorageConfig) -> Self {
-        // Construction runs before the node joins the cluster; failing fast
-        // on a bad config or an unopenable data dir is the intended
-        // behaviour (nothing is serving yet), hence the allows below.
-        // lint:allow(no-panic-hot-path): startup-time config validation, fail-fast by design
         cfg.nwr.validate().expect("invalid NWR configuration");
         let mut db = match &cfg.data_dir {
             Some(dir) => {
-                // lint:allow(no-panic-hot-path): startup-time data-dir setup, fail-fast by design
                 std::fs::create_dir_all(dir).expect("create data dir");
-                // lint:allow(no-panic-hot-path): startup-time WAL open, fail-fast by design
                 Db::open(dir.join(format!("node{}.wal", me.0))).expect("open node wal")
             }
             None => Db::memory(),
@@ -257,12 +265,6 @@ impl StorageNode {
     /// hint-ack map must stay bounded when targets die mid-replay).
     pub fn inflight_hint_replays(&self) -> usize {
         self.hint_acks.len()
-    }
-
-    /// Coordinated operations currently in the quorum engine's pending
-    /// table (tests: the table must drain once deadlines pass).
-    pub fn inflight_quorum_ops(&self) -> usize {
-        self.quorum.ops.len()
     }
 
     /// Whether a WAL sync is in flight (tests: crashes inside a commit).

@@ -2,6 +2,16 @@
 //! coordinator-issued stores/fetches/hints, and the group commit that
 //! keeps "ack" meaning "durable here" (DESIGN.md §9).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

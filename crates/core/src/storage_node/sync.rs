@@ -14,6 +14,16 @@
 //! disagree, heap indices would address different key ranges, so the
 //! message is dropped (`sync.ring_mismatch`) and the next round retries.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeSet;
 
 use mystore_engine::Record;

@@ -17,6 +17,16 @@
 //! them — so the walk protocol stays stateless: any message can be dropped
 //! and the next round simply starts over from the root.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeMap;
 use std::ops::Bound;
 

@@ -37,6 +37,16 @@
 //! backend drops them on a simulated crash, so seeded chaos runs exercise
 //! the same contract (see [`Wal::discard_unsynced`]).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -94,6 +104,7 @@ const CRC_POLY: u32 = 0xEDB8_8320;
 /// so sixteen lookups advance the checksum sixteen bytes at once.
 static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
+#[allow(clippy::indexing_slicing, reason = "const evaluation; k < 16, i < 256, masked byte")]
 const fn crc_tables() -> [[u32; 256]; 16] {
     let mut t = [[0u32; 256]; 16];
     let mut i = 0;
@@ -104,7 +115,6 @@ const fn crc_tables() -> [[u32; 256]; 16] {
             c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        // lint:allow(no-panic-hot-path): const evaluation; i < 256
         t[0][i] = c;
         i += 1;
     }
@@ -112,9 +122,7 @@ const fn crc_tables() -> [[u32; 256]; 16] {
     while k < 16 {
         let mut i = 0;
         while i < 256 {
-            // lint:allow(no-panic-hot-path): const evaluation; k < 16, i < 256, masked byte
             let prev = t[k - 1][i];
-            // lint:allow(no-panic-hot-path): const evaluation; k < 16, i < 256, masked byte
             t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
@@ -125,8 +133,8 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 /// Entry `b` of a CRC table.
 #[inline(always)]
+#[allow(clippy::indexing_slicing, reason = "a u8 index cannot leave a [u32; 256] table")]
 fn lookup(table: &[u32; 256], b: u8) -> u32 {
-    // lint:allow(no-panic-hot-path): a u8 index cannot leave a [u32; 256] table
     table[usize::from(b)]
 }
 

@@ -295,11 +295,6 @@ impl Gossiper {
         self.states.keys().copied()
     }
 
-    /// Endpoints currently believed alive (excluding self).
-    pub fn alive_peers(&self) -> Vec<NodeId> {
-        self.states.keys().copied().filter(|&n| n != self.me && self.is_alive(n)).collect()
-    }
-
     /// Liveness belief for `node` (self is always alive).
     pub fn is_alive(&self, node: NodeId) -> bool {
         if node == self.me {

@@ -51,8 +51,10 @@
 //! crash must not get an orderly goodbye). Every exit joins the node's
 //! syncer thread.
 
-// lint:allow-file(no-wall-clock): this runtime exists to drive real OS time;
-// the determinism contract applies to the sim runtime only.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this runtime exists to drive real OS time; the determinism contract applies to the sim runtime only"
+)]
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -338,11 +340,6 @@ impl<M: Send + 'static> Injector<M> {
             Some(tx) => tx.send(Envelope::Msg { from, msg }).is_ok(),
             None => false,
         }
-    }
-
-    /// True if `to` is hosted by this cluster.
-    pub fn is_local(&self, to: NodeId) -> bool {
-        self.senders.contains_key(&to.0)
     }
 }
 

@@ -81,14 +81,8 @@ impl fmt::Display for SimTime {
 
 /// Common duration constants, in microseconds.
 pub mod durations {
-    /// One microsecond.
-    pub const MICRO: u64 = 1;
-    /// One millisecond in µs.
-    pub const MILLI: u64 = 1_000;
     /// One second in µs.
     pub const SECOND: u64 = 1_000_000;
-    /// One minute in µs.
-    pub const MINUTE: u64 = 60 * SECOND;
 }
 
 #[cfg(test)]

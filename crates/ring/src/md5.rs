@@ -215,8 +215,8 @@ mod tests {
 
     #[test]
     fn distinct_inputs_distinct_digests() {
-        use std::collections::HashSet;
-        let digests: HashSet<Digest> = (0..10_000u32).map(|i| md5(&i.to_le_bytes())).collect();
+        use std::collections::BTreeSet;
+        let digests: BTreeSet<Digest> = (0..10_000u32).map(|i| md5(&i.to_le_bytes())).collect();
         assert_eq!(digests.len(), 10_000);
     }
 }

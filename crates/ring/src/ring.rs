@@ -178,11 +178,6 @@ impl<N: Clone + Eq + Hash + Ord> HashRing<N> {
         self.nodes.get(id).map(|i| i.vnodes)
     }
 
-    /// Label configured for `id`.
-    pub fn label_of(&self, id: &N) -> Option<&str> {
-        self.nodes.get(id).map(|i| i.label.as_str())
-    }
-
     /// Iterates physical node ids (arbitrary order).
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.keys()

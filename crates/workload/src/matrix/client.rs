@@ -16,6 +16,16 @@
 //! exactly what the idle-clock fast-forward machinery is meant to make
 //! cheap.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeMap;
 
 use mystore_core::message::Msg;

@@ -21,6 +21,16 @@
 //! back off while nothing changes (gossip and anti-entropy idle backoff) —
 //! which is what makes 7×24 h horizons affordable in seconds of wall clock.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod client;
 pub mod schedule;
 

@@ -14,6 +14,16 @@
 //!   link and disk before the cell's settle phase, in which the loss
 //!   invariant is checked against the node databases.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use mystore_net::{FaultEvent, FaultSchedule, NodeId, Rng};
 
 /// The fault vocabulary a matrix cell sweeps over (DESIGN.md §13).

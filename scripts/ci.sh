@@ -10,22 +10,19 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> mystore-lint --workspace"
-# The in-tree static-analysis pass (DESIGN.md §10): determinism, panic
-# freedom, atomics and metric hygiene, forbid(unsafe), file size. Fails on
-# any unexempted diagnostic. The wire format is frozen by the codec's byte
-# golden, which runs with the workspace tests below (DESIGN.md §12).
-cargo run --locked --release -q -p mystore-lint -- --workspace
-# The linter itself must still catch the seeded fixture violations; if the
-# fixture ever lints clean, the rules have silently stopped firing
-# (crates/lint/tests/golden.rs checks each rule by name).
-if cargo run --locked --release -q -p mystore-lint -- \
-    crates/lint/tests/fixtures/badcrate/src/lib.rs >/dev/null 2>&1; then
-  echo "lint fixture unexpectedly clean — rule engine is broken"
-  exit 1
-fi
+echo "==> source rules (tests/source_rules.rs)"
+# The determinism contract's text rules that no compiler lint covers
+# (DESIGN.md §10): justified atomics orderings in obs, metric-name
+# prefixes and uniqueness, the 600-line file budget, forbid(unsafe_code)
+# in every crate root, plus drift guards that keep each crate's
+# clippy.toml and the hot-path deny attributes in step with the scope
+# tables. Clippy enforces the rest in the next stage.
+cargo test --locked --test source_rules -q
 
 echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+# Clippy holds the rest of the determinism contract (DESIGN.md §10): each
+# crate's clippy.toml bans the wall clock and hash-ordered collections,
+# hot-path files deny the panic lints, and every allow must give a reason.
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --locked --workspace -q"
