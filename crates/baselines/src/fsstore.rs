@@ -108,46 +108,36 @@ impl LocalFileStore {
 }
 
 /// ext3-era cost model (µs).
-#[derive(Debug, Clone)]
-pub struct FsCost {
+struct FsCost {
     /// Fixed read cost: directory lookup + seek (partially cached).
-    pub read_base_us: u64,
+    read_base_us: u64,
     /// Read bandwidth in bytes/µs.
-    pub read_bytes_per_us: f64,
+    read_bytes_per_us: f64,
     /// Fixed write cost: journal commit + metadata.
-    pub write_base_us: u64,
+    write_base_us: u64,
     /// Write bandwidth in bytes/µs.
-    pub write_bytes_per_us: f64,
+    write_bytes_per_us: f64,
 }
 
-impl Default for FsCost {
-    fn default() -> Self {
-        // A single 2009 SAS disk behind ext3: reads mostly page-cache
-        // assisted but with cold misses amortized in, writes journalled.
-        FsCost {
-            read_base_us: 3_500,
-            read_bytes_per_us: 90.0,
-            write_base_us: 6_000,
-            write_bytes_per_us: 40.0,
-        }
-    }
-}
+/// A single 2009 SAS disk behind ext3: reads mostly page-cache assisted but
+/// with cold misses amortized in, writes journalled.
+const COST: FsCost = FsCost {
+    read_base_us: 3_500,
+    read_bytes_per_us: 90.0,
+    write_base_us: 6_000,
+    write_bytes_per_us: 40.0,
+};
 
 /// Simulator process: the ext3 store behind the same REST interface as
 /// MyStore ("the three storage systems are all bounded to RESTful
 /// interfaces", §6.1).
+#[derive(Default)]
 pub struct FsStoreNode {
     data: HashMap<String, mystore_core::message::Body>,
-    cost: FsCost,
     served: u64,
 }
 
 impl FsStoreNode {
-    /// Creates an empty store node.
-    pub fn new(cost: FsCost) -> Self {
-        FsStoreNode { data: HashMap::new(), cost, served: 0 }
-    }
-
     /// Preloads a record without charging service time (corpus setup).
     pub fn preload(&mut self, key: impl Into<String>, value: Vec<u8>) {
         self.data.insert(key.into(), value.into());
@@ -192,26 +182,24 @@ impl Process<Msg> for FsStoreNode {
             Method::Get => match self.data.get(&key) {
                 Some(v) => {
                     ctx.consume(
-                        self.cost.read_base_us
-                            + (v.len() as f64 / self.cost.read_bytes_per_us) as u64,
+                        COST.read_base_us + (v.len() as f64 / COST.read_bytes_per_us) as u64,
                     );
                     ctx.send(from, reply(status::OK, v.clone()));
                 }
                 None => {
-                    ctx.consume(self.cost.read_base_us);
+                    ctx.consume(COST.read_base_us);
                     ctx.send(from, reply(status::NOT_FOUND, Default::default()));
                 }
             },
             Method::Post => {
                 ctx.consume(
-                    self.cost.write_base_us
-                        + (r.body.len() as f64 / self.cost.write_bytes_per_us) as u64,
+                    COST.write_base_us + (r.body.len() as f64 / COST.write_bytes_per_us) as u64,
                 );
                 self.data.insert(key, r.body);
                 ctx.send(from, reply(status::OK, Default::default()));
             }
             Method::Delete => {
-                ctx.consume(self.cost.write_base_us);
+                ctx.consume(COST.write_base_us);
                 self.data.remove(&key);
                 ctx.send(from, reply(status::OK, Default::default()));
             }
@@ -269,7 +257,7 @@ mod tests {
         use mystore_net::{NetConfig, NodeConfig, Sim, SimConfig};
         let mut sim: Sim<Msg> =
             Sim::new(SimConfig { net: NetConfig::instant(), faults: Default::default(), seed: 1 });
-        let store = sim.add_node(FsStoreNode::new(FsCost::default()), NodeConfig::default());
+        let store = sim.add_node(FsStoreNode::default(), NodeConfig::default());
         let probe = sim.add_node(
             Probe::new(vec![
                 (

@@ -16,6 +16,6 @@ pub mod fsstore;
 pub mod msmongo;
 pub mod relstore;
 
-pub use fsstore::{FsCost, FsStoreNode, LocalFileStore};
+pub use fsstore::{FsStoreNode, LocalFileStore};
 pub use msmongo::{add_msmongo_trio, MsMongoNode, MsRole};
-pub use relstore::{RelCost, RelRole, RelStoreNode};
+pub use relstore::{RelRole, RelStoreNode};

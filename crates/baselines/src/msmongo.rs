@@ -8,7 +8,7 @@
 //! precisely what Fig. 17 measures.
 
 use mystore_bson::ObjectId;
-use mystore_core::config::CostModel;
+use mystore_core::config::COST;
 use mystore_core::message::{Msg, StoreError};
 use mystore_engine::{pack_version, Db, Record};
 use mystore_net::{Context, NodeId, OpFault, Process, TimerToken};
@@ -30,14 +30,13 @@ pub enum MsRole {
 pub struct MsMongoNode {
     role: MsRole,
     db: Db,
-    cost: CostModel,
     puts: u64,
 }
 
 impl MsMongoNode {
     /// Creates a node.
-    pub fn new(role: MsRole, cost: CostModel) -> Self {
-        MsMongoNode { role, db: Db::memory(), cost, puts: 0 }
+    pub fn new(role: MsRole) -> Self {
+        MsMongoNode { role, db: Db::memory(), puts: 0 }
     }
 
     /// Puts applied on this node.
@@ -92,7 +91,7 @@ impl Process<Msg> for MsMongoNode {
                         .unwrap_or_else(|shared| (*shared).clone());
                     Record::new(ObjectId::new(), key, owned, version)
                 };
-                ctx.consume(self.cost.put_us(record.val.len()));
+                ctx.consume(COST.put_us(record.val.len()));
                 self.puts += 1;
                 let ok = self.db.put_record("data", &record).is_ok();
                 // Asynchronous replication: ship and forget.
@@ -116,7 +115,7 @@ impl Process<Msg> for MsMongoNode {
                     _ => {}
                 }
                 let found = self.db.get_record("data", &key).ok().flatten();
-                ctx.consume(self.cost.get_us(found.as_ref().map(|r| r.val.len()).unwrap_or(0)));
+                ctx.consume(COST.get_us(found.as_ref().map(|r| r.val.len()).unwrap_or(0)));
                 let result = match found {
                     Some(r) if !r.is_del => Ok(Some(std::sync::Arc::new(r.val))),
                     _ => Ok(None),
@@ -126,7 +125,7 @@ impl Process<Msg> for MsMongoNode {
             Msg::StoreReplica { record, .. } => {
                 // Replication stream apply (slaves).
                 if matches!(self.role, MsRole::Slave) {
-                    ctx.consume(self.cost.put_us(record.val.len()));
+                    ctx.consume(COST.put_us(record.val.len()));
                     self.puts += 1;
                     let _ = self.db.put_record("data", &record);
                 }
@@ -143,16 +142,13 @@ impl Process<Msg> for MsMongoNode {
 /// order.
 pub fn add_msmongo_trio(
     sim: &mut mystore_net::Sim<Msg>,
-    cost: &CostModel,
     concurrency: usize,
 ) -> (NodeId, Vec<NodeId>) {
     use mystore_net::NodeConfig;
-    let s1 =
-        sim.add_node(MsMongoNode::new(MsRole::Slave, cost.clone()), NodeConfig { concurrency });
-    let s2 =
-        sim.add_node(MsMongoNode::new(MsRole::Slave, cost.clone()), NodeConfig { concurrency });
+    let s1 = sim.add_node(MsMongoNode::new(MsRole::Slave), NodeConfig { concurrency });
+    let s2 = sim.add_node(MsMongoNode::new(MsRole::Slave), NodeConfig { concurrency });
     let master = sim.add_node(
-        MsMongoNode::new(MsRole::Master { slaves: vec![s1, s2] }, cost.clone()),
+        MsMongoNode::new(MsRole::Master { slaves: vec![s1, s2] }),
         NodeConfig { concurrency },
     );
     (master, vec![s1, s2])
@@ -170,7 +166,7 @@ mod tests {
     ) -> (Sim<Msg>, NodeId, Vec<NodeId>, NodeId) {
         let mut sim: Sim<Msg> =
             Sim::new(SimConfig { net: NetConfig::gigabit_lan(), faults: Default::default(), seed });
-        let (master, slaves) = add_msmongo_trio(&mut sim, &CostModel::default(), 4);
+        let (master, slaves) = add_msmongo_trio(&mut sim, 4);
         let probe = sim.add_node(Probe::new(script), NodeConfig::default());
         sim.start();
         (sim, master, slaves, probe)

@@ -14,32 +14,27 @@ use mystore_core::message::{status, Method, Msg, RestRequest, RestResponse};
 use mystore_net::{Context, NodeId, Process, TimerToken};
 
 /// Relational cost model (µs).
-#[derive(Debug, Clone)]
-pub struct RelCost {
+struct RelCost {
     /// SQL parse + plan + B-tree descent + row fetch.
-    pub select_base_us: u64,
+    select_base_us: u64,
     /// BLOB streaming bandwidth on read (bytes/µs).
-    pub read_bytes_per_us: f64,
+    read_bytes_per_us: f64,
     /// Transaction begin/commit + binlog + index maintenance per write.
-    pub write_base_us: u64,
+    write_base_us: u64,
     /// BLOB write bandwidth (bytes/µs).
-    pub write_bytes_per_us: f64,
+    write_bytes_per_us: f64,
     /// Extra serialization on writes: the master applies them one at a time
     /// (table/row locks); modelled by the node's single write server.
-    pub replication_ship_us: u64,
+    replication_ship_us: u64,
 }
 
-impl Default for RelCost {
-    fn default() -> Self {
-        RelCost {
-            select_base_us: 2_200,
-            read_bytes_per_us: 110.0,
-            write_base_us: 5_000,
-            write_bytes_per_us: 35.0,
-            replication_ship_us: 300,
-        }
-    }
-}
+const COST: RelCost = RelCost {
+    select_base_us: 2_200,
+    read_bytes_per_us: 110.0,
+    write_base_us: 5_000,
+    write_bytes_per_us: 35.0,
+    replication_ship_us: 300,
+};
 
 /// Role of a node in the master-slave pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,15 +53,14 @@ pub struct RelStoreNode {
     role: RelRole,
     /// The BLOB table: `obj_key (PK) → blob`.
     table: BTreeMap<String, mystore_core::message::Body>,
-    cost: RelCost,
     writes: u64,
     reads: u64,
 }
 
 impl RelStoreNode {
     /// Creates a node with the given role.
-    pub fn new(role: RelRole, cost: RelCost) -> Self {
-        RelStoreNode { role, table: BTreeMap::new(), cost, writes: 0, reads: 0 }
+    pub fn new(role: RelRole) -> Self {
+        RelStoreNode { role, table: BTreeMap::new(), writes: 0, reads: 0 }
     }
 
     /// Preloads a row without charging service time.
@@ -97,7 +91,7 @@ impl Process<Msg> for RelStoreNode {
         match msg {
             // Binlog row from the master.
             Msg::CachePut { key, value } if self.role == RelRole::Slave => {
-                ctx.consume(self.cost.write_base_us / 2);
+                ctx.consume(COST.write_base_us / 2);
                 self.table.insert(key, value);
             }
             Msg::CacheDel { key } if self.role == RelRole::Slave => {
@@ -132,13 +126,12 @@ impl RelStoreNode {
                 match self.table.get(&key) {
                     Some(v) => {
                         ctx.consume(
-                            self.cost.select_base_us
-                                + (v.len() as f64 / self.cost.read_bytes_per_us) as u64,
+                            COST.select_base_us + (v.len() as f64 / COST.read_bytes_per_us) as u64,
                         );
                         ctx.send(from, reply(status::OK, v.clone()));
                     }
                     None => {
-                        ctx.consume(self.cost.select_base_us);
+                        ctx.consume(COST.select_base_us);
                         ctx.send(from, reply(status::NOT_FOUND, Default::default()));
                     }
                 }
@@ -151,9 +144,9 @@ impl RelStoreNode {
                 };
                 self.writes += 1;
                 ctx.consume(
-                    self.cost.write_base_us
-                        + (r.body.len() as f64 / self.cost.write_bytes_per_us) as u64
-                        + self.cost.replication_ship_us,
+                    COST.write_base_us
+                        + (r.body.len() as f64 / COST.write_bytes_per_us) as u64
+                        + COST.replication_ship_us,
                 );
                 if r.method == Method::Post {
                     self.table.insert(key.clone(), r.body.clone());
@@ -193,10 +186,9 @@ mod tests {
     fn master_writes_replicate_to_slave() {
         let mut sim: Sim<Msg> =
             Sim::new(SimConfig { net: NetConfig::instant(), faults: Default::default(), seed: 1 });
-        let slave = sim
-            .add_node(RelStoreNode::new(RelRole::Slave, RelCost::default()), NodeConfig::default());
+        let slave = sim.add_node(RelStoreNode::new(RelRole::Slave), NodeConfig::default());
         let master = sim.add_node(
-            RelStoreNode::new(RelRole::Master { slave: Some(slave) }, RelCost::default()),
+            RelStoreNode::new(RelRole::Master { slave: Some(slave) }),
             NodeConfig::default(),
         );
         let probe = sim.add_node(
@@ -228,7 +220,7 @@ mod tests {
 
     #[test]
     fn preload_and_counters() {
-        let mut node = RelStoreNode::new(RelRole::Slave, RelCost::default());
+        let mut node = RelStoreNode::new(RelRole::Slave);
         node.preload("a", vec![1]);
         assert_eq!(node.len(), 1);
         assert_eq!(node.counters(), (0, 0));

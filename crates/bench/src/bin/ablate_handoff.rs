@@ -40,7 +40,7 @@ fn main() {
             p_breakdown: 0.0,
             block_range_us: (1, 2),
         };
-        let mut sim = spec.build_sim(SimConfig {
+        let (mut sim, metrics) = spec.build_sim_with_metrics(SimConfig {
             net: NetConfig::gigabit_lan(),
             faults,
             seed: 40 + handoff as u64,
@@ -67,11 +67,7 @@ fn main() {
         }
         let client = sim.process::<PutClient>(loader).unwrap();
         let (stored, gave_up) = (client.stored, client.gave_up);
-        let handoffs: u64 = spec
-            .storage_ids()
-            .iter()
-            .map(|&id| sim.process::<StorageNode>(id).unwrap().stats().handoffs_sent)
-            .sum();
+        let handoffs = metrics.counter("hint.handoffs").get();
         fig.row(vec![
             if handoff { "on" } else { "off" }.to_string(),
             stored.to_string(),

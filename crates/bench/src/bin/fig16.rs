@@ -17,7 +17,8 @@ use mystore_workload::{rate_per_sec, storage_corpus, Item, PutClient, PutClientC
 /// elapsed_s, handoffs).
 fn run(faults: FaultPlan, items: &Arc<Vec<Item>>, seed: u64) -> (Vec<f64>, u64, u64, f64, u64) {
     let spec = ClusterSpec::small(5);
-    let mut sim = spec.build_sim(SimConfig { net: NetConfig::gigabit_lan(), faults, seed });
+    let (mut sim, metrics) =
+        spec.build_sim_with_metrics(SimConfig { net: NetConfig::gigabit_lan(), faults, seed });
     // Table 2 probabilities are per operation; each user Put fans out into
     // ~N replica-level operations, which is where the faults land (the
     // caller scales the plan by 1/N so the per-user-operation rates match
@@ -89,11 +90,7 @@ fn run(faults: FaultPlan, items: &Arc<Vec<Item>>, seed: u64) -> (Vec<f64>, u64, 
         .collect();
     let stored: u64 = loaders.iter().map(|&l| sim.process::<PutClient>(l).unwrap().stored).sum();
     let gave_up: u64 = loaders.iter().map(|&l| sim.process::<PutClient>(l).unwrap().gave_up).sum();
-    let handoffs: u64 = spec
-        .storage_ids()
-        .iter()
-        .map(|&id| sim.process::<StorageNode>(id).map(|n| n.stats().handoffs_sent).unwrap_or(0))
-        .sum();
+    let handoffs = metrics.counter("hint.handoffs").get();
     (series, stored, gave_up, elapsed_s, handoffs)
 }
 

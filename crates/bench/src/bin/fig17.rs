@@ -48,7 +48,7 @@ fn run(mystore: bool, faults: FaultPlan, items: &Arc<Vec<Item>>, seed: u64) -> R
         (sim, targets, 5, spec.warmup_us())
     } else {
         let mut sim = Sim::new(sim_config);
-        let (master, _slaves) = add_msmongo_trio(&mut sim, &CostModel::default(), 8);
+        let (master, _slaves) = add_msmongo_trio(&mut sim, 8);
         // No failover: every write goes at the master ("retry" hits the
         // master again — there is nowhere else to write).
         (sim, vec![master], 3, 0)

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use mystore_baselines::{FsCost, FsStoreNode, RelCost, RelRole, RelStoreNode};
+use mystore_baselines::{FsStoreNode, RelRole, RelStoreNode};
 use mystore_core::prelude::*;
 use mystore_net::{FaultPlan, NetConfig, NodeConfig, NodeId, Sim, SimConfig, SimTime, Trace};
 use mystore_obs::Snapshot;
@@ -127,18 +127,15 @@ pub fn run_rest_comparison(run: &RestRun) -> RestRunResult {
             // One machine, 8 cores, no replication.
             // One machine; reads are seek-bound on a single disk, so little
             // useful parallelism.
-            let id =
-                sim.add_node(FsStoreNode::new(FsCost::default()), NodeConfig { concurrency: 2 });
+            let id = sim.add_node(FsStoreNode::default(), NodeConfig { concurrency: 2 });
             (sim, id, 0, None)
         }
         SystemKind::MySqlMs => {
             let mut sim = Sim::new(sim_config);
-            let slave = sim.add_node(
-                RelStoreNode::new(RelRole::Slave, RelCost::default()),
-                NodeConfig { concurrency: 4 },
-            );
+            let slave =
+                sim.add_node(RelStoreNode::new(RelRole::Slave), NodeConfig { concurrency: 4 });
             let master = sim.add_node(
-                RelStoreNode::new(RelRole::Master { slave: Some(slave) }, RelCost::default()),
+                RelStoreNode::new(RelRole::Master { slave: Some(slave) }),
                 NodeConfig { concurrency: 4 },
             );
             (sim, master, 0, None)
@@ -251,7 +248,7 @@ pub fn sweep_point(processes: usize, items: &Arc<Vec<Item>>, seed: u64) -> RestR
     // The app node runs interpreted logical processes (paper: Python via
     // spawn-fcgi): per-request CPU dominates, and the process pool bounds
     // concurrent requests.
-    spec.storage.cost.frontend_base_us = 3_500;
+    spec.frontend_cpu_us = 3_500;
     spec.frontend_concurrency = 16;
     spec.frontend_max_inflight = 400;
     let mut run = RestRun::new(SystemKind::MyStore, Arc::clone(items));

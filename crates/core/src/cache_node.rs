@@ -5,7 +5,7 @@ use mystore_cache::{CacheStats, CacheTierMetrics, LruCache};
 use mystore_net::{Context, NodeId, Process, TimerToken};
 use mystore_obs::Registry;
 
-use crate::config::CostModel;
+use crate::config::COST;
 use crate::message::Msg;
 
 /// One cache server: an LRU over its partition of the key space (the front
@@ -13,20 +13,19 @@ use crate::message::Msg;
 /// own partition).
 pub struct CacheNode {
     lru: LruCache,
-    cost: CostModel,
     metrics: CacheTierMetrics,
 }
 
 impl CacheNode {
     /// Creates a cache server with `capacity_bytes` of memory (the paper
     /// gives each cache server 1 GB).
-    pub fn new(capacity_bytes: usize, cost: CostModel) -> Self {
-        CacheNode { lru: LruCache::new(capacity_bytes), cost, metrics: CacheTierMetrics::default() }
+    pub fn new(capacity_bytes: usize) -> Self {
+        CacheNode { lru: LruCache::new(capacity_bytes), metrics: CacheTierMetrics::default() }
     }
 
     /// As [`CacheNode::new`], publishing `cache.*` metrics into `registry`.
-    pub fn with_metrics(capacity_bytes: usize, cost: CostModel, registry: &Registry) -> Self {
-        let mut node = CacheNode::new(capacity_bytes, cost);
+    pub fn with_metrics(capacity_bytes: usize, registry: &Registry) -> Self {
+        let mut node = CacheNode::new(capacity_bytes);
         node.metrics = CacheTierMetrics::from_registry(registry);
         node
     }
@@ -56,7 +55,7 @@ impl Process<Msg> for CacheNode {
                 // A hit shares the cached allocation with the response — the
                 // payload is never copied on the cache path.
                 let value = self.lru.get(&key);
-                ctx.consume(self.cost.cache_us(value.as_ref().map(|v| v.len()).unwrap_or(0)));
+                ctx.consume(COST.cache_us(value.as_ref().map(|v| v.len()).unwrap_or(0)));
                 if value.is_some() {
                     self.metrics.hits.inc();
                 } else {
@@ -66,12 +65,12 @@ impl Process<Msg> for CacheNode {
                 ctx.send(from, Msg::CacheGetResp { req, value });
             }
             Msg::CachePut { key, value } => {
-                ctx.consume(self.cost.cache_us(value.len()));
+                ctx.consume(COST.cache_us(value.len()));
                 self.metrics.inserts.inc();
                 self.lru.put(&key, value);
             }
             Msg::CacheDel { key } => {
-                ctx.consume(self.cost.cache_us(0));
+                ctx.consume(COST.cache_us(0));
                 self.metrics.invalidations.inc();
                 self.lru.remove(&key);
             }
@@ -91,8 +90,7 @@ mod tests {
     fn cache_node_serves_hits_and_misses() {
         let mut sim: Sim<Msg> =
             Sim::new(SimConfig { net: NetConfig::instant(), faults: Default::default(), seed: 1 });
-        let cache =
-            sim.add_node(CacheNode::new(1 << 20, CostModel::default()), NodeConfig::default());
+        let cache = sim.add_node(CacheNode::new(1 << 20), NodeConfig::default());
         sim.start();
         sim.inject(
             SimTime(1),

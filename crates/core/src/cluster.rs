@@ -12,7 +12,7 @@ use mystore_net::{NodeConfig, NodeId, Sim, SimConfig};
 use mystore_obs::Registry;
 
 use crate::cache_node::CacheNode;
-use crate::config::{FrontendConfig, StorageConfig};
+use crate::config::{FrontendConfig, StorageConfig, COST};
 use crate::frontend::Frontend;
 use crate::message::Msg;
 use crate::storage_node::StorageNode;
@@ -39,13 +39,15 @@ pub struct ClusterSpec {
     pub frontend_concurrency: usize,
     /// Maximum in-flight requests per front end before load shedding.
     pub frontend_max_inflight: usize,
+    /// Fixed CPU per request at each front end (µs, [`FrontendConfig::cpu_us`]).
+    pub frontend_cpu_us: u64,
     /// Concurrent workers per storage node (cores serving requests).
     pub storage_concurrency: usize,
     /// Template for every storage node's configuration (quorum, timeouts,
-    /// gossip cadence, cost model, ...). [`ClusterSpec::storage_config`]
-    /// fills in the gossip seeds; the builders fill in each node's weight
-    /// and the shared metrics registry. Its cost model and request
-    /// deadline also shape the cache servers and front ends.
+    /// gossip cadence, ...). [`ClusterSpec::storage_config`] fills in the
+    /// gossip seeds; the builders fill in each node's weight and the shared
+    /// metrics registry. Its request deadline also sets the front ends'
+    /// (five times as long).
     pub storage: StorageConfig,
 }
 
@@ -63,6 +65,7 @@ impl ClusterSpec {
             frontends: 1,
             frontend_concurrency: 64,
             frontend_max_inflight: 1024,
+            frontend_cpu_us: COST.frontend_base_us,
             storage_concurrency: 8, // two quad-core Xeons per node (§6.1)
             storage: StorageConfig {
                 gossip: GossipConfig {
@@ -134,7 +137,7 @@ impl ClusterSpec {
             local_nodes: Vec::new(),
             cache_nodes: self.cache_ids(),
             max_inflight: self.frontend_max_inflight,
-            cost: self.storage.cost.clone(),
+            cpu_us: self.frontend_cpu_us,
             request_deadline_us: self.storage.request_deadline_us * 5,
             auth: None,
             metrics: Registry::new(),
@@ -166,7 +169,7 @@ impl ClusterSpec {
         }
         for _ in 0..self.cache_nodes {
             sim.add_node(
-                CacheNode::with_metrics(self.cache_bytes, self.storage.cost.clone(), &registry),
+                CacheNode::with_metrics(self.cache_bytes, &registry),
                 NodeConfig { concurrency: 4 },
             );
         }

@@ -57,9 +57,9 @@ impl Default for Nwr {
 }
 
 /// Service-time cost model for simulated nodes (µs of CPU/disk per
-/// operation). These values shape the saturation behaviour in Figs. 13–14;
-/// they approximate a 2009-era Xeon + SAS-disk node.
-#[derive(Debug, Clone)]
+/// operation). Its one instance is [`COST`]; the runtimes charge it through
+/// `ctx.consume`, which only the simulator turns into virtual time.
+#[derive(Debug)]
 pub struct CostModel {
     /// Fixed cost of applying a replica write (WAL append + index).
     pub put_base_us: u64,
@@ -71,7 +71,8 @@ pub struct CostModel {
     pub read_bytes_per_us: f64,
     /// Cost of handling one gossip message.
     pub gossip_us: u64,
-    /// Front-end per-request parse/route cost.
+    /// Front-end per-request parse/route cost: the default of
+    /// [`FrontendConfig::cpu_us`].
     pub frontend_base_us: u64,
     /// Front-end per-byte handling cost (copies, framing).
     pub frontend_bytes_per_us: f64,
@@ -92,32 +93,26 @@ impl CostModel {
         self.get_base_us + (bytes as f64 / self.read_bytes_per_us) as u64
     }
 
-    /// Front-end service time for a payload of `bytes`.
-    pub fn frontend_us(&self, bytes: usize) -> u64 {
-        self.frontend_base_us + (bytes as f64 / self.frontend_bytes_per_us) as u64
-    }
-
     /// Cache-server service time for a payload of `bytes`.
     pub fn cache_us(&self, bytes: usize) -> u64 {
         self.cache_base_us + (bytes as f64 / self.cache_bytes_per_us) as u64
     }
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            put_base_us: 400,
-            write_bytes_per_us: 80.0, // ~80 MB/s effective log write
-            get_base_us: 150,
-            read_bytes_per_us: 300.0, // ~300 MB/s page-cache-assisted read
-            gossip_us: 30,
-            frontend_base_us: 120,
-            frontend_bytes_per_us: 800.0,
-            cache_base_us: 25,
-            cache_bytes_per_us: 2_000.0,
-        }
-    }
-}
+/// The cost model every simulated storage node, cache server and front end
+/// charges. These values shape the saturation behaviour in Figs. 13–14;
+/// they approximate a 2009-era Xeon + SAS-disk node.
+pub const COST: CostModel = CostModel {
+    put_base_us: 400,
+    write_bytes_per_us: 80.0, // ~80 MB/s effective log write
+    get_base_us: 150,
+    read_bytes_per_us: 300.0, // ~300 MB/s page-cache-assisted read
+    gossip_us: 30,
+    frontend_base_us: 120,
+    frontend_bytes_per_us: 800.0,
+    cache_base_us: 25,
+    cache_bytes_per_us: 2_000.0,
+};
 
 /// Per-storage-node configuration.
 #[derive(Debug, Clone)]
@@ -134,8 +129,6 @@ pub struct StorageConfig {
     pub weight: u32,
     /// Gossip settings (seeds, intervals, failure thresholds).
     pub gossip: GossipConfig,
-    /// Cost model for `ctx.consume` charging.
-    pub cost: CostModel,
     /// How long a coordinator waits for replica acknowledgements before
     /// retrying a straggler (and, once its two retries are exhausted,
     /// taking the hinted-handoff path) (µs).
@@ -191,7 +184,6 @@ impl Default for StorageConfig {
             vnodes: 128,
             weight: 1,
             gossip: GossipConfig::default(),
-            cost: CostModel::default(),
             replica_timeout_us: 60_000,     // 60 ms
             request_deadline_us: 1_000_000, // 1 s
             hint_replay_interval_us: 2_000_000,
@@ -240,8 +232,11 @@ pub struct FrontendConfig {
     /// Maximum requests in flight before the front end sheds load with
     /// `503 Busy` (the spawn-fcgi process-pool bound).
     pub max_inflight: usize,
-    /// Cost model for `ctx.consume` charging.
-    pub cost: CostModel,
+    /// Fixed CPU charged per request (parse/route, µs); handling each reply
+    /// from the cache or storage tier costs a quarter of it. Only the
+    /// simulator turns the charge into time. Figs. 13–14 raise it to model
+    /// interpreted logical processes.
+    pub cpu_us: u64,
     /// Per-request deadline at the front end (µs). A request that hits it
     /// is re-dispatched once to the next preference-list member, with a
     /// fresh deadline, before failing with `504`.
@@ -262,7 +257,7 @@ impl Default for FrontendConfig {
             local_nodes: Vec::new(),
             cache_nodes: Vec::new(),
             max_inflight: 512,
-            cost: CostModel::default(),
+            cpu_us: COST.frontend_base_us,
             request_deadline_us: 5_000_000,
             auth: None,
             metrics: Registry::new(),
@@ -292,10 +287,8 @@ mod tests {
 
     #[test]
     fn cost_model_scales_with_bytes() {
-        let c = CostModel::default();
-        assert!(c.put_us(600_000) > c.put_us(3_000));
-        assert!(c.get_us(0) == c.get_base_us);
-        assert!(c.frontend_us(1000) >= c.frontend_base_us);
-        assert!(c.cache_us(1000) >= c.cache_base_us);
+        assert!(COST.put_us(600_000) > COST.put_us(3_000));
+        assert!(COST.get_us(0) == COST.get_base_us);
+        assert!(COST.cache_us(1000) >= COST.cache_base_us);
     }
 }

@@ -27,7 +27,7 @@ use mystore_obs::{Counter, Gauge, Registry};
 use mystore_ring::HashRing;
 
 use crate::auth::TokenStore;
-use crate::config::FrontendConfig;
+use crate::config::{FrontendConfig, COST};
 use crate::message::{status, Body, Method, Msg, RestRequest, RestResponse, StoreError};
 
 const TK_DEADLINE: u64 = 1;
@@ -103,24 +103,6 @@ impl Pending {
     }
 }
 
-/// Front-end statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontendStats {
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests shed with 503.
-    pub shed: u64,
-    /// Responses served from cache.
-    pub cache_hits: u64,
-    /// Requests rejected by signature verification.
-    pub auth_failures: u64,
-    /// Requests that timed out inside the cluster.
-    pub timeouts: u64,
-    /// Requests re-dispatched to the next preference-list member after
-    /// their coordinator went silent or failed.
-    pub redispatches: u64,
-}
-
 /// Observability handles for front-end admission and cache routing.
 /// Resolved from [`FrontendConfig::metrics`].
 #[derive(Debug, Clone, Default)]
@@ -167,7 +149,6 @@ pub struct Frontend {
     tokens: TokenStore,
     pending: BTreeMap<u64, Pending>,
     next_req: u64,
-    stats: FrontendStats,
     metrics: FrontendMetrics,
 }
 
@@ -186,14 +167,8 @@ impl Frontend {
             tokens: TokenStore::new(),
             pending: BTreeMap::new(),
             next_req: 1,
-            stats: FrontendStats::default(),
             metrics,
         }
-    }
-
-    /// Statistics counters.
-    pub fn stats(&self) -> FrontendStats {
-        self.stats
     }
 
     /// Issues an auth token for `user` (test/deployment hook standing in
@@ -265,7 +240,7 @@ impl Frontend {
         // cluster-wide metrics snapshot, served before admission control (it
         // must answer while the cluster sheds) and without auth.
         if r.method == Method::Get && r.key.as_deref() == Some("_stats") {
-            ctx.consume(self.cfg.cost.frontend_base_us);
+            ctx.consume(self.cfg.cpu_us);
             let body: Body = self.cfg.metrics.snapshot().to_pretty_string().into_bytes().into();
             reply_now(ctx, client, r.req, status::OK, body);
             return;
@@ -275,13 +250,12 @@ impl Frontend {
         // 503 from the listener without dispatching to a worker.
         if self.pending.len() >= self.cfg.max_inflight {
             ctx.consume(10);
-            self.stats.shed += 1;
             self.metrics.shed.inc();
             ctx.record("fe_shed", 1.0);
             reply_now(ctx, client, r.req, status::BUSY, Body::default());
             return;
         }
-        ctx.consume(self.cfg.cost.frontend_us(r.body.len()));
+        ctx.consume(self.cfg.cpu_us + (r.body.len() as f64 / COST.frontend_bytes_per_us) as u64);
         // Authentication (Fig. 2) when configured.
         if let Some(auth_cfg) = &self.cfg.auth {
             let ok = match &r.auth {
@@ -289,7 +263,6 @@ impl Frontend {
                 None => false,
             };
             if !ok {
-                self.stats.auth_failures += 1;
                 self.metrics.auth_failures.inc();
                 reply_now(ctx, client, r.req, status::UNAUTHORIZED, Body::default());
                 return;
@@ -320,7 +293,6 @@ impl Frontend {
                 }
             },
         };
-        self.stats.admitted += 1;
         self.metrics.admitted.inc();
         let req = self.fresh_req();
         // POST without key creates a new entry: assign a key (the paper
@@ -415,7 +387,6 @@ impl Frontend {
             }
             _ => return false,
         }
-        self.stats.redispatches += 1;
         self.metrics.redispatches.inc();
         ctx.record("fe_redispatch", 1.0);
         // A re-dispatched CAS keeps its predicate: if the silent
@@ -461,7 +432,7 @@ impl Process<Msg> for Frontend {
             Msg::TokenReq { req, user } => {
                 // Fig. 2: the TOKEN DB issues a per-request token — but only
                 // for users the deployment knows (i.e. with a secret).
-                ctx.consume(self.cfg.cost.frontend_base_us / 4);
+                ctx.consume(self.cfg.cpu_us / 4);
                 let token = match &self.cfg.auth {
                     Some(auth) if auth.secrets.contains_key(&user) => {
                         Some(self.tokens.issue(&user))
@@ -473,14 +444,13 @@ impl Process<Msg> for Frontend {
             Msg::CacheGetResp { req, value } => {
                 // Response handling costs a fraction of the request cost
                 // (unmarshal + forward).
-                ctx.consume(self.cfg.cost.frontend_base_us / 4);
+                ctx.consume(self.cfg.cpu_us / 4);
                 let Some(p) = self.pending.get_mut(&req) else { return };
                 if !matches!(p.phase, Phase::CacheLookup) {
                     return;
                 }
                 match value {
                     Some(body) => {
-                        self.stats.cache_hits += 1;
                         self.metrics.cache_hits.inc();
                         self.respond(ctx, req, status::OK, body, true);
                     }
@@ -493,7 +463,7 @@ impl Process<Msg> for Frontend {
                 }
             }
             Msg::GetResp { req, result } => {
-                ctx.consume(self.cfg.cost.frontend_base_us / 4);
+                ctx.consume(self.cfg.cpu_us / 4);
                 match result {
                     Ok(Some(body)) => {
                         if let Some(p) = self.pending.get(&req) {
@@ -509,7 +479,7 @@ impl Process<Msg> for Frontend {
                 }
             }
             Msg::PutResp { req, result } => {
-                ctx.consume(self.cfg.cost.frontend_base_us / 4);
+                ctx.consume(self.cfg.cpu_us / 4);
                 match result {
                     Ok(()) => {
                         let (st, key_body) = match self.pending.get(&req) {
@@ -541,7 +511,7 @@ impl Process<Msg> for Frontend {
                 }
             }
             Msg::CasResp { req, result } => {
-                ctx.consume(self.cfg.cost.frontend_base_us / 4);
+                ctx.consume(self.cfg.cpu_us / 4);
                 match result {
                     Ok(new_version) => {
                         // Same cache refresh as a plain write, and the new
@@ -583,7 +553,6 @@ impl Process<Msg> for Frontend {
             // The coordinator (or cache server) went silent: try the next
             // member of the route before surfacing a timeout.
             if !self.redispatch(ctx, req) {
-                self.stats.timeouts += 1;
                 self.metrics.timeouts.inc();
                 ctx.record("fe_timeout", 1.0);
                 self.respond(ctx, req, status::TIMEOUT, Body::default(), false);

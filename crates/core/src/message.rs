@@ -415,14 +415,6 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// True for operation-level messages — the granularity at which the
-    /// paper's Table 2 fault probabilities apply. Experiment harnesses pass
-    /// this to [`mystore_net::Sim::set_fault_filter`] so acks and gossip
-    /// frames do not draw their own faults.
-    pub fn is_client_op(&self) -> bool {
-        matches!(self, Msg::Put { .. } | Msg::Get { .. } | Msg::Cas { .. })
-    }
-
     /// True for replica-level storage operations — the per-replica reads
     /// and writes a user operation fans out into. The Fig. 16/17 harnesses
     /// inject Table 2 faults here: a lost replica write is exactly the
@@ -566,10 +558,9 @@ mod tests {
     }
 
     #[test]
-    fn cas_is_a_client_op_with_payload_sized_wire_cost() {
+    fn cas_is_not_a_replica_op_and_has_payload_sized_wire_cost() {
         let cas =
             Msg::Cas { req: 1, key: "k".into(), value: Arc::new(vec![0; 5_000]), expected: 7 };
-        assert!(cas.is_client_op());
         assert!(!cas.is_replica_op());
         assert!(cas.wire_size() > 5_000);
         let resp = Msg::CasResp { req: 1, result: Err(StoreError::CasConflict(9)) };

@@ -79,7 +79,6 @@ impl StorageNode {
         let ReadPurpose::Cas { ref value, expected, cas_started_us } = op.purpose else { return };
         match cas_version_check(op.newest(), expected) {
             Err(actual) => {
-                self.stats.cas_conflicts += 1;
                 self.metrics.cas_conflicts.inc();
                 self.metrics
                     .cas_latency_us
@@ -125,7 +124,6 @@ impl StorageNode {
         new_version: u64,
         cas_started_us: u64,
     ) {
-        self.stats.cas_ok += 1;
         self.metrics.cas_ok.inc();
         self.metrics.cas_latency_us.record(ctx.now().as_micros().saturating_sub(cas_started_us));
         ctx.record("cas_ok", 1.0);
@@ -139,7 +137,6 @@ impl StorageNode {
         common: &Common,
         err: StoreError,
     ) {
-        self.stats.cas_failed += 1;
         self.metrics.cas_failed.inc();
         ctx.record("cas_fail", 1.0);
         ctx.send(common.caller, Msg::CasResp { req: common.caller_req, result: Err(err) });

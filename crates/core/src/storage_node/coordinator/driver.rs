@@ -311,7 +311,6 @@ impl StorageNode {
         // double-count a replay or drive the depth gauge negative.
         if let Some(inflight) = self.hint_acks.remove(&req) {
             if ok && self.db.remove(crate::storage_node::HINTS, inflight.id).is_ok() {
-                self.stats.hints_replayed += 1;
                 self.metrics.hints_replayed.inc();
                 self.metrics.hint_queue_depth.dec_clamped();
                 ctx.record("hint_replayed", 1.0);

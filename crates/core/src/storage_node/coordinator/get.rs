@@ -99,7 +99,6 @@ impl QuorumOp for ReadOp {
                     Some(rec) if !rec.is_del => Ok(Some(Arc::new(rec.val.clone()))),
                     _ => Ok(None),
                 };
-                node.stats.gets_ok += 1;
                 node.metrics.quorum_read_ok.inc();
                 node.metrics
                     .quorum_read_latency_us
@@ -145,7 +144,6 @@ impl QuorumOp for ReadOp {
         }
         match self.purpose {
             ReadPurpose::Get => {
-                node.stats.gets_failed += 1;
                 node.metrics.quorum_read_failed.inc();
                 ctx.record("get_fail", 1.0);
                 ctx.send(
@@ -268,7 +266,6 @@ impl StorageNode {
             if !stale {
                 continue;
             }
-            self.stats.read_repairs += 1;
             self.metrics.read_repair_pushes.inc();
             ctx.record("read_repair", 1.0);
             if *node == me {

@@ -18,6 +18,7 @@ use mystore_engine::{pack_version, Record};
 use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
+use crate::config::COST;
 use crate::message::{Body, Msg, StoreError};
 use crate::storage_node::{StorageNode, DATA, HINTS, TK_PUT_HARD, TK_PUT_RETRY};
 
@@ -85,7 +86,6 @@ impl QuorumOp for WriteOp {
     fn on_success(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
         match self.reply {
             WriteReply::Put => {
-                node.stats.puts_ok += 1;
                 node.metrics.quorum_write_ok.inc();
                 node.metrics
                     .quorum_write_latency_us
@@ -128,14 +128,13 @@ impl QuorumOp for WriteOp {
             }
             if let Some(fallback) = node.pick_fallback(self) {
                 self.hints.push((fallback, intended));
-                node.stats.handoffs_sent += 1;
                 node.metrics.handoffs.inc();
                 ctx.record("handoff", 1.0);
                 if fallback == me {
                     // The coordinator may be the only node left standing —
                     // it holds the hint itself, staged like any local
                     // write: once durable it counts for `intended`.
-                    ctx.consume(node.cfg.cost.put_us(self.record.val.len()));
+                    ctx.consume(COST.put_us(self.record.val.len()));
                     let hint_doc = doc! {
                         "intended": intended.0 as i64,
                         "rec": self.record.to_document(),
@@ -166,7 +165,6 @@ impl QuorumOp for WriteOp {
         }
         match self.reply {
             WriteReply::Put => {
-                node.stats.puts_failed += 1;
                 node.metrics.quorum_write_failed.inc();
                 ctx.record("put_fail", 1.0);
                 ctx.send(
@@ -274,8 +272,7 @@ impl StorageNode {
             // "The node firstly stores the data records locally" (§5.2.2):
             // staged, it counts toward `W` once its sync completes, while
             // the replica writes below are already on their way.
-            ctx.consume(self.cfg.cost.put_us(record.val.len()));
-            self.stats.replica_puts += 1;
+            ctx.consume(COST.put_us(record.val.len()));
             if self.db.put_record(DATA, &record).is_ok() {
                 self.parked_own.push((my_req, me, self.db.wal_end_pos()));
             }

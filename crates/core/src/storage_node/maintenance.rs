@@ -21,6 +21,7 @@ use mystore_gossip::{keys as gossip_keys, MembershipEvent};
 use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
+use crate::config::COST;
 use crate::message::Msg;
 use crate::storage_node::{tk, StorageNode, DATA, HINTS, TK_GOSSIP};
 
@@ -169,7 +170,7 @@ impl StorageNode {
         from: NodeId,
         entries: Vec<(String, u64)>,
     ) {
-        ctx.consume(self.cfg.cost.gossip_us + entries.len() as u64 / 4);
+        ctx.consume(COST.gossip_us + entries.len() as u64 / 4);
         let mut newer: Vec<Record> = Vec::new();
         let mut behind: Vec<(String, u64)> = Vec::new();
         // Digests carry bare versions, so both directions route through the

@@ -402,7 +402,6 @@ impl StorageNode {
                 for key in keys {
                     if let Ok(Some(rec)) = self.db.get_record(DATA, &key) {
                         let _ = self.db.remove(DATA, rec.id);
-                        self.stats.records_migrated_out += 1;
                     }
                 }
             }
@@ -500,7 +499,6 @@ impl StorageNode {
             self.metrics.migrate_in_flight.add(copies as i64);
             self.metrics.migrate_records_sent.add(copies as u64);
             self.metrics.migrate_bytes_sent.add(bytes as u64);
-            self.stats.rebalance_records_sent += copies as u64;
             if !plan.retry.remove(&idx) {
                 plan.cursor = idx + 1;
             }

@@ -42,9 +42,9 @@
 
 pub(crate) mod coordinator;
 pub(crate) mod maintenance;
+pub(crate) mod metrics;
 pub(crate) mod migrate;
 pub(crate) mod replica;
-pub(crate) mod stats;
 pub(crate) mod sync;
 
 use std::collections::BTreeMap;
@@ -54,13 +54,13 @@ use mystore_gossip::{GossipMetrics, Gossiper};
 use mystore_net::{Context, NodeId, OpFault, Process, TimerToken};
 use mystore_ring::HashRing;
 
-use crate::config::StorageConfig;
+use crate::config::{StorageConfig, COST};
 use crate::message::Msg;
 
 use self::coordinator::quorum;
 use self::maintenance::HintInFlight;
+pub use self::metrics::StorageMetrics;
 use self::migrate::{InboundArc, MigAck, MigrationPlan, ProxyFetch};
-pub use self::stats::{NodeStats, StorageMetrics};
 
 // Timer-token layout: low 4 bits select the kind, the rest carry a request id.
 pub(crate) const TK_KIND_MASK: u64 = 0b1111;
@@ -106,7 +106,6 @@ pub struct StorageNode {
     /// Hint-replay requests in flight: replica req → hint + send time.
     pub(crate) hint_acks: BTreeMap<u64, HintInFlight>,
     pub(crate) next_req: u64,
-    pub(crate) stats: NodeStats,
     /// Bumped every restart; the gossip boot generation.
     pub(crate) generation: u64,
     /// Anti-entropy round counter (rotates the peer choice).
@@ -195,7 +194,6 @@ impl StorageNode {
             quorum: quorum::Driver::new(),
             hint_acks: BTreeMap::new(),
             next_req: 1,
-            stats: NodeStats::default(),
             generation: 1,
             sync_round: 0,
             ae_last_seq: 0,
@@ -219,11 +217,6 @@ impl StorageNode {
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.gossiper.id()
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> NodeStats {
-        self.stats
     }
 
     /// Records stored locally in the data collection (replicas included,
@@ -435,9 +428,8 @@ impl Process<Msg> for StorageNode {
                         self.sync_metrics.resurrections_blocked.inc();
                         continue;
                     }
-                    ctx.consume(self.cfg.cost.put_us(record.val.len()));
+                    ctx.consume(COST.put_us(record.val.len()));
                     if self.db.put_record(DATA, &record).unwrap_or(false) {
-                        self.stats.anti_entropy_received += 1;
                         ctx.record("anti_entropy_repair", 1.0);
                     }
                 }
@@ -459,12 +451,12 @@ impl Process<Msg> for StorageNode {
             // peer still running it may; nothing in this tree does.
             Msg::TransferRecords { records } => {
                 for record in records {
-                    ctx.consume(self.cfg.cost.put_us(record.val.len()));
+                    ctx.consume(COST.put_us(record.val.len()));
                     let _ = self.db.put_record(DATA, &record);
                 }
             }
             Msg::Gossip(g) => {
-                ctx.consume(self.cfg.cost.gossip_us);
+                ctx.consume(COST.gossip_us);
                 let now = ctx.now();
                 if let Some((to, reply)) = self.gossiper.handle(now, from, g) {
                     ctx.send(to, Msg::Gossip(reply));

@@ -19,6 +19,7 @@ use mystore_bson::doc;
 use mystore_engine::Record;
 use mystore_net::{Context, NodeId, OpFault, SyncJob};
 
+use crate::config::COST;
 use crate::message::{BatchPut, Msg};
 use crate::storage_node::coordinator::quorum::Reply;
 use crate::storage_node::{StorageNode, DATA, HINTS};
@@ -112,8 +113,7 @@ impl StorageNode {
             }
             _ => {}
         }
-        ctx.consume(self.cfg.cost.put_us(record.val.len()));
-        self.stats.replica_puts += 1;
+        ctx.consume(COST.put_us(record.val.len()));
         let ok = self.db.put_record(DATA, &record).is_ok();
         if ok {
             // Dual ownership: a write landing on a still-inbound arc is
@@ -183,9 +183,8 @@ impl StorageNode {
     /// Serves a local read (both the replica side of `FetchReplica` and the
     /// coordinator's own copy during a read fan-out).
     pub(crate) fn local_fetch(&mut self, ctx: &mut Context<'_, Msg>, key: &str) -> Option<Record> {
-        self.stats.replica_gets += 1;
         let found = self.db.get_record(DATA, key).ok().flatten();
-        ctx.consume(self.cfg.cost.get_us(found.as_ref().map(|r| r.val.len()).unwrap_or(0)));
+        ctx.consume(COST.get_us(found.as_ref().map(|r| r.val.len()).unwrap_or(0)));
         found
     }
 
@@ -208,7 +207,7 @@ impl StorageNode {
             }
             _ => {}
         }
-        ctx.consume(self.cfg.cost.put_us(record.val.len()));
+        ctx.consume(COST.put_us(record.val.len()));
         // "When C receives the request, it creates an index for the
         // replication" — we persist the hint durably.
         let hint_doc = doc! {

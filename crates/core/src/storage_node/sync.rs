@@ -30,6 +30,7 @@ use mystore_engine::Record;
 use mystore_net::{Context, NodeId};
 use mystore_ring::Arc_;
 
+use crate::config::COST;
 use crate::message::Msg;
 use crate::storage_node::{StorageNode, DATA};
 use crate::sync::{ring_hash, TreeHeap};
@@ -133,7 +134,7 @@ impl StorageNode {
         if self.receiving_migration() {
             return;
         }
-        ctx.consume(self.cfg.cost.gossip_us);
+        ctx.consume(COST.gossip_us);
         self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
         if hash != their_hash || arcs.is_empty() {
@@ -159,7 +160,7 @@ impl StorageNode {
         their_hash: u64,
         their_nodes: Vec<(u32, u64)>,
     ) {
-        ctx.consume(self.cfg.cost.gossip_us + their_nodes.len() as u64 / 4);
+        ctx.consume(COST.gossip_us + their_nodes.len() as u64 / 4);
         self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
         if hash != their_hash || arcs.is_empty() {
@@ -231,7 +232,7 @@ impl StorageNode {
         leaves: Vec<u32>,
         entries: Vec<(String, u64)>,
     ) {
-        ctx.consume(self.cfg.cost.gossip_us + entries.len() as u64 / 4);
+        ctx.consume(COST.gossip_us + entries.len() as u64 / 4);
         self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
         if hash != their_hash || arcs.is_empty() {

@@ -168,15 +168,13 @@ impl Process<Msg> for CasProbe {
 mod tests {
     use super::*;
     use crate::cache_node::CacheNode;
-    use crate::config::CostModel;
     use mystore_net::{NetConfig, NodeConfig, Sim, SimConfig};
 
     #[test]
     fn probe_sends_script_and_collects_responses() {
         let mut sim: Sim<Msg> =
             Sim::new(SimConfig { net: NetConfig::instant(), faults: Default::default(), seed: 1 });
-        let cache =
-            sim.add_node(CacheNode::new(1 << 16, CostModel::default()), NodeConfig::default());
+        let cache = sim.add_node(CacheNode::new(1 << 16), NodeConfig::default());
         let probe = sim.add_node(
             Probe::new(vec![
                 (10, cache, Msg::CachePut { key: "k".into(), value: std::sync::Arc::new(vec![9]) }),

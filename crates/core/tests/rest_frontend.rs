@@ -3,7 +3,7 @@
 
 use mystore_core::prelude::*;
 use mystore_core::testing::Probe;
-use mystore_core::{sign_request, AuthConfig, Frontend, NodeStats};
+use mystore_core::{sign_request, AuthConfig, Frontend};
 use mystore_net::{FaultPlan, NetConfig, NodeConfig, NodeId, Sim, SimConfig, SimTime};
 use mystore_ring::HashRing;
 
@@ -121,6 +121,7 @@ fn auth_rejects_unsigned_and_wrong_signatures() {
     let mut sim = spec.build_sim(sim_config(23));
     let mut fe_cfg = spec.frontend_config();
     fe_cfg.auth = Some(AuthConfig::default().with_user("alice", "s3cret"));
+    let metrics = fe_cfg.metrics.clone();
     let mut fe_proc = Frontend::new(fe_cfg);
     let token_good = fe_proc.issue_token("alice");
     let token_for_get = fe_proc.issue_token("alice");
@@ -186,8 +187,7 @@ fn auth_rejects_unsigned_and_wrong_signatures() {
     assert_eq!(st(2), status::OK);
     assert_eq!(st(3), status::UNAUTHORIZED);
     assert_eq!(st(4), status::OK);
-    let fe_stats = sim.process::<Frontend>(fe).unwrap().stats();
-    assert_eq!(fe_stats.auth_failures, 2);
+    assert_eq!(metrics.counter("frontend.auth_failures").get(), 2);
 }
 
 #[test]
@@ -197,7 +197,7 @@ fn overload_sheds_with_busy() {
     spec.frontends = 1;
     let fe = spec.frontend_ids()[0];
     let warm = spec.warmup_us();
-    let mut sim = spec.build_sim(sim_config(24));
+    let (mut sim, metrics) = spec.build_sim_with_metrics(sim_config(24));
     // 50 large POSTs at the same instant; with only 4 in-flight slots most
     // must be shed.
     let script: Vec<_> = (0..50u64)
@@ -212,7 +212,7 @@ fn overload_sheds_with_busy() {
     assert!(busy > 0, "load shedding expected");
     assert!(ok >= 4, "admitted requests should finish");
     assert_eq!(busy + ok, 50);
-    assert_eq!(sim.process::<Frontend>(fe).unwrap().stats().shed as usize, busy);
+    assert_eq!(metrics.counter("frontend.shed").get() as usize, busy);
 }
 
 #[test]
@@ -252,6 +252,7 @@ fn runtime_token_flow_completes_the_fig2_loop() {
     let mut sim = spec.build_sim(sim_config(26));
     let mut cfg = spec.frontend_config();
     cfg.auth = Some(AuthConfig::default().with_user("alice", "s3cret"));
+    let metrics = cfg.metrics.clone();
     let fe = sim.add_node(Frontend::new(cfg), NodeConfig { concurrency: 8 });
 
     // Phase 1: ask the TOKEN DB for tokens (one valid user, one unknown).
@@ -293,9 +294,8 @@ fn runtime_token_flow_completes_the_fig2_loop() {
         }),
     );
     sim.run_for(3_000_000);
-    let stats = sim.process::<Frontend>(fe).unwrap().stats();
-    assert_eq!(stats.auth_failures, 0, "the runtime token must verify");
-    assert_eq!(stats.admitted, 1);
+    assert_eq!(metrics.counter("frontend.auth_failures").get(), 0, "the runtime token must verify");
+    assert_eq!(metrics.counter("frontend.admitted").get(), 1);
     let copies = spec
         .storage_ids()
         .iter()
@@ -557,14 +557,35 @@ fn placement(spec: &ClusterSpec, key: &str) -> Vec<NodeId> {
     ring.preference_list(key.as_bytes(), spec.storage.nwr.n)
 }
 
-/// Every storage node's counters, indexed by node id.
-fn node_stats(sim: &Sim<Msg>, spec: &ClusterSpec) -> Vec<NodeStats> {
-    spec.storage_ids().iter().map(|&id| sim.process::<StorageNode>(id).unwrap().stats()).collect()
+/// A storage node's coordinator outcomes so far.
+#[derive(Clone, Copy, Default)]
+struct Outcomes {
+    puts_ok: u64,
+    puts_failed: u64,
+    gets_ok: u64,
+    gets_failed: u64,
+}
+
+/// Every storage node's outcomes, indexed by node id: the coordinator
+/// records each one in the sim trace under its own node id.
+fn node_stats(sim: &Sim<Msg>, spec: &ClusterSpec) -> Vec<Outcomes> {
+    let mut out = vec![Outcomes::default(); spec.storage_nodes];
+    for e in sim.trace().events() {
+        let Some(o) = out.get_mut(e.node.0 as usize) else { continue };
+        match e.name {
+            "put_ok" => o.puts_ok += 1,
+            "put_fail" => o.puts_failed += 1,
+            "get_ok" => o.gets_ok += 1,
+            "get_fail" => o.gets_failed += 1,
+            _ => {}
+        }
+    }
+    out
 }
 
 /// The storage nodes that coordinated an op between two snapshots, with how
 /// many each: (node, puts, gets), successful or not.
-fn coordinated(before: &[NodeStats], after: &[NodeStats]) -> Vec<(NodeId, u64, u64)> {
+fn coordinated(before: &[Outcomes], after: &[Outcomes]) -> Vec<(NodeId, u64, u64)> {
     before
         .iter()
         .zip(after)
@@ -586,8 +607,8 @@ fn uncached_topology() -> ClusterSpec {
 
 /// The front end hosts no storage node on the paper topology, so it sends
 /// each op to the first member of its key's preference list. The sim's
-/// registry is cluster-wide, so the check reads each `StorageNode`'s own
-/// counters, one op at a time.
+/// registry is cluster-wide, so the check reads each coordinator's events
+/// from the trace, one op at a time.
 #[test]
 fn every_forward_lands_on_its_keys_first_preference_list_member() {
     let spec = uncached_topology();

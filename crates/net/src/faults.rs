@@ -49,13 +49,6 @@ pub enum OpFault {
     NodeBreakdown,
 }
 
-impl OpFault {
-    /// True for the paper's *short failure* class.
-    pub fn is_short(self) -> bool {
-        !matches!(self, OpFault::NodeBreakdown)
-    }
-}
-
 /// Per-operation fault probabilities (paper Table 2) plus recovery-interval
 /// parameters for the short faults.
 #[derive(Debug, Clone, PartialEq)]
@@ -574,14 +567,6 @@ mod tests {
         assert!((0.0013..0.0027).contains(&rate(counts[1])), "disk {}", rate(counts[1]));
         assert!((0.0013..0.0027).contains(&rate(counts[2])), "block {}", rate(counts[2]));
         assert!((0.0005..0.0016).contains(&rate(counts[3])), "breakdown {}", rate(counts[3]));
-    }
-
-    #[test]
-    fn short_long_classification() {
-        assert!(OpFault::NetworkException.is_short());
-        assert!(OpFault::DiskIoError.is_short());
-        assert!(OpFault::BlockedProcess.is_short());
-        assert!(!OpFault::NodeBreakdown.is_short());
     }
 
     #[test]

@@ -354,17 +354,6 @@ impl<M: WireSized + Clone + 'static> Sim<M> {
         self.push(at.0, EventKind::SetLinkRule { from: b, to: a, rule: Some(rule) });
     }
 
-    /// Schedules installing `rule` on only the `from → to` direction.
-    pub fn schedule_chaos_oneway(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        rule: LinkFaultRule,
-    ) {
-        self.push(at.0, EventKind::SetLinkRule { from, to, rule: Some(rule) });
-    }
-
     /// Schedules removing any chaos rule from the `a`↔`b` link.
     pub fn schedule_chaos_clear(&mut self, at: SimTime, a: NodeId, b: NodeId) {
         self.push(at.0, EventKind::SetLinkRule { from: a, to: b, rule: None });
@@ -1291,9 +1280,8 @@ mod tests {
         let relay = sim.add_node(Relay { target: echo }, NodeConfig::default());
         let metrics = FaultMetrics::default();
         sim.set_fault_metrics(metrics.clone());
-        // Duplicate only relay → echo; the echo's replies stay clean so the
-        // assertion below is exact.
-        sim.schedule_chaos_oneway(
+        // Both directions duplicate: the relay ignores the echo's replies.
+        sim.schedule_chaos(
             SimTime(0),
             relay,
             echo,
@@ -1305,7 +1293,8 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.process::<Echo>(echo).unwrap().handled, 8);
-        assert_eq!(metrics.msg_duplicated.get(), 4);
+        // Four requests and the echo's eight replies, each sent twice.
+        assert_eq!(metrics.msg_duplicated.get(), 12);
     }
 
     #[test]

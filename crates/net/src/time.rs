@@ -30,11 +30,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds since simulation start (rounded down).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since simulation start, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6

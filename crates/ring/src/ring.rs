@@ -168,11 +168,6 @@ impl<N: Clone + Eq + Hash + Ord> HashRing<N> {
         self.nodes.is_empty()
     }
 
-    /// Total number of virtual-node points on the ring.
-    pub fn point_count(&self) -> usize {
-        self.points.len()
-    }
-
     /// Virtual-node count configured for `id`.
     pub fn vnodes_of(&self, id: &N) -> Option<u32> {
         self.nodes.get(id).map(|i| i.vnodes)
@@ -404,7 +399,6 @@ mod tests {
         for key in 0..100u32 {
             assert_eq!(r.primary(&key.to_le_bytes()), Some(&0));
         }
-        assert_eq!(r.point_count(), 8);
     }
 
     #[test]

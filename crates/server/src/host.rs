@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use mystore_core::{CostModel, Frontend, FrontendConfig, Msg, StorageConfig, StorageNode};
+use mystore_core::{Frontend, FrontendConfig, Msg, StorageConfig, StorageNode};
 use mystore_gossip::GossipConfig;
 use mystore_net::{NodeId, RecvError, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};
 use mystore_obs::Registry;
@@ -131,7 +131,6 @@ impl Host {
             // A key's replica on this host coordinates its requests here.
             local_nodes: storage_ids.clone(),
             cache_nodes: Vec::new(),
-            cost: CostModel::default(),
             request_deadline_us: 5_000_000,
             metrics: metrics.clone(),
             ..FrontendConfig::default()

@@ -66,14 +66,12 @@ fn main() {
         .expect("replica besides coordinator");
     sim.schedule_crash(SimTime(warm + 2_500_000), victim_short, Some(10_000_000));
     sim.run_for(5_000_000);
-    let handoffs: u64 =
-        live.iter().map(|&id| sim.process::<StorageNode>(id).unwrap().stats().handoffs_sent).sum();
+    let handoffs = sim.trace().count("handoff");
     let hints: usize =
         live.iter().map(|&id| sim.process::<StorageNode>(id).unwrap().hint_count()).sum();
     println!("phase 2: {victim_short} down briefly -> write diverted ({handoffs} handoffs, {hints} hints parked)");
     sim.run_for(20_000_000);
-    let replayed: u64 =
-        live.iter().map(|&id| sim.process::<StorageNode>(id).unwrap().stats().hints_replayed).sum();
+    let replayed = sim.trace().count("hint_replayed");
     let has_it = sim
         .process::<StorageNode>(victim_short)
         .unwrap()

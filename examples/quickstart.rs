@@ -73,15 +73,17 @@ fn main() {
         }
     }
 
-    // 5. And the cluster's own accounting.
+    // 5. And the cluster's own accounting: each coordinator records its
+    // outcomes in the sim trace under its own id.
     for id in spec.storage_ids() {
         let node = sim.process::<StorageNode>(id).expect("storage node");
-        let s = node.stats();
+        let coordinated =
+            |name| sim.trace().events().iter().filter(|e| e.node == id && e.name == name).count();
         println!(
             "{id}: {} records, coordinated {} puts / {} gets",
             node.record_count(),
-            s.puts_ok,
-            s.gets_ok
+            coordinated("put_ok"),
+            coordinated("get_ok")
         );
     }
 

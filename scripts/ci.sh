@@ -64,6 +64,14 @@ cargo test --locked -p mystore-serverd --test mesh_threads -q
 # Each mesh host's own node coordinates every request its frontend receives.
 cargo test --locked -p mystore-serverd --test mesh_local_first -q
 
+echo "==> examples (each asserts its flow and prints \"... OK\")"
+# Nothing else runs the examples, and quickstart and failure_drill print
+# counters read from the sim trace, so a change that breaks an example's
+# flow or its accounting fails here.
+for example in quickstart failure_drill embedded_db veepalms threaded_cluster; do
+    cargo run --locked --release -q --example "$example"
+done
+
 echo "==> scenario-matrix smoke (idle-clock fast-forward + chaos invariants)"
 # The PR-7 matrix runner: a 25-node, 1-virtual-hour kill cell must finish
 # with 0 client errors and no acked-write loss (full sweep: --bin matrix).

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use mystore::baselines::{FsCost, FsStoreNode};
+use mystore::baselines::FsStoreNode;
 use mystore::core::prelude::*;
 use mystore::net::{FaultPlan, NetConfig, NodeConfig, Sim, SimConfig, SimTime};
 use mystore::workload::{
@@ -64,7 +64,7 @@ fn full_topology_serves_a_closed_loop_workload() {
 fn baseline_store_serves_the_same_workload() {
     let net = NetConfig::gigabit_lan();
     let mut sim: Sim<Msg> = Sim::new(sim_config(2));
-    let store = sim.add_node(FsStoreNode::new(FsCost::default()), NodeConfig { concurrency: 2 });
+    let store = sim.add_node(FsStoreNode::default(), NodeConfig { concurrency: 2 });
     let items = Arc::new(xml_corpus(100, 100, &mut mystore::net::Rng::new(6)));
     let client = sim.add_node(
         RestClient::new(RestClientConfig {
