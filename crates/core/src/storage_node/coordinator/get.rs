@@ -269,7 +269,7 @@ impl StorageNode {
             self.metrics.read_repair_pushes.inc();
             ctx.record("read_repair", 1.0);
             if *node == me {
-                let _ = self.db.put_record(DATA, &newest);
+                let _ = self.write_data(&newest.self_key, |db| db.put_record(DATA, &newest));
             } else {
                 // Fire-and-forget: acks for req 0 are ignored.
                 ctx.send(*node, Msg::StoreReplica { req: 0, record: Arc::clone(&newest) });

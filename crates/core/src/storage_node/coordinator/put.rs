@@ -273,7 +273,7 @@ impl StorageNode {
             // staged, it counts toward `W` once its sync completes, while
             // the replica writes below are already on their way.
             ctx.consume(COST.put_us(record.val.len()));
-            if self.db.put_record(DATA, &record).is_ok() {
+            if self.write_data(&record.self_key, |db| db.put_record(DATA, &record)).is_ok() {
                 self.parked_own.push((my_req, me, self.db.wal_end_pos()));
             }
         }

@@ -21,7 +21,6 @@ use mystore_gossip::{keys as gossip_keys, MembershipEvent};
 use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
-use crate::config::COST;
 use crate::message::Msg;
 use crate::storage_node::{tk, StorageNode, DATA, HINTS, TK_GOSSIP};
 
@@ -72,7 +71,7 @@ impl StorageNode {
         self.ring_sig = sig;
         self.replica_arcs = crate::sync::replica_arcs(&self.ring, self.cfg.nwr.n, self.id());
         // Arc boundaries moved: every cached Merkle leaf hash is stale.
-        self.sync_tree.on_ring_change();
+        self.sync_tree.clear();
         // DESIGN.md §16: drain the change incrementally under the per-tick
         // budgets.
         self.start_migration(ctx, old_ring);
@@ -158,20 +157,20 @@ impl StorageNode {
 
     // ---- anti-entropy (extension) ---------------------------------------
 
-    /// Per-key reconciliation, where the Merkle walk (`storage_node/sync.rs`)
-    /// bottoms out: reply with every record we hold strictly newer than the
-    /// sender's digest, and counter-digest the keys where we are behind
+    /// Per-key reconciliation of a peer's digest (`SyncDigest`, or the
+    /// `SyncLeafDigest` the Merkle walk in `storage_node/sync.rs` bottoms out
+    /// in): reply with `newer` (records the caller already found the sender
+    /// lacks) plus every record we hold strictly newer than the digest, and counter-digest the keys where we are behind
     /// (missing or older) so the sender pushes those back. The
     /// counter-digest cannot loop: the sender is strictly newer for every
     /// key in it, so its handler only produces a `SyncRecords`.
-    pub(crate) fn on_sync_digest(
+    pub(crate) fn reconcile(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         from: NodeId,
         entries: Vec<(String, u64)>,
+        mut newer: Vec<Record>,
     ) {
-        ctx.consume(COST.gossip_us + entries.len() as u64 / 4);
-        let mut newer: Vec<Record> = Vec::new();
         let mut behind: Vec<(String, u64)> = Vec::new();
         // Digests carry bare versions, so both directions route through the
         // engine-owned comparators (`wins_over_version` is exactly what

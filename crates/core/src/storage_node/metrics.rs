@@ -7,8 +7,9 @@
 use mystore_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Observability handles for the coordinator and hinted-handoff hot paths.
-/// Resolved once per node from [`StorageConfig::metrics`]; all nodes sharing
-/// a registry aggregate into the same cluster-wide series.
+/// Resolved once per node from [`crate::config::StorageConfig::metrics`];
+/// all nodes sharing a registry aggregate into the same cluster-wide
+/// series.
 #[derive(Debug, Clone, Default)]
 pub struct StorageMetrics {
     /// Quorum writes this node began coordinating.

@@ -36,12 +36,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc as StdArc;
 
+use mystore_engine::record::F_SELF_KEY;
 use mystore_engine::Record;
 use mystore_net::{Context, NodeId};
 use mystore_ring::{Arc_, HashRing};
 
 use crate::message::{BatchPut, Msg};
-use crate::storage_node::{tk, StorageNode, DATA, TK_MIGRATE};
+use crate::storage_node::{data, tk, StorageNode, DATA, TK_MIGRATE};
 
 mod cursor;
 mod plan;
@@ -307,17 +308,16 @@ impl StorageNode {
         }
     }
 
-    /// One scan of the data collection → the sorted work list. Arc lookup
-    /// is a wrap-aware scan over the (few) plan arcs per record.
+    /// The work list: each plan arc's range of the ring-ordered data
+    /// collection, sorted by `(arc index, key)`, the order the persisted
+    /// cursor is kept in.
     fn build_work_list(&self, arcs: &[PlanArc]) -> Vec<WorkItem> {
-        let Ok(coll) = self.db.collection(DATA) else { return Vec::new() };
+        let data = data(&self.db);
         let mut work: Vec<WorkItem> = Vec::new();
-        for (_, docu) in coll.iter() {
-            let Some(key) = docu.get_str("self-key") else { continue };
-            let point = HashRing::<NodeId>::key_point(key.as_bytes());
-            if let Some(i) = arcs.iter().position(|a| a.arc.contains(point)) {
-                work.push((i, key.to_string()));
-            }
+        for (i, a) in arcs.iter().enumerate() {
+            let keys =
+                data.scan_points(a.arc.start, a.arc.end).filter_map(|d| d.get_str(F_SELF_KEY));
+            work.extend(keys.map(|key| (i, key.to_string())));
         }
         work.sort_unstable();
         work
@@ -401,7 +401,7 @@ impl StorageNode {
                     .collect();
                 for key in keys {
                     if let Ok(Some(rec)) = self.db.get_record(DATA, &key) {
-                        let _ = self.db.remove(DATA, rec.id);
+                        let _ = self.write_data(&key, |db| db.remove(DATA, rec.id));
                     }
                 }
             }

@@ -22,12 +22,12 @@
 //! The implementation is a module tree; this file holds the node state,
 //! construction, and the [`Process`] dispatch shell:
 //!
-//! * [`coordinator`] — the generic quorum engine ([`coordinator::quorum::Driver`],
+//! * `coordinator` — the generic quorum engine (`coordinator::quorum::Driver`,
 //!   the `QuorumOp` trait) and the thin PUT/GET/CAS op definitions,
-//! * [`replica`] — the replica-level server side (store/fetch/hint) and
+//! * `replica` — the replica-level server side (store/fetch/hint) and
 //!   the group commit that syncs the WAL off the node's thread and
 //!   releases parked acks as the sync completes,
-//! * [`maintenance`] — membership/ring/rebalance, hint replay,
+//! * `maintenance` — membership/ring/rebalance, hint replay,
 //!   anti-entropy and gossip ticks.
 
 #![deny(
@@ -49,7 +49,7 @@ pub(crate) mod sync;
 
 use std::collections::BTreeMap;
 
-use mystore_engine::{Db, WalMetrics};
+use mystore_engine::{Collection, Db, WalMetrics};
 use mystore_gossip::{GossipMetrics, Gossiper};
 use mystore_net::{Context, NodeId, OpFault, Process, TimerToken};
 use mystore_ring::HashRing;
@@ -88,6 +88,12 @@ pub(crate) const DATA: &str = "data";
 /// Collection holding hinted-handoff records.
 pub(crate) const HINTS: &str = "hints";
 
+/// The data collection of `db`, empty until a first write creates it.
+pub(crate) fn data(db: &Db) -> &Collection {
+    static NONE: Collection = Collection::new();
+    db.collection(DATA).unwrap_or(&NONE)
+}
+
 /// The storage-node process.
 pub struct StorageNode {
     pub(crate) cfg: StorageConfig,
@@ -116,7 +122,7 @@ pub struct StorageNode {
     /// Consecutive anti-entropy rounds with no local writes.
     pub(crate) ae_quiet_rounds: u32,
     /// Merkle sync state: per-range leaf hashes over the local keyspace,
-    /// kept current from the engine's dirty-key feed.
+    /// each dropped by [`StorageNode::write_data`] when a write touches it.
     pub(crate) sync_tree: crate::sync::SyncTree,
     /// Highest tombstone-reap cutoff applied locally. Sync digests below
     /// this floor must not resurrect keys we reaped: a missing key whose
@@ -176,6 +182,8 @@ impl StorageNode {
         };
         // Record ids must replay identically under the seeded simulator.
         db.set_oid_machine(u64::from(me.0));
+        // Ring order: a Merkle leaf or a migration arc is one range scan.
+        db.set_key_point(HashRing::<NodeId>::key_point);
         db.set_wal_metrics(WalMetrics::from_registry(&cfg.metrics));
         // From here on writes stage; `commit` makes them durable.
         db.set_staged(true);
@@ -240,8 +248,19 @@ impl StorageNode {
     /// of load traffic; placement must be computed by the caller (see
     /// `mystore-workload`'s preload helpers).
     pub fn preload_record(&mut self, record: &mystore_engine::Record) {
-        let _ = self.db.put_record(DATA, record);
+        let _ = self.write_data(&record.self_key, |db| db.put_record(DATA, record));
         let _ = self.db.sync_wal();
+    }
+
+    /// Runs `write`, a mutation of `key`'s record in the data collection,
+    /// and drops the cached Merkle leaf that covers the key. Every write to
+    /// `DATA` goes through here (a reap, which touches many keys, drops the
+    /// whole cache instead), so a cached leaf hash is always the hash of
+    /// what the store holds.
+    pub(crate) fn write_data<T>(&mut self, key: &str, write: impl FnOnce(&mut Db) -> T) -> T {
+        let out = write(&mut self.db);
+        self.sync_tree.dirty(&self.ring, key);
+        out
     }
 
     /// The node's current ring view.
@@ -321,16 +340,16 @@ impl Process<Msg> for StorageNode {
                 let mut fresh = Db::memory();
                 fresh.set_wal_metrics(WalMetrics::from_registry(&self.cfg.metrics));
                 fresh.set_oid_machine(u64::from(self.id().0));
+                fresh.set_key_point(HashRing::<NodeId>::key_point);
                 fresh.set_staged(true);
                 fresh
             }
         };
-        // The tree mirrors pre-crash state; rebuild lazily from the
-        // recovered store on the next anti-entropy round (which also turns
-        // the recovered store's dirty-key feed back on). The reap floor is
-        // volatile on purpose: an empty recovered store must accept
-        // anti-entropy refills.
-        self.sync_tree.reset();
+        // The cached leaf hashes describe the pre-crash store (a recovered
+        // store keeps its key order); they recompute lazily from the
+        // recovered one. The reap floor is volatile on purpose: an empty
+        // recovered store must accept anti-entropy refills.
+        self.sync_tree.clear();
         self.reap_floor = 0;
         // A restart is a new boot generation (paper's bootGeneration field):
         // peers see the bump and reset our state, clearing any long-failure
@@ -414,7 +433,10 @@ impl Process<Msg> for StorageNode {
             Msg::StoreHint { req, intended, record } => {
                 self.on_store_hint(ctx, from, req, intended, record, fault)
             }
-            Msg::SyncDigest { entries } => self.on_sync_digest(ctx, from, entries),
+            Msg::SyncDigest { entries } => {
+                ctx.consume(COST.gossip_us + entries.len() as u64 / 4);
+                self.reconcile(ctx, from, entries, Vec::new());
+            }
             Msg::SyncRecords { records } => {
                 for record in records {
                     // Resurrection guard (push path): a record the sender
@@ -429,7 +451,8 @@ impl Process<Msg> for StorageNode {
                         continue;
                     }
                     ctx.consume(COST.put_us(record.val.len()));
-                    if self.db.put_record(DATA, &record).unwrap_or(false) {
+                    let key = &record.self_key;
+                    if self.write_data(key, |db| db.put_record(DATA, &record)).unwrap_or(false) {
                         ctx.record("anti_entropy_repair", 1.0);
                     }
                 }
@@ -452,7 +475,7 @@ impl Process<Msg> for StorageNode {
             Msg::TransferRecords { records } => {
                 for record in records {
                     ctx.consume(COST.put_us(record.val.len()));
-                    let _ = self.db.put_record(DATA, &record);
+                    let _ = self.write_data(&record.self_key, |db| db.put_record(DATA, &record));
                 }
             }
             Msg::Gossip(g) => {
@@ -497,6 +520,7 @@ impl Process<Msg> for StorageNode {
                         // reaped: a fresh (or refilled-from-empty) node keeps
                         // floor 0 so anti-entropy can seed it.
                         self.reap_floor = self.reap_floor.max(cutoff);
+                        self.sync_tree.clear();
                     }
                 }
                 ctx.set_timer(self.cfg.compaction_interval_us, tk(TK_REAP, 0));

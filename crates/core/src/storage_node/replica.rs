@@ -114,7 +114,7 @@ impl StorageNode {
             _ => {}
         }
         ctx.consume(COST.put_us(record.val.len()));
-        let ok = self.db.put_record(DATA, &record).is_ok();
+        let ok = self.write_data(&record.self_key, |db| db.put_record(DATA, &record)).is_ok();
         if ok {
             // Dual ownership: a write landing on a still-inbound arc is
             // forwarded to the arc's old owner (no-op outside migrations).

@@ -5,9 +5,10 @@
 //! roots end the exchange in two messages; unequal roots start a stateless
 //! ping-pong walk ([`Msg::SyncTreeLevel`]) that descends only mismatched
 //! subtrees, bottoming out in per-key digests ([`Msg::SyncLeafDigest`])
-//! for just the divergent leaves. The per-key reconciliation then runs on
-//! `SyncRecords`/`SyncDigest` (`on_sync_digest`), so repair application
-//! (LWW, reap-floor guard, WAL flush arming) has exactly one code path.
+//! for just the divergent leaves. Both digest handlers settle each key in
+//! one per-key pass (`reconcile`), and the repairs travel as
+//! `SyncRecords`/`SyncDigest`, so repair application (LWW, reap-floor
+//! guard) has exactly one code path.
 //!
 //! Every handler re-derives the shared-arc layout from its own ring view
 //! and checks the exchange's [`ring_hash`] guard: when the peers' views
@@ -26,13 +27,14 @@
 
 use std::collections::BTreeSet;
 
+use mystore_engine::record::F_SELF_KEY;
 use mystore_engine::Record;
 use mystore_net::{Context, NodeId};
 use mystore_ring::Arc_;
 
 use crate::config::COST;
 use crate::message::Msg;
-use crate::storage_node::{StorageNode, DATA};
+use crate::storage_node::{data, StorageNode};
 use crate::sync::{ring_hash, TreeHeap};
 
 /// Wire bytes a root-match exchange costs (one `SyncTreeRequest`); what a
@@ -41,37 +43,6 @@ use crate::sync::{ring_hash, TreeHeap};
 const ROOT_EXCHANGE_BYTES: u64 = 16;
 
 impl StorageNode {
-    /// Brings the sync tree up to date with the local store: a full
-    /// collection scan on the first round after boot/restart, the engine's
-    /// dirty-key feed afterwards. The feed is switched on by that first
-    /// scan — before it, a dirty set would only grow to be thrown away.
-    pub(crate) fn sync_tree_refresh(&mut self) {
-        if !self.sync_tree.is_built() {
-            let records: Vec<(String, u64, bool)> = self
-                .db
-                .collection(DATA)
-                .map(|c| {
-                    c.iter()
-                        .filter_map(|(_, doc)| Record::sync_state(&doc))
-                        .map(|(key, version, is_del)| (key.to_string(), version, is_del))
-                        .collect()
-                })
-                .unwrap_or_default();
-            self.sync_tree.rebuild(records);
-            self.db.track_dirty_keys(DATA);
-            return;
-        }
-        for key in self.db.take_dirty_keys() {
-            // Read in place: the tree needs the version and flag, not `val`.
-            let state = self
-                .db
-                .get_record_raw(DATA, &key)
-                .and_then(|doc| Record::sync_state(&doc))
-                .map(|(_, version, is_del)| (version, is_del));
-            self.sync_tree.note(&self.ring, &key, state);
-        }
-    }
-
     /// While a migration is still shipping arcs into this node, a tree
     /// exchange would find exactly the records still in flight and pull
     /// them as "repairs" — around the migration's rate limit, and digest by
@@ -101,7 +72,6 @@ impl StorageNode {
         if self.receiving_migration() {
             return;
         }
-        self.sync_tree_refresh();
         let me = self.id();
         // Replica peers: every node co-listed with us in some arc's
         // preference list, deduped in node-id order.
@@ -118,7 +88,7 @@ impl StorageNode {
             return;
         }
         self.sync_metrics.rounds.inc();
-        let root = self.sync_tree.heap(&arcs).root();
+        let root = self.sync_tree.heap(data(&self.db), &arcs).root();
         ctx.send(peer, Msg::SyncTreeRequest { ring_hash: hash, root });
     }
 
@@ -135,16 +105,15 @@ impl StorageNode {
             return;
         }
         ctx.consume(COST.gossip_us);
-        self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
         if hash != their_hash || arcs.is_empty() {
             self.sync_metrics.ring_mismatch.inc();
             return;
         }
-        let heap = self.sync_tree.heap(&arcs);
+        let heap = self.sync_tree.heap(data(&self.db), &arcs);
         if heap.root() == their_root {
             self.sync_metrics.root_match.inc();
-            let (_, flat_bytes) = self.sync_tree.flat_cost(&arcs);
+            let flat_bytes = self.sync_tree.flat_cost(data(&self.db), &arcs);
             self.sync_metrics.bytes_saved.add(flat_bytes.saturating_sub(ROOT_EXCHANGE_BYTES));
             return;
         }
@@ -161,14 +130,13 @@ impl StorageNode {
         their_nodes: Vec<(u32, u64)>,
     ) {
         ctx.consume(COST.gossip_us + their_nodes.len() as u64 / 4);
-        self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
         if hash != their_hash || arcs.is_empty() {
             self.sync_metrics.ring_mismatch.inc();
             return;
         }
         self.sync_metrics.tree_levels.inc();
-        let heap = self.sync_tree.heap(&arcs);
+        let heap = self.sync_tree.heap(data(&self.db), &arcs);
         let mismatched: Vec<u32> = their_nodes
             .into_iter()
             .filter(|&(idx, h)| heap.node(idx).is_some_and(|mine| mine != h))
@@ -199,7 +167,7 @@ impl StorageNode {
                 // mismatch under an agreed ring hash; skip them defensively.
                 let Some((arc, sub)) = heap.slot(idx) else { continue };
                 leaves.push(idx);
-                entries.extend(self.sync_tree.leaf_entries(arc, sub));
+                entries.extend(self.sync_tree.leaf_entries(data(&self.db), arc, sub));
             } else {
                 let (l, r) = TreeHeap::children(idx);
                 for child in [l, r] {
@@ -220,10 +188,9 @@ impl StorageNode {
     }
 
     /// Terminal step: per-key reconciliation over the divergent leaves
-    /// only. Same LWW rules as `on_sync_digest`, plus a push of
-    /// every key we hold in those leaves that the sender lacks entirely
-    /// (the sender's own reap floor decides whether a pushed record
-    /// applies).
+    /// only (`reconcile`), after a push of every key we hold in those
+    /// leaves that the sender lacks entirely (the sender's own reap floor
+    /// decides whether a pushed record applies).
     pub(crate) fn on_sync_leaf_digest(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -233,53 +200,156 @@ impl StorageNode {
         entries: Vec<(String, u64)>,
     ) {
         ctx.consume(COST.gossip_us + entries.len() as u64 / 4);
-        self.sync_tree_refresh();
         let (arcs, hash) = self.shared_view(from);
         if hash != their_hash || arcs.is_empty() {
             self.sync_metrics.ring_mismatch.inc();
             return;
         }
-        let heap = self.sync_tree.heap(&arcs);
-        let mut newer: Vec<Record> = Vec::new();
-        let mut behind: Vec<(String, u64)> = Vec::new();
+        let data = data(&self.db);
+        let heap = self.sync_tree.heap(data, &arcs);
+        let theirs: BTreeSet<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        let lacking: Vec<Record> = leaves
+            .into_iter()
+            .filter_map(|idx| heap.slot(idx))
+            .flat_map(|(arc, sub)| self.sync_tree.leaf(data, arc, sub))
+            .filter(|doc| doc.get_str(F_SELF_KEY).is_some_and(|key| !theirs.contains(key)))
+            .filter_map(|doc| Record::from_raw(&doc).ok())
+            .collect();
+        self.reconcile(ctx, from, entries, lacking);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterSpec;
+    use crate::sync::SyncTree;
+    use crate::testing::Probe;
+    use mystore_bson::ObjectId;
+    use mystore_engine::pack_version;
+    use mystore_net::{FaultPlan, NetConfig, NodeConfig, Sim, SimConfig, SimTime};
+
+    const NODES: u32 = 5;
+
+    /// Holds every leaf hash of the ring on every node, cached or not, to
+    /// the hash a fresh tree computes from that node's store. Reading a
+    /// leaf caches it, so whatever is written next lands on a cached leaf
+    /// (on every leaf, not only those the node replicates: a migration
+    /// removes keys from arcs the node left). Returns the leaves compared.
+    fn every_leaf_hashes_the_store(sim: &mut Sim<Msg>) -> usize {
+        let now = sim.now().as_micros();
+        let mut compared = 0;
+        for i in 0..NODES {
+            let node = sim.process_mut::<StorageNode>(NodeId(i)).unwrap();
+            let (data, mut fresh) = (data(&node.db), SyncTree::new(node.sync_tree.splits()));
+            for (arc, _) in node.ring.partition() {
+                for sub in 0..fresh.splits() {
+                    let cached = node.sync_tree.leaf_hash(data, arc, sub);
+                    let want = fresh.leaf_hash(data, arc, sub);
+                    assert_eq!(
+                        cached, want,
+                        "node {i} at {now} µs: stale leaf ({}, {sub})",
+                        arc.end
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        compared
+    }
+
+    fn record(i: u64, val: &str, version: u64) -> Record {
+        let id = ObjectId::from_parts(7, version, i as u32);
+        Record::new(id, format!("pl-{i:03}"), val.as_bytes().to_vec(), pack_version(version, 0))
+    }
+
+    /// Drives a cluster through every path that writes a node's data
+    /// collection — coordinator and replica writes, read repair,
+    /// `SyncRecords` and `TransferRecords` applies, preload, migration
+    /// removes, tombstone reaps and a restart — and after every 100 ms holds
+    /// each cached Merkle leaf hash to a fresh hash of the store.
+    #[test]
+    fn cached_leaf_hashes_always_hash_the_store() {
+        let mut spec = ClusterSpec::small(NODES as usize);
+        spec.storage.anti_entropy_interval_us = 2_000_000;
+        spec.storage.compaction_interval_us = 1_000_000;
+        spec.storage.tombstone_grace_us = 1_000_000;
+        // A join that ships for several steps, so arcs cut over (and drop
+        // their keys) after the step that saw the ring change.
+        spec.storage.migrate_max_records_per_tick = 4;
+        let config =
+            SimConfig { net: NetConfig::gigabit_lan(), faults: FaultPlan::none(), seed: 43 };
+        let mut sim = spec.build_sim(config);
+        let warm = spec.warmup_us();
+        let (t_join, t_end) = (warm + 6_000_000, warm + 20_000_000);
+        // Quorum writes of 30 keys through the four first members, then
+        // deletes of ten of them: coordinator and replica writes, and
+        // tombstones for the reaper.
+        let script: Vec<(u64, NodeId, Msg)> = (0..40u64)
+            .map(|i| {
+                let (key, delete) = (format!("cw-{}", i % 30), i >= 30);
+                let value = std::sync::Arc::new(format!("v{i}").into_bytes());
+                (
+                    warm + i * 50_000,
+                    NodeId((i % 4) as u32),
+                    Msg::Put { req: i + 1, key, value, delete },
+                )
+            })
+            .collect();
+        sim.add_node(Probe::new(script), NodeConfig::default());
+        sim.schedule_crash(SimTime(0), NodeId(4), None);
+        sim.schedule_restart(SimTime(t_join), NodeId(4));
+        sim.schedule_crash(SimTime(warm + 4_000_000), NodeId(1), Some(500_000));
+        sim.start();
+        let mut compared = 0;
+        while sim.now().as_micros() < warm {
+            sim.run_for(100_000);
+            compared += every_leaf_hashes_the_store(&mut sim);
+        }
+
+        // Preloads, some fresher on their first replica only (anti-entropy
+        // repairs), some fresher everywhere but there (read repair at that
+        // coordinator), then, once every leaf is cached again, direct
+        // `SyncRecords`/`TransferRecords` and the reads that repair.
+        let ring = sim.process::<StorageNode>(NodeId(0)).unwrap().ring().clone();
+        let mut sends = Vec::new();
+        for i in 0..200u64 {
+            let key = format!("pl-{i:03}");
+            let prefs = ring.preference_list(key.as_bytes(), 3);
+            for &n in &prefs {
+                sim.process_mut::<StorageNode>(n)
+                    .unwrap()
+                    .preload_record(&record(i, "base", 1_000));
+            }
+            let fresh = record(i, "fresh", 2_000);
+            match i % 20 {
+                0 => sim.process_mut::<StorageNode>(prefs[0]).unwrap().preload_record(&fresh),
+                1 => {
+                    for &n in &prefs[1..] {
+                        sim.process_mut::<StorageNode>(n).unwrap().preload_record(&fresh);
+                    }
+                    sends.push((prefs[0], Msg::Get { req: 1_000 + i, key }));
+                }
+                2 => sends.push((prefs[1], Msg::SyncRecords { records: vec![fresh] })),
+                3 => sends.push((prefs[2], Msg::TransferRecords { records: vec![fresh.into()] })),
+                _ => {}
+            }
+        }
+        compared += every_leaf_hashes_the_store(&mut sim);
+        for (to, msg) in sends {
+            sim.inject(sim.now() + 1, to, msg);
+        }
+        while sim.now().as_micros() < t_end {
+            sim.run_for(100_000);
+            compared += every_leaf_hashes_the_store(&mut sim);
+        }
+
+        let trace = sim.trace();
+        for event in
+            ["read_repair", "anti_entropy_repair", "migrate_arc_cutover", "tombstones_reaped"]
         {
-            let theirs: BTreeSet<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-            for idx in leaves {
-                let Some((arc, sub)) = heap.slot(idx) else { continue };
-                for (key, _) in self.sync_tree.leaf_entries(arc, sub) {
-                    if theirs.contains(key.as_str()) {
-                        continue;
-                    }
-                    if let Ok(Some(mine)) = self.db.get_record(DATA, &key) {
-                        newer.push(mine);
-                    }
-                }
-            }
+            assert!(trace.count(event) > 0, "no {event}: the scenario missed a write path");
         }
-        for (key, their_version) in entries {
-            match self.db.get_record(DATA, &key) {
-                Ok(Some(mine)) if mine.wins_over_version(their_version) => newer.push(mine),
-                Ok(Some(mine)) if mine.loses_to_version(their_version) => {
-                    behind.push((key, mine.version))
-                }
-                Ok(Some(_)) => {} // equal versions: the same write
-                _ => {
-                    // Missing key: same resurrection guard as
-                    // `on_sync_digest`.
-                    if their_version > self.reap_floor {
-                        behind.push((key, 0));
-                    } else {
-                        self.sync_metrics.resurrections_blocked.inc();
-                    }
-                }
-            }
-        }
-        if !newer.is_empty() {
-            ctx.send(from, Msg::SyncRecords { records: newer });
-        }
-        if !behind.is_empty() {
-            self.sync_metrics.digest_entries.add(behind.len() as u64);
-            ctx.send(from, Msg::SyncDigest { entries: behind });
-        }
+        assert!(compared > 100_000, "only {compared} leaves compared");
     }
 }

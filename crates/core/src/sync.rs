@@ -1,20 +1,21 @@
 //! Merkle-tree anti-entropy state (DESIGN.md §14).
 //!
-//! [`SyncTree`] maintains a mirror of the data collection keyed by ring
-//! point — `(key_point, self_key) → (version, is_del)` — plus a cache of
-//! per-leaf hashes. A *leaf* is one of `splits` equal sub-ranges of a ring
-//! arc (one arc per virtual node); every key in an arc shares a replica
-//! set, so two replicas can compare trees built over exactly the arcs they
-//! share. A leaf's hash folds its sorted `(key, version, tombstone)`
-//! triples, so two leaves hash equal iff the replicas hold identical state
-//! for that key range — tombstones included.
+//! [`SyncTree`] caches per-leaf hashes over the data collection, whose key
+//! map a storage node orders by `(key_point, self_key)`: ring order, so a
+//! leaf is one range scan of the store. A *leaf* is one of `splits` equal
+//! sub-ranges of a ring arc (one arc per virtual node); every key in an arc
+//! shares a replica set, so two replicas can compare trees built over
+//! exactly the arcs they share. A leaf's hash folds its `(key, version,
+//! tombstone)` triples in `(point, key)` order, read in place through
+//! [`Record::sync_state`], so two leaves hash equal iff the replicas hold
+//! identical state for that key range — tombstones included.
 //!
 //! Trees are peer-scoped and ephemeral: each exchange enumerates the arcs
 //! shared with that peer ([`shared_arcs`]), stacks their `splits` leaves in
 //! ring order, pads to a power of two, and folds an implicit binary heap
 //! ([`TreeHeap`]: index 0 the root, children of `i` at `2i+1`/`2i+2`).
-//! Only leaf hashes are cached — rebuilt lazily after local writes dirty
-//! them — so the walk protocol stays stateless: any message can be dropped
+//! Only leaf hashes are cached — recomputed lazily after a local write
+//! drops the one covering its key — so the walk protocol stays stateless: any message can be dropped
 //! and the next round simply starts over from the root.
 
 #![deny(
@@ -28,8 +29,9 @@
 )]
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
+use mystore_bson::RawDocument;
+use mystore_engine::{Collection, Record};
 use mystore_net::NodeId;
 use mystore_obs::{Counter, Registry};
 use mystore_ring::{Arc_, HashRing};
@@ -177,18 +179,16 @@ impl TreeHeap {
     }
 }
 
-/// Incrementally-maintained Merkle state over the local store.
+/// Merkle state over the local store: the cached leaf hashes. The leaves
+/// themselves are ranges of the ring-ordered data collection.
 #[derive(Debug, Clone, Default)]
 pub struct SyncTree {
     /// Leaf sub-ranges per ring arc.
     splits: u32,
-    /// `(key_point, self_key) → (version, is_del)` for every local record.
-    mirror: BTreeMap<(u64, String), (u64, bool)>,
-    /// Cached leaf hashes keyed `(arc_end, sub)`: dropped per leaf on local
-    /// writes, wholesale on ring change (arc boundaries moved).
+    /// Cached leaf hashes keyed `(arc_end, sub)`: dropped per leaf by a
+    /// local write, wholesale when arc boundaries move or a reap or restart
+    /// changed the store behind the cache.
     leaves: BTreeMap<(u64, u32), u64>,
-    /// Whether `mirror` reflects a full collection scan yet.
-    built: bool,
 }
 
 impl SyncTree {
@@ -202,62 +202,20 @@ impl SyncTree {
         self.splits
     }
 
-    /// True once [`SyncTree::rebuild`] has seeded the mirror.
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
-    /// Mirrored records (tombstones included).
-    pub fn len(&self) -> usize {
-        self.mirror.len()
-    }
-
-    /// True when nothing is mirrored.
-    pub fn is_empty(&self) -> bool {
-        self.mirror.is_empty()
-    }
-
-    /// Seeds the mirror from a full collection scan (first round after
-    /// boot or restart). Leaf hashes recompute lazily.
-    pub fn rebuild<I: IntoIterator<Item = (String, u64, bool)>>(&mut self, records: I) {
-        self.mirror = records
-            .into_iter()
-            .map(|(key, version, is_del)| {
-                ((HashRing::<NodeId>::key_point(key.as_bytes()), key), (version, is_del))
-            })
-            .collect();
-        self.leaves.clear();
-        self.built = true;
-    }
-
-    /// Forgets everything (node restart: the store is re-derived from the
-    /// WAL, so the mirror must be re-seeded too).
-    pub fn reset(&mut self) {
-        self.mirror.clear();
-        self.leaves.clear();
-        self.built = false;
-    }
-
-    /// Ring membership changed: every arc boundary may have moved, so all
-    /// cached leaf hashes are meaningless. The mirror survives — key
-    /// points do not depend on the ring.
-    pub fn on_ring_change(&mut self) {
+    /// Drops every cached leaf hash: the ring changed (arc boundaries
+    /// moved), or a reap or restart changed the store wholesale.
+    pub fn clear(&mut self) {
         self.leaves.clear();
     }
 
-    /// Records a local write/delete/reap of `key`: updates the mirror and
-    /// dirties the covering leaf. `state` is the record's current
-    /// `(version, is_del)`, `None` when it is physically gone (reaped).
-    pub fn note(&mut self, ring: &HashRing<NodeId>, key: &str, state: Option<(u64, bool)>) {
-        let point = HashRing::<NodeId>::key_point(key.as_bytes());
-        match state {
-            Some(vs) => {
-                self.mirror.insert((point, key.to_string()), vs);
-            }
-            None => {
-                self.mirror.remove(&(point, key.to_string()));
-            }
+    /// A local write changed `key`'s record: drops the cached hash of the
+    /// leaf covering its point. With nothing cached there is nothing to
+    /// drop, and the key's point is not computed.
+    pub fn dirty(&mut self, ring: &HashRing<NodeId>, key: &str) {
+        if self.leaves.is_empty() {
+            return;
         }
+        let point = HashRing::<NodeId>::key_point(key.as_bytes());
         if let Some(arc) = ring.arc_of_point(point) {
             let sub = self.sub_of(arc, point);
             self.leaves.remove(&(arc.end, sub));
@@ -287,21 +245,33 @@ impl SyncTree {
         (lo, hi)
     }
 
+    /// The records of one leaf of `data`, in `(point, key)` order.
+    pub fn leaf<'d>(
+        &self,
+        data: &'d Collection,
+        arc: Arc_,
+        sub: u32,
+    ) -> impl Iterator<Item = RawDocument<'d>> {
+        let (lo, hi) = self.sub_bounds(arc, sub);
+        data.scan_points(lo, hi)
+    }
+
     /// The hash of one leaf, computed (and cached) on demand.
-    pub fn leaf_hash(&mut self, arc: Arc_, sub: u32) -> u64 {
+    pub fn leaf_hash(&mut self, data: &Collection, arc: Arc_, sub: u32) -> u64 {
         if let Some(&h) = self.leaves.get(&(arc.end, sub)) {
             return h;
         }
-        let (lo, hi) = self.sub_bounds(arc, sub);
         let mut h = FNV_OFFSET;
         let mut any = false;
-        self.for_range(lo, hi, &mut |key, version, is_del| {
+        for (key, version, is_del) in
+            self.leaf(data, arc, sub).filter_map(|d| Record::sync_state(&d))
+        {
             any = true;
             h = fnv1a(h, key.as_bytes());
             h = fnv1a(h, &[0]);
             h = fnv1a(h, &version.to_le_bytes());
             h = fnv1a(h, &[u8::from(is_del)]);
-        });
+        }
         let h = if any { h } else { EMPTY_HASH };
         self.leaves.insert((arc.end, sub), h);
         h
@@ -309,29 +279,23 @@ impl SyncTree {
 
     /// The exhaustive `(key, version)` digest of one leaf, tombstones
     /// included — the per-key fallback for a divergent leaf.
-    pub fn leaf_entries(&self, arc: Arc_, sub: u32) -> Vec<(String, u64)> {
-        let (lo, hi) = self.sub_bounds(arc, sub);
-        let mut out = Vec::new();
-        self.for_range(lo, hi, &mut |key, version, _| out.push((key.to_string(), version)));
-        out
+    pub fn leaf_entries(&self, data: &Collection, arc: Arc_, sub: u32) -> Vec<(String, u64)> {
+        self.leaf(data, arc, sub)
+            .filter_map(|d| Record::sync_state(&d))
+            .map(|(key, version, _)| (key.to_string(), version))
+            .collect()
     }
 
-    /// What a flat digest of every mirrored key in `arcs` would cost, as
-    /// `(entries, wire bytes)` at `key_len + 8` bytes per entry.
-    pub fn flat_cost(&self, arcs: &[Arc_]) -> (u64, u64) {
-        let (mut entries, mut bytes) = (0u64, 0u64);
-        for &arc in arcs {
-            self.for_range(arc.start, arc.end, &mut |key, _, _| {
-                entries += 1;
-                bytes += key.len() as u64 + 8;
-            });
-        }
-        (entries, bytes)
+    /// The wire bytes a flat digest of every stored key in `arcs` would
+    /// cost, at `key_len + 8` bytes per entry.
+    pub fn flat_cost(&self, data: &Collection, arcs: &[Arc_]) -> u64 {
+        let keys = arcs.iter().flat_map(|arc| data.scan_points(arc.start, arc.end));
+        keys.filter_map(|d| Record::sync_state(&d)).map(|(key, _, _)| key.len() as u64 + 8).sum()
     }
 
     /// Builds the ephemeral exchange tree over `arcs` (ring order): each
     /// arc contributes `splits` leaves, padded to a power of two.
-    pub fn heap(&mut self, arcs: &[Arc_]) -> TreeHeap {
+    pub fn heap(&mut self, data: &Collection, arcs: &[Arc_]) -> TreeHeap {
         let mut slots = Vec::with_capacity(arcs.len() * self.splits as usize);
         for &arc in arcs {
             for sub in 0..self.splits {
@@ -342,7 +306,7 @@ impl SyncTree {
         let mut hashes = vec![EMPTY_HASH; 2 * base - 1];
         for i in 0..slots.len() {
             let Some(&(arc, sub)) = slots.get(i) else { break };
-            let h = self.leaf_hash(arc, sub);
+            let h = self.leaf_hash(data, arc, sub);
             if let Some(slot) = hashes.get_mut(base - 1 + i) {
                 *slot = h;
             }
@@ -358,40 +322,6 @@ impl SyncTree {
         }
         TreeHeap { hashes, slots }
     }
-
-    /// Applies `f` to every mirrored entry with key-point in the ring
-    /// range `(lo, hi]`, which wraps through zero when `hi <= lo`
-    /// (`hi == lo` is the full circle).
-    fn for_range<F: FnMut(&str, u64, bool)>(&self, lo: u64, hi: u64, f: &mut F) {
-        if hi > lo {
-            self.segment(Some(lo), Some(hi), f);
-        } else {
-            self.segment(Some(lo), None, f);
-            self.segment(None, Some(hi), f);
-        }
-    }
-
-    /// One non-wrapping segment: exclusive `after`, inclusive `upto`,
-    /// `None` = unbounded on that side.
-    fn segment<F: FnMut(&str, u64, bool)>(&self, after: Option<u64>, upto: Option<u64>, f: &mut F) {
-        let start = match after {
-            Some(p) => match p.checked_add(1) {
-                Some(q) => Bound::Included((q, String::new())),
-                None => return, // `(u64::MAX, …]` without wrap is empty
-            },
-            None => Bound::Unbounded,
-        };
-        let end = match upto {
-            Some(p) => match p.checked_add(1) {
-                Some(q) => Bound::Excluded((q, String::new())),
-                None => Bound::Unbounded, // `..= u64::MAX`
-            },
-            None => Bound::Unbounded,
-        };
-        for ((_, key), &(version, is_del)) in self.mirror.range((start, end)) {
-            f(key, version, is_del);
-        }
-    }
 }
 
 /// Arc length as a `u128` so the full circle (`len() == 0`) is `2^64`,
@@ -406,6 +336,8 @@ fn span(arc: Arc_) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mystore_bson::ObjectId;
+    use mystore_engine::Db;
 
     fn ring5() -> HashRing<NodeId> {
         let mut r = HashRing::new();
@@ -415,21 +347,43 @@ mod tests {
         r
     }
 
-    fn seeded_tree(splits: u32, keys: usize) -> SyncTree {
-        let mut t = SyncTree::new(splits);
-        t.rebuild((0..keys).map(|i| (format!("key-{i:04}"), 100 + i as u64, i % 7 == 0)));
-        t
+    /// A ring-ordered store of `keys` records, `key-NNNN` at version
+    /// `100 + i`, every seventh a tombstone; `except` is left out.
+    fn seeded_store(keys: usize, except: Option<usize>) -> Db {
+        let mut db = Db::memory();
+        db.set_key_point(HashRing::<NodeId>::key_point);
+        for i in (0..keys).filter(|&i| Some(i) != except) {
+            let (id, key, version) =
+                (ObjectId::from_parts(0, 0, i as u32), format!("key-{i:04}"), 100 + i as u64);
+            let r = if i % 7 == 0 {
+                Record::tombstone(id, key, version)
+            } else {
+                Record::new(id, key, vec![1], version)
+            };
+            db.put_record(DATA, &r).unwrap();
+        }
+        db
+    }
+
+    const DATA: &str = "data";
+
+    fn data(db: &Db) -> &Collection {
+        db.collection(DATA).unwrap()
+    }
+
+    fn arcs(ring: &HashRing<NodeId>) -> Vec<Arc_> {
+        ring.partition().into_iter().map(|(a, _)| a).collect()
     }
 
     #[test]
     fn every_key_lands_in_exactly_one_leaf() {
         let ring = ring5();
-        let tree = seeded_tree(4, 500);
-        let arcs: Vec<Arc_> = ring.partition().into_iter().map(|(a, _)| a).collect();
+        let db = seeded_store(500, None);
+        let tree = SyncTree::new(4);
         let mut covered = 0usize;
-        for &arc in &arcs {
+        for arc in arcs(&ring) {
             for sub in 0..tree.splits() {
-                covered += tree.leaf_entries(arc, sub).len();
+                covered += tree.leaf_entries(data(&db), arc, sub).len();
             }
         }
         assert_eq!(covered, 500, "leaves must tile the keyspace exactly once");
@@ -440,31 +394,33 @@ mod tests {
             let arc = ring.arc_of_point(point).unwrap();
             let sub = tree.sub_of(arc, point);
             assert!(
-                tree.leaf_entries(arc, sub).iter().any(|(k, _)| k == &key),
+                tree.leaf_entries(data(&db), arc, sub).iter().any(|(k, _)| k == &key),
                 "{key} missing from its computed leaf"
             );
         }
     }
 
     #[test]
-    fn identical_mirrors_agree_and_divergence_is_localized() {
+    fn identical_stores_agree_and_divergence_is_localized() {
         let ring = ring5();
-        let arcs: Vec<Arc_> = ring.partition().into_iter().map(|(a, _)| a).collect();
-        let mut a = seeded_tree(8, 400);
-        let mut b = seeded_tree(8, 400);
-        assert_eq!(a.heap(&arcs).root(), b.heap(&arcs).root());
+        let arcs = arcs(&ring);
+        let (da, mut db) = (seeded_store(400, None), seeded_store(400, None));
+        let (mut a, mut b) = (SyncTree::new(8), SyncTree::new(8));
+        assert_eq!(a.heap(data(&da), &arcs).root(), b.heap(data(&db), &arcs).root());
 
-        // One divergent version: exactly one leaf hash moves.
-        b.note(&ring, "key-0123", Some((9999, false)));
-        let (ha, hb) = (a.heap(&arcs), b.heap(&arcs));
-        assert_ne!(ha.root(), hb.root());
+        // One divergent version: dropping its leaf moves exactly one hash.
+        let newer = Record::new(ObjectId::from_parts(0, 0, 123), "key-0123", vec![2], 9999);
+        assert!(db.put_record(DATA, &newer).unwrap());
+        b.dirty(&ring, "key-0123");
+        assert_ne!(a.heap(data(&da), &arcs).root(), b.heap(data(&db), &arcs).root());
         let point = HashRing::<NodeId>::key_point(b"key-0123");
         let arc = ring.arc_of_point(point).unwrap();
         let bad_sub = a.sub_of(arc, point);
         let mut moved = Vec::new();
         for &probe_arc in &arcs {
             for sub in 0..8 {
-                if a.leaf_hash(probe_arc, sub) != b.leaf_hash(probe_arc, sub) {
+                if a.leaf_hash(data(&da), probe_arc, sub) != b.leaf_hash(data(&db), probe_arc, sub)
+                {
                     moved.push((probe_arc.end, sub));
                 }
             }
@@ -475,34 +431,20 @@ mod tests {
     #[test]
     fn tombstone_flag_changes_the_leaf_hash() {
         let ring = ring5();
-        let mut a = seeded_tree(4, 50);
-        let mut b = seeded_tree(4, 50);
+        let arcs = arcs(&ring);
+        let da = seeded_store(50, None);
         // Same key + version, delete flag flipped: must not hash equal.
-        b.note(&ring, "key-0001", Some((101, true)));
-        let arcs: Vec<Arc_> = ring.partition().into_iter().map(|(a, _)| a).collect();
-        assert_ne!(a.heap(&arcs).root(), b.heap(&arcs).root());
-    }
-
-    #[test]
-    fn note_removal_matches_a_rebuild_without_the_key() {
-        let ring = ring5();
-        let arcs: Vec<Arc_> = ring.partition().into_iter().map(|(a, _)| a).collect();
-        let mut incremental = seeded_tree(4, 120);
-        incremental.note(&ring, "key-0060", None);
-        let mut scratch = SyncTree::new(4);
-        scratch.rebuild(
-            (0..120)
-                .filter(|&i| i != 60)
-                .map(|i| (format!("key-{i:04}"), 100 + i as u64, i % 7 == 0)),
-        );
-        assert_eq!(incremental.heap(&arcs).root(), scratch.heap(&arcs).root());
+        let mut db = seeded_store(50, Some(1));
+        db.put_record(DATA, &Record::tombstone(ObjectId::from_parts(0, 0, 1), "key-0001", 101))
+            .unwrap();
+        let (mut a, mut b) = (SyncTree::new(4), SyncTree::new(4));
+        assert_ne!(a.heap(data(&da), &arcs).root(), b.heap(data(&db), &arcs).root());
     }
 
     #[test]
     fn heap_shape_and_walk_indices() {
-        let mut t = seeded_tree(2, 64);
-        let arcs: Vec<Arc_> = ring5().partition().into_iter().map(|(a, _)| a).collect();
-        let heap = t.heap(&arcs);
+        let db = seeded_store(64, None);
+        let heap = SyncTree::new(2).heap(data(&db), &arcs(&ring5()));
         // 80 arcs × 2 subs = 160 leaves → padded to 256.
         assert!(!heap.is_leaf(0));
         let (l, r) = TreeHeap::children(0);

@@ -163,30 +163,3 @@ fn merkle_sync_replays_deterministically() {
     assert_eq!(a, b, "same seed must replay the merkle exchange identically");
     assert_eq!(a.0, 0, "and it must converge");
 }
-
-/// The engine's dirty-key feed exists to keep the sync tree current, so it
-/// must not run before the tree's first build: that build scans the whole
-/// collection anyway, and until it happens a dirty set would only grow (a
-/// node whose first round is 30 s away, or that never reaches one).
-#[test]
-fn no_dirty_keys_accumulate_before_the_first_tree_build() {
-    let (mut sim, spec, _registry) = build(104, 8_000_000);
-    sim.run_for(spec.warmup_us()); // 4 s: before any node's first round
-    preload(&mut sim, 300, 1);
-    for i in 0..NODES as u32 {
-        let node = sim.process::<Node>(NodeId(i)).unwrap();
-        assert!(node.record_count() > 0);
-        assert_eq!(node.db().dirty_key_count(), 0, "node {i} tracks dirt with no tree to feed");
-    }
-    // After the first rounds the feed is live: a write is noted until the
-    // next refresh drains it.
-    sim.run_for(12_000_000);
-    let fresh = Record::new(
-        ObjectId::from_parts(1, 11, 1),
-        "late-key".to_string(),
-        b"late".to_vec(),
-        pack_version(9_000, 0),
-    );
-    sim.process_mut::<Node>(NodeId(0)).unwrap().preload_record(&fresh);
-    assert_eq!(sim.process::<Node>(NodeId(0)).unwrap().db().dirty_key_count(), 1);
-}

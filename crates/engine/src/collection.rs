@@ -5,16 +5,27 @@
 //! to the WAL before calling into the collection. A document is kept as the
 //! bytes its WAL frame logged — a range of that shared frame — and read in
 //! place through [`RawDocument`].
+//!
+//! The key map is ordered by `(point, self-key)`, where the point is the
+//! caller's [`KeyPoint`] of the key (a storage node installs its ring's
+//! key hash, so the map is in ring order and a ring range is one scan);
+//! with no point function every key sits at point 0, in string order.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
+use std::ops::{Bound, Range};
 
 use mystore_bson::{ObjectId, RawDocument};
 
 use crate::error::{EngineError, Result};
 use crate::record::F_SELF_KEY;
 use crate::wal::Frame;
+
+/// Places a `self-key` on a circle of `u64` points; the key map is ordered
+/// by it (see [`crate::Db::set_key_point`]).
+pub type KeyPoint = fn(&[u8]) -> u64;
 
 /// A stored document: where it sits in the WAL frame that logged it. The
 /// frame was checked when it was logged or recovered, so the bytes are a
@@ -79,23 +90,85 @@ impl Ids {
     }
 }
 
-/// `self-key` → the ids of the documents carrying it.
-type KeyMap = BTreeMap<Box<str>, Ids>;
+/// A `(point, key)` the key map can be probed with: a lookup borrows its
+/// key instead of boxing one.
+trait Probe {
+    fn parts(&self) -> (u64, &str);
+}
+
+impl Probe for (u64, Box<str>) {
+    fn parts(&self) -> (u64, &str) {
+        (self.0, &self.1)
+    }
+}
+
+impl Probe for (u64, &str) {
+    fn parts(&self) -> (u64, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Probe + 'a> for (u64, Box<str>) {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
+    }
+}
+
+// Ordered exactly like the key map's own `(u64, Box<str>)` keys, as
+// `Borrow` requires.
+impl PartialEq for dyn Probe + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn Probe + '_ {}
+
+impl PartialOrd for dyn Probe + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Probe + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+
+/// `(point, self-key)` → the ids of the documents carrying the key.
+type KeyMap = BTreeMap<(u64, Box<str>), Ids>;
 
 /// An in-memory collection: documents in `_id` order, each string
-/// `self-key` mapped to its ids.
+/// `self-key` mapped to its ids in `(point, key)` order.
 #[derive(Debug, Default, Clone)]
 pub struct Collection {
     docs: BTreeMap<ObjectId, Stored>,
     keys: KeyMap,
+    /// Where each key sits in `keys`; `None` puts every key at point 0.
+    point: Option<KeyPoint>,
     /// Total encoded document bytes.
     bytes: usize,
 }
 
 impl Collection {
     /// Creates an empty collection.
-    pub fn new() -> Self {
-        Collection::default()
+    pub const fn new() -> Self {
+        Collection { docs: BTreeMap::new(), keys: BTreeMap::new(), point: None, bytes: 0 }
+    }
+
+    /// An empty collection ordering its keys by `point`.
+    pub(crate) fn keyed_by(point: Option<KeyPoint>) -> Self {
+        Collection { point, ..Collection::default() }
+    }
+
+    /// Orders the key map by `point` from now on, re-keying what it holds.
+    pub(crate) fn set_key_point(&mut self, point: KeyPoint) {
+        self.point = Some(point);
+        self.keys = std::mem::take(&mut self.keys)
+            .into_iter()
+            .map(|((_, key), ids)| ((point(key.as_bytes()), key), ids))
+            .collect();
     }
 
     /// Number of documents (including tombstones).
@@ -126,7 +199,35 @@ impl Collection {
     /// The document whose `self-key` is `key`, the lowest `_id` if several
     /// share it.
     pub fn get_by_self_key(&self, key: &str) -> Option<RawDocument<'_>> {
-        self.docs.get(self.keys.get(key)?.lowest()?).map(Stored::raw)
+        let probe = (point_of(self.point, key), key);
+        self.lowest(self.keys.get(&probe as &dyn Probe)?)
+    }
+
+    /// The documents whose `self-key`'s point lies in `(after, upto]`, in
+    /// `(point, key)` order, one per key (the one a keyed read returns).
+    /// The range wraps through zero when `upto <= after`; `after == upto`
+    /// is the whole circle.
+    pub fn scan_points(&self, after: u64, upto: u64) -> impl Iterator<Item = RawDocument<'_>> {
+        // Points above `p` (none above `u64::MAX`), and points up to `p`;
+        // the empty key sorts first at its point and needs no allocation.
+        let at = |q: u64| (q, Box::<str>::default());
+        let above = |p: u64| p.checked_add(1).map(|q| Bound::Included(at(q)));
+        let through =
+            |p: u64| p.checked_add(1).map_or(Bound::Unbounded, |q| Bound::Excluded(at(q)));
+        let (head, tail) = if upto > after {
+            (above(after).map(|lo| (lo, through(upto))), None)
+        } else {
+            (above(after).map(|lo| (lo, Bound::Unbounded)), Some((Bound::Unbounded, through(upto))))
+        };
+        head.into_iter()
+            .chain(tail)
+            .flat_map(|range| self.keys.range(range))
+            .filter_map(|(_, ids)| self.lowest(ids))
+    }
+
+    /// The lowest-`_id` document of `ids`.
+    fn lowest(&self, ids: &Ids) -> Option<RawDocument<'_>> {
+        self.docs.get(ids.lowest()?).map(Stored::raw)
     }
 
     /// Iterates all documents in `_id` order.
@@ -168,8 +269,9 @@ impl Collection {
         let key = new.raw().get_str(F_SELF_KEY);
         let old_key = old.as_ref().map(|d| d.raw().get_str(F_SELF_KEY));
         if old_key != Some(key) {
-            unlink(&mut self.keys, id, old_key.flatten());
-            link(&mut self.keys, id, key);
+            let point = self.point;
+            unlink(&mut self.keys, id, point, old_key.flatten());
+            link(&mut self.keys, id, point, key);
         }
         let freed = old.as_ref().map_or(0, |d| d.doc.len());
         self.bytes = self.bytes + new.doc.len() - freed.min(self.bytes);
@@ -180,28 +282,35 @@ impl Collection {
     /// deletes are logical via `isDel`).
     pub(crate) fn remove(&mut self, id: ObjectId) -> Result<Stored> {
         let doc = self.docs.remove(&id).ok_or(EngineError::NotFound)?;
-        unlink(&mut self.keys, id, doc.raw().get_str(F_SELF_KEY));
+        unlink(&mut self.keys, id, self.point, doc.raw().get_str(F_SELF_KEY));
         self.bytes = self.bytes.saturating_sub(doc.doc.len());
         Ok(doc)
     }
 }
 
+/// `key`'s point under `point` (0 without one).
+fn point_of(point: Option<KeyPoint>, key: &str) -> u64 {
+    point.map_or(0, |point| point(key.as_bytes()))
+}
+
 /// Maps `key` (if the document has one) to `id`.
-fn link(keys: &mut KeyMap, id: ObjectId, key: Option<&str>) {
+fn link(keys: &mut KeyMap, id: ObjectId, point: Option<KeyPoint>, key: Option<&str>) {
     let Some(key) = key else { return };
-    match keys.get_mut(key) {
+    let point = point_of(point, key);
+    match keys.get_mut(&(point, key) as &dyn Probe) {
         Some(ids) => ids.add(id),
         None => {
-            keys.insert(key.into(), Ids::One(id));
+            keys.insert((point, key.into()), Ids::One(id));
         }
     }
 }
 
 /// Drops `id` from `key`'s ids, and the key once no id holds it.
-fn unlink(keys: &mut KeyMap, id: ObjectId, key: Option<&str>) {
+fn unlink(keys: &mut KeyMap, id: ObjectId, point: Option<KeyPoint>, key: Option<&str>) {
     let Some(key) = key else { return };
-    if keys.get_mut(key).is_some_and(|ids| ids.remove(id)) {
-        keys.remove(key);
+    let probe = (point_of(point, key), key);
+    if keys.get_mut(&probe as &dyn Probe).is_some_and(|ids| ids.remove(id)) {
+        keys.remove(&probe as &dyn Probe);
     }
 }
 
@@ -224,9 +333,14 @@ mod tests {
         id
     }
 
+    /// The key map's entry for `key` (no point function: point 0).
+    fn entry<'c>(c: &'c Collection, key: &str) -> Option<&'c Ids> {
+        c.keys.get(&(0u64, key) as &dyn Probe)
+    }
+
     /// Ids the collection's key map holds for `key`.
     fn ids(c: &Collection, key: &str) -> Vec<ObjectId> {
-        match c.keys.get(key) {
+        match entry(c, key) {
             None => Vec::new(),
             Some(Ids::One(id)) => vec![*id],
             Some(Ids::Ties(set)) => set.iter().copied().collect(),
@@ -252,14 +366,14 @@ mod tests {
         for n in [3u32, 1, 2] {
             put(&mut c, n, "k", 0);
         }
-        assert!(matches!(c.keys.get("k"), Some(Ids::Ties(_))), "ties fall back to a set");
+        assert!(matches!(entry(&c, "k"), Some(Ids::Ties(_))), "ties fall back to a set");
         let hit = c.get_by_self_key("k").unwrap().get_object_id("_id");
         assert_eq!(hit, Some(ObjectId::from_parts(0, 0, 1)));
         c.remove(ObjectId::from_parts(0, 0, 1)).unwrap();
         let hit = c.get_by_self_key("k").unwrap().get_object_id("_id");
         assert_eq!(hit, Some(ObjectId::from_parts(0, 0, 2)), "the next id takes over");
         c.remove(ObjectId::from_parts(0, 0, 2)).unwrap();
-        assert!(matches!(c.keys.get("k"), Some(Ids::One(_))), "a lone survivor goes inline");
+        assert!(matches!(entry(&c, "k"), Some(Ids::One(_))), "a lone survivor goes inline");
         assert_eq!(ids(&c, "k"), vec![ObjectId::from_parts(0, 0, 3)]);
         c.remove(ObjectId::from_parts(0, 0, 3)).unwrap();
         assert!(c.keys.is_empty());

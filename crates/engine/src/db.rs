@@ -11,13 +11,13 @@
     clippy::indexing_slicing
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 
 use mystore_bson::{Document, ObjectId, OidGen, RawDocument};
 
-use crate::collection::{Collection, Stored};
+use crate::collection::{Collection, KeyPoint, Stored};
 use crate::error::{EngineError, Result};
 use crate::oplog::{parse_frame, put_frame, remove_frame, restore_frame, FrameOp};
 use crate::record::{Record, F_IS_DEL, F_SELF_KEY, F_VERSION};
@@ -65,43 +65,33 @@ pub struct Db {
     /// Seconds stamp for deterministically generated ids, fed from the
     /// sim clock via [`Db::set_oid_secs`].
     oid_secs: u32,
-    /// When set, every mutation applied to this collection records the
-    /// affected record's `self-key` into `dirty_keys` (see
-    /// [`Db::track_dirty_keys`]). Merkle anti-entropy drains the set to
-    /// re-hash only the touched tree leaves.
-    dirty_coll: Option<String>,
-    /// Self-keys touched since the last [`Db::take_dirty_keys`].
-    dirty_keys: BTreeSet<String>,
+    /// The order of every collection's key map (see [`Db::set_key_point`]).
+    key_point: Option<KeyPoint>,
 }
 
 impl Db {
-    /// Opens an empty in-memory database (used by simulated nodes).
-    pub fn memory() -> Self {
+    /// An empty database logging to `wal`.
+    fn with_wal(wal: Wal) -> Self {
         Db {
-            collections: BTreeMap::new(),
-            wal: Wal::memory(),
-            logged: 0,
-            staged: false,
-            oid_gen: None,
-            oid_secs: 0,
-            dirty_coll: None,
-            dirty_keys: BTreeSet::new(),
-        }
-    }
-
-    /// Opens a file-backed database, replaying any existing WAL at `path`.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let (wal, frames) = Wal::open(path)?;
-        let mut db = Db {
             collections: BTreeMap::new(),
             wal,
             logged: 0,
             staged: false,
             oid_gen: None,
             oid_secs: 0,
-            dirty_coll: None,
-            dirty_keys: BTreeSet::new(),
-        };
+            key_point: None,
+        }
+    }
+
+    /// Opens an empty in-memory database (used by simulated nodes).
+    pub fn memory() -> Self {
+        Db::with_wal(Wal::memory())
+    }
+
+    /// Opens a file-backed database, replaying any existing WAL at `path`.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        let (wal, frames) = Wal::open(path)?;
+        let mut db = Db::with_wal(wal);
         db.replay_frames(frames)?;
         Ok(db)
     }
@@ -114,7 +104,7 @@ impl Db {
     /// memory backend drops them; a real machine crash drops them from the
     /// page cache). Works for both file-
     /// and memory-backed logs, so simulated restarts exercise the same
-    /// replay path as real ones.
+    /// replay path as real ones. Staged mode and the key order carry over.
     pub fn recover_from_wal(mut self) -> Result<Db> {
         self.wal.discard_unsynced();
         let frames = self.wal.frames()?;
@@ -125,17 +115,11 @@ impl Db {
             g.bump_epoch();
         }
         let mut db = Db {
-            collections: BTreeMap::new(),
-            wal: self.wal,
-            logged: 0,
             staged: self.staged,
             oid_gen,
             oid_secs: self.oid_secs,
-            // Tracking restarts off: whoever mirrors the store has to
-            // re-scan the recovered state anyway, and replaying the log
-            // into a tracked collection would mark every key dirty first.
-            dirty_coll: None,
-            dirty_keys: BTreeSet::new(),
+            key_point: self.key_point,
+            ..Db::with_wal(self.wal)
         };
         db.replay_frames(frames)?;
         Ok(db)
@@ -157,6 +141,19 @@ impl Db {
             self.apply(coll, id, change)?;
         }
         Ok(())
+    }
+
+    /// Orders every collection's key map by `(point(self-key), self-key)`
+    /// from now on, re-keying what the collections hold (what WAL replay
+    /// loaded, say), so [`Collection::scan_points`] reads a range of
+    /// points as one ordered scan. Without it every key sits at point 0
+    /// and the order is the keys' own. Keyed reads probe the map the same
+    /// way under either order.
+    pub fn set_key_point(&mut self, point: KeyPoint) {
+        self.key_point = Some(point);
+        for c in self.collections.values_mut() {
+            c.set_key_point(point);
+        }
     }
 
     /// Switches staged commit on or off. Off (the default), every mutation
@@ -266,65 +263,29 @@ impl Db {
         self.apply(coll, id, Change::Put { doc: Stored::new(frame, doc), insert })
     }
 
-    /// Applies a logged or replayed change to memory.
-    ///
-    /// This is the single funnel every mutation passes through (logged
-    /// writes and WAL replay), which is what makes it the one correct
-    /// place to capture dirty self-keys for [`Db::take_dirty_keys`].
+    /// Applies a logged or replayed change to memory: the one funnel
+    /// every mutation passes through (logged writes and WAL replay).
     fn apply(&mut self, coll: &str, id: ObjectId, change: Change) -> Result<()> {
-        let tracked = self.dirty_coll.as_deref() == Some(coll);
-        let key_of = |d: &Stored| d.raw().get_str(F_SELF_KEY).map(str::to_string);
-        let mut touched = Vec::new();
         match change {
             Change::Put { doc, insert } => {
                 let c = match self.collections.get_mut(coll) {
                     Some(c) => c,
-                    None => self.collections.entry(coll.to_string()).or_default(),
+                    None => self
+                        .collections
+                        .entry(coll.to_string())
+                        .or_insert_with(|| Collection::keyed_by(self.key_point)),
                 };
                 if insert && c.contains(id) {
                     return Err(EngineError::DuplicateId(id.to_hex()));
                 }
-                if tracked {
-                    touched.extend(key_of(&doc));
-                }
-                // The after-image may carry a different self-key than the
-                // document it replaces; both ranges went stale.
-                let old = c.put(id, doc);
-                if tracked {
-                    touched.extend(old.as_ref().and_then(key_of));
-                }
+                c.put(id, doc);
             }
             Change::Remove => {
                 let c = self.collections.get_mut(coll).ok_or(EngineError::NotFound)?;
-                let old = c.remove(id)?;
-                if tracked {
-                    touched.extend(key_of(&old));
-                }
+                c.remove(id)?;
             }
         }
-        self.dirty_keys.extend(touched);
         Ok(())
-    }
-
-    // ---- dirty-key tracking -------------------------------------------
-
-    /// Enables dirty self-key tracking for `coll`: from now on every
-    /// applied mutation in that collection records the affected record's
-    /// `self-key` until [`Db::take_dirty_keys`] drains the set. One
-    /// collection at a time; calling again retargets and clears the set.
-    pub fn track_dirty_keys(&mut self, coll: &str) {
-        self.dirty_coll = Some(coll.to_string());
-        self.dirty_keys.clear();
-    }
-
-    /// Drains and returns the self-keys touched since the last call.
-    pub fn take_dirty_keys(&mut self) -> BTreeSet<String> {
-        std::mem::take(&mut self.dirty_keys)
-    }
-
-    /// Touched keys currently pending (diagnostics and tests).
-    pub fn dirty_key_count(&self) -> usize {
-        self.dirty_keys.len()
     }
 }
 
@@ -446,9 +407,8 @@ impl Db {
         self.get_record_raw(coll, self_key).map(|d| Record::from_raw(&d)).transpose()
     }
 
-    /// The stored document under `self_key` in `coll`, read in place (for
-    /// [`Record::sync_state`] and the like, which need no payload copy).
-    pub fn get_record_raw(&self, coll: &str, self_key: &str) -> Option<RawDocument<'_>> {
+    /// The stored document under `self_key` in `coll`, read in place.
+    fn get_record_raw(&self, coll: &str, self_key: &str) -> Option<RawDocument<'_>> {
         self.collections.get(coll)?.get_by_self_key(self_key)
     }
 
@@ -618,38 +578,6 @@ mod tests {
         assert!(matches!(err, EngineError::Corrupt { .. }), "{err}");
         let r = Record::new(ObjectId::from_parts(1, 1, 1), "nameless", vec![1], 5);
         assert!(matches!(db.put_record("d", &r), Err(EngineError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn dirty_key_tracking_captures_every_mutation_path() {
-        let mut db = Db::memory();
-        db.track_dirty_keys("d");
-
-        // Insert, LWW update, logical delete, physical reap — each must
-        // surface the touched self-key exactly once per drain.
-        let a = Record::new(ObjectId::from_parts(1, 1, 1), "ka", vec![1], pack_version(10, 0));
-        db.put_record("d", &a).unwrap();
-        assert_eq!(db.take_dirty_keys().into_iter().collect::<Vec<_>>(), ["ka"]);
-
-        let mut a2 = a.clone();
-        a2.val = vec![2];
-        a2.version = pack_version(20, 0);
-        db.put_record("d", &a2).unwrap();
-        let mut t = Record::tombstone(ObjectId::from_parts(1, 1, 2), "kb", pack_version(30, 0));
-        db.put_record("d", &t).unwrap();
-        assert_eq!(db.take_dirty_keys().into_iter().collect::<Vec<_>>(), ["ka", "kb"]);
-
-        // An LWW-stale write mutates nothing and must dirty nothing.
-        t.version = pack_version(5, 0);
-        db.put_record("d", &t).unwrap();
-        assert_eq!(db.dirty_key_count(), 0);
-
-        assert_eq!(db.reap_tombstones("d", pack_version(40, 0)).unwrap(), 1);
-        assert_eq!(db.take_dirty_keys().into_iter().collect::<Vec<_>>(), ["kb"]);
-
-        // Untracked collections stay silent.
-        db.insert_doc("other", doc! { "self-key": "kz" }).unwrap();
-        assert_eq!(db.dirty_key_count(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod oplog;
 pub mod record;
 pub mod wal;
 
-pub use collection::Collection;
+pub use collection::{Collection, KeyPoint};
 pub use db::{Db, DbStats};
 pub use error::{EngineError, Result};
 pub use oplog::WalOp;

@@ -1,12 +1,14 @@
 //! Property tests for the engine: keyed record reads must agree with a
-//! full scan, WAL recovery must reproduce the exact state, and LWW record
-//! semantics must be order-insensitive.
+//! full scan, WAL recovery must reproduce the exact state, LWW record
+//! semantics must be order-insensitive, and the key map must read like a
+//! `(point, key)`-ordered model under any point function.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mystore_bson::ObjectId;
 use mystore_bson::{doc, Document};
-use mystore_engine::{lww_winner, pack_version, Db, Record};
+use mystore_engine::{lww_winner, pack_version, Db, KeyPoint, Record};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -209,6 +211,180 @@ proptest! {
         }
         let winner = db.get_record("data", "the-key").unwrap().unwrap();
         prop_assert_eq!(winner.val, vec![7u8]);
+    }
+}
+
+/// Keys of the ordered-map property: four first bytes, three per byte, so
+/// a first-byte point function puts three keys on each point.
+const MAP_KEYS: [&str; 12] =
+    ["a", "a1", "a22", "b", "b1", "b22", "c", "c1", "c22", "z", "z1", "z22"];
+
+/// A toy point function that forces collisions: a key's first byte, with
+/// `a` at 0 and `z` at `u64::MAX`, the two ends of the circle.
+fn first_byte(key: &[u8]) -> u64 {
+    match key.first() {
+        Some(b'a') | None => 0,
+        Some(b'z') => u64::MAX,
+        Some(&b) => u64::from(b) << 56,
+    }
+}
+
+/// One write of the ordered-map property, on keys of [`MAP_KEYS`].
+#[derive(Debug, Clone)]
+enum MapOp {
+    /// `put_record`, always the newest version.
+    Put { key: usize, val: u8 },
+    /// Physically removes the key's lowest-id document, if any.
+    Remove { key: usize },
+    /// Rewrites the key's lowest-id document under another key with
+    /// `put_after_image`; onto a held key this makes ties.
+    Rekey { from: usize, to: usize },
+}
+
+fn arb_map_op() -> impl Strategy<Value = MapOp> {
+    let key = || 0..MAP_KEYS.len();
+    let put = move || (key(), any::<u8>()).prop_map(|(key, val)| MapOp::Put { key, val });
+    prop_oneof![
+        put(),
+        put(),
+        put(),
+        key().prop_map(|key| MapOp::Remove { key }),
+        (key(), key()).prop_map(|(from, to)| MapOp::Rekey { from, to }),
+    ]
+}
+
+/// A scan bound: the points the toy function uses, their neighbours, the
+/// ends of the circle, or anything.
+fn arb_point() -> impl Strategy<Value = u64> {
+    let b = u64::from(b'b') << 56;
+    let c = u64::from(b'c') << 56;
+    prop_oneof![
+        (0usize..8).prop_map(move |i| [0, 1, b - 1, b, c, c + 1, u64::MAX - 1, u64::MAX][i]),
+        any::<u64>(),
+    ]
+}
+
+/// `(point, key)` → the ids holding the key, each with its value.
+type MapModel = BTreeMap<(u64, String), BTreeMap<ObjectId, u8>>;
+
+/// Applies `ops` to `db` and to a model ordered by `point` (every key at
+/// 0 without one); `db` may order its keys differently.
+fn run_map_ops(db: &mut Db, ops: &[MapOp], point: Option<KeyPoint>) -> MapModel {
+    let slot = |key: &str| (point.map_or(0, |p| p(key.as_bytes())), key.to_string());
+    let mut model = MapModel::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            MapOp::Put { key, val } => {
+                let key = MAP_KEYS[key];
+                let rec =
+                    Record::new(ObjectId::from_parts(0, 0, i as u32), key, vec![val], i as u64 + 1);
+                assert!(db.put_record(DATA, &rec).unwrap());
+                let ids = model.entry(slot(key)).or_default();
+                let id = ids.keys().next().copied().unwrap_or(rec.id);
+                ids.insert(id, val);
+            }
+            MapOp::Remove { key } => {
+                let Some(ids) = model.get_mut(&slot(MAP_KEYS[key])) else { continue };
+                let (id, _) = ids.pop_first().unwrap();
+                if ids.is_empty() {
+                    model.remove(&slot(MAP_KEYS[key]));
+                }
+                db.remove(DATA, id).unwrap();
+            }
+            MapOp::Rekey { from, to } => {
+                let Some(mut rec) = db.get_record(DATA, MAP_KEYS[from]).unwrap() else { continue };
+                let ids = model.get_mut(&slot(MAP_KEYS[from])).unwrap();
+                let val = ids.remove(&rec.id).unwrap();
+                if ids.is_empty() {
+                    model.remove(&slot(MAP_KEYS[from]));
+                }
+                rec.self_key = MAP_KEYS[to].to_string();
+                db.put_after_image(DATA, rec.id, rec.to_document()).unwrap();
+                model.entry(slot(MAP_KEYS[to])).or_default().insert(rec.id, val);
+            }
+        }
+    }
+    model
+}
+
+/// Keyed reads and `(after, upto]` scans of `db` answer like `model`: a
+/// key reads as its lowest id, and a scan lists the model's keys in the
+/// range, wrapping through zero when `upto <= after`.
+fn map_matches_model(db: &Db, model: &MapModel, scans: &[(u64, u64)]) -> Result<(), TestCaseError> {
+    let point_of: BTreeMap<&str, u64> = model.keys().map(|(p, k)| (k.as_str(), *p)).collect();
+    for key in MAP_KEYS {
+        let want = point_of.get(key).and_then(|p| model[&(*p, key.to_string())].first_key_value());
+        let got = db.get_record(DATA, key).unwrap();
+        prop_assert_eq!(
+            got.map(|r| (r.id, r.val[0])),
+            want.map(|(id, v)| (*id, *v)),
+            "key {}",
+            key
+        );
+    }
+    let Ok(coll) = db.collection(DATA) else {
+        prop_assert!(model.is_empty());
+        return Ok(());
+    };
+    for &(after, upto) in scans.iter().chain(&[(0, 0), (u64::MAX, u64::MAX), (7, u64::MAX)]) {
+        let inside =
+            |p: u64| if upto > after { p > after && p <= upto } else { p > after || p <= upto };
+        let (high, low): (Vec<_>, Vec<_>) =
+            model.iter().filter(|((p, _), _)| inside(*p)).partition(|((p, _), _)| *p > after);
+        let want: Vec<(String, ObjectId)> = high
+            .into_iter()
+            .chain(low)
+            .map(|((_, k), ids)| (k.clone(), *ids.keys().next().unwrap()))
+            .collect();
+        let got: Vec<(String, ObjectId)> = coll
+            .scan_points(after, upto)
+            .map(|d| (d.get_str("self-key").unwrap().to_string(), d.get_object_id("_id").unwrap()))
+            .collect();
+        prop_assert_eq!(got, want, "scan ({}, {}]", after, upto);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The key map reads like a `(point, key)`-ordered model, with a point
+    /// function that collides and with none, whether the function is
+    /// installed before the writes, after a `Db::open` replay, or after
+    /// `recover_from_wal`.
+    #[test]
+    fn the_key_map_reads_in_point_order(
+        ops in proptest::collection::vec(arb_map_op(), 1..60),
+        scans in proptest::collection::vec((arb_point(), arb_point()), 1..8),
+    ) {
+        // No point function: every key at 0, in string order.
+        let mut plain = Db::memory();
+        let model = run_map_ops(&mut plain, &ops, None);
+        map_matches_model(&plain, &model, &scans)?;
+
+        // Installed before the writes, and carried through recovery.
+        let mut keyed = Db::memory();
+        keyed.set_key_point(first_byte);
+        let model = run_map_ops(&mut keyed, &ops, Some(first_byte));
+        map_matches_model(&keyed, &model, &scans)?;
+        map_matches_model(&keyed.recover_from_wal().unwrap(), &model, &scans)?;
+
+        // Installed after `recover_from_wal` re-keys what replay loaded.
+        let mut recovered = plain.recover_from_wal().unwrap();
+        recovered.set_key_point(first_byte);
+        map_matches_model(&recovered, &model, &scans)?;
+
+        // Installed after a `Db::open` replay.
+        let dir = std::env::temp_dir().join(format!("mystore-prop-map-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let path = dir.join(format!("m{}.wal", CASE.fetch_add(1, Ordering::Relaxed)));
+        let _ = std::fs::remove_file(&path);
+        run_map_ops(&mut Db::open(&path).unwrap(), &ops, None);
+        let mut reopened = Db::open(&path).unwrap();
+        reopened.set_key_point(first_byte);
+        map_matches_model(&reopened, &model, &scans)?;
+        std::fs::remove_file(&path).unwrap();
     }
 }
 

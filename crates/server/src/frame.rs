@@ -112,7 +112,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(NodeId, NodeId, Msg)>
 /// through a frame, the already-consumed bytes are lost and the stream
 /// desyncs. `FrameReader` instead accumulates partial input across calls —
 /// a timeout (`WouldBlock`/`TimedOut`) surfaces as an error from
-/// [`FrameReader::next`] but leaves the parse state intact, so the caller
+/// [`FrameReader::next_frame`] but leaves the parse state intact, so the caller
 /// can poll a shutdown flag and try again.
 pub struct FrameReader<R: Read> {
     r: R,

@@ -25,6 +25,11 @@ echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
 # hot-path files deny the panic lints, and every allow must give a reason.
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (warnings denied)"
+# Every intra-doc link must resolve, so deleting or renaming an item
+# cannot leave the docs pointing at it.
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
+
 echo "==> cargo test --locked --workspace -q"
 cargo test --locked --workspace -q
 
@@ -84,7 +89,11 @@ echo "==> anti-entropy sync suite (Merkle exchange + regression tests)"
 # The PR-8 sync work: Merkle convergence/determinism tests (digest
 # traffic bounded by the divergence, not the corpus), the
 # resurrection-after-reap regression and the rebalance fan-out bound.
+# The tree's leaves are range scans of the ring-ordered store and only
+# their hashes are cached; the leaf-cache test drives every write path
+# and holds each cached hash to a fresh hash of the store.
 cargo test --locked -p mystore-core --test anti_entropy --test merkle_sync --test rebalance -q
+cargo test --locked -p mystore-core --lib cached_leaf_hashes_always_hash_the_store -q
 
 echo "==> online elasticity (migration engine + weighted placement)"
 # The PR-10 elasticity work: the incremental, rate-limited migration
