@@ -199,8 +199,13 @@ impl Collection {
     /// The document whose `self-key` is `key`, the lowest `_id` if several
     /// share it.
     pub fn get_by_self_key(&self, key: &str) -> Option<RawDocument<'_>> {
-        let probe = (point_of(self.point, key), key);
-        self.lowest(self.keys.get(&probe as &dyn Probe)?)
+        self.get_at(point_of(self.point, key), key)
+    }
+
+    /// [`Collection::get_by_self_key`] for a key whose point the caller
+    /// has computed already.
+    pub(crate) fn get_at(&self, point: u64, key: &str) -> Option<RawDocument<'_>> {
+        self.lowest(self.keys.get(&(point, key) as &dyn Probe)?)
     }
 
     /// The documents whose `self-key`'s point lies in `(after, upto]`, in
@@ -260,8 +265,9 @@ impl Collection {
     /// Stores `doc` as the document with `id`, replacing any document with
     /// that id (record writes, inserts, WAL recovery), and returns the
     /// replaced one. The key map is left alone when the key did not change
-    /// (every record write).
-    pub(crate) fn put(&mut self, id: ObjectId, doc: Stored) -> Option<Stored> {
+    /// (every record write); `point` is the point of `doc`'s `self-key`
+    /// when the caller has computed it already.
+    pub(crate) fn put(&mut self, id: ObjectId, doc: Stored, point: Option<u64>) -> Option<Stored> {
         let (old, new) = match self.docs.entry(id) {
             Entry::Occupied(mut e) => (Some(e.insert(doc)), &*e.into_mut()),
             Entry::Vacant(e) => (None, &*e.insert(doc)),
@@ -269,9 +275,11 @@ impl Collection {
         let key = new.raw().get_str(F_SELF_KEY);
         let old_key = old.as_ref().map(|d| d.raw().get_str(F_SELF_KEY));
         if old_key != Some(key) {
-            let point = self.point;
-            unlink(&mut self.keys, id, point, old_key.flatten());
-            link(&mut self.keys, id, point, key);
+            unlink(&mut self.keys, id, self.point, old_key.flatten());
+            if let Some(key) = key {
+                let point = point.unwrap_or_else(|| point_of(self.point, key));
+                link(&mut self.keys, id, point, key);
+            }
         }
         let freed = old.as_ref().map_or(0, |d| d.doc.len());
         self.bytes = self.bytes + new.doc.len() - freed.min(self.bytes);
@@ -289,14 +297,12 @@ impl Collection {
 }
 
 /// `key`'s point under `point` (0 without one).
-fn point_of(point: Option<KeyPoint>, key: &str) -> u64 {
+pub(crate) fn point_of(point: Option<KeyPoint>, key: &str) -> u64 {
     point.map_or(0, |point| point(key.as_bytes()))
 }
 
-/// Maps `key` (if the document has one) to `id`.
-fn link(keys: &mut KeyMap, id: ObjectId, point: Option<KeyPoint>, key: Option<&str>) {
-    let Some(key) = key else { return };
-    let point = point_of(point, key);
+/// Maps `key`, at `point`, to `id`.
+fn link(keys: &mut KeyMap, id: ObjectId, point: u64, key: &str) {
     match keys.get_mut(&(point, key) as &dyn Probe) {
         Some(ids) => ids.add(id),
         None => {
@@ -329,7 +335,7 @@ mod tests {
 
     fn put(c: &mut Collection, n: u32, key: &str, extra: i32) -> ObjectId {
         let id = ObjectId::from_parts(0, 0, n);
-        c.put(id, stored(&doc! { "_id": Value::ObjectId(id), "self-key": key, "v": extra }));
+        c.put(id, stored(&doc! { "_id": Value::ObjectId(id), "self-key": key, "v": extra }), None);
         id
     }
 
@@ -382,8 +388,8 @@ mod tests {
     #[test]
     fn documents_without_a_string_self_key_are_not_mapped() {
         let mut c = Collection::new();
-        c.put(ObjectId::from_parts(0, 0, 1), stored(&doc! { "other": 1 }));
-        c.put(ObjectId::from_parts(0, 0, 2), stored(&doc! { "self-key": 5 }));
+        c.put(ObjectId::from_parts(0, 0, 1), stored(&doc! { "other": 1 }), None);
+        c.put(ObjectId::from_parts(0, 0, 2), stored(&doc! { "self-key": 5 }), None);
         assert!(c.keys.is_empty());
         assert!(c.get_by_self_key("5").is_none());
     }
@@ -414,12 +420,13 @@ mod tests {
         assert_eq!(ids(&c, "b"), vec![id]);
         assert_eq!(c.keys.len(), 1);
         // Same key again: the entry survives its own replacement.
-        let old = c.put(id, stored(&doc! { "_id": Value::ObjectId(id), "self-key": "b", "v": 2 }));
+        let old =
+            c.put(id, stored(&doc! { "_id": Value::ObjectId(id), "self-key": "b", "v": 2 }), None);
         assert_eq!(old.unwrap().raw().get_i64("v"), Some(0), "the replaced document comes back");
         assert_eq!(ids(&c, "b"), vec![id]);
         assert_eq!(c.get_by_self_key("b").unwrap().get_i64("v"), Some(2));
         // Losing the key unmaps the document.
-        c.put(id, stored(&doc! { "_id": Value::ObjectId(id) }));
+        c.put(id, stored(&doc! { "_id": Value::ObjectId(id) }), None);
         assert!(c.keys.is_empty());
     }
 }

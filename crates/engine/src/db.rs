@@ -15,9 +15,9 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 
-use mystore_bson::{Document, ObjectId, OidGen, RawDocument};
+use mystore_bson::{Document, ObjectId, OidGen};
 
-use crate::collection::{Collection, KeyPoint, Stored};
+use crate::collection::{point_of, Collection, KeyPoint, Stored};
 use crate::error::{EngineError, Result};
 use crate::oplog::{parse_frame, put_frame, remove_frame, restore_frame, FrameOp};
 use crate::record::{Record, F_IS_DEL, F_SELF_KEY, F_VERSION};
@@ -25,8 +25,9 @@ use crate::wal::{Frame, Wal};
 
 /// A mutation to apply to one document.
 enum Change {
-    /// Store this document; `insert` refuses an id already present.
-    Put { doc: Stored, insert: bool },
+    /// Store this document; `insert` refuses an id already present;
+    /// `point` is its `self-key`'s point, if computed already.
+    Put { doc: Stored, insert: bool, point: Option<u64> },
     /// Remove the document.
     Remove,
 }
@@ -132,7 +133,8 @@ impl Db {
         for frame in frames {
             let (coll, id, change) = match parse_frame(&frame)? {
                 FrameOp::Put { coll, id, doc, insert } => {
-                    (coll, id, Change::Put { doc: Stored::new(Frame::clone(&frame), doc), insert })
+                    let doc = Stored::new(Frame::clone(&frame), doc);
+                    (coll, id, Change::Put { doc, insert, point: None })
                 }
                 FrameOp::Remove { coll, id } => (coll, id, Change::Remove),
                 // Every collection keeps its `self-key` map already.
@@ -250,24 +252,26 @@ impl Db {
     }
 
     /// Logs a put of the document with `id` into `coll`, whose frame
-    /// `put_frame` wrote with the document at `doc`, and applies it.
+    /// `put_frame` wrote with the document at `doc`, and applies it;
+    /// `point` is the document's `self-key` point, if computed already.
     fn log_put(
         &mut self,
         coll: &str,
         id: ObjectId,
         insert: bool,
+        point: Option<u64>,
         put: (Vec<u8>, Range<usize>),
     ) -> Result<()> {
         let (buf, doc) = put;
         let frame = self.log(buf)?;
-        self.apply(coll, id, Change::Put { doc: Stored::new(frame, doc), insert })
+        self.apply(coll, id, Change::Put { doc: Stored::new(frame, doc), insert, point })
     }
 
     /// Applies a logged or replayed change to memory: the one funnel
     /// every mutation passes through (logged writes and WAL replay).
     fn apply(&mut self, coll: &str, id: ObjectId, change: Change) -> Result<()> {
         match change {
-            Change::Put { doc, insert } => {
+            Change::Put { doc, insert, point } => {
                 let c = match self.collections.get_mut(coll) {
                     Some(c) => c,
                     None => self
@@ -278,7 +282,7 @@ impl Db {
                 if insert && c.contains(id) {
                     return Err(EngineError::DuplicateId(id.to_hex()));
                 }
-                c.put(id, doc);
+                c.put(id, doc, point);
             }
             Change::Remove => {
                 let c = self.collections.get_mut(coll).ok_or(EngineError::NotFound)?;
@@ -345,7 +349,7 @@ impl Db {
                 d.value(k, v);
             }
         });
-        self.log_put(coll, id, true, put)?;
+        self.log_put(coll, id, true, None, put)?;
         Ok(id)
     }
 
@@ -356,7 +360,7 @@ impl Db {
                 d.value(k, v);
             }
         });
-        self.log_put(coll, id, false, put)
+        self.log_put(coll, id, false, None, put)
     }
 
     /// Physically removes a document (compaction/reaper path).
@@ -386,7 +390,9 @@ impl Db {
     /// Returns `true` if the write took effect. The record is encoded once,
     /// straight into its WAL frame, which then holds the stored document.
     pub fn put_record(&mut self, coll: &str, record: &Record) -> Result<bool> {
-        let incumbent = self.get_record_raw(coll, &record.self_key);
+        // One point serves the probe and, for a new key, the key map.
+        let point = point_of(self.key_point, &record.self_key);
+        let incumbent = self.collections.get(coll).and_then(|c| c.get_at(point, &record.self_key));
         let (id, update) = match incumbent.map(|d| Record::stored_stamp(&d)).transpose()? {
             Some((_, version)) if !record.wins_over_version(version) => return Ok(false),
             // Keep the incumbent _id stable across updates.
@@ -397,19 +403,15 @@ impl Db {
             None => (record.id, None),
         };
         let put = put_frame(coll, update, record.encoded_len(), |d| record.write_fields(d, id));
-        self.log_put(coll, id, update.is_none(), put)?;
+        self.log_put(coll, id, update.is_none(), Some(point), put)?;
         Ok(true)
     }
 
     /// Fetches the record stored under `self_key` (tombstones included),
     /// copying its payload once out of the stored document.
     pub fn get_record(&self, coll: &str, self_key: &str) -> Result<Option<Record>> {
-        self.get_record_raw(coll, self_key).map(|d| Record::from_raw(&d)).transpose()
-    }
-
-    /// The stored document under `self_key` in `coll`, read in place.
-    fn get_record_raw(&self, coll: &str, self_key: &str) -> Option<RawDocument<'_>> {
-        self.collections.get(coll)?.get_by_self_key(self_key)
+        let raw = self.collections.get(coll).and_then(|c| c.get_by_self_key(self_key));
+        raw.map(|d| Record::from_raw(&d)).transpose()
     }
 
     // ---- maintenance ----------------------------------------------------
@@ -493,6 +495,34 @@ mod tests {
     /// Field `f` of the document with `id` in `coll`.
     fn int_field(db: &Db, coll: &str, id: ObjectId, f: &str) -> Option<i64> {
         db.collection(coll).ok()?.get(id)?.get_i64(f)
+    }
+
+    std::thread_local! {
+        /// Calls of [`counting_point`] on this thread.
+        static POINTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A key point function that counts its calls.
+    fn counting_point(key: &[u8]) -> u64 {
+        POINTS.with(|n| n.set(n.get() + 1));
+        key.iter().map(|&b| u64::from(b)).sum()
+    }
+
+    #[test]
+    fn put_record_computes_one_point_per_call() {
+        let mut db = Db::memory();
+        db.set_key_point(counting_point);
+        let mut points_of = |r: &Record| {
+            let before = POINTS.with(std::cell::Cell::get);
+            db.put_record("d", r).unwrap();
+            POINTS.with(std::cell::Cell::get) - before
+        };
+        let r = Record::new(ObjectId::from_parts(1, 1, 1), "key", vec![1], pack_version(10, 0));
+        assert_eq!(points_of(&r), 1, "an insert");
+        let newer = Record { val: vec![2], version: pack_version(20, 0), ..r.clone() };
+        assert_eq!(points_of(&newer), 1, "an update");
+        assert_eq!(points_of(&r), 1, "a stale write");
+        assert_eq!(db.get_record("d", "key").unwrap(), Some(newer));
     }
 
     #[test]

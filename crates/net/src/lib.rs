@@ -7,9 +7,10 @@
 //! * [`sim::Sim`] — a deterministic discrete-event simulator with latency,
 //!   bandwidth, queueing, and fault models. All experiments (`crates/bench`)
 //!   run here, reproducibly.
-//! * [`threaded::ThreadedCluster`] — one OS thread per node with channel
-//!   links, for examples and integration tests that exercise real
-//!   concurrency.
+//! * [`threaded::ThreadedCluster`] — one event-loop thread per host that
+//!   drives every process the host runs, with a channel inbox and a local
+//!   queue for sends between them; the production server's runtime, and
+//!   the substrate for examples and integration tests.
 //!
 //! Components implement [`process::Process`] and never do I/O themselves;
 //! the runtime interprets their emitted [`process::Action`]s. See DESIGN.md

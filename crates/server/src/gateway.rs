@@ -4,19 +4,19 @@
 //! # Routing
 //!
 //! A [`Router`] is built once at boot, before the cluster, and installed as
-//! the cluster's route (`ThreadedClusterBuilder::route_external`): each node
-//! thread calls [`Router::route`] for every message it sends to an id with
-//! no local mailbox. A frame for a node or frontend on another host goes on
-//! that host's writer queue; a reply for a client id goes on that
+//! the cluster's route (`ThreadedClusterBuilder::route_external`): the host
+//! loop calls [`Router::route`] for every message a process sends to an id
+//! the host does not run. A frame for a node or frontend on another host
+//! goes on that host's writer queue; a reply for a client id goes on that
 //! connection's reply queue; anything else ([`NodeId::EXTERNAL`], an
 //! unknown id) is dropped.
 //!
-//! **A node thread never touches a socket.** Routing is a map lookup plus a
+//! **The host loop never touches a socket.** Routing is a map lookup plus a
 //! send on an unbounded channel, and the client registry's lock is held only
 //! for that lookup and send. The writer threads are the only thing a slow
 //! or dead peer can stall. A cross-host message crosses three thread
-//! hand-offs: sending node → peer writer → (socket) → the remote host's
-//! connection reader → receiving node.
+//! hand-offs: sending host's loop → peer writer → (socket) → the remote
+//! host's connection reader → receiving host's loop.
 //!
 //! # Threads
 //!
@@ -157,7 +157,7 @@ type ClientQueues = BTreeMap<u32, Sender<(NodeId, Msg)>>;
 ///
 /// Lock discipline: `inner` is the only mutex in `net` and `server`, so no
 /// lock order exists to break. It is held only around a map lookup and an
-/// unbounded (never blocking) send: node threads take it in
+/// unbounded (never blocking) send: host loops take it in
 /// [`Router::route`], connection threads to register and unregister
 /// (DESIGN.md §12).
 #[derive(Clone, Default)]
@@ -242,8 +242,8 @@ impl PeerLinks {
     }
 }
 
-/// Routes what the cluster's node threads send to ids with no local
-/// mailbox: to a peer host's writer, or to a client connection's reply
+/// Routes what the cluster's processes send to ids the host does not
+/// run: to a peer host's writer, or to a client connection's reply
 /// queue (module docs, "Routing").
 pub struct Router {
     links: PeerLinks,
@@ -356,7 +356,7 @@ impl Gateway {
     /// Stops accepting, closes every connection and peer link, and joins
     /// every gateway thread. Call *after* the cluster itself has shut down:
     /// the peer writers exit once the last handle on the router is gone,
-    /// and each node thread's route holds one until the thread exits.
+    /// and the host loop's route holds one until the loop exits.
     pub fn shutdown(self) {
         stop_accepting(self.local_addr, &self.shutdown);
         // Joins the connection threads too; each sees the flag after its

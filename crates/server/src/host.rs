@@ -5,7 +5,8 @@
 //! A *host* is one OS process's slice of the cluster. Two transports:
 //!
 //! * [`Transport::InProc`] — every spec node lives in ONE
-//!   [`ThreadedCluster`]; inter-node traffic stays on in-process channels.
+//!   [`ThreadedCluster`], whose one loop thread runs them all; inter-node
+//!   traffic stays on that loop's local queue.
 //!   The gateway exists only for external clients (wire + REST).
 //! * [`Transport::Tcp`] — the host runs a subset of the spec's nodes (one,
 //!   for `--node-id`; or `boot_tcp_mesh` builds one host per node inside a

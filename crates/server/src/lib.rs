@@ -8,7 +8,7 @@
 //! * [`codec`] / [`frame`] — a deterministic, bounds-checked binary wire
 //!   format for `Msg` (length-prefixed frames, version byte).
 //! * [`gateway`] — the socket edge: accepts peer and client connections;
-//!   its [`Router`] hands outbound frames from the node threads straight to
+//!   its [`Router`] hands outbound frames from the host loop straight to
 //!   one writer per peer host, and client replies to their connections.
 //! * [`http`] — a minimal HTTP/1.1 adapter in front of the existing REST
 //!   frontend (`/_stats`, keyed GET/POST with `If-Match`, `/_ready`).

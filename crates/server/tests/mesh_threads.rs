@@ -1,11 +1,13 @@
 //! The thread inventory of a 3-host TCP mesh under load and after
 //! shutdown.
 //!
-//! Node threads hand cross-host frames straight to their peer host's
-//! writer, so no routing thread sits between them, and each host runs
-//! exactly one writer per remote host (named by that host's first node
-//! id, since a thread name keeps 15 bytes). `Host::shutdown` joins every
-//! gateway and peer-writer thread before it returns.
+//! Each host runs one loop thread for its storage node and its frontend
+//! together (`mystore-node-<first node id>`). The loop hands cross-host
+//! frames straight to its peer host's writer, so no routing thread sits
+//! between them, and each host runs exactly one writer per remote host
+//! (named by that host's first node id, since a thread name keeps 15
+//! bytes). `Host::shutdown` joins the loop and every gateway and
+//! peer-writer thread before it returns.
 //!
 //! This binary holds one test, so no other mesh shares the process whose
 //! threads it counts.
@@ -32,13 +34,19 @@ fn thread_names() -> Vec<String> {
         .collect()
 }
 
-fn gateway_threads() -> Vec<String> {
-    let mut names: Vec<String> = thread_names()
-        .into_iter()
-        .filter(|n| n.starts_with("mystore-gw-") || n.starts_with("mystore-peer-"))
-        .collect();
+/// This process's threads whose names start with one of `prefixes`,
+/// sorted.
+fn threads_named(prefixes: &[&str]) -> Vec<String> {
+    let mut names: Vec<String> =
+        thread_names().into_iter().filter(|n| prefixes.iter().any(|p| n.starts_with(p))).collect();
     names.sort_unstable();
     names
+}
+
+/// The threads a host starts: its loop, its gateway's and its peer
+/// writers.
+fn host_threads() -> Vec<String> {
+    threads_named(&["mystore-node-", "mystore-gw-", "mystore-peer-"])
 }
 
 /// A wire client connection to `host`: its write half and a reader.
@@ -94,12 +102,14 @@ fn a_mesh_runs_one_writer_per_remote_host_and_no_pump_and_shutdown_joins_them() 
 
     let names = thread_names();
     assert!(!names.iter().any(|n| n == "mystore-gw-pump"), "a pump thread runs: {names:?}");
-    let writers: Vec<String> =
-        gateway_threads().into_iter().filter(|n| n.starts_with("mystore-peer-")).collect();
+    let writers = threads_named(&["mystore-peer-"]);
     // Host 0 writes to hosts 1 and 2, host 1 to 0 and 2, host 2 to 0 and 1.
     let want: Vec<String> =
         [0, 0, 1, 1, 2, 2].iter().map(|id| format!("mystore-peer-{id}")).collect();
     assert_eq!(writers, want, "two peer writers per host, one per remote host");
+    let loops = threads_named(&["mystore-node-"]);
+    let want: Vec<String> = (0..3).map(|id| format!("mystore-node-{id}")).collect();
+    assert_eq!(loops, want, "one loop per host drives its storage node and its frontend");
 
     for host in hosts {
         host.shutdown(Duration::ZERO);
@@ -107,10 +117,10 @@ fn a_mesh_runs_one_writer_per_remote_host_and_no_pump_and_shutdown_joins_them() 
     // A joined thread can stay listed for an instant while the kernel
     // finishes its exit; a thread still running stays listed.
     let deadline = Instant::now() + Duration::from_millis(10);
-    let mut left = gateway_threads();
+    let mut left = host_threads();
     while !left.is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
-        left = gateway_threads();
+        left = host_threads();
     }
     assert!(left.is_empty(), "threads left after Host::shutdown returned: {left:?}");
     drop((idle, idle_rd));

@@ -1,10 +1,10 @@
-//! Threaded cluster — the same storage nodes on real OS threads.
+//! Threaded cluster — the same storage nodes on a real OS thread.
 //!
 //! Everything else in the examples runs on the deterministic simulator;
 //! this one runs the identical `StorageNode` state machines on the threaded
-//! runtime (one thread per node, channels as links) and talks to them from
-//! the main thread, demonstrating that the sans-io design really is
-//! runtime-agnostic.
+//! runtime (one loop thread drives all five, in real time) and talks to
+//! them from the main thread, demonstrating that the sans-io design really
+//! is runtime-agnostic.
 //!
 //! ```bash
 //! cargo run --example threaded_cluster
@@ -39,7 +39,10 @@ fn main() {
         builder = builder.add_node(StorageNode::new(NodeId(i), cfg));
     }
     let cluster = builder.build();
-    println!("spawned {} node threads; waiting for gossip to converge...", cluster.len());
+    println!(
+        "started {} nodes on one loop thread; waiting for gossip to converge...",
+        cluster.len()
+    );
     // Poll each node's ring view instead of sleeping a fixed interval:
     // bounded above by the timeout, done the moment the ring actually forms.
     let expected: Vec<NodeId> = (0..5).map(NodeId).collect();

@@ -61,9 +61,15 @@ echo "==> real-transport runtime (threaded integration)"
 # `wire_pipelined` quick pass at the end of this script; `mesh_latency`
 # checks that fixed-size replication frames on a 3-node TCP mesh do not
 # wait on delayed ACKs (`TCP_NODELAY`, one write per drained batch);
-# `mesh_threads` checks the mesh's thread inventory: no routing pump, one
+# `mesh_threads` checks the mesh's thread inventory: one loop thread per
+# host (its storage node and frontend share it), no routing pump, one
 # peer writer per remote host, none left after `Host::shutdown`.
 cargo test --locked --test threaded_cluster -q
+# `batches` and `syncs` hold the batch and sync contracts the host loop
+# keeps: a batch is what was queued when it began, `on_batch_end` follows
+# its sends, sync completions arrive once each in start order, and an
+# inline sync completes before the next batch.
+cargo test --locked -p mystore-net --test batches --test syncs -q
 cargo test --locked -p mystore-serverd --test mesh_latency -q
 cargo test --locked -p mystore-serverd --test mesh_threads -q
 # Each mesh host's own node coordinates every request its frontend receives.
