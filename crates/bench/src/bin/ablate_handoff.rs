@@ -20,7 +20,15 @@ fn main() {
     let mut fig = Figure::new(
         "ablate_handoff",
         "A4: write availability under short failures, hinted handoff on vs off",
-        &["handoff", "stored", "gave_up", "availability_%", "handoffs_sent"],
+        &[
+            "handoff",
+            "stored",
+            "gave_up",
+            "availability_%",
+            "handoffs_sent",
+            "put_resends",
+            "retries_exhausted",
+        ],
     );
     fig.note("2000 puts, one attempt each; network-exception p=0.25 per replica op");
     fig.note(
@@ -67,13 +75,17 @@ fn main() {
         }
         let client = sim.process::<PutClient>(loader).unwrap();
         let (stored, gave_up) = (client.stored, client.gave_up);
-        let handoffs = metrics.counter("hint.handoffs").get();
+        let counter = |name: &str| metrics.counter(name).get().to_string();
         fig.row(vec![
             if handoff { "on" } else { "off" }.to_string(),
             stored.to_string(),
             gave_up.to_string(),
             fmt(100.0 * stored as f64 / (stored + gave_up) as f64),
-            handoffs.to_string(),
+            counter("hint.handoffs"),
+            // Replica writes re-sent by the coordinator, and writes whose
+            // re-sends all went unanswered: only those need a hint.
+            counter("retry.put.resends"),
+            counter("retry.exhausted"),
         ]);
     }
     fig.finish().expect("write results");

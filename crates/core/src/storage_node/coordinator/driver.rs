@@ -301,7 +301,7 @@ impl StorageNode {
         ok: bool,
     ) {
         // Migration replica-writes ack through the same wire shape; they
-        // settle against the plan's work list, not the quorum table.
+        // settle the plan's owed positions, not the quorum table.
         if self.migrate_acks.contains_key(&req) {
             self.on_migrate_ack(req, ok);
             return;

@@ -67,15 +67,20 @@ impl QuorumOp for WriteOp {
 
     fn on_reply(&mut self, from: NodeId, reply: Reply) {
         let Reply::Ack { ok } = reply else { return };
-        // Retries and chaotic links can duplicate acks: count each node once.
-        // A failed ack leaves the replica in `outstanding`; the retry path
-        // re-sends and eventually diverts it to a fallback node. A
-        // fallback's ack settles the replica its hint stands in for.
-        if ok && !self.acked.contains(&from) {
+        if !ok {
+            // The replica stays in `outstanding`; the retry path re-sends
+            // and eventually diverts it to a fallback node.
+            return;
+        }
+        // A fallback's ack settles the replica its hint stands in for.
+        let intended = self.hints.iter().find(|&&(f, _)| f == from).map(|&(_, i)| i);
+        self.outstanding.retain(|&r| r != from && Some(r) != intended);
+        // `W` counts distinct nodes: retries and chaotic links duplicate
+        // acks, and a coordinator holding a hint itself acks as itself, so
+        // its own copy and that hint count once.
+        if !self.acked.contains(&from) {
             self.acked.push(from);
             self.acks += 1;
-            let intended = self.hints.iter().find(|&&(f, _)| f == from).map(|&(_, i)| i);
-            self.outstanding.retain(|&r| r != from && Some(r) != intended);
         }
     }
 
@@ -133,7 +138,8 @@ impl QuorumOp for WriteOp {
                 if fallback == me {
                     // The coordinator may be the only node left standing —
                     // it holds the hint itself, staged like any local
-                    // write: once durable it counts for `intended`.
+                    // write: once durable it settles `intended`'s slot as
+                    // an ack from the coordinator.
                     ctx.consume(COST.put_us(self.record.val.len()));
                     let hint_doc = doc! {
                         "intended": intended.0 as i64,
@@ -142,7 +148,7 @@ impl QuorumOp for WriteOp {
                     if node.db.insert_doc(HINTS, hint_doc).is_ok() {
                         node.metrics.hints_stored.inc();
                         node.metrics.hint_queue_depth.add(1);
-                        node.parked_own.push((req, intended, node.db.wal_end_pos()));
+                        node.parked_own.push((req, node.db.wal_end_pos()));
                     }
                 } else {
                     ctx.send(
@@ -274,7 +280,7 @@ impl StorageNode {
             // the replica writes below are already on their way.
             ctx.consume(COST.put_us(record.val.len()));
             if self.write_data(&record.self_key, |db| db.put_record(DATA, &record)).is_ok() {
-                self.parked_own.push((my_req, me, self.db.wal_end_pos()));
+                self.parked_own.push((my_req, self.db.wal_end_pos()));
             }
         }
         self.drv_finish_start(ctx, my_req, common, OpState::Write(op));

@@ -1,5 +1,5 @@
-//! The migration plan's persisted cursor: the acked low-water mark kept
-//! in the `migrate_state` collection so a crashed source resumes where it
+//! The migration plan's persisted cursor: its acked prefix as a ring
+//! position in `migrate_state`, so a crashed source resumes where it
 //! stopped instead of restarting its transfer (DESIGN.md §16).
 
 #![deny(
@@ -22,35 +22,28 @@ use crate::storage_node::StorageNode;
 const MIGRATE_STATE: &str = "migrate_state";
 
 impl StorageNode {
-    /// Writes the acked low-water mark as an `(arc, key)` cursor (plus the
-    /// base-ring signature) to the `migrate_state` collection. A plan with
-    /// no work writes none.
+    /// Writes the plan's acked prefix as an `(arc, point, key)` cursor
+    /// (plus the base-ring signature) to the `migrate_state` collection.
     pub(super) fn persist_migrate_cursor(&mut self) {
-        let (arc, key, sig, low) = {
-            let Some(plan) = &self.migration else { return };
-            // Nothing to resume (every boot-time join on an empty store):
-            // a cursor would cost a WAL append + fsync now and another to
-            // clear it one tick later.
-            if plan.work.is_empty() {
-                return;
-            }
-            let (arc, key) = match plan.low_water.checked_sub(1).and_then(|i| plan.work.get(i)) {
-                Some((a, k)) => (*a as i64, k.clone()),
-                None => (-1, String::new()),
-            };
-            let sig = plan
-                .from_sig
-                .iter()
-                .map(|(n, v)| format!("{}:{}", n.0, v))
-                .collect::<Vec<_>>()
-                .join(",");
-            (arc, key, sig, plan.low_water)
+        let Some(plan) = &mut self.migration else { return };
+        let at = plan.acked_prefix().clone();
+        let point = plan.arcs.get(at.arc).map_or(0, |a| a.point(at.offset));
+        let sig = plan
+            .from_sig
+            .iter()
+            .map(|(n, v)| format!("{}:{}", n.0, v))
+            .collect::<Vec<_>>()
+            .join(",");
+        let cursor = doc! {
+            "from_sig": sig,
+            "arc": at.arc as i64,
+            // The point's bits: BSON has no unsigned integer.
+            "point": point as i64,
+            "key": at.key.clone(),
         };
+        plan.persisted = at;
         self.clear_migrate_state();
-        let _ = self.db.insert_doc(MIGRATE_STATE, doc! { "from_sig": sig, "arc": arc, "key": key });
-        if let Some(plan) = &mut self.migration {
-            plan.persisted = low;
-        }
+        let _ = self.db.insert_doc(MIGRATE_STATE, cursor);
     }
 
     /// Drops the persisted cursor (plan finished or abandoned).
@@ -71,14 +64,11 @@ impl StorageNode {
     /// collapsed single-node one and would produce an empty — or wrong —
     /// diff); at most the unacked in-flight window is re-sent.
     pub(crate) fn resume_migration(&mut self) {
-        let Some((sig_str, arc, key)) = self.db.collection(MIGRATE_STATE).ok().and_then(|c| {
-            c.iter().next().and_then(|(_, d)| {
-                Some((
-                    d.get_str("from_sig")?.to_string(),
-                    d.get_i64("arc")?,
-                    d.get_str("key")?.to_string(),
-                ))
-            })
+        let Some((sig_str, at)) = self.db.collection(MIGRATE_STATE).ok().and_then(|c| {
+            let (_, d) = c.iter().next()?;
+            let at = d.get_i64("arc").zip(d.get_i64("point")).zip(d.get_str("key"));
+            let at = at.map(|((arc, point), key)| (arc, point as u64, key.to_string()));
+            Some((d.get_str("from_sig")?.to_string(), at))
         }) else {
             return;
         };
@@ -94,6 +84,6 @@ impl StorageNode {
             self.clear_migrate_state();
             return;
         }
-        self.resume_cursor = Some(ResumeCursor { sig, arc, key });
+        self.resume_cursor = Some(ResumeCursor { sig, at });
     }
 }

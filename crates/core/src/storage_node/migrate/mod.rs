@@ -2,26 +2,27 @@
 //!
 //! The only rebalance path (§5.2.4: range migration on node addition,
 //! re-replication on long failure). A membership change builds a
-//! [`MigrationPlan`]: the old-vs-new ring preference diff, cut into arcs,
-//! with one work item per locally-held record whose replica set changed. A
-//! `TK_MIGRATE` tick drains the work list in key order under the per-tick
-//! budgets (`StorageConfig::migrate_max_records_per_tick` and the fixed
-//! `MIGRATE_MAX_BYTES_PER_TICK`), shipping records on the acknowledged
-//! `StoreReplica`/`StoreReplicaBatch` path; an arc whose items are all
-//! acked is *cut over* — entrants are told they are now authoritative
-//! ([`crate::message::Msg::MigrateCutover`]) and, when this node left the
-//! arc's replica set, its local copies are dropped.
+//! [`MigrationPlan`]: the old-vs-new ring preference diff, cut into arcs
+//! whose replica set changed. A `TK_MIGRATE` tick scans those arcs of the
+//! ring-ordered store in order, from the plan's scan position, under the
+//! per-tick budgets (`StorageConfig::migrate_max_records_per_tick` and the
+//! fixed `MIGRATE_MAX_BYTES_PER_TICK`), shipping records on the
+//! acknowledged `StoreReplica`/`StoreReplicaBatch` path; an arc the scan
+//! has passed that owes no copy is *cut over* — entrants are told they
+//! are now authoritative ([`crate::message::Msg::MigrateCutover`]) and,
+//! when this node left the arc's replica set, its local copies are
+//! dropped.
 //!
 //! Until cutover the cluster is in **dual ownership** for the arc: an
 //! entrant that misses a key proxies the fetch to the arc's old primary
 //! ([`StorageNode::proxy_source`]), and writes it applies are forwarded to
 //! that old owner so a cancelled migration never loses acked data.
 //!
-//! The acked low-water mark — the longest fully-acknowledged prefix of the
-//! (deterministic) work list — is persisted as an `(arc, key)` cursor in
-//! the `migrate_state` collection, so a crashed source resumes where it
-//! stopped instead of restarting the sweep; at most the in-flight window
-//! is re-sent, and LWW application dedups it.
+//! The acked prefix — every record before the first position still owed
+//! a copy, up to the scan position — is persisted as an `(arc, point,
+//! key)` cursor in the `migrate_state` collection, so a crashed source
+//! resumes where it stopped instead of restarting the scan; at most the
+//! in-flight window is re-sent, and LWW application dedups it.
 
 #![deny(
     clippy::unwrap_used,
@@ -36,8 +37,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc as StdArc;
 
-use mystore_engine::record::F_SELF_KEY;
-use mystore_engine::Record;
+use mystore_bson::RawDocument;
+use mystore_engine::record::{F_ID, F_SELF_KEY};
+use mystore_engine::{Collection, Db, Record};
 use mystore_net::{Context, NodeId};
 use mystore_ring::{Arc_, HashRing};
 
@@ -48,9 +50,7 @@ mod cursor;
 mod plan;
 
 use plan::covers;
-pub(crate) use plan::{
-    InboundArc, MigAck, MigrationPlan, PlanArc, ProxyFetch, ResumeCursor, WorkItem,
-};
+pub(crate) use plan::{InboundArc, MigAck, MigrationPlan, PlanArc, Pos, ProxyFetch, ResumeCursor};
 
 /// Byte budget per migration tick (sum of record value sizes). 1 MiB per
 /// 50 ms tick is 20 MiB/s — a quarter of the cost model's log-write
@@ -232,8 +232,7 @@ impl StorageNode {
                 entrants,
                 keep,
                 primary,
-                end_idx: 0,
-                started_at_us: 0,
+                started_at_us: None,
                 cutover: false,
             });
         }
@@ -250,139 +249,112 @@ impl StorageNode {
             }
             return;
         }
-        let work = self.build_work_list(&arcs);
-        let mut end = 0usize;
-        for (i, arc) in arcs.iter_mut().enumerate() {
-            end += work.iter().filter(|(a, _)| *a == i).count();
-            arc.end_idx = end;
-        }
-        // Announce each non-trivial transfer to its entrants. A joining
-        // node's own diff base is the collapsed single-node ring, so it
-        // cannot derive its inbound arcs locally — without this announce
+        // Announce each transfer with records to ship to its entrants. A
+        // joining node's own diff base is the collapsed single-node ring, so
+        // it cannot derive its inbound arcs locally — without this announce
         // its dual-ownership window never opens and a sparse-quorum read
-        // could take its not-yet-authoritative miss at face value. Only
-        // the arc's old primary announces, so each entrant tracks exactly
-        // one source per arc.
-        let mut start_idx = 0usize;
-        for arc in &arcs {
-            let has_work = arc.end_idx > start_idx;
-            start_idx = arc.end_idx;
-            if !arc.primary || !has_work {
-                continue;
-            }
+        // could take its not-yet-authoritative miss at face value. Only the
+        // arc's old primary announces, so each entrant tracks exactly one
+        // source per arc.
+        let data = data(&self.db);
+        let has_records = |a: &PlanArc| data.scan_points(a.arc.start, a.arc.end).next().is_some();
+        for arc in arcs.iter().filter(|a| a.primary && has_records(a)) {
             for &entrant in &arc.entrants {
                 ctx.send(entrant, Msg::MigrateBegin { start: arc.arc.start, end: arc.arc.end });
             }
         }
+        // Crash resume: the scan starts at the acked prefix the pre-crash
+        // incarnation persisted. Sound when the cluster re-converged on the
+        // same target ring (the common case); if it moved on, anti-entropy
+        // covers any skipped copies. A cursor this plan cannot place starts
+        // over at the first arc: LWW application dedups the re-sends.
+        let next = self.resume_cursor.take().and_then(|r| r.at).and_then(|(arc, point, key)| {
+            let arc = usize::try_from(arc).ok()?;
+            match arcs.get(arc) {
+                Some(a) => a.arc.contains(point).then(|| Pos { arc, offset: a.offset(point), key }),
+                None => (arc == arcs.len()).then(|| Pos::start(arc)),
+            }
+        });
         let mut plan = MigrationPlan {
             old_ring: base_ring,
             from_sig: base_sig,
             arcs,
-            work,
-            low_water: 0,
-            cursor: 0,
-            acked: BTreeSet::new(),
-            needed: BTreeMap::new(),
+            next: next.unwrap_or_default(),
+            owed: BTreeMap::new(),
             retry: BTreeSet::new(),
-            persisted: usize::MAX, // force the first persist
+            persisted: Pos::default(),
+            shipped: 0,
         };
-        // Crash resume: fast-forward past the work-list prefix the
-        // pre-crash incarnation already had fully acknowledged. Sound when
-        // the cluster re-converged on the same target ring (the common
-        // case); if it moved on, anti-entropy covers any skipped copies.
-        if let Some(resume) = self.resume_cursor.take() {
-            if resume.arc >= 0 {
-                let pos = (resume.arc as usize, resume.key);
-                let skip = plan
-                    .work
-                    .partition_point(|item| (item.0, item.1.as_str()) <= (pos.0, pos.1.as_str()));
-                plan.low_water = skip;
-                plan.cursor = skip;
-            }
-        }
+        // The scan position starts at the first record (an empty plan's at
+        // its end, so its first tick cuts every arc over).
+        let found = next_record(data, &mut plan).is_some();
+        plan.persisted = plan.next.clone();
         self.migration = Some(plan);
-        self.persist_migrate_cursor();
+        // Nothing to resume (every boot-time join on an empty store): a
+        // cursor would cost a WAL append + fsync now and another to clear
+        // it one tick later.
+        if found {
+            self.persist_migrate_cursor();
+        }
         if !self.migrate_armed {
             self.migrate_armed = true;
             ctx.set_timer(self.cfg.migrate_tick_us, tk(TK_MIGRATE, 0));
         }
     }
 
-    /// The work list: each plan arc's range of the ring-ordered data
-    /// collection, sorted by `(arc index, key)`, the order the persisted
-    /// cursor is kept in.
-    fn build_work_list(&self, arcs: &[PlanArc]) -> Vec<WorkItem> {
-        let data = data(&self.db);
-        let mut work: Vec<WorkItem> = Vec::new();
-        for (i, a) in arcs.iter().enumerate() {
-            let keys =
-                data.scan_points(a.arc.start, a.arc.end).filter_map(|d| d.get_str(F_SELF_KEY));
-            work.extend(keys.map(|key| (i, key.to_string())));
-        }
-        work.sort_unstable();
-        work
-    }
-
-    /// `TK_MIGRATE`: sweep expired acks, advance the acked low-water mark,
-    /// cut over finished arcs, persist the cursor, then dispatch the next
-    /// budgeted slice of the work list.
+    /// `TK_MIGRATE`: sweep expired acks, cut over finished arcs, dispatch
+    /// the next budgeted slice of the scan, then persist the cursor.
     pub(crate) fn migrate_tick(&mut self, ctx: &mut Context<'_, Msg>) {
         self.migrate_armed = false;
         let Some(mut plan) = self.migration.take() else { return };
         let now = ctx.now().as_micros();
-        // Acks that never arrived: requeue their items (idempotent LWW).
-        let deadline = self.cfg.request_deadline_us;
+        // Acks that never arrived: requeue their records (idempotent LWW).
+        // The record's `owed` entry stays: targets that already acked are
+        // settled for good, and re-dispatch goes only to the ones listed.
         let expired: Vec<u64> = self
             .migrate_acks
             .iter()
-            .filter(|(_, a)| now.saturating_sub(a.sent_at_us) >= deadline)
+            .filter(|(_, a)| now.saturating_sub(a.sent_at_us) >= self.cfg.request_deadline_us)
             .map(|(&req, _)| req)
             .collect();
         for req in expired {
             if let Some(ack) = self.migrate_acks.remove(&req) {
                 self.metrics.migrate_in_flight.dec_clamped();
-                if !plan.acked.contains(&ack.idx) && ack.idx >= plan.low_water {
-                    // The per-target `needed` entry stays: targets that
-                    // already acked are settled for good, and re-dispatch
-                    // goes only to the ones still listed.
-                    plan.retry.insert(ack.idx);
+                if plan.owed.contains_key(&ack.pos) {
+                    plan.retry.insert(ack.pos);
                 }
             }
         }
-        plan.advance_low_water();
         self.cutover_ready_arcs(ctx, &mut plan, now);
         self.dispatch_budgeted(ctx, &mut plan, now);
         if plan.done() {
             self.clear_migrate_state();
-            ctx.record("migration_done", plan.work.len() as f64);
+            ctx.record("migration_done", plan.shipped as f64);
             self.gossiper.set_app_state_if_changed(mystore_gossip::keys::MIGRATION, "idle");
             return; // plan dropped; timer stays unarmed
         }
-        if plan.persisted != plan.low_water {
-            self.migration = Some(plan);
+        let moved = *plan.acked_prefix() != plan.persisted;
+        self.migration = Some(plan);
+        if moved {
             self.persist_migrate_cursor();
-        } else {
-            self.migration = Some(plan);
         }
         self.migrate_armed = true;
         ctx.set_timer(self.cfg.migrate_tick_us, tk(TK_MIGRATE, 0));
     }
 
-    /// Cuts over every arc whose work is fully acked, in arc order, and
-    /// traces how many arcs this tick cut over.
+    /// Cuts over every arc the scan has passed that owes no copy, in arc
+    /// order, and traces how many arcs this tick cut over.
     fn cutover_ready_arcs(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         plan: &mut MigrationPlan,
         now: u64,
     ) {
-        let mut prev_end = 0usize;
         let mut cut = 0usize;
-        for i in 0..plan.arcs.len() {
-            let start_idx = prev_end;
+        for i in 0..plan.next.arc {
+            let owes = plan.owed.range(Pos::start(i)..Pos::start(i + 1)).next().is_some();
             let Some(arc) = plan.arcs.get_mut(i) else { break };
-            prev_end = arc.end_idx;
-            if arc.cutover || plan.low_water < arc.end_idx {
+            if arc.cutover || owes {
                 continue;
             }
             arc.cutover = true;
@@ -390,107 +362,104 @@ impl StorageNode {
                 ctx.send(entrant, Msg::MigrateCutover { start: arc.arc.start, end: arc.arc.end });
             }
             cut += 1;
-            let (keep, end_idx, began) = (arc.keep, arc.end_idx, arc.started_at_us);
+            let (keep, range, began) = (arc.keep, arc.arc, arc.started_at_us);
             if !keep {
-                let keys: Vec<String> = plan
-                    .work
-                    .get(start_idx..end_idx)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|(_, k)| k.clone())
-                    .collect();
-                for key in keys {
-                    if let Ok(Some(rec)) = self.db.get_record(DATA, &key) {
-                        let _ = self.write_data(&key, |db| db.remove(DATA, rec.id));
+                // This node left the arc's replica set: every record in the
+                // range goes, also one written after the scan passed it
+                // (DESIGN.md §16, "Cutover"), first record first.
+                let first = |db: &Db| {
+                    data(db).scan_points(range.start, range.end).find_map(|d| {
+                        Some((d.get_str(F_SELF_KEY)?.to_string(), d.get_object_id(F_ID)?))
+                    })
+                };
+                while let Some((key, id)) = first(&self.db) {
+                    if self.write_data(&key, |db| db.remove(DATA, id)).is_err() {
+                        break;
                     }
                 }
             }
             self.metrics.migrate_arcs_cutover.inc();
-            let began = if began > 0 { began } else { now };
-            self.metrics.migrate_arc_duration_us.record(now.saturating_sub(began));
+            self.metrics.migrate_arc_duration_us.record(now.saturating_sub(began.unwrap_or(now)));
         }
         if cut > 0 {
             ctx.record("migrate_arc_cutover", cut as f64);
         }
     }
 
-    /// Dispatches retries first, then the cursor, until a per-tick budget
-    /// is exhausted. One item ships atomically to all its targets; the
-    /// first item of a tick always ships even if it alone exceeds either
+    /// Dispatches retries first, then the scan, until a per-tick budget
+    /// is exhausted. One record ships atomically to all its targets; the
+    /// first record of a tick always ships even if it alone exceeds either
     /// budget (progress guarantee — a leaving node ships to the whole new
-    /// replica set, so one item can carry more copies than a small record
-    /// budget allows and must not stall the head of the work list).
+    /// replica set, so one record can carry more copies than a small
+    /// record budget allows and must not stall the scan).
     fn dispatch_budgeted(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         plan: &mut MigrationPlan,
         now: u64,
     ) {
-        let rec_budget = if self.cfg.migrate_max_records_per_tick > 0 {
-            self.cfg.migrate_max_records_per_tick as usize
-        } else {
-            usize::MAX
+        let rec_budget = match self.cfg.migrate_max_records_per_tick {
+            0 => usize::MAX,
+            n => n as usize,
         };
-        let mut recs_used = 0usize;
-        let mut bytes_used = 0usize;
-        let mut batches: BTreeMap<NodeId, Vec<BatchPut>> = BTreeMap::new();
-        loop {
-            let idx = match plan.retry.iter().next().copied() {
-                Some(i) => i,
-                None if plan.cursor < plan.work.len() => plan.cursor,
-                None => break,
-            };
-            let Some((arc_idx, key)) = plan.work.get(idx).cloned() else {
-                // Defensive: a stale retry index past the work list.
-                self.settle_item(plan, idx);
-                continue;
-            };
-            let record = match self.db.get_record(DATA, &key) {
-                Ok(Some(r)) => StdArc::new(r),
-                // Deleted since the scan (reaped tombstone): nothing to
-                // ship, the item is settled.
-                _ => {
-                    self.settle_item(plan, idx);
-                    continue;
-                }
-            };
-            let targets = match plan.arcs.get(arc_idx) {
-                Some(arc) if !arc.targets.is_empty() => arc.targets.clone(),
-                _ => {
-                    self.settle_item(plan, idx);
-                    continue;
-                }
-            };
-            // A retried item re-dispatches only to the targets that have
-            // not acked yet (its `needed` entry); a fresh item owes every
-            // target a copy.
-            let targets: Vec<NodeId> = match plan.needed.get(&idx) {
-                Some(owing) => targets.iter().copied().filter(|t| owing.contains(t)).collect(),
-                None => targets,
-            };
-            if targets.is_empty() {
-                self.settle_item(plan, idx);
-                continue;
+        let (mut recs_used, mut bytes_used) = (0usize, 0usize);
+        let mut fits = |copies: usize, bytes: usize| {
+            let fits = recs_used == 0
+                || (recs_used + copies <= rec_budget
+                    && bytes_used + bytes <= MIGRATE_MAX_BYTES_PER_TICK);
+            if fits {
+                recs_used += copies;
+                bytes_used += bytes;
             }
-            let copies = targets.len();
-            let bytes = record.val.len() * copies;
-            if recs_used > 0
-                && (recs_used + copies > rec_budget
-                    || bytes_used + bytes > MIGRATE_MAX_BYTES_PER_TICK)
-            {
+            fits
+        };
+        let mut picked: Vec<(Pos, Vec<NodeId>, StdArc<Record>)> = Vec::new();
+        let mut full = false;
+        for pos in plan.retry.clone() {
+            // A retried record re-dispatches only to the targets that have
+            // not acked yet; one deleted since (a reaped tombstone) is
+            // settled.
+            let targets: Vec<NodeId> =
+                plan.owed.get(&pos).map(|t| t.iter().copied().collect()).unwrap_or_default();
+            let record = self.db.get_record(DATA, &pos.key).ok().flatten();
+            let Some(record) = record.filter(|_| !targets.is_empty()) else {
+                plan.owed.remove(&pos);
+                plan.retry.remove(&pos);
+                continue;
+            };
+            if !fits(targets.len(), record.val.len() * targets.len()) {
+                full = true;
                 break;
             }
-            if let Some(arc) = plan.arcs.get_mut(arc_idx) {
-                if arc.started_at_us == 0 {
-                    arc.started_at_us = now;
-                }
+            plan.retry.remove(&pos);
+            picked.push((pos, targets, StdArc::new(record)));
+        }
+        // The scan stops at the first record that does not fit, so between
+        // ticks the scan position is a record's (or the plan's end).
+        let data = data(&self.db);
+        while let Some(doc) = next_record(data, plan) {
+            let pos = plan.next.clone();
+            let targets = plan.arcs.get(pos.arc).map(|a| a.targets.clone()).unwrap_or_default();
+            let Ok(record) = Record::from_raw(&doc) else {
+                plan.next = pos.successor();
+                continue;
+            };
+            if full || !fits(targets.len(), record.val.len() * targets.len()) {
+                break;
             }
-            recs_used += copies;
-            bytes_used += bytes;
-            plan.needed.insert(idx, targets.iter().copied().collect());
+            plan.next = pos.clone().successor();
+            plan.shipped += 1;
+            picked.push((pos, targets, StdArc::new(record)));
+        }
+        let mut batches: BTreeMap<NodeId, Vec<BatchPut>> = BTreeMap::new();
+        for (pos, targets, record) in picked {
+            if let Some(arc) = plan.arcs.get_mut(pos.arc) {
+                arc.started_at_us.get_or_insert(now);
+            }
+            let copies = targets.len();
             for &target in &targets {
                 let req = self.fresh_req();
-                self.migrate_acks.insert(req, MigAck { idx, target, sent_at_us: now });
+                self.migrate_acks.insert(req, MigAck { pos: pos.clone(), target, sent_at_us: now });
                 batches
                     .entry(target)
                     .or_default()
@@ -498,10 +467,8 @@ impl StorageNode {
             }
             self.metrics.migrate_in_flight.add(copies as i64);
             self.metrics.migrate_records_sent.add(copies as u64);
-            self.metrics.migrate_bytes_sent.add(bytes as u64);
-            if !plan.retry.remove(&idx) {
-                plan.cursor = idx + 1;
-            }
+            self.metrics.migrate_bytes_sent.add((record.val.len() * copies) as u64);
+            plan.owed.insert(pos, targets.into_iter().collect());
         }
         for (target, mut ops) in batches {
             if ops.len() == 1 {
@@ -514,42 +481,158 @@ impl StorageNode {
         }
     }
 
-    /// Marks an item acked without a wire exchange (record gone or no
-    /// targets) and pops it from the dispatch front.
-    fn settle_item(&self, plan: &mut MigrationPlan, idx: usize) {
-        plan.acked.insert(idx);
-        plan.needed.remove(&idx);
-        if !plan.retry.remove(&idx) {
-            plan.cursor = idx + 1;
-        }
-        plan.advance_low_water();
-    }
-
     /// A `StoreAck` for a migration replica-write (routed here before the
     /// quorum driver by the req being in `migrate_acks`).
     pub(crate) fn on_migrate_ack(&mut self, req: u64, ok: bool) {
         let Some(ack) = self.migrate_acks.remove(&req) else { return };
         self.metrics.migrate_in_flight.dec_clamped();
         let Some(plan) = &mut self.migration else { return };
-        if ack.idx < plan.low_water || plan.acked.contains(&ack.idx) {
-            return; // late duplicate for an already-settled item
-        }
+        // A late duplicate for a settled record finds no `owed` entry.
+        let Some(owing) = plan.owed.get_mut(&ack.pos) else { return };
         if ok {
-            if let Some(owing) = plan.needed.get_mut(&ack.idx) {
-                owing.remove(&ack.target);
-                if owing.is_empty() {
-                    plan.needed.remove(&ack.idx);
-                    plan.retry.remove(&ack.idx);
-                    plan.acked.insert(ack.idx);
-                    plan.advance_low_water();
-                }
+            owing.remove(&ack.target);
+            if owing.is_empty() {
+                plan.owed.remove(&ack.pos);
+                plan.retry.remove(&ack.pos);
             }
         } else {
-            // The failed target stays in `needed`; the retry re-sends to
-            // it (and any other target still owing) only — an ack from a
-            // target that already succeeded must not settle the item on
-            // another target's behalf.
-            plan.retry.insert(ack.idx);
+            // The failed target stays owed; the retry re-sends to it (and
+            // any other target still owing) only — an ack from a target
+            // that already succeeded must not settle the record on another
+            // target's behalf.
+            plan.retry.insert(ack.pos);
         }
+    }
+}
+
+/// Moves the plan's scan position to the first record at or after it,
+/// read from the ring-ordered store, and returns that record. The scan
+/// passes every arc it finds nothing left in (and arcs with no target).
+fn next_record<'a>(data: &'a Collection, plan: &mut MigrationPlan) -> Option<RawDocument<'a>> {
+    while let Some(arc) = plan.arcs.get(plan.next.arc) {
+        if !arc.targets.is_empty() {
+            let from = &plan.next;
+            // Scan from the point just before the position's own point.
+            let after = arc.point(from.offset).wrapping_sub(1);
+            let found = data.scan_points(after, arc.arc.end).find_map(|doc| {
+                let key = doc.get_str(F_SELF_KEY)?;
+                let offset = arc.offset(HashRing::<NodeId>::key_point(key.as_bytes()));
+                let at_or_after = (offset, key) >= (from.offset, from.key.as_str());
+                at_or_after.then(|| (Pos { arc: from.arc, offset, key: key.to_string() }, doc))
+            });
+            if let Some((pos, doc)) = found {
+                plan.next = pos;
+                return Some(doc);
+            }
+        }
+        plan.next = Pos::start(plan.next.arc + 1);
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterSpec;
+    use mystore_bson::{doc, ObjectId};
+    use mystore_engine::pack_version;
+    use mystore_net::{FaultPlan, NetConfig, Sim, SimConfig, SimTime};
+
+    /// A 3-node cluster whose node 2 is down from the start, with `total`
+    /// records on node 0 only: when node 2 joins, node 0 ships every one
+    /// of them to it (each node replicates every key on three nodes).
+    fn join_source(budget: u32, seed: u64, total: u32) -> Sim<Msg> {
+        let mut spec = ClusterSpec::small(3);
+        spec.storage.migrate_max_records_per_tick = budget;
+        spec.storage.anti_entropy_interval_us = 0;
+        let config = SimConfig { net: NetConfig::gigabit_lan(), faults: FaultPlan::none(), seed };
+        let mut sim = spec.build_sim(config);
+        sim.schedule_crash(SimTime(0), NodeId(2), None);
+        sim.start();
+        sim.run_for(spec.warmup_us() + 3_000_000);
+        let node = sim.process_mut::<StorageNode>(NodeId(0)).unwrap();
+        for i in 0..total {
+            let id = ObjectId::from_parts(1, 16, i);
+            let version = pack_version(1_000_000 + u64::from(i), 0);
+            node.preload_record(&Record::new(id, key(i), b"payload".to_vec(), version));
+        }
+        sim
+    }
+
+    fn key(i: u32) -> String {
+        format!("mv-{i:05}")
+    }
+
+    fn joiner_holds_all(sim: &Sim<Msg>, total: u32) {
+        let joiner = sim.process::<StorageNode>(NodeId(2)).unwrap();
+        for i in 0..total {
+            assert!(joiner.db.get_record(DATA, &key(i)).unwrap().is_some(), "{} missing", key(i));
+        }
+        let source = sim.process::<StorageNode>(NodeId(0)).unwrap();
+        assert!(source.migration.is_none(), "the plan never finished");
+        assert!(source.db.collection("migrate_state").map_or(true, |c| c.is_empty()));
+    }
+
+    /// A join moves 2 400 records at a 4-record budget, and the plan holds
+    /// only what is in flight: at every sample each position it keeps is
+    /// owed a copy, with an ack outstanding or queued for retry. A one-way
+    /// cut loses the joiner's acks for a second, so retries are covered.
+    #[test]
+    fn plan_holds_only_positions_in_flight() {
+        let total = 2_400;
+        let mut sim = join_source(4, 91, total);
+        let t_join = sim.now() + 1;
+        sim.schedule_restart(t_join, NodeId(2));
+        sim.schedule_link_oneway(t_join + 4_000_000, NodeId(2), NodeId(0), false);
+        sim.schedule_link_oneway(t_join + 5_000_000, NodeId(2), NodeId(0), true);
+        // Unacked copies expire after a request deadline, so the plan can
+        // hold that many ticks' budget, and two more.
+        let cfg = &sim.process::<StorageNode>(NodeId(0)).unwrap().cfg;
+        let window = 4 * (cfg.request_deadline_us / cfg.migrate_tick_us + 2) as usize;
+        let (mut samples, mut peak) = (0usize, 0usize);
+        for _ in 0..20_000 {
+            sim.run_for(5_000);
+            let node = sim.process::<StorageNode>(NodeId(0)).unwrap();
+            let Some(plan) = &node.migration else {
+                if samples > 0 {
+                    break;
+                }
+                continue;
+            };
+            for pos in plan.owed.keys() {
+                let acking = node.migrate_acks.values().any(|a| a.pos == *pos);
+                assert!(acking || plan.retry.contains(pos), "{pos:?} neither acking nor retried");
+            }
+            assert!(plan.retry.iter().all(|p| plan.owed.contains_key(p)), "retry not owed");
+            assert!(plan.owed.len() <= window, "{} positions held", plan.owed.len());
+            samples += 1;
+            peak = peak.max(plan.owed.len());
+        }
+        assert!(samples > 600 && peak > 4, "{samples} samples, peak {peak}: nothing in flight");
+        joiner_holds_all(&sim, total);
+    }
+
+    /// A cursor written before positions carried a ring point (`{from_sig,
+    /// arc, key}`) cannot be placed in the scan. Resuming from it neither
+    /// panics nor skips records: the plan starts over at the first arc.
+    #[test]
+    fn cursor_without_a_point_starts_the_scan_over() {
+        let total = 300;
+        let mut sim = join_source(32, 92, total);
+        let node = sim.process_mut::<StorageNode>(NodeId(0)).unwrap();
+        let sig: Vec<String> = node
+            .ring
+            .nodes()
+            .map(|n| format!("{}:{}", n.0, node.ring.vnodes_of(n).unwrap_or(0)))
+            .collect();
+        let cursor = doc! { "from_sig": sig.join(","), "arc": 5i64, "key": key(total / 2) };
+        node.db.insert_doc("migrate_state", cursor).unwrap();
+        node.db.sync_wal().unwrap();
+        // The restart reads the cursor back from the log; the join comes
+        // once the restarted node sees its old peer again.
+        sim.schedule_crash(sim.now() + 1, NodeId(0), Some(500_000));
+        sim.schedule_restart(sim.now() + 4_000_000, NodeId(2));
+        sim.run_for(20_000_000);
+        joiner_holds_all(&sim, total);
     }
 }

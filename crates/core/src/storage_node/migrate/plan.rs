@@ -1,5 +1,5 @@
 //! Data types of the migration engine: the resumable plan, its arcs and
-//! work items, and the dual-ownership bookkeeping ([`InboundArc`],
+//! scan positions, and the dual-ownership bookkeeping ([`InboundArc`],
 //! [`ProxyFetch`]) kept by nodes on the receiving side. The engine logic
 //! that drives these lives in the parent module.
 
@@ -34,23 +34,56 @@ pub(crate) struct PlanArc {
     /// preference list) — the designated announcer of `MigrateBegin` /
     /// proxy target for dual-ownership reads.
     pub(crate) primary: bool,
-    /// One past the last work-list index belonging to this arc.
-    pub(crate) end_idx: usize,
-    /// Clock at first dispatch (0 = not started yet).
-    pub(crate) started_at_us: u64,
+    /// Clock at first dispatch.
+    pub(crate) started_at_us: Option<u64>,
     /// Whether the arc has been cut over.
     pub(crate) cutover: bool,
 }
 
-/// One record owed to the new ring: `(arc index, self-key)`.
-pub(crate) type WorkItem = (usize, String);
+impl PlanArc {
+    /// A point's offset from the arc's first point (its start is
+    /// exclusive): the ring-ordered store's scan order inside the arc, also
+    /// for an arc that wraps through zero or is the whole circle.
+    pub(crate) fn offset(&self, point: u64) -> u64 {
+        point.wrapping_sub(self.arc.start).wrapping_sub(1)
+    }
+
+    /// The ring point at `offset`.
+    pub(crate) fn point(&self, offset: u64) -> u64 {
+        self.arc.start.wrapping_add(1).wrapping_add(offset)
+    }
+}
+
+/// A place in the plan's scan order, which is the ring-ordered store's
+/// order: arc index, then the record's offset from the arc's first point,
+/// then its self-key (points can collide).
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Pos {
+    pub(crate) arc: usize,
+    pub(crate) offset: u64,
+    pub(crate) key: String,
+}
+
+impl Pos {
+    /// The first position of arc `arc`: at or before every record in it.
+    pub(crate) fn start(arc: usize) -> Pos {
+        Pos { arc, offset: 0, key: String::new() }
+    }
+
+    /// The first position after this one (no key lies between `k` and
+    /// `k + "\0"`).
+    pub(crate) fn successor(mut self) -> Pos {
+        self.key.push('\0');
+        self
+    }
+}
 
 /// A migration replica-write awaiting its ack.
 pub(crate) struct MigAck {
-    /// Work-list index the ack settles (one item can await several acks,
-    /// one per destination copy).
-    pub(crate) idx: usize,
-    /// The destination the copy was sent to: acks settle per `(idx,
+    /// The record's position (one record can await several acks, one per
+    /// destination copy).
+    pub(crate) pos: Pos,
+    /// The destination the copy was sent to: acks settle per `(pos,
     /// target)`, so a duplicate ack from one target can never stand in
     /// for another target's missing copy.
     pub(crate) target: NodeId,
@@ -59,7 +92,8 @@ pub(crate) struct MigAck {
 }
 
 /// A resumable, rate-limited transfer of every record the latest ring
-/// change re-homed.
+/// change re-homed. The plan keeps no list of its records: it scans the
+/// ring-ordered store arc by arc and holds only the positions in flight.
 pub(crate) struct MigrationPlan {
     /// The ring the diff was taken *from* (kept so a second membership
     /// change mid-flight re-plans from the original base, not the
@@ -69,22 +103,19 @@ pub(crate) struct MigrationPlan {
     pub(crate) from_sig: Vec<(NodeId, u32)>,
     /// Arcs in dispatch order.
     pub(crate) arcs: Vec<PlanArc>,
-    /// Work items sorted by `(arc, key)` — the deterministic cursor space.
-    pub(crate) work: Vec<WorkItem>,
-    /// Longest fully-acked prefix of `work`.
-    pub(crate) low_water: usize,
-    /// Next item to dispatch.
-    pub(crate) cursor: usize,
-    /// Acked indices above the low-water mark.
-    pub(crate) acked: BTreeSet<usize>,
-    /// Targets still owing an ack, per dispatched item. An item settles
+    /// The scan position: every record before it has been dispatched, none
+    /// at or after it. Arcs below `next.arc` are passed.
+    pub(crate) next: Pos,
+    /// Targets still owing an ack, per dispatched record. A record settles
     /// only when every distinct target has acknowledged its copy;
     /// re-dispatch after a failure goes only to the targets still listed.
-    pub(crate) needed: BTreeMap<usize, BTreeSet<NodeId>>,
-    /// Items whose ack failed or expired; re-dispatched before the cursor.
-    pub(crate) retry: BTreeSet<usize>,
-    /// Low-water value last persisted to `migrate_state`.
-    pub(crate) persisted: usize,
+    pub(crate) owed: BTreeMap<Pos, BTreeSet<NodeId>>,
+    /// Owed records whose ack failed or expired; re-dispatched first.
+    pub(crate) retry: BTreeSet<Pos>,
+    /// Acked prefix last persisted to `migrate_state`.
+    pub(crate) persisted: Pos,
+    /// Records dispatched for the first time (re-sends not counted).
+    pub(crate) shipped: usize,
 }
 
 impl MigrationPlan {
@@ -94,13 +125,13 @@ impl MigrationPlan {
     }
 
     pub(crate) fn done(&self) -> bool {
-        self.low_water == self.work.len() && self.arcs.iter().all(|a| a.cutover)
+        self.owed.is_empty() && self.arcs.iter().all(|a| a.cutover)
     }
 
-    pub(crate) fn advance_low_water(&mut self) {
-        while self.acked.remove(&self.low_water) {
-            self.low_water += 1;
-        }
+    /// Every record before this position has been acked by all its
+    /// targets: the first owed position, else the scan position.
+    pub(crate) fn acked_prefix(&self) -> &Pos {
+        self.owed.keys().next().unwrap_or(&self.next)
     }
 }
 
@@ -116,16 +147,16 @@ pub(crate) struct InboundArc {
 }
 
 /// A persisted migration cursor loaded at restart, waiting for gossip to
-/// re-converge: the base-ring signature and the last fully-acked `(arc,
-/// key)` position. Consumed by the first non-empty plan
+/// re-converge: the base-ring signature and the acked prefix, `(arc,
+/// point, key)`. Consumed by the first non-empty plan
 /// [`StorageNode::start_migration`] builds.
 pub(crate) struct ResumeCursor {
     /// Base-ring membership the interrupted plan diffed from.
     pub(crate) sig: Vec<(NodeId, u32)>,
-    /// Arc index of the acked cursor (`-1` = nothing acked yet).
-    pub(crate) arc: i64,
-    /// Key of the acked cursor.
-    pub(crate) key: String,
+    /// The acked prefix; `None` for a cursor whose position this plan
+    /// cannot place (one written before positions carried a point), which
+    /// resumes from the first arc.
+    pub(crate) at: Option<(i64, u64, String)>,
 }
 
 /// A fetch this node answered by asking the old owner; the `FetchAck` is

@@ -136,18 +136,18 @@ pub struct StorageNode {
     /// "durable here", so each waits until the WAL's durable watermark
     /// reaches the position its write staged up to.
     pub(crate) parked_acks: Vec<(NodeId, u64, u64)>,
-    /// This node's own staged copies of writes it coordinates, `(req,
-    /// slot, wal_pos)`: they count toward `W` once durable, for the replica
-    /// `slot` (itself, or the unreachable replica a self-held hint stands
-    /// in for).
-    pub(crate) parked_own: Vec<(u64, NodeId, u64)>,
+    /// This node's own staged writes for writes it coordinates, `(req,
+    /// wal_pos)`: its copy of the record, or a hint it holds itself for an
+    /// unreachable replica. Each acks as this node once durable.
+    pub(crate) parked_own: Vec<(u64, u64)>,
     /// The WAL position the sync in flight covers; `None` when no sync is
     /// in flight. At most one is (DESIGN.md §9).
     pub(crate) syncing: Option<u64>,
     /// The active migration plan, when a ring change is being drained
     /// through the rate-limited engine (DESIGN.md §16); `None` otherwise.
     pub(crate) migration: Option<MigrationPlan>,
-    /// Migration replica-writes awaiting their `StoreAck`.
+    /// Migration replica-writes awaiting their `StoreAck`, each with the
+    /// plan position of the record it copies.
     pub(crate) migrate_acks: BTreeMap<u64, MigAck>,
     /// Arcs this node is receiving but has not been cut over yet: reads
     /// that miss proxy to (and writes forward to) the arc's old owner.

@@ -71,17 +71,18 @@ impl StorageNode {
     }
 
     /// Answers every parked ack whose write is at or below WAL position
-    /// `upto`: this node's own copies count toward `W`, remote acks leave
+    /// `upto`: this node's own writes ack as this node, remote acks leave
     /// as one `StoreAck` or `StoreAckBatch` per destination.
     pub(crate) fn release_parked(&mut self, ctx: &mut Context<'_, Msg>, upto: u64, ok: bool) {
         let (own, rest): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.parked_own).into_iter().partition(|&(_, _, at)| at <= upto);
+            std::mem::take(&mut self.parked_own).into_iter().partition(|&(_, at)| at <= upto);
         self.parked_own = rest;
         let (acks, rest): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.parked_acks).into_iter().partition(|&(_, _, at)| at <= upto);
         self.parked_acks = rest;
-        for (req, slot, _) in own {
-            self.drv_on_reply(ctx, req, slot, Reply::Ack { ok });
+        let me = self.id();
+        for (req, _) in own {
+            self.drv_on_reply(ctx, req, me, Reply::Ack { ok });
         }
         let mut by_dest: BTreeMap<NodeId, Vec<(u64, bool)>> = BTreeMap::new();
         for (to, req, _) in acks {

@@ -166,6 +166,42 @@ fn short_failure_diverts_write_via_hinted_handoff_and_replays() {
     assert!(sim.trace().count("hint_replayed") >= 1);
 }
 
+/// `W` counts distinct nodes. A `(3,2,·)` coordinator that reaches no
+/// peer (one-way cuts, so it still hears them and keeps them on its ring)
+/// stores its own copy and, once its retries run out, holds the hint for
+/// an unreachable replica itself. Both are its own writes, one node's ack:
+/// the PUT fails its quorum. The hint still settles that replica's slot
+/// and replays once the links heal.
+#[test]
+fn cut_off_coordinator_alone_never_makes_a_write_quorum() {
+    let warm = 5_000_000u64;
+    let spec = ClusterSpec::small(3);
+    let mut sim = spec.build_sim(sim_config(31));
+    let probe = sim.add_node(
+        Probe::new(vec![(warm + 100_000, NodeId(0), put(1, "cut-off", b"v"))]),
+        NodeConfig::default(),
+    );
+    for peer in [NodeId(1), NodeId(2)] {
+        sim.schedule_link_oneway(SimTime(warm), NodeId(0), peer, false);
+        sim.schedule_link_oneway(SimTime(warm + 2_000_000), NodeId(0), peer, true);
+    }
+    sim.start();
+    sim.run_for(warm + 2_000_000);
+    let p = sim.process::<Probe>(probe).unwrap();
+    assert!(
+        matches!(
+            p.response_for(1),
+            Some(Msg::PutResp { result: Err(StoreError::QuorumWriteFailed), .. })
+        ),
+        "one node acked a W = 2 write: {:?}",
+        p.response_for(1)
+    );
+    assert_eq!(sim.process::<StorageNode>(NodeId(0)).unwrap().hint_count(), 1);
+    sim.run_for(20_000_000);
+    assert_eq!(sim.process::<StorageNode>(NodeId(0)).unwrap().hint_count(), 0);
+    assert!(sim.trace().count("hint_replayed") >= 1, "the self-held hint never replayed");
+}
+
 #[test]
 fn long_failure_triggers_removal_and_rereplication() {
     let warm = 5_000_000u64;

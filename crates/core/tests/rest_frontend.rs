@@ -681,13 +681,13 @@ fn redispatch_after_silence_goes_to_the_next_preference_list_member() {
 /// A coordinator that is up but cut off from its peers answers with a
 /// quorum failure instead of going silent. The front end sends a GET, PUT
 /// or DELETE that fails so to the next member of the key's preference
-/// list, which reaches a quorum. `W = 3` because the cut-off head's own
-/// copy plus the hint it holds for itself would make a quorum of two, and
+/// list, which reaches a quorum. The paper's `W = 2` fails at the head:
+/// its own copy and the hint it holds for itself are one node's ack.
 /// `R = 2` because it would answer a read of one from its own copy.
 #[test]
 fn failed_coordinator_is_redispatched_to_the_next_member() {
     let mut spec = uncached_topology();
-    spec.storage.nwr = Nwr { n: 3, w: 3, r: 2 };
+    spec.storage.nwr = Nwr { n: 3, w: 2, r: 2 };
     let fe = spec.frontend_ids()[0];
     let warm = spec.warmup_us();
     let key = "cut-off-head";

@@ -104,12 +104,16 @@ cargo test --locked -p mystore-core --lib cached_leaf_hashes_always_hash_the_sto
 echo "==> online elasticity (migration engine + weighted placement)"
 # The PR-10 elasticity work: the incremental, rate-limited migration
 # engine's test suite (per-tick budget bound, crash-resume from the
-# persisted cursor, dual-ownership reads, weighted placement, a join
-# under write load with anti-entropy running beside it), then the
-# cluster-doubling smoke bench at the default budgets — 0 client errors,
-# 0 acked-write loss, corpus fully replicated on the new weighted ring
-# (full figure: --bin bench_elastic without --smoke).
+# persisted ring-position cursor, dual-ownership reads, weighted
+# placement, a join under write load with anti-entropy running beside
+# it), then the cluster-doubling smoke bench at the default budgets — 0
+# client errors, 0 acked-write loss, corpus fully replicated on the new
+# weighted ring (full figure: --bin bench_elastic without --smoke). A
+# plan scans the ring-ordered store and keeps no list of its records;
+# the retention test holds it, at every sample of a 2 400-record join, to
+# the positions still in flight.
 cargo test --locked -p mystore-core --test elastic -q
+cargo test --locked -p mystore-core --lib plan_holds_only_positions_in_flight -q
 rm -f results/BENCH_PR10_SMOKE.json
 cargo run --locked --release -p mystore-bench --bin bench_elastic -- --smoke
 test -s results/BENCH_PR10_SMOKE.json || { echo "elastic smoke wrote no JSON"; exit 1; }
