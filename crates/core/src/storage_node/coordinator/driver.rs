@@ -37,7 +37,8 @@ use mystore_engine::Record;
 use mystore_net::{Context, NodeId};
 
 use crate::message::Msg;
-use crate::storage_node::{tk, StorageNode};
+use crate::storage_node::maintenance::Sent;
+use crate::storage_node::{tk, StorageNode, HINTS};
 
 use super::get::ReadOp;
 use super::put::WriteOp;
@@ -207,15 +208,10 @@ pub(crate) struct Pending {
 /// The quorum engine: owns the pending table every coordinated operation
 /// lives in. The driving logic is the `drv_*` methods on [`StorageNode`]
 /// below (they need the node's config, metrics, and database).
+#[derive(Default)]
 pub(crate) struct Driver {
     /// In-flight operations keyed by coordinator-scoped request id.
     pub(crate) ops: BTreeMap<u64, Pending>,
-}
-
-impl Driver {
-    pub(crate) fn new() -> Self {
-        Driver { ops: BTreeMap::new() }
-    }
 }
 
 impl StorageNode {
@@ -290,9 +286,9 @@ impl StorageNode {
         }
     }
 
-    /// A write acknowledgement arrived. Hint-replay acks resolve against
-    /// the hint table first (they are not quorum traffic); everything else
-    /// funnels into the driver.
+    /// A write acknowledgement arrived. Hint replays and migration copies
+    /// resolve against the outbound table (they are not quorum traffic);
+    /// everything else funnels into the driver.
     pub(crate) fn on_store_ack(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -300,24 +296,26 @@ impl StorageNode {
         req: u64,
         ok: bool,
     ) {
-        // Migration replica-writes ack through the same wire shape; they
-        // settle the plan's owed positions, not the quorum table.
-        if self.migrate_acks.contains_key(&req) {
-            self.on_migrate_ack(req, ok);
-            return;
-        }
-        // The hint is only discharged if its document is still present — a
-        // duplicated ack (or one racing the replay sweep) must not
-        // double-count a replay or drive the depth gauge negative.
-        if let Some(inflight) = self.hint_acks.remove(&req) {
-            if ok && self.db.remove(crate::storage_node::HINTS, inflight.id).is_ok() {
-                self.metrics.hints_replayed.inc();
-                self.metrics.hint_queue_depth.dec_clamped();
-                ctx.record("hint_replayed", 1.0);
+        let Some(out) = self.outbound.remove(&req) else {
+            return self.drv_on_reply(ctx, req, from, Reply::Ack { ok });
+        };
+        match out.kind {
+            // The hint is only discharged if its document is still present
+            // — a duplicated ack must not double-count a replay or drive
+            // the depth gauge negative.
+            Sent::Hint(id) => {
+                if ok && self.db.remove(HINTS, id).is_ok() {
+                    self.metrics.hints_replayed.inc();
+                    self.metrics.hint_queue_depth.dec_clamped();
+                    ctx.record("hint_replayed", 1.0);
+                }
             }
-            return;
+            Sent::Copy(pos) => self.on_copy_ack(out.peer, pos, ok),
+            // A fetch's entry: a write ack cannot settle it.
+            Sent::Proxy { .. } => {
+                self.outbound.insert(req, out);
+            }
         }
-        self.drv_on_reply(ctx, req, from, Reply::Ack { ok });
     }
 
     /// Per-replica soft deadline: while retry budget remains, re-send to

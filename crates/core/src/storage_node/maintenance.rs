@@ -1,6 +1,8 @@
 //! Background maintenance of the storage node: membership/ring upkeep and
-//! rebalance (Fig. 9), hint replay (Fig. 8), anti-entropy exchange, and the
-//! gossip tick.
+//! rebalance (Fig. 9), hint replay (Fig. 8), anti-entropy exchange, the
+//! gossip tick, and the outbound table: requests sent to a peer outside
+//! the quorum driver (hint replays, migration copies, proxied fetches),
+//! each awaiting one reply under one expiry rule (DESIGN.md §16).
 
 #![deny(
     clippy::unwrap_used,
@@ -22,13 +24,27 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::HashRing;
 
 use crate::message::Msg;
+use crate::storage_node::migrate::Pos;
 use crate::storage_node::{tk, StorageNode, DATA, HINTS, TK_GOSSIP};
 
-/// A hint replay awaiting its `StoreAck`: which hint document it is for and
-/// when it was sent, so stale entries can be swept instead of leaking.
-pub(crate) struct HintInFlight {
-    pub(crate) id: ObjectId,
+/// A request sent to `peer` at `sent_at_us`, awaiting its reply; the
+/// outbound table keys it by the id [`StorageNode::fresh_req`] gave it.
+pub(crate) struct Outbound {
+    pub(crate) peer: NodeId,
     pub(crate) sent_at_us: u64,
+    pub(crate) kind: Sent,
+}
+
+/// What an outbound request was for.
+pub(crate) enum Sent {
+    /// A hint replay (`StoreReplica`) of this hint document.
+    Hint(ObjectId),
+    /// A migration copy (`StoreReplica`) of the record at this plan
+    /// position; copies settle per `(position, peer)`.
+    Copy(Pos),
+    /// A `FetchReplica` proxied to an inbound arc's old owner on behalf of
+    /// `requester`'s fetch `req`.
+    Proxy { requester: NodeId, req: u64 },
 }
 
 impl StorageNode {
@@ -106,22 +122,18 @@ impl StorageNode {
     /// "when it finds that the B node is on-line again, the node C would
     /// write the data back to B").
     pub(crate) fn replay_hints(&mut self, ctx: &mut Context<'_, Msg>) {
-        let now_us = ctx.now().as_micros();
-        // Sweep replays whose ack never arrived within the request deadline
-        // (the target died mid-replay, or the ack was lost). The hint
-        // document itself is untouched and will be offered again below —
-        // replays are idempotent under LWW — so nothing is lost and the map
-        // stays bounded. Younger in-flight entries are kept (and their hints
-        // skipped) so a slow ack is not raced by a duplicate replay.
-        let deadline = self.cfg.request_deadline_us;
-        let before = self.hint_acks.len();
-        self.hint_acks.retain(|_, hint| now_us.saturating_sub(hint.sent_at_us) < deadline);
-        let expired = before - self.hint_acks.len();
-        if expired > 0 {
-            self.metrics.hint_replay_expired.add(expired as u64);
-            ctx.record("hint_replay_expired", expired as f64);
-        }
-        let in_flight: BTreeSet<ObjectId> = self.hint_acks.values().map(|h| h.id).collect();
+        // A replay whose ack never arrived within the request deadline is
+        // offered again below. Younger ones are skipped, so a slow ack is
+        // not raced by a duplicate replay.
+        self.expire_outbound(ctx);
+        let in_flight: BTreeSet<ObjectId> = self
+            .outbound
+            .values()
+            .filter_map(|out| match out.kind {
+                Sent::Hint(id) => Some(id),
+                _ => None,
+            })
+            .collect();
         let Ok(coll) = self.db.collection(HINTS) else { return };
         let mut replays: Vec<(ObjectId, NodeId, Record)> = Vec::new();
         for (id, docu) in coll.iter() {
@@ -133,16 +145,14 @@ impl StorageNode {
             };
             let Some(rec_doc) = docu.get_document("rec") else { continue };
             let Ok(record) = Record::from_raw(&rec_doc) else { continue };
-            if self.gossiper.is_alive(intended) && !self.gossiper.is_removed(intended) {
+            if self.gossiper.is_alive(intended) || self.gossiper.is_removed(intended) {
                 replays.push((*id, intended, record));
-            } else if self.gossiper.is_removed(intended) {
-                // Long failure: the intended node will never return. The
-                // migration its removal triggers re-replicates from live
-                // copies, so the hint is dropped.
-                replays.push((*id, intended, record.clone()));
             }
         }
         for (hint_id, intended, record) in replays {
+            // Long failure: the intended node will never return. The
+            // migration its removal triggers re-replicates from live
+            // copies, so the hint is dropped.
             if self.gossiper.is_removed(intended) {
                 if self.db.remove(HINTS, hint_id).is_ok() {
                     self.metrics.hint_queue_depth.dec_clamped();
@@ -150,7 +160,7 @@ impl StorageNode {
                 continue;
             }
             let req = self.fresh_req();
-            self.hint_acks.insert(req, HintInFlight { id: hint_id, sent_at_us: now_us });
+            self.track(ctx, req, intended, Sent::Hint(hint_id));
             ctx.send(intended, Msg::StoreReplica { req, record: Arc::new(record) });
         }
     }
@@ -253,11 +263,8 @@ impl StorageNode {
         // declared long-failed (its records re-replicate via the ring
         // change that removal triggers) or has been advertising no
         // migration for a failure-detection period (its cutover was lost,
-        // or its plan was re-based away from us), and fail proxied fetches
-        // whose source never replied (`ok: false`) so the quorum driver
-        // treats the silence as a replica failure — retrying or settling
-        // from the other replicas — instead of taking the entrant's
-        // not-yet-authoritative miss as a definitive answer.
+        // or its plan was re-based away from us). Proxied fetches whose
+        // source never replied expire with the rest of the outbound table.
         if !self.pending_in.is_empty() {
             let gossiper = &self.gossiper;
             // The failure detector's own staleness horizon, which widens
@@ -272,24 +279,7 @@ impl StorageNode {
                 !gossiper.is_removed(e.source) && (migrating || e.opened_at_us > opened_before)
             });
         }
-        if !self.read_proxies.is_empty() {
-            let now_us = ctx.now().as_micros();
-            let deadline = self.cfg.request_deadline_us;
-            let expired: Vec<u64> = self
-                .read_proxies
-                .iter()
-                .filter(|(_, p)| now_us.saturating_sub(p.sent_at_us) >= deadline)
-                .map(|(&req, _)| req)
-                .collect();
-            for req in expired {
-                if let Some(p) = self.read_proxies.remove(&req) {
-                    ctx.send(
-                        p.requester,
-                        Msg::FetchAck { req: p.orig_req, found: None, ok: false },
-                    );
-                }
-            }
-        }
+        self.expire_outbound(ctx);
         let now = ctx.now();
         let out = {
             let rng = ctx.rng();
@@ -304,5 +294,55 @@ impl StorageNode {
         // timeouts to match); any membership churn snaps back to the base
         // interval on the next tick.
         ctx.set_timer(self.gossiper.current_interval_us(), tk(TK_GOSSIP, 0));
+    }
+
+    // ---- outbound table ---------------------------------------------------
+
+    /// Records a request just sent to `peer`.
+    pub(crate) fn track(&mut self, ctx: &Context<'_, Msg>, req: u64, peer: NodeId, kind: Sent) {
+        let sent_at_us = ctx.now().as_micros();
+        self.outbound.insert(req, Outbound { peer, sent_at_us, kind });
+    }
+
+    /// Settles every entry unanswered for a request deadline, by its kind:
+    /// a hint replay is counted and offered again by the next replay (the
+    /// hint document is untouched, and replays are idempotent under LWW), a
+    /// copy goes back to its plan's retry set, and a proxied fetch answers
+    /// its requester `ok: false`, so the quorum driver treats the silence
+    /// as a replica failure rather than the entrant's miss as an answer.
+    pub(crate) fn expire_outbound(&mut self, ctx: &mut Context<'_, Msg>) {
+        let now_us = ctx.now().as_micros();
+        let deadline = self.cfg.request_deadline_us;
+        let mut hints = 0u64;
+        let expired =
+            |_: &u64, out: &mut Outbound| now_us.saturating_sub(out.sent_at_us) >= deadline;
+        for (_, out) in self.outbound.extract_if(.., expired) {
+            match out.kind {
+                Sent::Hint(_) => hints += 1,
+                Sent::Copy(pos) => {
+                    self.metrics.migrate_in_flight.dec_clamped();
+                    if let Some(plan) =
+                        self.migration.as_mut().filter(|p| p.owed.contains_key(&pos))
+                    {
+                        plan.retry.insert(pos);
+                    }
+                }
+                Sent::Proxy { requester, req } => {
+                    ctx.send(requester, Msg::FetchAck { req, found: None, ok: false })
+                }
+            }
+        }
+        if hints > 0 {
+            self.metrics.hint_replay_expired.add(hints);
+            ctx.record("hint_replay_expired", hints as f64);
+        }
+    }
+
+    /// Drops every migration copy awaiting an ack (a re-plan or a restart
+    /// abandons them) and takes them off the `migrate.in_flight` gauge.
+    pub(crate) fn drop_copies(&mut self) {
+        let before = self.outbound.len();
+        self.outbound.retain(|_, out| !matches!(out.kind, Sent::Copy(_)));
+        self.metrics.migrate_in_flight.add(-((before - self.outbound.len()) as i64));
     }
 }

@@ -44,13 +44,14 @@ use mystore_net::{Context, NodeId};
 use mystore_ring::{Arc_, HashRing};
 
 use crate::message::{BatchPut, Msg};
+use crate::storage_node::maintenance::Sent;
 use crate::storage_node::{data, tk, StorageNode, DATA, TK_MIGRATE};
 
 mod cursor;
 mod plan;
 
 use plan::covers;
-pub(crate) use plan::{InboundArc, MigAck, MigrationPlan, PlanArc, Pos, ProxyFetch, ResumeCursor};
+pub(crate) use plan::{InboundArc, MigrationPlan, PlanArc, Pos, ResumeCursor};
 
 /// Byte budget per migration tick (sum of record value sizes). 1 MiB per
 /// 50 ms tick is 20 MiB/s — a quarter of the cost model's log-write
@@ -178,11 +179,7 @@ impl StorageNode {
         let had_prev = self.migration.is_some();
         let base_ring = match self.migration.take() {
             Some(prev) => {
-                let dropped = self.migrate_acks.len();
-                self.migrate_acks.clear();
-                for _ in 0..dropped {
-                    self.metrics.migrate_in_flight.dec_clamped();
-                }
+                self.drop_copies();
                 prev.old_ring
             }
             None => match &self.resume_cursor {
@@ -302,29 +299,18 @@ impl StorageNode {
         }
     }
 
-    /// `TK_MIGRATE`: sweep expired acks, cut over finished arcs, dispatch
-    /// the next budgeted slice of the scan, then persist the cursor.
+    /// `TK_MIGRATE`: expire unacked copies, cut over finished arcs,
+    /// dispatch the next budgeted slice of the scan, then persist the
+    /// cursor.
     pub(crate) fn migrate_tick(&mut self, ctx: &mut Context<'_, Msg>) {
         self.migrate_armed = false;
+        // Copies whose ack never arrived go back to the retry set
+        // (idempotent LWW). The record's `owed` entry stays: targets that
+        // already acked are settled for good, and re-dispatch goes only to
+        // the ones listed.
+        self.expire_outbound(ctx);
         let Some(mut plan) = self.migration.take() else { return };
         let now = ctx.now().as_micros();
-        // Acks that never arrived: requeue their records (idempotent LWW).
-        // The record's `owed` entry stays: targets that already acked are
-        // settled for good, and re-dispatch goes only to the ones listed.
-        let expired: Vec<u64> = self
-            .migrate_acks
-            .iter()
-            .filter(|(_, a)| now.saturating_sub(a.sent_at_us) >= self.cfg.request_deadline_us)
-            .map(|(&req, _)| req)
-            .collect();
-        for req in expired {
-            if let Some(ack) = self.migrate_acks.remove(&req) {
-                self.metrics.migrate_in_flight.dec_clamped();
-                if plan.owed.contains_key(&ack.pos) {
-                    plan.retry.insert(ack.pos);
-                }
-            }
-        }
         self.cutover_ready_arcs(ctx, &mut plan, now);
         self.dispatch_budgeted(ctx, &mut plan, now);
         if plan.done() {
@@ -387,11 +373,14 @@ impl StorageNode {
     }
 
     /// Dispatches retries first, then the scan, until a per-tick budget
-    /// is exhausted. One record ships atomically to all its targets; the
-    /// first record of a tick always ships even if it alone exceeds either
+    /// or a target's window is exhausted. One record ships atomically to
+    /// all its targets, and only while each of them has fewer copies
+    /// awaiting an ack than the record budget (its window). The first
+    /// record of a tick ships even if it alone exceeds either per-tick
     /// budget (progress guarantee — a leaving node ships to the whole new
     /// replica set, so one record can carry more copies than a small
-    /// record budget allows and must not stall the scan).
+    /// record budget allows and must not stall the scan), but not past a
+    /// full window.
     fn dispatch_budgeted(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -402,14 +391,24 @@ impl StorageNode {
             0 => usize::MAX,
             n => n as usize,
         };
+        let mut in_flight: BTreeMap<NodeId, usize> = BTreeMap::new();
+        for out in self.outbound.values().filter(|out| matches!(out.kind, Sent::Copy(_))) {
+            *in_flight.entry(out.peer).or_default() += 1;
+        }
         let (mut recs_used, mut bytes_used) = (0usize, 0usize);
-        let mut fits = |copies: usize, bytes: usize| {
-            let fits = recs_used == 0
-                || (recs_used + copies <= rec_budget
-                    && bytes_used + bytes <= MIGRATE_MAX_BYTES_PER_TICK);
+        let mut fits = |targets: &[NodeId], bytes: usize| {
+            let copies = targets.len();
+            let open = targets.iter().all(|t| in_flight.get(t).copied().unwrap_or(0) < rec_budget);
+            let fits = open
+                && (recs_used == 0
+                    || (recs_used + copies <= rec_budget
+                        && bytes_used + bytes <= MIGRATE_MAX_BYTES_PER_TICK));
             if fits {
                 recs_used += copies;
                 bytes_used += bytes;
+                for &t in targets {
+                    *in_flight.entry(t).or_default() += 1;
+                }
             }
             fits
         };
@@ -427,7 +426,7 @@ impl StorageNode {
                 plan.retry.remove(&pos);
                 continue;
             };
-            if !fits(targets.len(), record.val.len() * targets.len()) {
+            if !fits(&targets, record.val.len() * targets.len()) {
                 full = true;
                 break;
             }
@@ -444,7 +443,7 @@ impl StorageNode {
                 plan.next = pos.successor();
                 continue;
             };
-            if full || !fits(targets.len(), record.val.len() * targets.len()) {
+            if full || !fits(&targets, record.val.len() * targets.len()) {
                 break;
             }
             plan.next = pos.clone().successor();
@@ -459,7 +458,7 @@ impl StorageNode {
             let copies = targets.len();
             for &target in &targets {
                 let req = self.fresh_req();
-                self.migrate_acks.insert(req, MigAck { pos: pos.clone(), target, sent_at_us: now });
+                self.track(ctx, req, target, Sent::Copy(pos.clone()));
                 batches
                     .entry(target)
                     .or_default()
@@ -481,26 +480,25 @@ impl StorageNode {
         }
     }
 
-    /// A `StoreAck` for a migration replica-write (routed here before the
-    /// quorum driver by the req being in `migrate_acks`).
-    pub(crate) fn on_migrate_ack(&mut self, req: u64, ok: bool) {
-        let Some(ack) = self.migrate_acks.remove(&req) else { return };
+    /// A `StoreAck` for the copy of the record at `pos` sent to `target`
+    /// (its outbound entry already taken).
+    pub(crate) fn on_copy_ack(&mut self, target: NodeId, pos: Pos, ok: bool) {
         self.metrics.migrate_in_flight.dec_clamped();
         let Some(plan) = &mut self.migration else { return };
         // A late duplicate for a settled record finds no `owed` entry.
-        let Some(owing) = plan.owed.get_mut(&ack.pos) else { return };
+        let Some(owing) = plan.owed.get_mut(&pos) else { return };
         if ok {
-            owing.remove(&ack.target);
+            owing.remove(&target);
             if owing.is_empty() {
-                plan.owed.remove(&ack.pos);
-                plan.retry.remove(&ack.pos);
+                plan.owed.remove(&pos);
+                plan.retry.remove(&pos);
             }
         } else {
             // The failed target stays owed; the retry re-sends to it (and
             // any other target still owing) only — an ack from a target
             // that already succeeded must not settle the record on another
             // target's behalf.
-            plan.retry.insert(ack.pos);
+            plan.retry.insert(pos);
         }
     }
 }
@@ -576,7 +574,8 @@ mod tests {
     /// A join moves 2 400 records at a 4-record budget, and the plan holds
     /// only what is in flight: at every sample each position it keeps is
     /// owed a copy, with an ack outstanding or queued for retry. A one-way
-    /// cut loses the joiner's acks for a second, so retries are covered.
+    /// cut loses the joiner's acks for a second, so retries are covered,
+    /// and the joiner's window holds the plan to 4 positions throughout.
     #[test]
     fn plan_holds_only_positions_in_flight() {
         let total = 2_400;
@@ -585,10 +584,9 @@ mod tests {
         sim.schedule_restart(t_join, NodeId(2));
         sim.schedule_link_oneway(t_join + 4_000_000, NodeId(2), NodeId(0), false);
         sim.schedule_link_oneway(t_join + 5_000_000, NodeId(2), NodeId(0), true);
-        // Unacked copies expire after a request deadline, so the plan can
-        // hold that many ticks' budget, and two more.
-        let cfg = &sim.process::<StorageNode>(NodeId(0)).unwrap().cfg;
-        let window = 4 * (cfg.request_deadline_us / cfg.migrate_tick_us + 2) as usize;
+        // The joiner is the only target: at most one window of copies
+        // awaits acks, and a retried position is one no longer in flight.
+        let window = 4;
         let (mut samples, mut peak) = (0usize, 0usize);
         for _ in 0..20_000 {
             sim.run_for(5_000);
@@ -600,7 +598,8 @@ mod tests {
                 continue;
             };
             for pos in plan.owed.keys() {
-                let acking = node.migrate_acks.values().any(|a| a.pos == *pos);
+                let acking =
+                    node.outbound.values().any(|o| matches!(&o.kind, Sent::Copy(p) if p == pos));
                 assert!(acking || plan.retry.contains(pos), "{pos:?} neither acking nor retried");
             }
             assert!(plan.retry.iter().all(|p| plan.owed.contains_key(p)), "retry not owed");
@@ -608,7 +607,7 @@ mod tests {
             samples += 1;
             peak = peak.max(plan.owed.len());
         }
-        assert!(samples > 600 && peak > 4, "{samples} samples, peak {peak}: nothing in flight");
+        assert!(samples > 600 && peak == window, "{samples} samples, peak {peak}: window unused");
         joiner_holds_all(&sim, total);
     }
 

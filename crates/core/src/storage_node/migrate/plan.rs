@@ -1,7 +1,7 @@
 //! Data types of the migration engine: the resumable plan, its arcs and
-//! scan positions, and the dual-ownership bookkeeping ([`InboundArc`],
-//! [`ProxyFetch`]) kept by nodes on the receiving side. The engine logic
-//! that drives these lives in the parent module.
+//! scan positions, and the dual-ownership window ([`InboundArc`]) kept by
+//! nodes on the receiving side. The engine logic that drives these lives
+//! in the parent module.
 
 #![deny(
     clippy::unwrap_used,
@@ -78,19 +78,6 @@ impl Pos {
     }
 }
 
-/// A migration replica-write awaiting its ack.
-pub(crate) struct MigAck {
-    /// The record's position (one record can await several acks, one per
-    /// destination copy).
-    pub(crate) pos: Pos,
-    /// The destination the copy was sent to: acks settle per `(pos,
-    /// target)`, so a duplicate ack from one target can never stand in
-    /// for another target's missing copy.
-    pub(crate) target: NodeId,
-    /// Send time, for the expiry sweep.
-    pub(crate) sent_at_us: u64,
-}
-
 /// A resumable, rate-limited transfer of every record the latest ring
 /// change re-homed. The plan keeps no list of its records: it scans the
 /// ring-ordered store arc by arc and holds only the positions in flight.
@@ -157,17 +144,6 @@ pub(crate) struct ResumeCursor {
     /// cannot place (one written before positions carried a point), which
     /// resumes from the first arc.
     pub(crate) at: Option<(i64, u64, String)>,
-}
-
-/// A fetch this node answered by asking the old owner; the `FetchAck` is
-/// deferred until the source replies (or the entry expires).
-pub(crate) struct ProxyFetch {
-    /// Who asked us.
-    pub(crate) requester: NodeId,
-    /// Their correlation id, restored on the forwarded `FetchAck`.
-    pub(crate) orig_req: u64,
-    /// Send time, for the expiry sweep.
-    pub(crate) sent_at_us: u64,
 }
 
 /// True when `outer` fully covers `inner` (wrap-aware): both the point

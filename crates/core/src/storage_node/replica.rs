@@ -22,6 +22,7 @@ use mystore_net::{Context, NodeId, OpFault, SyncJob};
 use crate::config::COST;
 use crate::message::{BatchPut, Msg};
 use crate::storage_node::coordinator::quorum::Reply;
+use crate::storage_node::maintenance::Sent;
 use crate::storage_node::{StorageNode, DATA, HINTS};
 
 impl StorageNode {
@@ -166,14 +167,7 @@ impl StorageNode {
         if found.is_none() {
             if let Some(source) = self.proxy_source(&key) {
                 let proxy_req = self.fresh_req();
-                self.read_proxies.insert(
-                    proxy_req,
-                    crate::storage_node::migrate::ProxyFetch {
-                        requester: from,
-                        orig_req: req,
-                        sent_at_us: ctx.now().as_micros(),
-                    },
-                );
+                self.track(ctx, proxy_req, source, Sent::Proxy { requester: from, req });
                 ctx.send(source, Msg::FetchReplica { req: proxy_req, key });
                 return;
             }

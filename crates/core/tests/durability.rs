@@ -408,3 +408,42 @@ fn coordinator_fans_out_before_its_sync_completes() {
     drop(sim);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A restart boots the node afresh on its recovered store but keeps two
+/// things. Its request ids stay above every id it issued before the crash:
+/// a reused id would let a late pre-crash `StoreAck` count toward a new
+/// write's `W`. And the weight `set_weight` gave it is still advertised.
+#[test]
+fn restart_keeps_request_ids_and_weight() {
+    let spec = ClusterSpec::small(3);
+    let mut sim = spec.build_sim(SimConfig { seed: 7, ..SimConfig::default() });
+    sim.start();
+    sim.run_for(spec.warmup_us() + 1_000_000);
+    // Replica-write ids of a PUT the coordinator handles (and never sends).
+    let put_ids = |sim: &mut mystore_net::Sim<Msg>, i: u64| -> Vec<u64> {
+        let put =
+            Msg::Put { req: i, key: format!("ids-{i}"), value: vec![1].into(), delete: false };
+        let actions = drive(sim, NodeId(0), |n, ctx| n.on_message(ctx, NodeId(9), put));
+        let ids = actions.iter().filter_map(|a| match a {
+            Action::Send { msg: Msg::StoreReplica { req, .. }, .. } => Some(*req),
+            _ => None,
+        });
+        ids.collect()
+    };
+    let before: Vec<u64> = (0..100).flat_map(|i| put_ids(&mut sim, i)).collect();
+    let node = sim.process_mut::<StorageNode>(NodeId(0)).unwrap();
+    assert!(node.set_weight_deferred(2));
+    sim.schedule_crash(sim.now() + 1, NodeId(0), Some(500_000));
+    sim.run_for(5_000_000);
+
+    let after = put_ids(&mut sim, 100);
+    assert!(before.len() >= 100 && !after.is_empty(), "PUTs sent no replica writes");
+    let issued = before.iter().max().copied().unwrap_or(0);
+    assert!(after.iter().all(|&id| id > issued), "ids {after:?} reuse ids up to {issued}");
+    let vnodes = sim.process::<StorageNode>(NodeId(0)).unwrap().ring().vnodes_of(&NodeId(0));
+    assert!(vnodes > Some(spec.storage.vnodes), "the restart dropped the weight");
+    for peer in [NodeId(1), NodeId(2)] {
+        let ring = sim.process::<StorageNode>(peer).unwrap().ring();
+        assert_eq!(ring.vnodes_of(&NodeId(0)), vnodes, "weight advertised to {peer}");
+    }
+}

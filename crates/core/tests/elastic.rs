@@ -164,6 +164,42 @@ fn migration_resumes_from_persisted_cursor_after_source_crash() {
     assert_eq!(registry.snapshot().gauges.get("migrate.in_flight").copied().unwrap_or(0), 0);
 }
 
+/// A source that crashes with copies awaiting acks drops them, and the
+/// `migrate.in_flight` gauge must drop them too: a one-way cut holds the
+/// joiner's acks while the source goes down, so the restart meets copies
+/// still in flight, and the gauge reads 0 once the resumed plan finishes.
+#[test]
+fn restart_with_copies_in_flight_settles_the_gauge() {
+    let total = 40usize;
+    let spec = elastic_spec(4);
+    let (mut sim, registry) = spec.build_sim_with_metrics(sim_config(72));
+    sim.schedule_crash(SimTime(0), NodeId(2), None);
+    sim.start();
+    sim.run_for(spec.warmup_us() + 3_000_000);
+    for i in 0..total {
+        let r = rec(i, &format!("gl-{i:02}"));
+        sim.process_mut::<StorageNode>(NodeId(0)).unwrap().preload_record(&r);
+    }
+    sim.schedule_restart(sim.now() + 1, NodeId(2));
+    while sent(&registry) < 8 {
+        sim.run_for(10_000);
+    }
+    let cut = sim.now() + 1;
+    sim.schedule_link_oneway(cut, NodeId(2), NodeId(0), false);
+    sim.schedule_crash(cut + 200_000, NodeId(0), Some(1_200_000));
+    sim.schedule_link_oneway(cut + 1_500_000, NodeId(2), NodeId(0), true);
+    sim.run_for(10_000_000);
+
+    let node2 = sim.process::<StorageNode>(NodeId(2)).unwrap();
+    for i in 0..total {
+        let key = format!("gl-{i:02}");
+        assert!(node2.db().get_record("data", &key).unwrap().is_some(), "{key} missing");
+    }
+    let node0 = sim.process::<StorageNode>(NodeId(0)).unwrap();
+    assert!(node0.migration_progress().is_none(), "the plan never finished");
+    assert_eq!(registry.snapshot().gauges.get("migrate.in_flight").copied().unwrap_or(0), 0);
+}
+
 /// Dual-ownership reads: while an arc is still migrating, an `R = 1` read
 /// coordinated by the *entrant* must not take the entrant's own
 /// not-yet-authoritative miss at face value — the old owner announced the

@@ -65,7 +65,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
@@ -179,6 +179,9 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
             }
         };
         let start = Instant::now();
+        let anchor_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH + Duration::from_secs(CLOCK_EPOCH_UNIX_S))
+            .map_or(0, |d| d.as_micros() as u64);
         let mut seed_rng = Rng::new(self.config.seed);
         let hosted: Arc<BTreeSet<NodeId>> =
             Arc::new(self.processes.iter().map(|(id, _)| *id).collect());
@@ -204,6 +207,7 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
             drain_deadline: None,
             route,
             start,
+            anchor_us,
             stopped: Vec::new(),
         };
         let handle = std::thread::Builder::new()
@@ -337,6 +341,13 @@ impl<M: Send + 'static> Injector<M> {
     }
 }
 
+/// [`Context::now`] on this runtime counts µs from 2025-01-01T00:00:00Z,
+/// this many Unix seconds: the wall clock read once at build plus the
+/// monotonic time since, so versions compare across boots and hosts (to
+/// clock-sync accuracy). `pack_version`'s 48 bits of µs last until late
+/// 2033. A wall clock before the epoch reads as the epoch.
+const CLOCK_EPOCH_UNIX_S: u64 = 1_735_689_600;
+
 /// The timer heap: `Reverse((deadline, seq, node, token))` for a min-heap.
 /// The monotonic `seq`, shared by every hosted process, breaks
 /// equal-deadline ties in insertion order, matching the simulator's FIFO
@@ -374,6 +385,8 @@ struct HostLoop<M: Send + 'static> {
     drain_deadline: Option<Instant>,
     route: Route<M>,
     start: Instant,
+    /// Wall-clock µs since [`CLOCK_EPOCH_UNIX_S`] at `start`.
+    anchor_us: u64,
     /// The syncer threads of removed processes, joined on exit.
     stopped: Vec<JoinHandle<()>>,
 }
@@ -396,7 +409,7 @@ impl<M: Send + 'static> HostLoop<M> {
             self.batch.push(id);
         }
         let ends_batch = matches!(input, Input::BatchEnd);
-        let now = SimTime(self.start.elapsed().as_micros() as u64);
+        let now = SimTime(self.anchor_us + self.start.elapsed().as_micros() as u64);
         {
             let mut ctx = Context::new(now, id, &mut self.actions, &mut p.rng, None);
             match input {

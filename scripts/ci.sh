@@ -74,6 +74,8 @@ cargo test --locked -p mystore-serverd --test mesh_latency -q
 cargo test --locked -p mystore-serverd --test mesh_threads -q
 # Each mesh host's own node coordinates every request its frontend receives.
 cargo test --locked -p mystore-serverd --test mesh_local_first -q
+# A host rebooted on its data_dir stamps versions above its earlier writes.
+cargo test --locked -p mystore-serverd --test mesh_restart -q
 
 echo "==> examples (each asserts its flow and prints \"... OK\")"
 # Nothing else runs the examples, and quickstart and failure_drill print
@@ -109,9 +111,10 @@ echo "==> online elasticity (migration engine + weighted placement)"
 # it), then the cluster-doubling smoke bench at the default budgets — 0
 # client errors, 0 acked-write loss, corpus fully replicated on the new
 # weighted ring (full figure: --bin bench_elastic without --smoke). A
-# plan scans the ring-ordered store and keeps no list of its records;
-# the retention test holds it, at every sample of a 2 400-record join, to
-# the positions still in flight.
+# plan scans the ring-ordered store and ships to a target only while
+# fewer than a tick's record budget of copies to it await acks; the
+# retention test holds it, at every sample of a 2 400-record join with a
+# one-way cut, to one such window of positions.
 cargo test --locked -p mystore-core --test elastic -q
 cargo test --locked -p mystore-core --lib plan_holds_only_positions_in_flight -q
 rm -f results/BENCH_PR10_SMOKE.json

@@ -230,6 +230,60 @@ fn graceful_drain_during_in_flight_syncs_leaves_acked_writes_durable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cluster rebuilt on its data directory stamps versions above the ones
+/// it wrote before, so its writes win LWW over them: the first boot ran
+/// 3 s longer before its write than the rebuild runs before its own.
+#[test]
+fn rebuilt_cluster_writes_win_over_its_earlier_writes() {
+    let nodes = 3u32;
+    let dir = std::env::temp_dir().join(format!("mystore-reboot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test data dir");
+    let put_value = |req, value: &str| Msg::Put {
+        req,
+        key: "reboot".to_string(),
+        value: value.as_bytes().to_vec().into(),
+        delete: false,
+    };
+    {
+        let cluster = build_cluster(nodes, Some(dir.clone()));
+        converge(&cluster, nodes);
+        std::thread::sleep(Duration::from_secs(3));
+        cluster.send(NodeId(0), put_value(1, "before"));
+        collect_put_acks(&cluster, 1);
+        cluster.shutdown_graceful(Duration::from_secs(5));
+    }
+    let cluster = build_cluster(nodes, Some(dir.clone()));
+    converge(&cluster, nodes);
+    cluster.send(NodeId(0), put_value(2, "after"));
+    collect_put_acks(&cluster, 1);
+    // An `R = 1` read may beat the write's third replica copy to a node,
+    // so each node is asked until it answers `after` or a deadline passes.
+    for node in [0, 1] {
+        let deadline = std::time::Instant::now() + Duration::from_secs(3);
+        let mut last = None;
+        while std::time::Instant::now() < deadline {
+            let req = 100 + u64::from(node);
+            cluster.send(NodeId(node), Msg::Get { req, key: "reboot".to_string() });
+            last = loop {
+                match cluster.recv_timeout(Duration::from_secs(10)) {
+                    Ok((_, Msg::GetResp { req: r, result })) if r == req => break Some(result),
+                    Ok(_) => {}
+                    Err(e) => panic!("no answer to the GET via node {node}: {e}"),
+                }
+            };
+            if matches!(&last, Some(Ok(Some(v))) if **v == *b"after") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let found = last.and_then(|r| r.ok().flatten()).map(|v| v.to_vec());
+        assert_eq!(found.as_deref(), Some(&b"after"[..]), "GET via node {node}");
+    }
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Reopens each node's WAL cold and checks that every write `i` of
 /// `keys` (key `<prefix>-<i>`, written by [`put`]) survived on at least
 /// W = 2 replicas.
