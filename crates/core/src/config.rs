@@ -162,11 +162,15 @@ pub struct StorageConfig {
     /// (fixed cadence), which is the default. Long-horizon simulations set
     /// this so a quiescent ring fast-forwards instead of grinding rounds.
     pub anti_entropy_idle_backoff_max: u64,
-    /// Rate limit of the migration engine (DESIGN.md §16): at most this
-    /// many record copies leave a node per migration tick; `0` means no
-    /// record cap. The default is the budget BENCH_PR10 measured (a 4→8
-    /// node doubling drained in 13 s with the client p50 moving 1.12 →
-    /// 1.34 ms). A fixed 1 MiB byte budget per tick applies beside it.
+    /// Rate limit of the migration engine (DESIGN.md §16), with two roles:
+    /// at most this many record copies leave a node per migration tick,
+    /// and at most this many copies to any one target await acks (the
+    /// per-target window); `0` means neither cap. The default is the
+    /// budget BENCH_PR10 measured, before the window and again with it,
+    /// at the same figures (a 4→8 node doubling drained in 13.2 s with
+    /// the client p50 moving 1.12 → 1.34 ms; the simulated copy acks
+    /// peaked at 14 ms, inside one tick, so the window never held a copy
+    /// back). A fixed 1 MiB byte budget per tick applies beside it.
     pub migrate_max_records_per_tick: u32,
     /// Period of the migration tick (µs) while a migration plan is active.
     pub migrate_tick_us: u64,
