@@ -1,7 +1,5 @@
-//! Conditional put — CAS on the record's LWW version — as a thin op pair
-//! over the generic quorum driver.
-//!
-//! The op is two chained phases, each an ordinary driver entry:
+//! Conditional put — CAS on the record's LWW version — as a quorum read
+//! chained into a quorum write, each an ordinary driver entry:
 //!
 //! 1. **predicate check** — a quorum read at `R' = max(R, N-W+1)`. `R'`
 //!    overlaps every write quorum (`R' + W > N`), so the reply set is
@@ -38,7 +36,7 @@ use mystore_net::{Context, NodeId};
 use crate::message::{Body, Msg, StoreError};
 use crate::storage_node::StorageNode;
 
-use super::driver::Common;
+use super::driver::Pending;
 use super::get::{ReadOp, ReadPurpose};
 use super::put::WriteReply;
 
@@ -62,9 +60,8 @@ impl StorageNode {
         }
         // The write-overlapping read quorum (see module docs).
         let read_quorum = self.cfg.nwr.r.max(n - self.cfg.nwr.w + 1);
-        let my_req = self.fresh_req();
         let purpose = ReadPurpose::Cas { value, expected, cas_started_us: ctx.now().as_micros() };
-        self.start_read(ctx, my_req, caller, caller_req, key, prefs, read_quorum, purpose);
+        self.start_read(ctx, caller, caller_req, key, prefs, read_quorum, purpose);
     }
 
     /// The predicate-check read met its quorum: evaluate the version check
@@ -73,7 +70,7 @@ impl StorageNode {
     pub(crate) fn cas_read_decided(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        common: &Common,
+        p: &Pending,
         op: &ReadOp,
     ) {
         let ReadPurpose::Cas { ref value, expected, cas_started_us } = op.purpose else { return };
@@ -85,9 +82,9 @@ impl StorageNode {
                     .record(ctx.now().as_micros().saturating_sub(cas_started_us));
                 ctx.record("cas_conflict", 1.0);
                 ctx.send(
-                    common.caller,
+                    p.caller,
                     Msg::CasResp {
-                        req: common.caller_req,
+                        req: p.caller_req,
                         result: Err(StoreError::CasConflict(actual)),
                     },
                 );
@@ -97,16 +94,16 @@ impl StorageNode {
                 let prefs = self.ring.preference_list(op.key.as_bytes(), n);
                 if prefs.is_empty() {
                     ctx.send(
-                        common.caller,
-                        Msg::CasResp { req: common.caller_req, result: Err(StoreError::NoRing) },
+                        p.caller,
+                        Msg::CasResp { req: p.caller_req, result: Err(StoreError::NoRing) },
                     );
                     return;
                 }
                 let record = self.build_record(ctx, op.key.clone(), value.clone(), false);
                 self.start_write(
                     ctx,
-                    common.caller,
-                    common.caller_req,
+                    p.caller,
+                    p.caller_req,
                     prefs,
                     record,
                     WriteReply::Cas { cas_started_us },
@@ -120,25 +117,25 @@ impl StorageNode {
     pub(crate) fn cas_write_succeeded(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        common: &Common,
+        p: &Pending,
         new_version: u64,
         cas_started_us: u64,
     ) {
         self.metrics.cas_ok.inc();
         self.metrics.cas_latency_us.record(ctx.now().as_micros().saturating_sub(cas_started_us));
         ctx.record("cas_ok", 1.0);
-        ctx.send(common.caller, Msg::CasResp { req: common.caller_req, result: Ok(new_version) });
+        ctx.send(p.caller, Msg::CasResp { req: p.caller_req, result: Ok(new_version) });
     }
 
     /// Either CAS phase missed its quorum deadline.
     pub(crate) fn cas_deadline_failed(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        common: &Common,
+        p: &Pending,
         err: StoreError,
     ) {
         self.metrics.cas_failed.inc();
         ctx.record("cas_fail", 1.0);
-        ctx.send(common.caller, Msg::CasResp { req: common.caller_req, result: Err(err) });
+        ctx.send(p.caller, Msg::CasResp { req: p.caller_req, result: Err(err) });
     }
 }

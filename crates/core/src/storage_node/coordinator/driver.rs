@@ -1,25 +1,24 @@
-//! The generic quorum engine.
+//! The quorum engine.
 //!
-//! Every coordinated operation — PUT, GET, CAS — is a [`Pending`] entry:
-//! op-agnostic bookkeeping in [`Common`], op behaviour behind the
-//! [`QuorumOp`] trait. The driver owns the lifecycle that the
-//! pre-refactor `PendingPut`/`PendingGet` state machines each duplicated:
+//! Every coordinated operation — PUT, GET, CAS — is a [`Pending`] entry
+//! in the node's pending table: who asked and how far the op got, plus an
+//! [`Op`], a quorum write or a quorum read. The driver runs one lifecycle
+//! for both and matches on the op only where they differ:
 //!
 //! 1. **start** — the op fans out to its replica targets, then
 //!    [`StorageNode::drv_finish_start`] checks for immediate quorum and
-//!    arms the soft-retry and hard-deadline timers;
-//! 2. **replies** — [`StorageNode::drv_on_reply`] folds each replica reply
-//!    in (the op dedups per node), replies to the caller the moment quorum
-//!    is met, and retires the entry when every target has answered;
-//! 3. **soft retry** — while budget remains, re-send to stragglers and
-//!    re-arm with exponential backoff plus jitter; on exhaustion the op
-//!    decides (writes divert to hinted handoff, reads park);
-//! 4. **hard deadline** — the entry is removed and the op reports
-//!    success-so-far or failure to the caller.
+//!    arms the retry and deadline timers;
+//! 2. **replies** — [`StorageNode::drv_on_reply`] folds an ack into a
+//!    write or a fetch answer into a read (each counts a node once),
+//!    answers the caller the moment quorum is met, and retires the entry
+//!    when every target has answered (a read then runs read repair);
+//! 3. **retry** — while budget remains, re-send to stragglers and re-arm
+//!    with exponential backoff plus jitter; on exhaustion a write diverts
+//!    its stragglers to hinted handoff and a read waits for the deadline;
+//! 4. **deadline** — the entry is removed and the caller, if still
+//!    unanswered, is told the op failed.
 //!
-//! Adding an operation means implementing [`QuorumOp`] (~50 lines) and a
-//! `start_*` entry point — none of the machinery above is repeated. See
-//! DESIGN.md §11.
+//! See DESIGN.md §11.
 
 #![deny(
     clippy::unwrap_used,
@@ -31,20 +30,18 @@
     clippy::indexing_slicing
 )]
 
-use std::collections::BTreeMap;
-
 use mystore_engine::Record;
 use mystore_net::{Context, NodeId};
 
 use crate::message::Msg;
 use crate::storage_node::maintenance::Sent;
-use crate::storage_node::{tk, StorageNode, HINTS};
+use crate::storage_node::{tk, StorageNode, HINTS, TK_DEADLINE, TK_RETRY};
 
 use super::get::ReadOp;
 use super::put::WriteOp;
 
 /// How many times a coordinator re-sends a replica op to a straggler
-/// before the op decides (writes divert to hinted handoff, reads park).
+/// before the op decides (writes divert to hinted handoff, reads wait).
 const REPLICA_RETRY_MAX: u32 = 2;
 /// Backoff before retry round `k` is `min(base << (k-1), cap)` plus jitter
 /// of up to a quarter of that (µs): 20 ms, then 40 ms, ...
@@ -71,147 +68,36 @@ pub(crate) enum Reply {
     },
 }
 
-/// What the driver should do after an op's retry budget is exhausted.
-pub(crate) enum Exhausted {
-    /// Keep the entry as-is; only replies or the hard deadline resolve it.
-    Park,
-    /// The op diverted writes to hinted handoff: re-check
-    /// quorum/completion now, and call `on_exhausted` again after another
-    /// replica timeout if the entry is still pending.
-    Diverted,
-}
-
-/// Op-agnostic state of a coordinated operation.
-pub(crate) struct Common {
-    /// Who asked for the operation (frontend, test probe, peer).
-    pub(crate) caller: NodeId,
-    /// The caller's correlation id, echoed in the reply.
-    pub(crate) caller_req: u64,
-    /// Retry rounds already spent on stragglers.
-    pub(crate) retry_round: u32,
-    /// Whether the caller has been answered (quorum was met).
-    pub(crate) replied: bool,
-    /// Coordinator clock when the request arrived (latency histograms).
-    pub(crate) started_us: u64,
-}
-
-/// The behaviour an operation plugs into the driver.
-///
-/// Methods take the owning [`StorageNode`] explicitly: entries are removed
-/// from the pending table before being driven, so the node and the op are
-/// disjoint borrows.
-pub(crate) trait QuorumOp {
-    /// Replica targets still owed a reply, excluding the coordinator
-    /// itself (it never messages itself).
-    fn targets(&self, node: &StorageNode) -> Vec<NodeId>;
-    /// Re-sends the replica-level message to one straggler target.
-    fn resend(&self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, req: u64, to: NodeId);
-    /// Folds one replica reply in. Retries and chaotic links duplicate
-    /// replies, so an implementation must count each node at most once.
-    fn on_reply(&mut self, from: NodeId, reply: Reply);
-    /// Whether the op's quorum (`W` for writes, its read quorum for reads)
-    /// is satisfied.
-    fn quorum_met(&self, node: &StorageNode, common: &Common) -> bool;
-    /// Answers the caller; runs exactly once, when quorum is first met.
-    fn on_success(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common);
-    /// Whether every target has been accounted for (the entry can retire).
-    fn is_complete(&self, common: &Common) -> bool;
-    /// Runs when the entry retires (reads push read repair); default no-op.
-    fn on_complete(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        let _ = (node, ctx, common);
-    }
-    /// The retry budget ran out; the op picks its exhaustion policy.
-    fn on_exhausted(
-        &mut self,
-        node: &mut StorageNode,
-        ctx: &mut Context<'_, Msg>,
-        req: u64,
-        common: &mut Common,
-    ) -> Exhausted;
-    /// The hard request deadline fired; the entry has been removed.
-    fn on_deadline(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common);
-    /// Timer-token kind for the soft-retry timer (kept per-op so the timer
-    /// token layout on the wire-trace is unchanged from before the
-    /// refactor).
-    fn retry_kind(&self) -> u64;
-    /// Timer-token kind for the hard-deadline timer.
-    fn hard_kind(&self) -> u64;
-}
-
-/// The concrete ops, enum-dispatched so the pending table stays a plain
-/// homogeneous map (no boxing on the hot path). Every arm is a one-line
-/// delegation to the [`QuorumOp`] implementation in `put.rs` / `get.rs`.
-pub(crate) enum OpState {
+/// What a coordinated operation does with its replicas.
+pub(crate) enum Op {
     /// A quorum write (PUT, DELETE, or the CAS write phase).
     Write(WriteOp),
     /// A quorum read (GET, or the CAS predicate-check phase).
     Read(ReadOp),
 }
 
-macro_rules! delegate {
-    ($self:ident, $op:ident => $body:expr) => {
-        match $self {
-            OpState::Write($op) => $body,
-            OpState::Read($op) => $body,
-        }
-    };
-}
-
-impl QuorumOp for OpState {
-    fn targets(&self, node: &StorageNode) -> Vec<NodeId> {
-        delegate!(self, op => op.targets(node))
-    }
-    fn resend(&self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, req: u64, to: NodeId) {
-        delegate!(self, op => op.resend(node, ctx, req, to))
-    }
-    fn on_reply(&mut self, from: NodeId, reply: Reply) {
-        delegate!(self, op => op.on_reply(from, reply))
-    }
-    fn quorum_met(&self, node: &StorageNode, common: &Common) -> bool {
-        delegate!(self, op => op.quorum_met(node, common))
-    }
-    fn on_success(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        delegate!(self, op => op.on_success(node, ctx, common))
-    }
-    fn is_complete(&self, common: &Common) -> bool {
-        delegate!(self, op => op.is_complete(common))
-    }
-    fn on_complete(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        delegate!(self, op => op.on_complete(node, ctx, common))
-    }
-    fn on_exhausted(
-        &mut self,
-        node: &mut StorageNode,
-        ctx: &mut Context<'_, Msg>,
-        req: u64,
-        common: &mut Common,
-    ) -> Exhausted {
-        delegate!(self, op => op.on_exhausted(node, ctx, req, common))
-    }
-    fn on_deadline(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        delegate!(self, op => op.on_deadline(node, ctx, common))
-    }
-    fn retry_kind(&self) -> u64 {
-        delegate!(self, op => op.retry_kind())
-    }
-    fn hard_kind(&self) -> u64 {
-        delegate!(self, op => op.hard_kind())
-    }
-}
-
-/// One in-flight coordinated operation.
+/// One in-flight coordinated operation, keyed in the pending table by the
+/// coordinator-scoped request id its replica messages carry.
 pub(crate) struct Pending {
-    pub(crate) common: Common,
-    pub(crate) op: OpState,
+    /// Who asked for the operation (frontend, test probe, peer).
+    pub(crate) caller: NodeId,
+    /// The caller's correlation id, echoed in the reply.
+    pub(crate) caller_req: u64,
+    /// Coordinator clock when the request arrived (latency histograms).
+    pub(crate) started_us: u64,
+    /// Retry rounds already spent on stragglers.
+    pub(crate) retry_round: u32,
+    /// Whether the caller has been answered (quorum was met).
+    pub(crate) replied: bool,
+    pub(crate) op: Op,
 }
 
-/// The quorum engine: owns the pending table every coordinated operation
-/// lives in. The driving logic is the `drv_*` methods on [`StorageNode`]
-/// below (they need the node's config, metrics, and database).
-#[derive(Default)]
-pub(crate) struct Driver {
-    /// In-flight operations keyed by coordinator-scoped request id.
-    pub(crate) ops: BTreeMap<u64, Pending>,
+impl Pending {
+    /// A fresh entry for `op`, started now on the coordinator's clock.
+    pub(crate) fn new(ctx: &Context<'_, Msg>, caller: NodeId, caller_req: u64, op: Op) -> Self {
+        let started_us = ctx.now().as_micros();
+        Pending { caller, caller_req, started_us, retry_round: 0, replied: false, op }
+    }
 }
 
 impl StorageNode {
@@ -229,47 +115,52 @@ impl StorageNode {
     }
 
     /// Quorum/completion check: answers the caller the moment quorum is
-    /// met, runs the op's completion hook (read repair) when every target
-    /// has been accounted for. Returns true when the entry can retire.
-    fn drv_resolve(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        common: &mut Common,
-        op: &mut OpState,
-    ) -> bool {
-        if !common.replied && op.quorum_met(self, common) {
-            common.replied = true;
-            op.on_success(self, ctx, common);
+    /// met (`W` distinct acks, or the read's quorum of replies), and
+    /// reports whether the entry can retire: a write once every replica
+    /// acked, a read once every replica answered, after its read repair.
+    fn drv_resolve(&mut self, ctx: &mut Context<'_, Msg>, p: &mut Pending) -> bool {
+        let met = match &p.op {
+            Op::Write(op) => op.acked.len() >= self.cfg.nwr.w,
+            Op::Read(op) => op.replies.len() >= op.read_quorum,
+        };
+        if !p.replied && met {
+            p.replied = true;
+            match &p.op {
+                Op::Write(op) => self.write_succeeded(ctx, p, op),
+                Op::Read(op) => self.read_succeeded(ctx, p, op),
+            }
         }
-        if op.is_complete(common) {
-            op.on_complete(self, ctx, common);
-            return true;
+        match &p.op {
+            Op::Write(op) => p.replied && op.outstanding.is_empty(),
+            Op::Read(op) => {
+                let done = op.replies.len() == op.prefs.len();
+                if done {
+                    self.read_repair(ctx, op);
+                }
+                done
+            }
         }
-        false
     }
 
     /// Tail of every `start_*` entry point: immediate-quorum check (the
     /// coordinator may be a replica of the key itself), then park the entry
-    /// and arm the soft-retry and hard-deadline timers.
+    /// and arm the retry and deadline timers.
     pub(crate) fn drv_finish_start(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         my_req: u64,
-        mut common: Common,
-        mut op: OpState,
+        mut p: Pending,
     ) {
-        let done = self.drv_resolve(ctx, &mut common, &mut op);
-        if !done {
-            let retry_kind = op.retry_kind();
-            let hard_kind = op.hard_kind();
-            self.quorum.ops.insert(my_req, Pending { common, op });
-            ctx.set_timer(self.cfg.replica_timeout_us, tk(retry_kind, my_req));
-            ctx.set_timer(self.cfg.request_deadline_us, tk(hard_kind, my_req));
+        if !self.drv_resolve(ctx, &mut p) {
+            self.pending.insert(my_req, p);
+            ctx.set_timer(self.cfg.replica_timeout_us, tk(TK_RETRY, my_req));
+            ctx.set_timer(self.cfg.request_deadline_us, tk(TK_DEADLINE, my_req));
         }
     }
 
     /// Folds one replica reply into the pending op (if any — late replies
-    /// for retired entries are dropped here).
+    /// for retired entries are dropped here). A reply whose shape does not
+    /// fit the op counts for nothing.
     pub(crate) fn drv_on_reply(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -277,12 +168,14 @@ impl StorageNode {
         from: NodeId,
         reply: Reply,
     ) {
-        let Some(mut pending) = self.quorum.ops.remove(&req) else { return };
-        pending.op.on_reply(from, reply);
-        let Pending { mut common, mut op } = pending;
-        let done = self.drv_resolve(ctx, &mut common, &mut op);
-        if !done {
-            self.quorum.ops.insert(req, Pending { common, op });
+        let Some(mut p) = self.pending.remove(&req) else { return };
+        match (&mut p.op, reply) {
+            (Op::Write(op), Reply::Ack { ok }) => op.on_ack(from, ok),
+            (Op::Read(op), Reply::Fetch { found, ok }) => op.on_fetch(from, found, ok),
+            _ => {}
+        }
+        if !self.drv_resolve(ctx, &mut p) {
+            self.pending.insert(req, p);
         }
     }
 
@@ -319,48 +212,66 @@ impl StorageNode {
     }
 
     /// Per-replica soft deadline: while retry budget remains, re-send to
-    /// stragglers with exponential backoff; once exhausted, the op decides
-    /// (writes divert to hinted handoff, Fig. 8 — "if one node fails, the
-    /// system writes to the next node on the ring" — reads park until the
-    /// hard deadline).
+    /// stragglers with exponential backoff. Once it is spent, a write
+    /// diverts to hinted handoff (Fig. 8 — "if one node fails, the system
+    /// writes to the next node on the ring") and re-checks after another
+    /// replica timeout; a read, and a write with nothing left to divert,
+    /// waits for replies or the deadline.
     pub(crate) fn drv_on_retry_timeout(&mut self, ctx: &mut Context<'_, Msg>, req: u64) {
-        let Some(mut pending) = self.quorum.ops.remove(&req) else { return };
-        if pending.common.retry_round < REPLICA_RETRY_MAX {
-            pending.common.retry_round += 1;
-            let round = pending.common.retry_round;
-            for replica in pending.op.targets(self) {
-                pending.op.resend(self, ctx, req, replica);
+        let Some(mut p) = self.pending.remove(&req) else { return };
+        if p.retry_round < REPLICA_RETRY_MAX {
+            p.retry_round += 1;
+            let me = self.id();
+            match &p.op {
+                Op::Write(op) => {
+                    for &to in op.outstanding.iter().filter(|&&r| r != me) {
+                        self.send_replica(ctx, to, req, &op.record);
+                        self.metrics.put_retries.inc();
+                        ctx.record("put_retry", 1.0);
+                    }
+                }
+                Op::Read(op) => {
+                    let answered = |n: NodeId| op.replies.iter().any(|&(r, _)| r == n);
+                    for &to in op.prefs.iter().filter(|&&n| n != me && !answered(n)) {
+                        ctx.send(to, Msg::FetchReplica { req, key: op.key.clone() });
+                        self.metrics.get_retries.inc();
+                        ctx.record("get_retry", 1.0);
+                    }
+                }
             }
-            let delay = self.backoff_delay(ctx, round);
-            ctx.set_timer(delay, tk(pending.op.retry_kind(), req));
-            self.quorum.ops.insert(req, pending);
+            let delay = self.backoff_delay(ctx, p.retry_round);
+            ctx.set_timer(delay, tk(TK_RETRY, req));
+            self.pending.insert(req, p);
             return;
         }
         // Later calls are re-checks of a diverted write, not new exhaustions.
-        if pending.common.retry_round == REPLICA_RETRY_MAX {
-            pending.common.retry_round += 1;
+        if p.retry_round == REPLICA_RETRY_MAX {
+            p.retry_round += 1;
             self.metrics.retries_exhausted.inc();
         }
-        let Pending { mut common, mut op } = pending;
-        match op.on_exhausted(self, ctx, req, &mut common) {
-            Exhausted::Park => {
-                self.quorum.ops.insert(req, Pending { common, op });
+        let diverted = match &mut p.op {
+            Op::Write(op) => self.divert_to_hints(ctx, req, op),
+            Op::Read(_) => false,
+        };
+        if diverted {
+            if self.drv_resolve(ctx, &mut p) {
+                return;
             }
-            Exhausted::Diverted => {
-                let done = self.drv_resolve(ctx, &mut common, &mut op);
-                if !done {
-                    ctx.set_timer(self.cfg.replica_timeout_us, tk(op.retry_kind(), req));
-                    self.quorum.ops.insert(req, Pending { common, op });
-                }
-            }
+            ctx.set_timer(self.cfg.replica_timeout_us, tk(TK_RETRY, req));
         }
+        self.pending.insert(req, p);
     }
 
-    /// Hard request deadline: the entry is removed and the op settles with
-    /// the caller (failure if quorum was never met, read repair otherwise).
+    /// Hard request deadline: the entry is removed. An unanswered caller
+    /// is told the op failed; an answered read settles what its partial
+    /// reply set still owes the slow replicas.
     pub(crate) fn drv_on_hard_timeout(&mut self, ctx: &mut Context<'_, Msg>, req: u64) {
-        let Some(pending) = self.quorum.ops.remove(&req) else { return };
-        let Pending { common, mut op } = pending;
-        op.on_deadline(self, ctx, &common);
+        let Some(p) = self.pending.remove(&req) else { return };
+        match &p.op {
+            Op::Write(op) if !p.replied => self.write_failed(ctx, &p, op),
+            Op::Read(op) if !p.replied => self.read_failed(ctx, &p, op),
+            Op::Read(op) => self.read_repair(ctx, op),
+            Op::Write(_) => {}
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! The quorum-read operation (§5.2.2) — GET and the CAS predicate-check
-//! phase, as one [`QuorumOp`] over the generic driver, including the read
-//! repair / replica supplementation that runs once every replica answered.
+//! The quorum read (§5.2.2) — GET and the CAS predicate-check phase: its
+//! fan-out, its reply collection, its answers, and the read repair /
+//! replica supplementation that runs once every replica answered.
 
 #![deny(
     clippy::unwrap_used,
@@ -18,9 +18,9 @@ use mystore_engine::{lww_winner, Record};
 use mystore_net::{Context, NodeId};
 
 use crate::message::{Body, Msg, StoreError};
-use crate::storage_node::{StorageNode, DATA, TK_GET_HARD, TK_GET_RETRY};
+use crate::storage_node::{StorageNode, DATA};
 
-use super::driver::{Common, Exhausted, OpState, QuorumOp, Reply};
+use super::driver::{Op, Pending};
 
 /// Why the read is running — it decides who is answered, and how.
 pub(crate) enum ReadPurpose {
@@ -61,111 +61,14 @@ impl ReadOp {
     pub(crate) fn newest(&self) -> Option<&Record> {
         lww_winner(self.replies.iter().filter_map(|(_, r)| r.as_ref()))
     }
-}
 
-impl QuorumOp for ReadOp {
-    fn targets(&self, node: &StorageNode) -> Vec<NodeId> {
-        let me = node.id();
-        self.prefs
-            .iter()
-            .copied()
-            .filter(|&p| p != me && !self.replies.iter().any(|(n, _)| *n == p))
-            .collect()
-    }
-
-    fn resend(&self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, req: u64, to: NodeId) {
-        ctx.send(to, Msg::FetchReplica { req, key: self.key.clone() });
-        node.metrics.get_retries.inc();
-        ctx.record("get_retry", 1.0);
-    }
-
-    fn on_reply(&mut self, from: NodeId, reply: Reply) {
-        let Reply::Fetch { found, ok } = reply else { return };
-        // Retries and chaotic links can duplicate replies: one per node.
-        // A failed read is tolerated (§5.1): replication covers it.
+    /// Folds in one replica's answer. Retries and chaotic links duplicate
+    /// replies, so a node counts once; a failed read is tolerated (§5.1):
+    /// replication covers it.
+    pub(crate) fn on_fetch(&mut self, from: NodeId, found: Option<Record>, ok: bool) {
         if ok && !self.replies.iter().any(|(n, _)| *n == from) {
             self.replies.push((from, found));
         }
-    }
-
-    fn quorum_met(&self, _node: &StorageNode, _common: &Common) -> bool {
-        self.replies.len() >= self.read_quorum
-    }
-
-    fn on_success(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        match self.purpose {
-            ReadPurpose::Get => {
-                let result = match self.newest() {
-                    Some(rec) if !rec.is_del => Ok(Some(Arc::new(rec.val.clone()))),
-                    _ => Ok(None),
-                };
-                node.metrics.quorum_read_ok.inc();
-                node.metrics
-                    .quorum_read_latency_us
-                    .record(ctx.now().as_micros().saturating_sub(common.started_us));
-                ctx.record("get_ok", 1.0);
-                ctx.send(common.caller, Msg::GetResp { req: common.caller_req, result });
-            }
-            ReadPurpose::Cas { .. } => node.cas_read_decided(ctx, common, self),
-        }
-    }
-
-    fn is_complete(&self, _common: &Common) -> bool {
-        self.replies.len() == self.prefs.len()
-    }
-
-    fn on_complete(
-        &mut self,
-        node: &mut StorageNode,
-        ctx: &mut Context<'_, Msg>,
-        _common: &Common,
-    ) {
-        node.read_repair(ctx, self);
-    }
-
-    /// Reads have no handoff to divert to — after the budget, the hard
-    /// deadline decides.
-    fn on_exhausted(
-        &mut self,
-        _node: &mut StorageNode,
-        _ctx: &mut Context<'_, Msg>,
-        _req: u64,
-        _common: &mut Common,
-    ) -> Exhausted {
-        Exhausted::Park
-    }
-
-    fn on_deadline(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        if common.replied {
-            // Quorum was answered; settle what the partial reply set still
-            // owes the slow replicas.
-            node.read_repair(ctx, self);
-            return;
-        }
-        match self.purpose {
-            ReadPurpose::Get => {
-                node.metrics.quorum_read_failed.inc();
-                ctx.record("get_fail", 1.0);
-                ctx.send(
-                    common.caller,
-                    Msg::GetResp {
-                        req: common.caller_req,
-                        result: Err(StoreError::QuorumReadFailed),
-                    },
-                );
-            }
-            ReadPurpose::Cas { .. } => {
-                node.cas_deadline_failed(ctx, common, StoreError::QuorumReadFailed)
-            }
-        }
-    }
-
-    fn retry_kind(&self) -> u64 {
-        TK_GET_RETRY
-    }
-
-    fn hard_kind(&self) -> u64 {
-        TK_GET_HARD
     }
 }
 
@@ -184,10 +87,9 @@ impl StorageNode {
             ctx.send(caller, Msg::GetResp { req: caller_req, result: Err(StoreError::NoRing) });
             return;
         }
-        let my_req = self.fresh_req();
         self.metrics.quorum_read_started.inc();
         let read_quorum = self.cfg.nwr.r;
-        self.start_read(ctx, my_req, caller, caller_req, key, prefs, read_quorum, ReadPurpose::Get);
+        self.start_read(ctx, caller, caller_req, key, prefs, read_quorum, ReadPurpose::Get);
     }
 
     /// Fans a read out to the key's preference list and hands the op to the
@@ -200,7 +102,6 @@ impl StorageNode {
     pub(crate) fn start_read(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        my_req: u64,
         caller: NodeId,
         caller_req: u64,
         key: String,
@@ -208,20 +109,8 @@ impl StorageNode {
         read_quorum: usize,
         purpose: ReadPurpose,
     ) {
-        let common = Common {
-            caller,
-            caller_req,
-            retry_round: 0,
-            replied: false,
-            started_us: ctx.now().as_micros(),
-        };
-        let mut op = ReadOp {
-            key: key.clone(),
-            prefs: prefs.clone(),
-            replies: Vec::new(),
-            read_quorum,
-            purpose,
-        };
+        let my_req = self.fresh_req();
+        let mut replies = Vec::new();
         let me = self.id();
         for &replica in &prefs {
             if replica == me {
@@ -234,13 +123,45 @@ impl StorageNode {
                 if found.is_none() && self.proxy_source(&key).is_some() {
                     ctx.send(me, Msg::FetchReplica { req: my_req, key: key.clone() });
                 } else {
-                    op.replies.push((me, found));
+                    replies.push((me, found));
                 }
             } else {
                 ctx.send(replica, Msg::FetchReplica { req: my_req, key: key.clone() });
             }
         }
-        self.drv_finish_start(ctx, my_req, common, OpState::Read(op));
+        let op = ReadOp { key, prefs, replies, read_quorum, purpose };
+        let p = Pending::new(ctx, caller, caller_req, Op::Read(op));
+        self.drv_finish_start(ctx, my_req, p);
+    }
+
+    /// The read met its quorum: answer a GET with the LWW winner, or hand
+    /// a CAS's winner to its version check.
+    pub(crate) fn read_succeeded(&mut self, ctx: &mut Context<'_, Msg>, p: &Pending, op: &ReadOp) {
+        if let ReadPurpose::Cas { .. } = op.purpose {
+            return self.cas_read_decided(ctx, p, op);
+        }
+        let result = match op.newest() {
+            Some(rec) if !rec.is_del => Ok(Some(Arc::new(rec.val.clone()))),
+            _ => Ok(None),
+        };
+        self.metrics.quorum_read_ok.inc();
+        self.metrics
+            .quorum_read_latency_us
+            .record(ctx.now().as_micros().saturating_sub(p.started_us));
+        ctx.record("get_ok", 1.0);
+        ctx.send(p.caller, Msg::GetResp { req: p.caller_req, result });
+    }
+
+    /// The deadline passed before the read's quorum: tell the caller the
+    /// read failed.
+    pub(crate) fn read_failed(&mut self, ctx: &mut Context<'_, Msg>, p: &Pending, op: &ReadOp) {
+        let err = StoreError::QuorumReadFailed;
+        if let ReadPurpose::Cas { .. } = op.purpose {
+            return self.cas_deadline_failed(ctx, p, err);
+        }
+        self.metrics.quorum_read_failed.inc();
+        ctx.record("get_fail", 1.0);
+        ctx.send(p.caller, Msg::GetResp { req: p.caller_req, result: Err(err) });
     }
 
     /// "The Get operation gets all replications of the specified key, and

@@ -1,17 +1,16 @@
-//! The coordinator side of the storage node: the generic quorum engine and
-//! the thin operation definitions that ride on it.
+//! The coordinator side of the storage node: the quorum engine and the
+//! operations it drives.
 //!
-//! * [`quorum`] (the [`driver`] module) — the op-agnostic machinery: the
-//!   pending table, replica reply dedup, bounded retry with exponential
-//!   backoff/jitter, divert-to-handoff on exhaustion, quorum accounting
-//!   against `W`/`R`, and the hard request deadline.
-//! * [`put`] — the quorum-write op (PUT/DELETE fan-out, hinted-handoff
-//!   diversion policy, fallback selection).
-//! * [`get`] — the quorum-read op (reply collection, LWW winner, read
+//! * [`driver`] — the pending table's lifecycle: replica reply dedup,
+//!   bounded retry with exponential backoff/jitter, divert-to-handoff on
+//!   exhaustion, quorum accounting against `W`/`R`, and the hard request
+//!   deadline.
+//! * [`put`] — the quorum write (PUT/DELETE fan-out, ack accounting,
+//!   hinted-handoff diversion, fallback selection).
+//! * [`get`] — the quorum read (reply collection, LWW winner, read
 //!   repair / replica supplementation).
-//! * [`cas`] — conditional put: a read phase at `max(R, N-W+1)` evaluating
-//!   the version predicate, chained into a normal quorum write. The whole
-//!   op is ~100 lines because both phases reuse the generic driver.
+//! * [`cas`] — conditional put: a read at `max(R, N-W+1)` evaluating the
+//!   version predicate, chained into a normal quorum write.
 
 #![deny(
     clippy::unwrap_used,
@@ -27,6 +26,3 @@ pub(crate) mod cas;
 pub(crate) mod driver;
 pub(crate) mod get;
 pub(crate) mod put;
-
-/// The public name of the engine: `coordinator::quorum::Driver`.
-pub(crate) use driver as quorum;

@@ -1,5 +1,6 @@
-//! The quorum-write operation (§5.2.2) — PUT, DELETE, and the write phase
-//! of CAS, as one [`QuorumOp`] over the generic driver.
+//! The quorum write (§5.2.2) — PUT, DELETE, and the write phase of CAS:
+//! its fan-out, its ack accounting, its answers, and its diversion of
+//! stragglers to hinted handoff.
 
 #![deny(
     clippy::unwrap_used,
@@ -20,9 +21,9 @@ use mystore_ring::HashRing;
 
 use crate::config::COST;
 use crate::message::{Body, Msg, StoreError};
-use crate::storage_node::{StorageNode, DATA, HINTS, TK_PUT_HARD, TK_PUT_RETRY};
+use crate::storage_node::{StorageNode, DATA, HINTS};
 
-use super::driver::{Common, Exhausted, OpState, QuorumOp, Reply};
+use super::driver::{Op, Pending};
 
 /// Who gets told about the write's outcome, and how.
 pub(crate) enum WriteReply {
@@ -41,11 +42,9 @@ pub(crate) enum WriteReply {
 pub(crate) struct WriteOp {
     /// The versioned record being replicated (shared, never copied).
     pub(crate) record: Arc<Record>,
-    /// Acknowledgements counted towards `W`.
-    pub(crate) acks: usize,
     /// Replicas that have not acknowledged yet.
     pub(crate) outstanding: Vec<NodeId>,
-    /// Remote nodes whose ack already counted (duplicate-ack dedup).
+    /// Nodes whose ack counted towards `W`, each once.
     pub(crate) acked: Vec<NodeId>,
     /// Hints sent, `(fallback, intended)`; a fallback is never reused.
     pub(crate) hints: Vec<(NodeId, NodeId)>,
@@ -53,20 +52,10 @@ pub(crate) struct WriteOp {
     pub(crate) reply: WriteReply,
 }
 
-impl QuorumOp for WriteOp {
-    fn targets(&self, node: &StorageNode) -> Vec<NodeId> {
-        let me = node.id();
-        self.outstanding.iter().copied().filter(|&r| r != me).collect()
-    }
-
-    fn resend(&self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, req: u64, to: NodeId) {
-        node.send_replica(ctx, to, req, &self.record);
-        node.metrics.put_retries.inc();
-        ctx.record("put_retry", 1.0);
-    }
-
-    fn on_reply(&mut self, from: NodeId, reply: Reply) {
-        let Reply::Ack { ok } = reply else { return };
+impl WriteOp {
+    /// Folds in one ack. Retries and chaotic links duplicate acks, so a
+    /// node counts once.
+    pub(crate) fn on_ack(&mut self, from: NodeId, ok: bool) {
         if !ok {
             // The replica stays in `outstanding`; the retry path re-sends
             // and eventually diverts it to a fallback node.
@@ -75,124 +64,11 @@ impl QuorumOp for WriteOp {
         // A fallback's ack settles the replica its hint stands in for.
         let intended = self.hints.iter().find(|&&(f, _)| f == from).map(|&(_, i)| i);
         self.outstanding.retain(|&r| r != from && Some(r) != intended);
-        // `W` counts distinct nodes: retries and chaotic links duplicate
-        // acks, and a coordinator holding a hint itself acks as itself, so
-        // its own copy and that hint count once.
+        // `W` counts distinct nodes: a coordinator holding a hint itself
+        // acks as itself, so its own copy and that hint count once.
         if !self.acked.contains(&from) {
             self.acked.push(from);
-            self.acks += 1;
         }
-    }
-
-    fn quorum_met(&self, node: &StorageNode, _common: &Common) -> bool {
-        self.acks >= node.cfg.nwr.w
-    }
-
-    fn on_success(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        match self.reply {
-            WriteReply::Put => {
-                node.metrics.quorum_write_ok.inc();
-                node.metrics
-                    .quorum_write_latency_us
-                    .record(ctx.now().as_micros().saturating_sub(common.started_us));
-                ctx.record("put_ok", 1.0);
-                ctx.send(common.caller, Msg::PutResp { req: common.caller_req, result: Ok(()) });
-            }
-            WriteReply::Cas { cas_started_us } => {
-                node.cas_write_succeeded(ctx, common, self.record.version, cas_started_us)
-            }
-        }
-    }
-
-    fn is_complete(&self, common: &Common) -> bool {
-        common.replied && self.outstanding.is_empty()
-    }
-
-    /// Divert-to-handoff (Fig. 8): every straggler gets its write parked on
-    /// a fallback node whose ack still counts towards `W`. Gossip relays
-    /// liveness, so a fallback may be alive yet unreachable from here: a
-    /// straggler whose hint is still unacked when the driver calls back is
-    /// diverted to the next fallback, at worst the coordinator itself.
-    /// With handoff off or no fallback left, the write parks until the
-    /// hard deadline decides.
-    fn on_exhausted(
-        &mut self,
-        node: &mut StorageNode,
-        ctx: &mut Context<'_, Msg>,
-        req: u64,
-        _common: &mut Common,
-    ) -> Exhausted {
-        if !node.cfg.hinted_handoff {
-            return Exhausted::Park;
-        }
-        let me = node.id();
-        let hinted = self.hints.len();
-        for intended in self.outstanding.clone() {
-            if intended == me {
-                continue;
-            }
-            if let Some(fallback) = node.pick_fallback(self) {
-                self.hints.push((fallback, intended));
-                node.metrics.handoffs.inc();
-                ctx.record("handoff", 1.0);
-                if fallback == me {
-                    // The coordinator may be the only node left standing —
-                    // it holds the hint itself, staged like any local
-                    // write: once durable it settles `intended`'s slot as
-                    // an ack from the coordinator.
-                    ctx.consume(COST.put_us(self.record.val.len()));
-                    let hint_doc = doc! {
-                        "intended": intended.0 as i64,
-                        "rec": self.record.to_document(),
-                    };
-                    if node.db.insert_doc(HINTS, hint_doc).is_ok() {
-                        node.metrics.hints_stored.inc();
-                        node.metrics.hint_queue_depth.add(1);
-                        node.parked_own.push((req, node.db.wal_end_pos()));
-                    }
-                } else {
-                    ctx.send(
-                        fallback,
-                        Msg::StoreHint { req, intended, record: self.record.clone() },
-                    );
-                }
-            }
-        }
-        if self.hints.len() > hinted {
-            Exhausted::Diverted
-        } else {
-            Exhausted::Park
-        }
-    }
-
-    fn on_deadline(&mut self, node: &mut StorageNode, ctx: &mut Context<'_, Msg>, common: &Common) {
-        if common.replied {
-            return;
-        }
-        match self.reply {
-            WriteReply::Put => {
-                node.metrics.quorum_write_failed.inc();
-                ctx.record("put_fail", 1.0);
-                ctx.send(
-                    common.caller,
-                    Msg::PutResp {
-                        req: common.caller_req,
-                        result: Err(StoreError::QuorumWriteFailed),
-                    },
-                );
-            }
-            WriteReply::Cas { .. } => {
-                node.cas_deadline_failed(ctx, common, StoreError::QuorumWriteFailed)
-            }
-        }
-    }
-
-    fn retry_kind(&self) -> u64 {
-        TK_PUT_RETRY
-    }
-
-    fn hard_kind(&self) -> u64 {
-        TK_PUT_HARD
     }
 }
 
@@ -258,21 +134,14 @@ impl StorageNode {
         if matches!(reply, WriteReply::Put) {
             self.metrics.quorum_write_started.inc();
         }
-        let common = Common {
-            caller,
-            caller_req,
-            retry_round: 0,
-            replied: false,
-            started_us: ctx.now().as_micros(),
-        };
         let op = WriteOp {
             record: Arc::clone(&record),
-            acks: 0,
             outstanding: prefs.clone(),
             acked: Vec::new(),
             hints: Vec::new(),
             reply,
         };
+        let p = Pending::new(ctx, caller, caller_req, Op::Write(op));
         let me = self.id();
         if prefs.contains(&me) {
             // "The node firstly stores the data records locally" (§5.2.2):
@@ -283,7 +152,7 @@ impl StorageNode {
                 self.parked_own.push((my_req, self.db.wal_end_pos()));
             }
         }
-        self.drv_finish_start(ctx, my_req, common, OpState::Write(op));
+        self.drv_finish_start(ctx, my_req, p);
         for &replica in prefs.iter().filter(|&&r| r != me) {
             self.send_replica(ctx, replica, my_req, &record);
         }
@@ -291,7 +160,7 @@ impl StorageNode {
 
     /// Sends one replica write of a client write (first send or resend),
     /// counted in `batch.replica_msgs` / `batch.replica_ops`.
-    fn send_replica(
+    pub(crate) fn send_replica(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         to: NodeId,
@@ -301,6 +170,86 @@ impl StorageNode {
         self.metrics.batch_msgs.inc();
         self.metrics.batch_ops.inc();
         ctx.send(to, Msg::StoreReplica { req, record: Arc::clone(rec) });
+    }
+
+    /// The write reached `W`: answer the caller.
+    pub(crate) fn write_succeeded(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        p: &Pending,
+        op: &WriteOp,
+    ) {
+        match op.reply {
+            WriteReply::Put => {
+                self.metrics.quorum_write_ok.inc();
+                self.metrics
+                    .quorum_write_latency_us
+                    .record(ctx.now().as_micros().saturating_sub(p.started_us));
+                ctx.record("put_ok", 1.0);
+                ctx.send(p.caller, Msg::PutResp { req: p.caller_req, result: Ok(()) });
+            }
+            WriteReply::Cas { cas_started_us } => {
+                self.cas_write_succeeded(ctx, p, op.record.version, cas_started_us)
+            }
+        }
+    }
+
+    /// The deadline passed before `W`: tell the caller the write failed.
+    pub(crate) fn write_failed(&mut self, ctx: &mut Context<'_, Msg>, p: &Pending, op: &WriteOp) {
+        let err = StoreError::QuorumWriteFailed;
+        match op.reply {
+            WriteReply::Put => {
+                self.metrics.quorum_write_failed.inc();
+                ctx.record("put_fail", 1.0);
+                ctx.send(p.caller, Msg::PutResp { req: p.caller_req, result: Err(err) });
+            }
+            WriteReply::Cas { .. } => self.cas_deadline_failed(ctx, p, err),
+        }
+    }
+
+    /// Divert-to-handoff (Fig. 8): every straggler gets its write parked on
+    /// a fallback node whose ack still counts towards `W`. Gossip relays
+    /// liveness, so a fallback may be alive yet unreachable from here: a
+    /// straggler whose hint is still unacked at the next call is diverted
+    /// to the next fallback, at worst the coordinator itself. Returns
+    /// whether any hint went out; with handoff off or no fallback left,
+    /// none does and the write waits for the deadline.
+    pub(crate) fn divert_to_hints(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        req: u64,
+        op: &mut WriteOp,
+    ) -> bool {
+        if !self.cfg.hinted_handoff {
+            return false;
+        }
+        let me = self.id();
+        let hinted = op.hints.len();
+        for intended in op.outstanding.clone() {
+            if intended == me {
+                continue;
+            }
+            let Some(fallback) = self.pick_fallback(op) else { continue };
+            op.hints.push((fallback, intended));
+            self.metrics.handoffs.inc();
+            ctx.record("handoff", 1.0);
+            if fallback != me {
+                ctx.send(fallback, Msg::StoreHint { req, intended, record: op.record.clone() });
+                continue;
+            }
+            // The coordinator may be the only node left standing — it
+            // holds the hint itself, staged like any local write: once
+            // durable it settles `intended`'s slot as an ack from the
+            // coordinator.
+            ctx.consume(COST.put_us(op.record.val.len()));
+            let hint_doc = doc! { "intended": intended.0 as i64, "rec": op.record.to_document() };
+            if self.db.insert_doc(HINTS, hint_doc).is_ok() {
+                self.metrics.hints_stored.inc();
+                self.metrics.hint_queue_depth.add(1);
+                self.parked_own.push((req, self.db.wal_end_pos()));
+            }
+        }
+        op.hints.len() > hinted
     }
 
     /// First alive node clockwise after the preference list that has not

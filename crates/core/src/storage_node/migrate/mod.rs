@@ -61,19 +61,11 @@ pub(crate) use plan::{InboundArc, MigrationPlan, PlanArc, Pos, ResumeCursor};
 const MIGRATE_MAX_BYTES_PER_TICK: usize = 1 << 20;
 
 impl StorageNode {
-    /// Reweights this node at runtime: republishes the scaled vnode count
-    /// so the whole ring (locally at once, peers via gossip) re-derives
-    /// placement, which the migration engine then converges on.
-    pub fn set_weight(&mut self, ctx: &mut Context<'_, Msg>, weight: u32) {
-        if self.set_weight_deferred(weight) {
-            self.refresh_ring(ctx);
-        }
-    }
-
-    /// Context-free half of [`StorageNode::set_weight`]: updates the config
-    /// and republishes gossip state, returning whether anything changed.
-    /// The local ring refresh then rides the next gossip tick (embedders
-    /// and tests without a runtime context in hand use this directly).
+    /// Reweights this node at runtime: updates the config and republishes
+    /// the scaled vnode count, returning whether anything changed. Peers
+    /// re-derive placement from gossip, this node's ring refresh rides its
+    /// next gossip tick, and the migration engine then converges on the
+    /// new placement.
     pub fn set_weight_deferred(&mut self, weight: u32) -> bool {
         let weight = weight.max(1);
         if weight == self.cfg.weight {

@@ -22,8 +22,8 @@
 //! The implementation is a module tree; this file holds the node state,
 //! construction, and the [`Process`] dispatch shell:
 //!
-//! * `coordinator` — the generic quorum engine (`coordinator::quorum::Driver`,
-//!   the `QuorumOp` trait) and the thin PUT/GET/CAS op definitions,
+//! * `coordinator` — the quorum engine: the pending table's lifecycle
+//!   (`coordinator::driver`) and the write, read and CAS ops it drives,
 //! * `replica` — the replica-level server side (store/fetch/hint) and
 //!   the group commit that syncs the WAL off the node's thread and
 //!   releases parked acks as the sync completes,
@@ -57,7 +57,7 @@ use mystore_ring::HashRing;
 use crate::config::{StorageConfig, COST};
 use crate::message::Msg;
 
-use self::coordinator::quorum;
+use self::coordinator::driver::{Pending, Reply};
 use self::maintenance::{Outbound, Sent};
 pub use self::metrics::StorageMetrics;
 use self::migrate::{InboundArc, MigrationPlan};
@@ -66,12 +66,12 @@ use self::migrate::{InboundArc, MigrationPlan};
 pub(crate) const TK_KIND_MASK: u64 = 0b1111;
 pub(crate) const TK_GOSSIP: u64 = 1;
 pub(crate) const TK_HINT_REPLAY: u64 = 2;
-pub(crate) const TK_PUT_RETRY: u64 = 3;
-pub(crate) const TK_PUT_HARD: u64 = 4;
-pub(crate) const TK_GET_HARD: u64 = 5;
+/// A coordinated op's retry timer (the token carries its request id).
+pub(crate) const TK_RETRY: u64 = 3;
+/// A coordinated op's hard request deadline.
+pub(crate) const TK_DEADLINE: u64 = 4;
 pub(crate) const TK_REAP: u64 = 6;
 pub(crate) const TK_ANTI_ENTROPY: u64 = 7;
-pub(crate) const TK_GET_RETRY: u64 = 8;
 pub(crate) const TK_MIGRATE: u64 = 11;
 
 pub(crate) fn tk(kind: u64, req: u64) -> TimerToken {
@@ -106,9 +106,9 @@ pub struct StorageNode {
     /// it: every anti-entropy round and walk step reads them, and one ring
     /// scan per step is what a 100-node ring cannot afford (DESIGN.md §14).
     pub(crate) replica_arcs: Vec<(mystore_ring::Arc_, Vec<NodeId>)>,
-    /// The generic quorum engine: every coordinated operation (PUT, GET,
-    /// CAS, batched replica writes) lives in its pending table.
-    pub(crate) quorum: quorum::Driver,
+    /// Coordinated operations (PUT, GET, CAS) in flight, by the request id
+    /// their replica messages carry (`coordinator/driver.rs`).
+    pub(crate) pending: BTreeMap<u64, Pending>,
     /// Hint replays, migration copies and proxied fetches awaiting their
     /// reply, by request id (`maintenance.rs`).
     pub(crate) outbound: BTreeMap<u64, Outbound>,
@@ -199,7 +199,7 @@ impl StorageNode {
             ring: HashRing::new(),
             ring_sig: Vec::new(),
             replica_arcs: Vec::new(),
-            quorum: quorum::Driver::default(),
+            pending: BTreeMap::new(),
             outbound: BTreeMap::new(),
             next_req: 1,
             generation,
@@ -400,7 +400,7 @@ impl Process<Msg> for StorageNode {
                 Some(out) => {
                     self.outbound.insert(req, out);
                 }
-                None => self.drv_on_reply(ctx, req, from, quorum::Reply::Fetch { found, ok }),
+                None => self.drv_on_reply(ctx, req, from, Reply::Fetch { found, ok }),
             },
             Msg::StoreHint { req, intended, record } => {
                 self.on_store_hint(ctx, from, req, intended, record, fault)
@@ -501,11 +501,8 @@ impl Process<Msg> for StorageNode {
                 self.merkle_round(ctx);
                 ctx.set_timer(self.next_anti_entropy_delay_us(), tk(TK_ANTI_ENTROPY, 0));
             }
-            // All four retry/deadline kinds resolve through the unified
-            // driver: the pending table is keyed by request id, so the op
-            // kind is recovered from the table, not the token.
-            TK_PUT_RETRY | TK_GET_RETRY => self.drv_on_retry_timeout(ctx, req),
-            TK_PUT_HARD | TK_GET_HARD => self.drv_on_hard_timeout(ctx, req),
+            TK_RETRY => self.drv_on_retry_timeout(ctx, req),
+            TK_DEADLINE => self.drv_on_hard_timeout(ctx, req),
             TK_MIGRATE => self.migrate_tick(ctx),
             _ => {}
         }
@@ -523,7 +520,7 @@ impl Process<Msg> for StorageNode {
         // A drain waits for coordinated ops and the sync in flight (a parked
         // ack waits for at most that sync and the next); maintenance
         // (gossip, anti-entropy, hints) can be cut.
-        self.quorum.ops.is_empty() && self.syncing.is_none()
+        self.pending.is_empty() && self.syncing.is_none()
     }
 
     fn on_shutdown(&mut self, ctx: &mut Context<'_, Msg>) {

@@ -21,7 +21,7 @@ use mystore_net::{Context, NodeId, OpFault, SyncJob};
 
 use crate::config::COST;
 use crate::message::{BatchPut, Msg};
-use crate::storage_node::coordinator::quorum::Reply;
+use crate::storage_node::coordinator::driver::Reply;
 use crate::storage_node::maintenance::Sent;
 use crate::storage_node::{StorageNode, DATA, HINTS};
 

@@ -7,7 +7,8 @@
 use mystore_core::prelude::*;
 use mystore_core::testing::Probe;
 use mystore_net::{
-    FaultPlan, FaultSchedule, LinkFaultRule, NetConfig, NodeConfig, NodeId, Sim, SimConfig, SimTime,
+    FaultPlan, FaultSchedule, LinkFaultRule, NetConfig, NodeConfig, NodeId, Process, Sim,
+    SimConfig, SimTime,
 };
 use mystore_obs::Registry;
 
@@ -43,6 +44,23 @@ fn total_inflight_replays(sim: &Sim<Msg>, spec: &ClusterSpec) -> usize {
         .iter()
         .map(|&id| sim.process::<StorageNode>(id).unwrap().inflight_hint_replays())
         .sum()
+}
+
+/// Every coordinated op had started by `last_start`, and its request
+/// deadline has passed since: each one must have retired from its
+/// coordinator's pending table, whichever path it took (quorum met and
+/// every replica answered, or the deadline).
+fn assert_every_op_retired(sim: &Sim<Msg>, spec: &ClusterSpec, last_start: SimTime) {
+    let deadline = spec.storage.request_deadline_us;
+    assert!(
+        last_start.0 + deadline < sim.now().0,
+        "the run must outlast the last op's deadline ({} µs + {deadline} µs)",
+        last_start.0
+    );
+    for &id in &spec.storage_ids() {
+        let node = sim.process::<StorageNode>(id).unwrap();
+        assert!(node.quiescent(), "node {id} still holds coordinated ops or a sync");
+    }
 }
 
 /// The PR's acceptance scenario: a parsed fault schedule kills replica 2
@@ -122,6 +140,10 @@ fn seeded_chaos_kill_sustains_quorum_with_zero_client_errors() {
         30,
         "victim must hold every record after WAL replay + hint replay"
     );
+
+    // A coordinator takes each request in before it answers it.
+    let last_answer = p.responses.iter().map(|(at, ..)| *at).max().unwrap();
+    assert_every_op_retired(&sim, &spec, last_answer);
 }
 
 /// Conditional puts under the PR-2 acceptance chaos: the same seeded
@@ -177,6 +199,18 @@ fn seeded_chaos_kill_sustains_cas_chain_with_zero_client_errors() {
         .unwrap()
         .expect("victim must hold the record after hint replay");
     assert_eq!(rec.version, p.expected, "victim must hold the final CAS version");
+
+    // The probe sends each CAS only after the previous one's outcome, and
+    // both phases of a CAS start before its outcome is recorded.
+    let last_outcome = sim
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.name.starts_with("cas_"))
+        .map(|e| e.time)
+        .max()
+        .unwrap();
+    assert_every_op_retired(&sim, &spec, last_outcome);
 }
 
 /// The group commit under a crash inside a sync. Replica 2's syncs take

@@ -6,9 +6,7 @@ use std::time::Duration;
 
 use mystore_core::prelude::*;
 use mystore_gossip::GossipConfig;
-use mystore_net::{
-    Action, Context, NodeId, Process, Rng, SimConfig, ThreadedClusterBuilder, ThreadedConfig,
-};
+use mystore_net::{Action, Context, NodeId, Process, Rng, SimConfig, ThreadedClusterBuilder};
 use mystore_obs::Registry;
 
 fn gossip() -> GossipConfig {
@@ -29,7 +27,7 @@ fn build(
     registry: &Registry,
     nwr: Nwr,
 ) -> mystore_net::ThreadedCluster<Msg> {
-    let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+    let mut builder = ThreadedClusterBuilder::new();
     for i in 0..3u32 {
         let cfg = StorageConfig {
             gossip: gossip(),
@@ -412,7 +410,8 @@ fn coordinator_fans_out_before_its_sync_completes() {
 /// A restart boots the node afresh on its recovered store but keeps two
 /// things. Its request ids stay above every id it issued before the crash:
 /// a reused id would let a late pre-crash `StoreAck` count toward a new
-/// write's `W`. And the weight `set_weight` gave it is still advertised.
+/// write's `W`. And the weight `set_weight_deferred` gave it is still
+/// advertised.
 #[test]
 fn restart_keeps_request_ids_and_weight() {
     let spec = ClusterSpec::small(3);

@@ -320,9 +320,9 @@ fn weighted_node_owns_proportional_ring_share_at_boot() {
     );
 }
 
-/// Runtime reweight: `set_weight` republishes the scaled vnode count, and
-/// every peer re-derives the ring from gossip alone — no restart, no
-/// membership event.
+/// Runtime reweight: `set_weight_deferred` republishes the scaled vnode
+/// count, and every peer re-derives the ring from gossip alone — no
+/// restart, no membership event.
 #[test]
 fn runtime_reweight_propagates_to_every_ring() {
     let spec = elastic_spec(1000);

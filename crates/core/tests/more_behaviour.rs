@@ -11,7 +11,6 @@ use mystore_engine::{pack_version, Record};
 use mystore_gossip::GossipConfig;
 use mystore_net::{
     FaultPlan, NetConfig, NodeConfig, NodeId, Sim, SimConfig, ThreadedClusterBuilder,
-    ThreadedConfig,
 };
 
 #[test]
@@ -24,7 +23,7 @@ fn threaded_runtime_serves_quorum_operations() {
         extra_fanout: 1,
         idle_backoff_max: 1,
     };
-    let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+    let mut builder = ThreadedClusterBuilder::new();
     for i in 0..4u32 {
         let cfg = StorageConfig {
             gossip: gossip.clone(),

@@ -36,8 +36,6 @@ pub use netmodel::NetConfig;
 pub use process::{Action, Context, NodeId, Process, SyncJob, TimerToken, WireSized};
 pub use rng::Rng;
 pub use sim::{NodeConfig, Sim, SimConfig, StopReason};
-pub use threaded::{
-    Injector, RecvError, Route, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig,
-};
+pub use threaded::{Injector, RecvError, Route, ThreadedCluster, ThreadedClusterBuilder};
 pub use time::SimTime;
 pub use trace::{Trace, TraceEvent};

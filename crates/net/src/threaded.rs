@@ -113,13 +113,6 @@ enum Envelope<M> {
     Drain(Instant),
 }
 
-/// Configuration for the threaded runtime.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadedConfig {
-    /// RNG seed (per-node generators are forked from it).
-    pub seed: u64,
-}
-
 /// Where the loop's sends to ids it does not host go, as
 /// `route(from, to, msg)`, called on the loop's thread (see the module
 /// docs, "Routing").
@@ -128,14 +121,19 @@ pub type Route<M> = Arc<dyn Fn(NodeId, NodeId, M) + Send + Sync>;
 /// Builds a [`ThreadedCluster`].
 pub struct ThreadedClusterBuilder<M: Send + 'static> {
     processes: Vec<(NodeId, Box<dyn Process<M> + Send>)>,
-    config: ThreadedConfig,
     route: Option<Route<M>>,
+}
+
+impl<M: Send + 'static> Default for ThreadedClusterBuilder<M> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<M: Send + 'static> ThreadedClusterBuilder<M> {
     /// Creates a builder.
-    pub fn new(config: ThreadedConfig) -> Self {
-        ThreadedClusterBuilder { processes: Vec::new(), config, route: None }
+    pub fn new() -> Self {
+        ThreadedClusterBuilder { processes: Vec::new(), route: None }
     }
 
     /// Sends every message addressed to an id the cluster does not host to
@@ -182,7 +180,8 @@ impl<M: Send + 'static> ThreadedClusterBuilder<M> {
         let anchor_us = SystemTime::now()
             .duration_since(UNIX_EPOCH + Duration::from_secs(CLOCK_EPOCH_UNIX_S))
             .map_or(0, |d| d.as_micros() as u64);
-        let mut seed_rng = Rng::new(self.config.seed);
+        // Each process forks its RNG from seed 0, in insertion order.
+        let mut seed_rng = Rng::new(0);
         let hosted: Arc<BTreeSet<NodeId>> =
             Arc::new(self.processes.iter().map(|(id, _)| *id).collect());
         let procs = self
@@ -636,7 +635,7 @@ mod tests {
 
     #[test]
     fn external_round_trip() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default()).add_node(Echo).build();
+        let cluster = ThreadedClusterBuilder::new().add_node(Echo).build();
         cluster.send(NodeId(0), 41);
         let (from, reply) = cluster.recv_timeout(Duration::from_secs(2)).expect("reply");
         assert_eq!(from, NodeId(0));
@@ -647,7 +646,7 @@ mod tests {
     #[test]
     fn inter_node_forwarding_reaches_external() {
         // chain 0 -> 1 -> EXTERNAL via a forwarder pointing at EXTERNAL.
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node(Forwarder { next: NodeId(1) })
             .add_node(Forwarder { next: NodeId::EXTERNAL })
             .build();
@@ -660,7 +659,7 @@ mod tests {
 
     #[test]
     fn timers_fire_and_rearm() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node(Ticker { period_us: 2_000, ticks: 0, report_to: NodeId::EXTERNAL })
             .build();
         let mut ticks = Vec::new();
@@ -700,7 +699,7 @@ mod tests {
 
     #[test]
     fn equal_deadline_timers_fire_in_insertion_order() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node(SameInstant { fired: Vec::new(), report_to: NodeId::EXTERNAL })
             .build();
         let (_, code) = cluster.recv_timeout(Duration::from_secs(5)).expect("order report");
@@ -723,8 +722,7 @@ mod tests {
 
     #[test]
     fn dead_cluster_reports_disconnected_not_timeout() {
-        let cluster =
-            ThreadedClusterBuilder::new(ThreadedConfig::default()).add_node(CrashOnMsg).build();
+        let cluster = ThreadedClusterBuilder::new().add_node(CrashOnMsg).build();
         cluster.send(NodeId(0), 1);
         // The only process crashes, so the loop exits; once its route drops
         // the receive side must say Disconnected, not Timeout — and the
@@ -769,7 +767,7 @@ mod tests {
         let route: Route<u64> = Arc::new(move |from, to, msg| {
             let _ = tx.send((from, to, msg));
         });
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node(DrainProbe { pending: 0, processed: 0 })
             .route_external(route)
             .build();
@@ -792,7 +790,7 @@ mod tests {
             let thread = std::thread::current().name().map(str::to_string);
             let _ = tx.send((from, to, msg, thread));
         });
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(3), Forwarder { next: NodeId(12) })
             .route_external(route)
             .build();
@@ -809,10 +807,7 @@ mod tests {
 
     #[test]
     fn stop_node_stops_one_process_and_the_rest_serve() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
-            .add_node(Echo)
-            .add_node(Echo)
-            .build();
+        let cluster = ThreadedClusterBuilder::new().add_node(Echo).add_node(Echo).build();
         cluster.stop_node(NodeId(0));
         std::thread::sleep(Duration::from_millis(20));
         cluster.send(NodeId(0), 7); // dead node: no reply
@@ -832,7 +827,7 @@ mod tests {
     fn explicit_node_ids_route_by_cluster_id() {
         // A host carrying only nodes 3 and 7 (a multi-process slice): local
         // delivery by cluster id, everything else to the external stream.
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(3), Forwarder { next: NodeId(7) })
             .add_node_as(NodeId(7), Forwarder { next: NodeId(12) })
             .build();
@@ -871,7 +866,7 @@ mod tests {
     #[test]
     fn co_located_processes_exchange_messages_without_the_route() {
         let (route, routed) = capture();
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(1), Volley { peer: NodeId(2), until: 100 })
             .add_node_as(NodeId(2), Volley { peer: NodeId(1), until: 100 })
             .route_external(route)
@@ -885,10 +880,7 @@ mod tests {
 
     #[test]
     fn crash_self_stops_only_its_own_process() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
-            .add_node(CrashOnMsg)
-            .add_node(Echo)
-            .build();
+        let cluster = ThreadedClusterBuilder::new().add_node(CrashOnMsg).add_node(Echo).build();
         cluster.send(NodeId(0), 1);
         cluster.send(NodeId(1), 10);
         assert_eq!(cluster.recv_timeout(Duration::from_secs(2)), Ok((NodeId(1), 11)));
@@ -919,7 +911,7 @@ mod tests {
     #[test]
     fn a_send_to_a_stopped_process_is_dropped_not_routed() {
         let (route, routed) = capture();
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(1), Echo)
             .add_node_as(NodeId(2), Fanout { to: vec![NodeId(1), NodeId::EXTERNAL] })
             .route_external(route)
@@ -968,7 +960,7 @@ mod tests {
     /// higher id first: they fire in that order, not in id or token order.
     #[test]
     fn equal_deadline_timers_of_two_processes_fire_in_insertion_order() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(1), Kick { targets: vec![NodeId(7), NodeId(3)] })
             .add_node_as(NodeId(3), Alarm { token: 33 })
             .add_node_as(NodeId(7), Alarm { token: 77 })
@@ -1015,7 +1007,7 @@ mod tests {
     /// fire before the deadline it computed from its own `now`.
     #[test]
     fn a_timer_armed_late_in_a_batch_never_fires_before_its_handlers_deadline() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(0), Kick { targets: vec![NodeId(1), NodeId(2)] })
             .add_node_as(NodeId(1), Spin { spin: Duration::from_millis(2) })
             .add_node_as(NodeId(2), Deadline { due_us: 0 })
@@ -1052,7 +1044,7 @@ mod tests {
     fn a_stopped_processs_final_sync_stalls_no_other_process() {
         let (open, gate) = unbounded();
         let synced = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node(SlowGoodbye { gate: Some(gate), synced: Arc::clone(&synced) })
             .add_node(Echo)
             .build();
@@ -1083,7 +1075,7 @@ mod tests {
 
     #[test]
     fn batch_end_runs_once_per_process_that_handled_input_and_never_for_an_idle_one() {
-        let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let cluster = ThreadedClusterBuilder::new()
             .add_node_as(NodeId(1), Kick { targets: vec![NodeId(3), NodeId(2), NodeId(3)] })
             .add_node_as(NodeId(2), Tally { handled: 0 })
             .add_node_as(NodeId(3), Tally { handled: 0 })

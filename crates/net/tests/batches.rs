@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use mystore_net::{
     Context, FaultPlan, LinkFaultRule, NetConfig, NodeConfig, NodeId, Process, Sim, SimConfig,
-    SimTime, ThreadedClusterBuilder, ThreadedConfig, TimerToken,
+    SimTime, ThreadedClusterBuilder, TimerToken,
 };
 
 fn instant_config(seed: u64) -> SimConfig {
@@ -256,7 +256,7 @@ impl Process<u64> for Gated {
 fn gated_run(hook: bool, burst: u64) -> Vec<u64> {
     let (entered_tx, entered_rx) = channel();
     let (gate_tx, gate_rx) = channel();
-    let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+    let cluster = ThreadedClusterBuilder::new()
         .add_node(Gated { entered: entered_tx, gate: gate_rx, hook, since: 0 })
         .build();
     cluster.send(NodeId(0), BLOCK);
@@ -324,7 +324,7 @@ impl Process<u64> for SelfFeeder {
 /// in the hook, and each batch is exactly what was queued when it began.
 #[test]
 fn threaded_node_fed_faster_than_it_drains_still_ends_every_batch() {
-    let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+    let cluster = ThreadedClusterBuilder::new()
         .add_node(SelfFeeder { cap: 500, handled: 0, since: 0 })
         .build();
     cluster.send(NodeId(0), 1);

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use mystore_net::{
     Context, FaultPlan, NetConfig, NodeConfig, NodeId, Process, Sim, SimConfig, SimTime, SyncJob,
-    ThreadedClusterBuilder, ThreadedConfig, TimerToken,
+    ThreadedClusterBuilder, TimerToken,
 };
 
 const DONE: u64 = 1_000_000;
@@ -63,7 +63,7 @@ impl Process<u64> for SlowSync {
 fn threaded_message_during_a_sync_is_answered_before_it_completes() {
     let (entered_tx, entered_rx) = channel();
     let (gate_tx, gate_rx) = channel();
-    let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+    let cluster = ThreadedClusterBuilder::new()
         .add_node_as(NodeId(5), SlowSync { entered: entered_tx, gate: Some(gate_rx) })
         .build();
     cluster.send(NodeId(5), START);
@@ -113,8 +113,7 @@ impl Process<u64> for ManySyncs {
 /// when jobs with nothing to run are mixed in behind jobs with I/O.
 #[test]
 fn threaded_sync_completions_arrive_once_each_in_start_order() {
-    let cluster =
-        ThreadedClusterBuilder::new(ThreadedConfig::default()).add_node(ManySyncs).build();
+    let cluster = ThreadedClusterBuilder::new().add_node(ManySyncs).build();
     cluster.send(NodeId(0), 0);
     let mut got = Vec::new();
     while let Ok((_, ok)) = cluster.recv_timeout(Duration::from_millis(300)) {
@@ -157,7 +156,7 @@ impl Process<u64> for InlineSync {
 fn threaded_job_with_nothing_to_run_completes_before_the_next_envelope() {
     let (entered_tx, entered_rx) = channel();
     let (gate_tx, gate_rx) = channel();
-    let cluster = ThreadedClusterBuilder::new(ThreadedConfig::default())
+    let cluster = ThreadedClusterBuilder::new()
         .add_node_as(NodeId(7), InlineSync { entered: entered_tx, gate: gate_rx })
         .build();
     cluster.send(NodeId(7), BLOCK);

@@ -29,12 +29,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use mystore_core::{Frontend, FrontendConfig, Msg, StorageConfig, StorageNode};
 use mystore_gossip::GossipConfig;
-use mystore_net::{NodeId, RecvError, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};
+use mystore_net::{NodeId, RecvError, ThreadedCluster, ThreadedClusterBuilder};
 use mystore_obs::Registry;
 
 use crate::gateway::{ClientRegistry, Gateway, Router};
 use crate::http::HttpServer;
-use crate::spec::ServerSpec;
+use crate::spec::{NodeSpec, ServerSpec};
 
 /// Where inter-node messages travel. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +74,21 @@ impl Host {
                 format!("node {:?} is not in the spec", only),
             ));
         }
+        // Sockets first: a failed bind then leaves no threads behind.
+        let listener = TcpListener::bind(&*local[0].listen)?;
+        let http_listener = local[0].http.as_deref().map(TcpListener::bind).transpose()?;
+        Self::boot_on(spec, &local, transport, listener, http_listener)
+    }
+
+    /// Boots the nodes `local` (non-empty) on the wire and REST listeners
+    /// already bound for the first of them.
+    fn boot_on(
+        spec: &ServerSpec,
+        local: &[NodeSpec],
+        transport: Transport,
+        listener: TcpListener,
+        http_listener: Option<TcpListener>,
+    ) -> io::Result<Host> {
         let metrics = Registry::new();
         let gossip = GossipConfig {
             interval_us: spec.gossip_interval_ms * 1000,
@@ -83,10 +98,6 @@ impl Host {
             extra_fanout: 1,
             idle_backoff_max: 1,
         };
-
-        // Sockets first: a failed bind then leaves no threads behind.
-        let listener = TcpListener::bind(&*local[0].listen)?;
-        let http_listener = local[0].http.as_deref().map(TcpListener::bind).transpose()?;
 
         // Peers are every spec node NOT hosted here (Tcp only). Each remote
         // host also hosts a frontend at FRONTEND_BASE + its first node id;
@@ -106,9 +117,9 @@ impl Host {
         let router = Arc::new(Router::new(&peers, registry.clone()));
         let route = Arc::clone(&router);
 
-        let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default())
+        let mut builder = ThreadedClusterBuilder::new()
             .route_external(Arc::new(move |from, to, msg| route.route(from, to, msg)));
-        for node in &local {
+        for node in local {
             let cfg = StorageConfig {
                 nwr: spec.nwr,
                 vnodes: spec.vnodes as u32,
@@ -155,23 +166,27 @@ impl Host {
     }
 
     /// Boots one [`Transport::Tcp`] host per spec node inside this process
-    /// — every inter-node message crosses a real socket — after first
-    /// materializing OS-assigned ports (`:0` listens) into the spec so the
-    /// hosts can address each other.
+    /// — every inter-node message crosses a real socket. Every listener is
+    /// bound first and its address (an OS-assigned port for a `:0` listen)
+    /// written into the spec, so the hosts can address each other; each
+    /// host then boots on the listeners it was handed, and no port is
+    /// bound twice.
     pub fn boot_tcp_mesh(spec: &ServerSpec) -> io::Result<Vec<Host>> {
         let mut spec = spec.clone();
-        // Pre-bind to turn port-0 wishes into concrete addresses, then hand
-        // each reserved listener's address to the real boot. (Binding twice
-        // races with other processes grabbing the port in between; the
-        // window is tiny and loopback-only, acceptable for bench/tests.)
+        let mut bound = Vec::with_capacity(spec.nodes.len());
         for node in &mut spec.nodes {
-            if resolve(&node.listen)?.port() == 0 {
-                node.listen = TcpListener::bind(&*node.listen)?.local_addr()?.to_string();
+            let wire = TcpListener::bind(&*node.listen)?;
+            node.listen = wire.local_addr()?.to_string();
+            let http = node.http.as_deref().map(TcpListener::bind).transpose()?;
+            if let Some(http) = &http {
+                node.http = Some(http.local_addr()?.to_string());
             }
+            bound.push((wire, http));
         }
         let mut hosts = Vec::with_capacity(spec.nodes.len());
-        for node in &spec.nodes {
-            match Host::boot(&spec, Some(node.id), Transport::Tcp) {
+        for (node, (wire, http)) in spec.nodes.iter().zip(bound) {
+            let local = std::slice::from_ref(node);
+            match Host::boot_on(&spec, local, Transport::Tcp, wire, http) {
                 Ok(host) => hosts.push(host),
                 Err(e) => {
                     // Half a mesh must not outlive the error: its node and

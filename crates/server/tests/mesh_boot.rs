@@ -24,7 +24,7 @@ fn failed_mesh_boot_shuts_down_the_hosts_already_booted() {
     let err = Host::boot_tcp_mesh(&spec).err().expect("third listen address is taken");
     assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
 
-    // Hosts 0 and 1 did boot (their gateways accepted on these ports); once
+    // The mesh boot took the first two ports before the third failed; once
     // the call has returned, nothing may be listening there any more.
     for addr in addrs.iter().take(2) {
         assert!(

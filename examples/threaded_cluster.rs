@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use mystore::core::prelude::*;
 use mystore::gossip::GossipConfig;
-use mystore::net::{NodeId, ThreadedClusterBuilder, ThreadedConfig};
+use mystore::net::{NodeId, ThreadedClusterBuilder};
 use mystore::server::await_ring_convergence;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         extra_fanout: 1,
         idle_backoff_max: 1,
     };
-    let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+    let mut builder = ThreadedClusterBuilder::new();
     for i in 0..5u32 {
         let cfg = StorageConfig {
             gossip: gossip.clone(),

@@ -34,9 +34,9 @@ echo "==> cargo test --locked --workspace -q"
 cargo test --locked --workspace -q
 
 echo "==> quorum engine (driver goldens, CAS, schedule lock)"
-# The PR-5 refactor contract: the generic quorum driver must replay the
-# pre-refactor retry/backoff schedule bit-identically (quorum_golden) and
-# serve CAS through the same engine (rest_frontend/chaos cas tests).
+# The driver must replay quorum_schedule.golden unregenerated: the same
+# messages, retry/backoff draws, timer arms and metric increments
+# (quorum_golden). Every other core test named for quorum runs beside it.
 cargo test --locked -p mystore-core quorum -q
 
 echo "==> durable format (WAL golden, CRC kernel, in-place reader)"
@@ -76,6 +76,9 @@ cargo test --locked -p mystore-serverd --test mesh_threads -q
 cargo test --locked -p mystore-serverd --test mesh_local_first -q
 # A host rebooted on its data_dir stamps versions above its earlier writes.
 cargo test --locked -p mystore-serverd --test mesh_restart -q
+# The mesh boot binds every listener before any host boots, and a failed
+# boot leaves nothing listening.
+cargo test --locked -p mystore-serverd --test mesh_boot -q
 
 echo "==> examples (each asserts its flow and prints \"... OK\")"
 # Nothing else runs the examples, and quickstart and failure_drill print

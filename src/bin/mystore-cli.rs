@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use mystore::core::prelude::*;
 use mystore::gossip::GossipConfig;
-use mystore::net::{NodeId, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig};
+use mystore::net::{NodeId, ThreadedCluster, ThreadedClusterBuilder};
 use mystore::ring::HashRing;
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
         idle_backoff_max: 1,
     };
     let data_dir = std::env::var("MYSTORE_DATA_DIR").ok().map(std::path::PathBuf::from);
-    let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+    let mut builder = ThreadedClusterBuilder::new();
     for i in 0..nodes as u32 {
         let cfg = StorageConfig {
             gossip: gossip.clone(),

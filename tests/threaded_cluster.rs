@@ -15,9 +15,7 @@ use std::time::Duration;
 use mystore::core::prelude::*;
 use mystore::engine::Db;
 use mystore::gossip::GossipConfig;
-use mystore::net::{
-    NodeId, RecvError, Route, ThreadedCluster, ThreadedClusterBuilder, ThreadedConfig,
-};
+use mystore::net::{NodeId, RecvError, Route, ThreadedCluster, ThreadedClusterBuilder};
 use mystore::server::{await_ring_convergence, poll_ring_ready};
 
 fn gossip_cfg(nodes: u32) -> GossipConfig {
@@ -40,7 +38,7 @@ fn build_cluster_with(
     data_dir: Option<PathBuf>,
     route: Option<Route<Msg>>,
 ) -> ThreadedCluster<Msg> {
-    let mut builder = ThreadedClusterBuilder::new(ThreadedConfig::default());
+    let mut builder = ThreadedClusterBuilder::new();
     if let Some(route) = route {
         builder = builder.route_external(route);
     }
